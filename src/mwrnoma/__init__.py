@@ -9,7 +9,6 @@ orthogonal-scheduling baseline, relay-placement sweeps, and a CLI that
 reproduces the bundled experiments as CSV.
 """
 
-from ._kernels import backend_name
 from .baseline import asr_oma, simulate_asr_oma, slot_count
 from .channel import (
     ChannelRealization,
@@ -28,15 +27,11 @@ from .placement import Geometry, GridSpec, PlacementSurface, distances, link_dis
 from .rate import (
     SLOPE_FLOOR,
     AsrResult,
-    RateTerms,
     asr,
     asr_asymptotic,
     high_snr_offset,
     high_snr_slope,
     pair_indices,
-    rate_pair_ideal,
-    rate_pair_nonideal,
-    rate_terms,
 )
 from .signal import (
     ImpairmentProfile,
@@ -63,7 +58,6 @@ __all__ = [
     "NumericError",
     "OrderStatMoments",
     "PlacementSurface",
-    "RateTerms",
     "SinrTerms",
     "SLOPE_FLOOR",
     "TrialConfig",
@@ -72,7 +66,6 @@ __all__ = [
     "asr",
     "asr_asymptotic",
     "asr_oma",
-    "backend_name",
     "derive_trial_stream",
     "distances",
     "gamma_variates",
@@ -85,9 +78,6 @@ __all__ = [
     "order_stat_moments",
     "pair_indices",
     "psi_moment",
-    "rate_pair_ideal",
-    "rate_pair_nonideal",
-    "rate_terms",
     "sample_channel_gains",
     "simulate_asr",
     "simulate_asr_oma",

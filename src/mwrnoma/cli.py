@@ -158,6 +158,19 @@ def _as_grid(value, where: str) -> tuple[float, ...]:
     raise ConfigurationError(f"{where}: expected a list or start/stop/step mapping")
 
 
+def _snr_linear(db: float) -> float:
+    """Linear SNR of a dB value; one that overflows or underflows is a config error."""
+    try:
+        r1 = 10.0 ** (db / 10.0)
+    except OverflowError:
+        r1 = math.inf
+    if not (0.0 < r1 < math.inf):
+        raise ConfigurationError(
+            f"experiment.snr_db: {db!r} dB has no finite positive linear SNR"
+        )
+    return r1
+
+
 def _parse_impairments(raw: dict | None) -> tuple[tuple[str, ImpairmentProfile], ...]:
     if raw is None:
         return (("ideal", ImpairmentProfile.ideal()),)
@@ -211,14 +224,15 @@ def _spec_from_config(config: dict) -> ExperimentSpec:
 
     if kind == "snr-sweep":
         snr_grid = _as_grid(_need(exp, "snr_db", "experiment"), "experiment.snr_db")
-        r1_first = 10.0 ** (snr_grid[0] / 10.0)
+        r1_grid = [_snr_linear(db) for db in snr_grid]
+        r1_first = r1_grid[0]
     elif kind == "kappa-sweep":
         kappa_grid = _as_grid(_need(exp, "kappa", "experiment"), "experiment.kappa")
-        r1_first = 10.0 ** (_as_scalar(_need(exp, "snr_db", "experiment"), "experiment.snr_db") / 10.0)
+        r1_first = _snr_linear(_as_scalar(_need(exp, "snr_db", "experiment"), "experiment.snr_db"))
     elif kind == "placement-sweep":
-        r1_first = 10.0 ** (_as_scalar(_need(exp, "snr_db", "experiment"), "experiment.snr_db") / 10.0)
+        r1_first = _snr_linear(_as_scalar(_need(exp, "snr_db", "experiment"), "experiment.snr_db"))
     else:  # moments-check
-        r1_first = 10.0 ** (_as_scalar(exp.get("snr_db", 0.0), "experiment.snr_db") / 10.0)
+        r1_first = _snr_linear(_as_scalar(exp.get("snr_db", 0.0), "experiment.snr_db"))
 
     try:
         network = NetworkConfig(
@@ -371,7 +385,7 @@ def _run_grid_sweep(spec: ExperimentSpec) -> RunResult:
     """Shared body of the snr- and kappa-sweeps (one scalar sweep column)."""
     if spec.kind == "snr-sweep":
         header, key = SNR_HEADER, "snr_db"
-        points = [(v, 10.0 ** (v / 10.0), None) for v in spec.snr_db_grid]
+        points = [(v, _snr_linear(v), None) for v in spec.snr_db_grid]
     else:
         header, key = KAPPA_HEADER, "kappa"
         points = [(v, spec.network.r1, ImpairmentProfile.uniform(v)) for v in spec.kappa_grid]

@@ -156,6 +156,7 @@ def simulate_asr(
         imp.kappa_rt**2,
         imp.kappa_rr**2,
     )
+    inv_r1, inv_r2 = 1.0 / cfg.r1, 1.0 / cfg.r2
     rate_scale = prefactor / 0.5  # kernel output carries the 1/2 prefactor
 
     n_chunks = (tc.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
@@ -164,7 +165,7 @@ def simulate_asr(
         start = chunk_index * CHUNK_TRIALS
         count = min(CHUNK_TRIALS, tc.trials - start)
         rho = _sample_rho_chunk(fading, M, tc.seed, chunk_index, count)
-        rates = _kernels.pair_rate_chunk(rho, a, cfg.r1, cfg.r2, *kappas)
+        rates = _kernels.pair_rate_chunk(rho, a, inv_r1, inv_r2, *kappas)
         if rate_scale != 1.0:
             rates = rates * rate_scale
         if not np.all(np.isfinite(rates)):

@@ -1,12 +1,12 @@
 """Closed-form achievable-rate machinery.
 
 Per-pair rates replace the expectation of 1/2 log2(1 + SINR) by the rate
-of the moment-substituted SINR (first moments for linear gain terms),
-which collapses the ergodic rate to an algebraic expression in the
-order-statistic moments.  The same denominator aggregates, with the SNR
-factors cancelled, give the high-SNR per-pair asymptotes; slope and
-power-offset diagnostics are estimated numerically from sampled
-sum-rate curves.
+of the moment-substituted SINR (each ordered gain replaced by its mean
+psi), which collapses the ergodic rate to an algebraic expression in the
+order-statistic moments.  That is the Monte Carlo pair-rate kernel
+evaluated on one row, psi; the high-SNR per-pair asymptotes are the same
+kernel at 1/r1 = 1/r2 = 0.  Slope and power-offset diagnostics are
+estimated numerically from sampled sum-rate curves.
 """
 
 from __future__ import annotations
@@ -16,17 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .channel import OrderStatMoments
 from .errors import ConfigurationError
 from .signal import ImpairmentProfile, NetworkConfig
 
 __all__ = [
-    "RateTerms",
     "AsrResult",
     "SLOPE_FLOOR",
-    "rate_terms",
-    "rate_pair_nonideal",
-    "rate_pair_ideal",
     "asr",
     "asr_asymptotic",
     "high_snr_slope",
@@ -36,34 +33,6 @@ __all__ = [
 
 # below this many bits/s/Hz per 3 dB the numerical slope is treated as zero
 SLOPE_FLOOR = 0.05
-
-
-@dataclass(frozen=True)
-class RateTerms:
-    """Denominator aggregates for one (k, n) pair.
-
-    xi1..xi5 build the finite-SNR denominator, delta1..delta4 the high-SNR
-    one, and varpi is the distortion-free aggregate (interference plus
-    relayed noise).
-    """
-
-    xi1: float
-    xi2: float
-    xi3: float
-    xi4: float
-    xi5: float
-    delta1: float
-    delta2: float
-    delta3: float
-    delta4: float
-    varpi: float
-
-    def __post_init__(self):
-        for name in self.__dataclass_fields__:
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be >= 0")
-        if self.xi5 < 1.0:
-            raise ConfigurationError("xi5 must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,6 +57,17 @@ class AsrResult:
         object.__setattr__(self, "per_pair", per_pair)
         if self.provenance not in ("analytical", "monte-carlo", "asymptotic"):
             raise ConfigurationError(f"unknown provenance {self.provenance!r}")
+        # NaN fails every comparison below, so reject it here; +inf only
+        # marks a divergent pair of an asymptote
+        if not (np.isfinite(per_pair).all() and math.isfinite(self.total)):
+            if (
+                self.provenance != "asymptotic"
+                or np.isnan(per_pair).any()
+                or math.isnan(self.total)
+            ):
+                raise ConfigurationError(
+                    f"{self.provenance} rates must be finite, got total {self.total!r}"
+                )
         if np.any(per_pair < 0):
             raise ConfigurationError("per-pair rates must be >= 0")
         s = float(per_pair.sum())
@@ -109,86 +89,43 @@ def pair_indices(n_users: int) -> list[tuple[int, int]]:
     return [(k, n) for k in range(2, n_users + 1) for n in range(1, k)]
 
 
-def _check_inputs(moments: OrderStatMoments, cfg: NetworkConfig) -> None:
+def _closed_form_pairs(
+    moments: OrderStatMoments,
+    cfg: NetworkConfig,
+    imp: ImpairmentProfile | None,
+    condition: str,
+    prefactor: float,
+    inv_r1: float,
+    inv_r2: float,
+) -> np.ndarray:
+    """Per-pair matrix of the shared pair-rate kernel evaluated at psi."""
     if moments.n_users != cfg.n_users:
         raise ConfigurationError(
             f"moments cover {moments.n_users} users, config expects {cfg.n_users}"
         )
-
-
-def rate_terms(
-    moments: OrderStatMoments,
-    cfg: NetworkConfig,
-    imp: ImpairmentProfile,
-    k: int,
-    n: int,
-) -> RateTerms:
-    """Denominator aggregates for pair (k, n), n < k."""
-    _check_inputs(moments, cfg)
-    if not (1 <= n < k <= cfg.n_users):
-        raise ValueError(f"need 1 <= n < k <= {cfg.n_users}, got k={k}, n={n}")
-    psi = moments.psi
-    a = np.asarray(cfg.a)
-    r1, r2 = cfg.r1, cfg.r2
-    kut2, kur2 = imp.kappa_ut**2, imp.kappa_ur**2
-    krt2, krr2 = imp.kappa_rt**2, imp.kappa_rr**2
-    mac = imp.mac_distortion
-    psi_k = float(psi[k - 1])
-
-    weighted = float(np.dot(a, psi))
-    residual = float(np.dot(a[n : cfg.n_users - 1], psi[n : cfg.n_users - 1]))
-
-    xi1 = psi_k * residual * r1 * r2
-    xi2 = psi_k * (kut2 + krr2) * weighted * r1 * r2
-    xi3 = psi_k * krt2 * mac * weighted * r1 * r2
-    xi4 = kur2 * psi_k * mac * weighted * r1 * r2 + r1 * mac * weighted
-    xi5 = psi_k * r2 * (1.0 + krt2 + kur2) + 1.0
-
-    delta1 = psi_k * residual
-    delta2 = psi_k * (kut2 + krr2) * weighted
-    delta3 = psi_k * krt2 * mac * weighted
-    delta4 = kur2 * psi_k * mac * weighted
-
-    varpi = psi_k * residual * r1 * r2 + r1 * weighted
-    return RateTerms(xi1, xi2, xi3, xi4, xi5, delta1, delta2, delta3, delta4, varpi)
-
-
-def rate_pair_nonideal(
-    moments: OrderStatMoments,
-    cfg: NetworkConfig,
-    imp: ImpairmentProfile,
-    k: int,
-    n: int,
-    prefactor: float = 0.5,
-) -> float:
-    """Closed-form rate of pair (k, n) with distortion; 0 when n >= k.
-
-    The default 1/2 prefactor charges the two-slot exchange.
-    """
-    _check_inputs(moments, cfg)
-    if n >= k:
-        return 0.0
-    t = rate_terms(moments, cfg, imp, k, n)
-    num = float(moments.psi[k - 1]) * float(moments.psi[n - 1]) * cfg.a[n - 1] * cfg.r1 * cfg.r2
-    den = t.xi1 + t.xi2 + t.xi3 + t.xi4 + t.xi5
-    return prefactor * math.log2(1.0 + num / den)
-
-
-def rate_pair_ideal(
-    moments: OrderStatMoments,
-    cfg: NetworkConfig,
-    k: int,
-    n: int,
-    prefactor: float = 0.5,
-) -> float:
-    """Distortion-free closed-form rate of pair (k, n); 0 when n >= k."""
-    _check_inputs(moments, cfg)
-    if n >= k:
-        return 0.0
-    t = rate_terms(moments, cfg, ImpairmentProfile.ideal(), k, n)
-    num = float(moments.psi[k - 1]) * float(moments.psi[n - 1]) * cfg.a[n - 1] * cfg.r1 * cfg.r2
-    den = t.varpi + float(moments.psi[k - 1]) * cfg.r2 + 1.0
-    return prefactor * math.log2(1.0 + num / den)
+    if condition not in ("ideal", "nonideal"):
+        raise ValueError(f"condition must be 'ideal' or 'nonideal', got {condition!r}")
+    if condition == "ideal":
+        imp = ImpairmentProfile.ideal()
+    elif imp is None:
+        raise ValueError("nonideal condition requires an impairment profile")
+    M = cfg.n_users
+    rates = _kernels.pair_rate_chunk(
+        moments.psi[None, :],
+        cfg.a,
+        inv_r1,
+        inv_r2,
+        imp.kappa_ut**2,
+        imp.kappa_ur**2,
+        imp.kappa_rt**2,
+        imp.kappa_rr**2,
+    )[0]
+    if prefactor != 0.5:  # kernel output carries the 1/2 prefactor
+        rates = rates * (prefactor / 0.5)
+    per_pair = np.zeros((M, M - 1))
+    for (k, n), rate in zip(pair_indices(M), rates):
+        per_pair[k - 1, n - 1] = rate
+    return per_pair
 
 
 def asr(
@@ -198,19 +135,15 @@ def asr(
     condition: str = "nonideal",
     prefactor: float = 0.5,
 ) -> AsrResult:
-    """Achievable sum rate: per-pair matrix plus the total."""
-    _check_inputs(moments, cfg)
-    if condition not in ("ideal", "nonideal"):
-        raise ValueError(f"condition must be 'ideal' or 'nonideal', got {condition!r}")
-    if condition == "nonideal" and imp is None:
-        raise ValueError("nonideal condition requires an impairment profile")
-    M = cfg.n_users
-    per_pair = np.zeros((M, M - 1))
-    for k, n in pair_indices(M):
-        if condition == "ideal":
-            per_pair[k - 1, n - 1] = rate_pair_ideal(moments, cfg, k, n, prefactor)
-        else:
-            per_pair[k - 1, n - 1] = rate_pair_nonideal(moments, cfg, imp, k, n, prefactor)
+    """Achievable sum rate: per-pair matrix plus the total.
+
+    The ``"ideal"`` condition evaluates the distortion-free profile and
+    ignores ``imp``.  The default 1/2 prefactor charges the two-slot
+    exchange.
+    """
+    per_pair = _closed_form_pairs(
+        moments, cfg, imp, condition, prefactor, 1.0 / cfg.r1, 1.0 / cfg.r2
+    )
     return AsrResult(per_pair=per_pair, total=float(per_pair.sum()), provenance="analytical")
 
 
@@ -227,37 +160,19 @@ def asr_asymptotic(
     per-pair entries are +inf, the total is flagged divergent, and
     ``finite_total`` carries the sum over the bounded pairs.
     """
-    _check_inputs(moments, cfg)
-    if condition not in ("ideal", "nonideal"):
-        raise ValueError(f"condition must be 'ideal' or 'nonideal', got {condition!r}")
-    if condition == "nonideal" and imp is None:
-        raise ValueError("nonideal condition requires an impairment profile")
-    M = cfg.n_users
-    psi = moments.psi
-    a = np.asarray(cfg.a)
-    per_pair = np.zeros((M, M - 1))
-    notes: list[str] = []
-    for k, n in pair_indices(M):
-        if condition == "ideal":
-            den = float(np.dot(a[n : M - 1], psi[n : M - 1]))
-            num = cfg.a[n - 1] * float(psi[n - 1])
-        else:
-            t = rate_terms(moments, cfg, imp, k, n)
-            den = t.delta1 + t.delta2 + t.delta3 + t.delta4
-            num = float(psi[k - 1]) * float(psi[n - 1]) * cfg.a[n - 1]
-        if den == 0.0:
-            per_pair[k - 1, n - 1] = math.inf
-            notes.append(f"pair (k={k}, n={n}) has no interference ceiling: asymptote diverges")
-        else:
-            per_pair[k - 1, n - 1] = prefactor * math.log2(1.0 + num / den)
-    total = float(per_pair.sum())
-    finite = float(per_pair[np.isfinite(per_pair)].sum())
+    with np.errstate(divide="ignore"):
+        per_pair = _closed_form_pairs(moments, cfg, imp, condition, prefactor, 0.0, 0.0)
+    notes = tuple(
+        f"pair (k={k}, n={n}) has no interference ceiling: asymptote diverges"
+        for k, n in pair_indices(cfg.n_users)
+        if math.isinf(per_pair[k - 1, n - 1])
+    )
     return AsrResult(
         per_pair=per_pair,
-        total=total,
+        total=float(per_pair.sum()),
         provenance="asymptotic",
-        finite_total=finite,
-        notes=tuple(notes),
+        finite_total=float(per_pair[np.isfinite(per_pair)].sum()),
+        notes=notes,
     )
 
 

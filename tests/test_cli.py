@@ -274,6 +274,25 @@ class TestMain:
         err = capsys.readouterr().err
         assert "error: config:" in err and "network" in err
 
+    def test_unrepresentable_snr_point_exit_two(self, tmp_path, capsys):
+        config = tiny_snr_config(tmp_path)
+        config["experiment"]["snr_db"] = [0.0, 3100.0]
+        assert main(["run", "--config", str(write_config(tmp_path, config))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: experiment.snr_db")
+        assert err.count("\n") == 1
+
+    def test_extreme_snr_writes_finite_rows(self, tmp_path):
+        path = write_config(tmp_path, {"experiment": {"snr_db": [1560.0]}})
+        out = tmp_path / "fig2b.csv"
+        argv = ["run", "--preset", "fig2b", "--config", str(path), "--trials", "2048"]
+        assert main(argv + ["--output", str(out)]) == 0
+        rows = read_rows(out)
+        assert len(rows) == 4
+        for row in rows:
+            for col in ("asr_analytical", "asr_mc", "mc_stderr"):
+                assert math.isfinite(float(row[col]))
+
     def test_seed_override_changes_mc(self, tmp_path):
         config = tiny_snr_config(tmp_path)
         config["experiment"]["snr_db"] = [30.0]

@@ -8,6 +8,7 @@ import sympy
 
 from mwrnoma import (
     AsrResult,
+    ConfigurationError,
     FadingParams,
     ImpairmentProfile,
     NetworkConfig,
@@ -17,9 +18,6 @@ from mwrnoma import (
     high_snr_offset,
     high_snr_slope,
     order_stat_moments,
-    rate_pair_ideal,
-    rate_pair_nonideal,
-    rate_terms,
 )
 
 A3 = (0.5, 0.3, 0.2)
@@ -43,21 +41,18 @@ def cfg_at(cfg, r1):
 class TestPairRates:
     def test_zero_for_undecodable_pairs(self, setup3):
         _, moments, cfg = setup3
-        imp = ImpairmentProfile.uniform(0.2)
+        nonideal = asr(moments, cfg, ImpairmentProfile.uniform(0.2)).per_pair
+        ideal = asr(moments, cfg, condition="ideal").per_pair
         for k in range(1, 4):
-            for n in range(k, 4):
-                if n <= 2:
-                    assert rate_pair_nonideal(moments, cfg, imp, k, n) == 0.0
-                    assert rate_pair_ideal(moments, cfg, k, n) == 0.0
+            for n in range(k, 3):
+                assert nonideal[k - 1, n - 1] == 0.0
+                assert ideal[k - 1, n - 1] == 0.0
 
     def test_ideal_equals_nonideal_at_zero_distortion(self, setup3):
         _, moments, cfg = setup3
-        imp = ImpairmentProfile.ideal()
-        for k in range(2, 4):
-            for n in range(1, k):
-                assert rate_pair_nonideal(moments, cfg, imp, k, n) == pytest.approx(
-                    rate_pair_ideal(moments, cfg, k, n), rel=1e-12
-                )
+        nonideal = asr(moments, cfg, ImpairmentProfile.ideal()).per_pair
+        ideal = asr(moments, cfg, condition="ideal").per_pair
+        assert np.allclose(nonideal, ideal, rtol=1e-12, atol=0.0)
 
     def test_two_user_hand_value(self):
         # psi/omega of two unit exponentials, a=(0.7, 0.3), r1=r2=10
@@ -66,7 +61,8 @@ class TestPairRates:
         num = 1.5 * 0.5 * 0.7 * 100.0
         varpi = 10.0 * (0.7 * 0.5 + 0.3 * 1.5)
         expected = 0.5 * math.log2(1.0 + num / (varpi + 1.5 * 10.0 + 1.0))
-        assert rate_pair_ideal(moments, cfg, 2, 1) == pytest.approx(expected, rel=1e-12)
+        per_pair = asr(moments, cfg, condition="ideal").per_pair
+        assert per_pair[1, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_vanishing_snr(self, setup3):
         _, moments, cfg = setup3
@@ -106,14 +102,14 @@ class TestPairRates:
         for k in range(2, 4):
             for n in range(1, k):
                 expected = float(symbolic_rate(k, n).evalf(30))
-                got = rate_pair_nonideal(moments, cfg, imp, k, n)
+                got = asr(moments, cfg, imp).per_pair[k - 1, n - 1]
                 assert got == pytest.approx(expected, rel=1e-12)
 
     def test_mismatched_moments_rejected(self, setup3):
         _, moments, _ = setup3
         cfg4 = NetworkConfig(n_users=4, a=A4, r1=100.0)
         with pytest.raises(Exception):
-            rate_pair_ideal(moments, cfg4, 2, 1)
+            asr(moments, cfg4, condition="ideal")
 
 
 class TestAsr:
@@ -121,7 +117,10 @@ class TestAsr:
         moments = OrderStatMoments(psi=np.array([1.0, 1.5]), omega=np.array([2.0, 3.5]))
         cfg = NetworkConfig(n_users=2, a=(0.7, 0.3), r1=10.0)
         result = asr(moments, cfg, condition="ideal")
-        assert result.total == pytest.approx(rate_pair_ideal(moments, cfg, 2, 1))
+        num = 1.5 * 1.0 * 0.7 * 100.0
+        varpi = 10.0 * (0.7 * 1.0 + 0.3 * 1.5)
+        expected = 0.5 * math.log2(1.0 + num / (varpi + 1.5 * 10.0 + 1.0))
+        assert result.total == pytest.approx(expected, rel=1e-12)
         assert result.per_pair.shape == (2, 1)
         assert result.per_pair[0, 0] == 0.0
 
@@ -159,6 +158,17 @@ class TestAsr:
         with pytest.raises(Exception):
             AsrResult(per_pair=np.array([[1.0]]), total=1.0, provenance="guesswork")
 
+    def test_non_finite_rejected(self):
+        with pytest.raises(ConfigurationError):
+            AsrResult(per_pair=[[math.nan]], total=math.nan, provenance="analytical")
+        with pytest.raises(ConfigurationError):
+            AsrResult(per_pair=[[1.0]], total=math.nan, provenance="monte-carlo")
+        with pytest.raises(ConfigurationError):
+            AsrResult(per_pair=[[math.inf]], total=math.inf, provenance="analytical")
+        # +inf stays the documented marker of a divergent asymptote
+        limit = AsrResult(per_pair=[[math.inf]], total=math.inf, provenance="asymptotic")
+        assert math.isinf(limit.total)
+
 
 class TestAsymptotics:
     def test_zero_distortion_limit_matches_ideal(self, setup3):
@@ -184,6 +194,15 @@ class TestAsymptotics:
         assert math.isfinite(limit.total)
         at60 = asr(moments, cfg_at(cfg, 1e6), imp).total
         assert at60 == pytest.approx(limit.total, rel=0.01)
+
+    def test_finite_at_extreme_snr(self, setup3):
+        # r1 * r2 overflows here; the scaled formula never forms it
+        _, moments, cfg = setup3
+        imp = ImpairmentProfile.uniform(0.2)
+        result = asr(moments, cfg_at(cfg, 1e200), imp)
+        limit = asr_asymptotic(moments, cfg, imp)
+        assert np.all(np.isfinite(result.per_pair))
+        assert result.total == pytest.approx(limit.total, rel=1e-9)
 
     def test_pointwise_convergence(self, setup3):
         _, moments, cfg = setup3
