@@ -2,11 +2,13 @@
 
 The files under ``tests/golden/`` pin the exact output of each preset:
 the Monte Carlo presets at 16384 trials and the default seed, the
-placement presets as shipped.  They depend on the Philox stream and on the
-platform's libm (log1p, log2), so a change of either can move the last
+placement presets as shipped, a Monte Carlo placement sweep on a 5 m grid
+and a 200k-sample moments check.  They depend on the Philox stream and on
+the platform's libm (log1p, log2), so a change of either can move the last
 printed digit without any change to the model.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -18,20 +20,38 @@ GOLDEN = Path(__file__).parent / "golden"
 
 MC_ARGS = ["--trials", "16384", "--seed", str(DEFAULT_SEED)]
 
+MOMENTS_CONFIG = {
+    "network": {"n_users": 4, "a": [0.5, 0.3, 0.15, 0.05]},
+    "fading": {"alpha": 2, "beta": 3.0, "nu": 3.0, "distances": [1.0] * 4},
+    "trials": {"trials": 1, "seed": DEFAULT_SEED},
+    "experiment": {"kind": "moments-check", "mc_samples": 200_000},
+}
+
+# name -> (preset, config file contents, extra flags)
 CASES = {
-    "fig2a": MC_ARGS,
-    "fig2b": MC_ARGS,
-    "fig3": MC_ARGS,
-    "fig4a": [],
-    "fig4b": [],
+    "fig2a": ("fig2a", None, MC_ARGS),
+    "fig2b": ("fig2b", None, MC_ARGS),
+    "fig3": ("fig3", None, MC_ARGS),
+    "fig4a": ("fig4a", None, []),
+    "fig4b": ("fig4b", None, []),
+    "placement_mc": ("fig4a", {"experiment": {"engine": "mc", "grid": {"step": 5.0}}}, MC_ARGS),
+    "moments_check": (None, MOMENTS_CONFIG, []),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_preset_matches_golden(name, tmp_path):
-    argv = ["run", "--preset", name, "--output", str(tmp_path / f"{name}.csv")]
-    assert main(argv + CASES[name]) == 0
+    preset, config, flags = CASES[name]
+    out = tmp_path / "out"
+    argv = ["run", "--output", str(out / f"{name}.csv")]
+    if preset is not None:
+        argv += ["--preset", preset]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    assert main(argv + flags) == 0
     expected = sorted(GOLDEN.glob(f"{name}.csv")) + sorted(GOLDEN.glob(f"{name}_*.csv"))
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in expected)
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in expected)
     for path in expected:
-        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+        assert (out / path.name).read_bytes() == path.read_bytes(), path.name
