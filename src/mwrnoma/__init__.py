@@ -9,7 +9,7 @@ orthogonal-scheduling baseline, relay-placement sweeps, and a CLI that
 reproduces the bundled experiments as CSV.
 """
 
-from .baseline import asr_oma, simulate_asr_oma, slot_count
+from .baseline import asr_oma, scheme_prefactor, simulate_asr_oma, slot_count
 from .channel import (
     ChannelRealization,
     FadingParams,
@@ -21,8 +21,22 @@ from .channel import (
     psi_moment,
     sample_channel_gains,
 )
-from .errors import ConfigurationError, MwrnomaError, NumericError, UnsupportedParameterError
-from .montecarlo import McEstimate, TrialConfig, derive_trial_stream, mc_estimate, simulate_asr
+from .errors import (
+    ConfigurationError,
+    MwrnomaError,
+    NumericError,
+    SweepPointError,
+    UnsupportedParameterError,
+)
+from .montecarlo import (
+    McEstimate,
+    SweepPoint,
+    TrialConfig,
+    derive_trial_stream,
+    mc_estimate,
+    simulate_asr,
+    simulate_sweep,
+)
 from .placement import Geometry, GridSpec, PlacementSurface, distances, link_distance, sweep_grid
 from .rate import (
     SLOPE_FLOOR,
@@ -60,6 +74,8 @@ __all__ = [
     "PlacementSurface",
     "SinrTerms",
     "SLOPE_FLOOR",
+    "SweepPoint",
+    "SweepPointError",
     "TrialConfig",
     "UnsupportedParameterError",
     "amplification_gain",
@@ -79,8 +95,10 @@ __all__ = [
     "pair_indices",
     "psi_moment",
     "sample_channel_gains",
+    "scheme_prefactor",
     "simulate_asr",
     "simulate_asr_oma",
+    "simulate_sweep",
     "sinr_instantaneous",
     "sinr_terms",
     "slot_count",

@@ -9,30 +9,47 @@ overflow), and the high-SNR limit is the same formula at 1/r1 = 1/r2 = 0.
 import numpy as np
 
 
-def pair_rate_chunk(rho, a, inv_r1, inv_r2, kut2, kur2, krt2, krr2):
-    """Rates 1/2 log2(1 + SINR) for every decodable pair of every row.
+def chunk_aggregates(rho, a):
+    """Per-row terms of the pair SINR that depend only on the gains and the
+    power split, so every operating point evaluated on the same rows can
+    share them.
 
-    rho: (rows, M) sorted ascending effective gains (sampled gains, or the
-    order-statistic means as a single row).  inv_r1, inv_r2: reciprocal
-    user and relay SNR.  Returns (rows, M*(M-1)/2) in (k, then n) pair
-    order, 1/2-prefactored.  A pair with an empty denominator (only at
-    1/r1 = 0 without distortion) is +inf; callers that allow it silence
-    the division warning.
+    Returns ``(weighted, suffix)``: weighted[t] = sum_j a_j rho_j and
+    suffix[t, n] = sum_{j=n}^{M-2} a_j rho_j (interference left after
+    pair n).
     """
     rho = np.ascontiguousarray(rho, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
     n_rows, M = rho.shape
-    mac = 1.0 + kut2 + krr2
-    mix = (kut2 + krr2) + (krt2 + kur2) * mac
-    bc = 1.0 + krt2 + kur2
-
     weighted = rho @ a
-    noise_fwd = mac * weighted * inv_r2 + inv_r1 * inv_r2
-    # suffix[t, n] = sum_{j=n}^{M-2} a_j rho_j  (interference left after pair n)
     suffix = np.zeros((n_rows, M))
     if M > 1:
         w = rho[:, : M - 1] * a[: M - 1]
         suffix[:, : M - 1] = w[:, ::-1].cumsum(axis=1)[:, ::-1]
+    return weighted, suffix
+
+
+def pair_rate_chunk(rho, a, inv_r1, inv_r2, kut2, kur2, krt2, krr2, *, aggregates=None):
+    """Rates 1/2 log2(1 + SINR) for every decodable pair of every row.
+
+    rho: (rows, M) sorted ascending effective gains (sampled gains, or the
+    order-statistic means as a single row).  inv_r1, inv_r2: reciprocal
+    user and relay SNR.  aggregates: ``chunk_aggregates(rho, a)`` when the
+    caller evaluates several points on the same rows; computed here
+    otherwise.  Returns (rows, M*(M-1)/2) in (k, then n) pair order,
+    1/2-prefactored.  A pair with an empty denominator (only at 1/r1 = 0
+    without distortion) is +inf; callers that allow it silence the
+    division warning.
+    """
+    rho = np.ascontiguousarray(rho, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    n_rows, M = rho.shape
+    weighted, suffix = chunk_aggregates(rho, a) if aggregates is None else aggregates
+    mac = 1.0 + kut2 + krr2
+    mix = (kut2 + krr2) + (krt2 + kur2) * mac
+    bc = 1.0 + krt2 + kur2
+
+    noise_fwd = mac * weighted * inv_r2 + inv_r1 * inv_r2
     # inner[t, n]: the denominator terms that scale with rho_k (interference
     # left after n, distortion, and the broadcast-hop noise term)
     inner = suffix + (mix * weighted + bc * inv_r1)[:, None]

@@ -20,12 +20,19 @@ from .montecarlo import TrialConfig, simulate_asr
 from .rate import AsrResult, asr
 from .signal import ImpairmentProfile, NetworkConfig
 
-__all__ = ["slot_count", "asr_oma", "simulate_asr_oma"]
+__all__ = ["slot_count", "scheme_prefactor", "asr_oma", "simulate_asr_oma"]
 
 
 def slot_count(n_users: int) -> int:
     """Slots needed by the orthogonal schedule: ceil((M - 1) / 2) + 1."""
     return math.ceil((n_users - 1) / 2) + 1
+
+
+def scheme_prefactor(scheme: str, n_users: int) -> float:
+    """Time share of each pair rate: 1/2 superposed, 1/slots orthogonal."""
+    if scheme not in ("noma", "oma"):
+        raise ValueError(f"scheme must be 'noma' or 'oma', got {scheme!r}")
+    return 0.5 if scheme == "noma" else 1.0 / slot_count(n_users)
 
 
 def _slot_notes(n_users: int) -> tuple[str, ...]:
@@ -45,7 +52,7 @@ def asr_oma(
     condition: str = "nonideal",
 ) -> AsrResult:
     """Closed-form sum rate of the orthogonal baseline."""
-    result = asr(moments, cfg, imp, condition, prefactor=1.0 / slot_count(cfg.n_users))
+    result = asr(moments, cfg, imp, condition, prefactor=scheme_prefactor("oma", cfg.n_users))
     return replace(result, notes=result.notes + _slot_notes(cfg.n_users))
 
 
@@ -56,5 +63,5 @@ def simulate_asr_oma(
     tc: TrialConfig,
 ) -> AsrResult:
     """Monte Carlo sum rate of the orthogonal baseline."""
-    result = simulate_asr(cfg, fading, imp, tc, prefactor=1.0 / slot_count(cfg.n_users))
+    result = simulate_asr(cfg, fading, imp, tc, prefactor=scheme_prefactor("oma", cfg.n_users))
     return replace(result, notes=result.notes + _slot_notes(cfg.n_users))

@@ -24,8 +24,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
-from scipy import stats
 
 from .errors import ConfigurationError, NumericError, UnsupportedParameterError
 
@@ -267,6 +265,10 @@ def moment_oracle(
     if not 1 <= i <= n_users:
         raise ValueError(f"order index i={i} out of range 1..{n_users}")
     _check_users(params, n_users)
+    # scipy is imported here, not at module level: only the oracle needs it,
+    # and it is most of the package's import time
+    from scipy import integrate, stats
+
     rv = stats.gamma(params.alpha, scale=params.beta)
     count = math.factorial(n_users) / (
         math.factorial(i - 1) * math.factorial(n_users - i)

@@ -21,10 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .baseline import asr_oma, simulate_asr_oma
-from .channel import FadingParams, moment_oracle, order_stat_moments
-from .errors import ConfigurationError, NumericError
-from .montecarlo import TrialConfig, derive_trial_stream, simulate_asr
+from .baseline import asr_oma, scheme_prefactor
+from .channel import FadingParams, gamma_variates, moment_oracle, order_stat_moments
+from .errors import ConfigurationError, NumericError, SweepPointError
+from .montecarlo import SweepPoint, TrialConfig, derive_trial_stream, simulate_sweep
 from .placement import Geometry, GridSpec, distances, sweep_grid
 from .presets import DEFAULT_SEED, PRESETS, preset
 from .rate import asr
@@ -373,14 +373,6 @@ def _analytic_total(spec, cfg, moments, scheme, profile) -> float:
     return asr_oma(moments, cfg, profile, condition).total
 
 
-def _mc_total(spec, cfg, scheme, profile) -> tuple[float, float]:
-    if scheme == "noma":
-        result = simulate_asr(cfg, spec.fading, profile, spec.trials)
-    else:
-        result = simulate_asr_oma(cfg, spec.fading, profile, spec.trials)
-    return result.total, result.stderr
-
-
 def _run_grid_sweep(spec: ExperimentSpec) -> RunResult:
     """Shared body of the snr- and kappa-sweeps (one scalar sweep column)."""
     if spec.kind == "snr-sweep":
@@ -391,8 +383,8 @@ def _run_grid_sweep(spec: ExperimentSpec) -> RunResult:
         points = [(v, spec.network.r1, ImpairmentProfile.uniform(v)) for v in spec.kappa_grid]
 
     moments = order_stat_moments(spec.fading, spec.network.n_users)
-    want_mc = _mc_wanted(spec)
     rows: list[dict] = []
+    mc_points: list[SweepPoint] = []
     for value, r1, sweep_profile in points:
         cfg = replace(spec.network, r1=r1)
         for scheme in spec.schemes:
@@ -410,16 +402,27 @@ def _run_grid_sweep(spec: ExperimentSpec) -> RunResult:
                     "asr_mc": "",
                     "mc_stderr": "",
                 }
-                if want_mc:
-                    mc_total, mc_se = _mc_total(spec, cfg, scheme, profile)
-                    row["asr_mc"] = _fmt(mc_total)
-                    row["mc_stderr"] = _fmt(mc_se)
-                    gap = abs(float(row["asr_analytical"]) - mc_total)
-                    log.info(
-                        "%s=%s %s/%s: analytic-vs-mc gap %.3g",
-                        key, row[key], scheme, condition, gap,
-                    )
                 rows.append(row)
+                mc_points.append(
+                    SweepPoint(cfg, spec.fading, profile, scheme_prefactor(scheme, cfg.n_users))
+                )
+
+    if _mc_wanted(spec):
+        try:
+            results = simulate_sweep(mc_points, spec.trials)
+        except SweepPointError as exc:
+            row = rows[exc.point]
+            raise NumericError(
+                f"{key}={row[key]} {row['scheme']}/{row['condition']}: {exc}"
+            ) from exc
+        for row, result in zip(rows, results):
+            row["asr_mc"] = _fmt(result.total)
+            row["mc_stderr"] = _fmt(result.stderr)
+            gap = abs(float(row["asr_analytical"]) - result.total)
+            log.info(
+                "%s=%s %s/%s: analytic-vs-mc gap %.3g",
+                key, row[key], row["scheme"], row["condition"], gap,
+            )
 
     _write_csv(spec.output, header, rows)
     totals: dict[str, float] = {}
@@ -498,8 +501,7 @@ def _run_moments_check(spec: ExperimentSpec) -> RunResult:
     done = 0
     while done < samples:
         count = min(100_000, samples - done)
-        u = gen.random((count, M, fading.alpha))
-        h = -fading.beta * np.log1p(-u).sum(axis=2)
+        h = gamma_variates(fading.alpha, fading.beta, (count, M), gen)
         h.sort(axis=1)
         rho = h * fading.path_loss_factors()
         sums += rho.sum(axis=0)

@@ -15,3 +15,16 @@ class UnsupportedParameterError(ConfigurationError):
 
 class NumericError(MwrnomaError, ArithmeticError):
     """Numerical failure: overflow, non-convergence, or a non-finite intermediate."""
+
+
+class SweepPointError(NumericError):
+    """Numerical failure at one point of a multi-point Monte Carlo run.
+
+    ``point`` is the index of the failing point in the caller's list and
+    ``trial`` the first trial whose rate was not finite.
+    """
+
+    def __init__(self, point: int, trial: int):
+        super().__init__(f"non-finite rate in trial {trial}")
+        self.point = point
+        self.trial = trial

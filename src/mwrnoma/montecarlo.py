@@ -8,28 +8,40 @@ on the seed and its own index, any partition of chunks across threads
 yields the same numbers, and partial accumulators are merged in chunk
 order.  ``derive_trial_stream`` exposes single-trial streams from a
 disjoint counter range for callers that need per-trial granularity.
+
+One engine, ``simulate_sweep``, serves every sweep: chunks run in the
+outer loop and sweep points in the inner loop.  Each chunk draws and
+sorts its Gamma gains once; every point then applies its own path loss,
+SNR, distortion profile and prefactor to those gains (common random
+numbers) and reduces them to per-point chunk statistics.  Each point's
+statistics merge in chunk order, exactly as a one-point run merges them,
+so a point's result does not depend on which other points share the run
+or on the worker count.  Only per-point statistics outlive a chunk.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
 
 from . import _kernels
-from .channel import FadingParams
-from .errors import ConfigurationError, NumericError
+from .channel import FadingParams, gamma_variates
+from .errors import ConfigurationError, SweepPointError
 from .rate import AsrResult, pair_indices
 from .signal import ImpairmentProfile, NetworkConfig
 
 __all__ = [
     "TrialConfig",
     "McEstimate",
+    "SweepPoint",
     "CHUNK_TRIALS",
     "derive_trial_stream",
+    "simulate_sweep",
     "simulate_asr",
     "mc_estimate",
 ]
@@ -78,7 +90,7 @@ def derive_trial_stream(seed: int, trial_index: int) -> Generator:
 
     Streams occupy disjoint counter ranges (2^128 blocks each) in the top
     half of the Philox counter space, away from the chunk streams used by
-    ``simulate_asr``, so indices never collide across uses.
+    ``simulate_sweep``, so indices never collide across uses.
     """
     if not 0 <= seed < _SEED_MAX:
         raise ConfigurationError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
@@ -95,16 +107,16 @@ def _chunk_stream(seed: int, chunk_index: int) -> Generator:
 def _sample_rho_chunk(
     fading: FadingParams, n_users: int, seed: int, chunk_index: int, count: int
 ) -> np.ndarray:
-    """Sorted, path-loss-scaled gains for `count` trials of one chunk.
+    """Sorted Gamma gains, before path loss, for `count` trials of one chunk.
 
     Each trial consumes exactly M * alpha uniforms laid out contiguously,
     so a shorter final chunk reproduces the same per-trial variates.
     """
-    gen = _chunk_stream(seed, chunk_index)
-    u = gen.random((count, n_users, fading.alpha))
-    h = -fading.beta * np.log1p(-u).sum(axis=2)
+    h = gamma_variates(
+        fading.alpha, fading.beta, (count, n_users), _chunk_stream(seed, chunk_index)
+    )
     h.sort(axis=1)
-    return h * fading.path_loss_factors()
+    return h
 
 
 def _chunk_stats(rates: np.ndarray):
@@ -133,57 +145,64 @@ def _merge_stats(left, right):
     return n, mu, m2, t, tm2
 
 
-def simulate_asr(
-    cfg: NetworkConfig,
-    fading: FadingParams,
-    imp: ImpairmentProfile,
-    tc: TrialConfig,
-    prefactor: float = 0.5,
-) -> AsrResult:
-    """Monte Carlo sum rate: average of per-pair prefactor * log2(1 + SINR).
+@dataclass(frozen=True)
+class SweepPoint:
+    """One operating point of a Monte Carlo sweep.
 
-    Bit-identical output for identical (seed, trials) at any worker count.
+    cfg: user count, power split and SNR.  fading: fading law and the
+    per-position path loss.  imp: distortion profile.  prefactor: time
+    share of each pair rate (1/2 for the two-slot exchange).
     """
-    M = cfg.n_users
-    if fading.n_users != M:
-        raise ConfigurationError(
-            f"fading covers {fading.n_users} users, config expects {M}"
+
+    cfg: NetworkConfig
+    fading: FadingParams
+    imp: ImpairmentProfile
+    prefactor: float = 0.5
+
+
+def _sweep_plan(points):
+    """Group the points by path-loss vector, then by kernel arguments.
+
+    Points in one path-loss group share the scaled gains and their
+    aggregates; points in one kernel group (they differ only in the
+    prefactor) share the kernel call.
+    """
+    groups: dict = {}
+    for i, p in enumerate(points):
+        factors = p.fading.path_loss_factors()
+        imp = p.imp
+        args = (
+            1.0 / p.cfg.r1,
+            1.0 / p.cfg.r2,
+            imp.kappa_ut**2,
+            imp.kappa_ur**2,
+            imp.kappa_rt**2,
+            imp.kappa_rr**2,
         )
-    a = np.asarray(cfg.a, dtype=np.float64)
-    kappas = (
-        imp.kappa_ut**2,
-        imp.kappa_ur**2,
-        imp.kappa_rt**2,
-        imp.kappa_rr**2,
-    )
-    inv_r1, inv_r2 = 1.0 / cfg.r1, 1.0 / cfg.r2
-    rate_scale = prefactor / 0.5  # kernel output carries the 1/2 prefactor
+        kernels = groups.setdefault(factors.tobytes(), (factors, {}))[1]
+        # kernel output carries the 1/2 prefactor
+        kernels.setdefault(args, []).append((i, p.prefactor / 0.5))
+    return list(groups.values())
 
-    n_chunks = (tc.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
 
-    def run_chunk(chunk_index: int):
-        start = chunk_index * CHUNK_TRIALS
-        count = min(CHUNK_TRIALS, tc.trials - start)
-        rho = _sample_rho_chunk(fading, M, tc.seed, chunk_index, count)
-        rates = _kernels.pair_rate_chunk(rho, a, inv_r1, inv_r2, *kappas)
-        if rate_scale != 1.0:
-            rates = rates * rate_scale
-        if not np.all(np.isfinite(rates)):
-            bad = int(np.argwhere(~np.isfinite(rates))[0][0])
-            raise NumericError(f"non-finite rate in trial {start + bad}")
-        return _chunk_stats(rates)
+def _merge_parts(parts, n_points: int):
+    """Fold per-chunk outputs, in chunk order, into per-point statistics
+    and each point's first bad trial (None while all rates are finite)."""
+    stats: list = [None] * n_points
+    bad_trial: list = [None] * n_points
+    for part in parts:
+        for i, s in enumerate(part):
+            if bad_trial[i] is not None:
+                continue
+            if isinstance(s, int):
+                bad_trial[i] = s
+            else:
+                stats[i] = s if stats[i] is None else _merge_stats(stats[i], s)
+    return stats, bad_trial
 
-    if tc.workers == 1 or n_chunks == 1:
-        partials = [run_chunk(c) for c in range(n_chunks)]
-    else:
-        with ThreadPoolExecutor(max_workers=tc.workers) as pool:
-            partials = list(pool.map(run_chunk, range(n_chunks)))
 
-    stats = partials[0]
-    for part in partials[1:]:
-        stats = _merge_stats(stats, part)
+def _result(M: int, stats) -> AsrResult:
     n, mean, m2, t_mean, t_m2 = stats
-
     per_pair = np.zeros((M, M - 1))
     per_pair_stderr = np.zeros((M, M - 1))
     pair_se = np.sqrt(m2 / (n * max(n - 1, 1)))
@@ -199,6 +218,84 @@ def simulate_asr(
         per_pair_stderr=per_pair_stderr,
         trials=n,
     )
+
+
+def simulate_sweep(points: Sequence[SweepPoint], tc: TrialConfig) -> list[AsrResult]:
+    """Monte Carlo sum rate at every point, all from one draw of the gains.
+
+    Chunk outer, point inner: each chunk samples and sorts its gains once,
+    then every point scales them by its path loss, evaluates the kernel
+    at its (r1, distortion profile) and prefactor, and reduces to chunk
+    statistics.  Each point's statistics merge in chunk order, so every
+    result is bit-identical to a one-point run and to any worker count.
+
+    The points must share the user count, power split and fading law
+    (they may differ in path loss).  A non-finite rate raises
+    ``SweepPointError`` for the first failing point in list order, naming
+    its first non-finite trial, as separate one-point runs in that order
+    would.
+    """
+    if not points:
+        raise ConfigurationError("need at least one sweep point")
+    first = points[0]
+    M = first.cfg.n_users
+    law = (M, first.cfg.a, first.fading.alpha, first.fading.beta)
+    for p in points:
+        if p.fading.n_users != p.cfg.n_users:
+            raise ConfigurationError(
+                f"fading covers {p.fading.n_users} users, config expects {p.cfg.n_users}"
+            )
+        if (p.cfg.n_users, p.cfg.a, p.fading.alpha, p.fading.beta) != law:
+            raise ConfigurationError(
+                "sweep points must share the user count, power split and fading law"
+            )
+    a = np.asarray(first.cfg.a, dtype=np.float64)
+    plan = _sweep_plan(points)
+    n_chunks = (tc.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
+
+    def run_chunk(chunk_index: int):
+        """Per-point chunk statistics, or the first bad trial of a point."""
+        start = chunk_index * CHUNK_TRIALS
+        count = min(CHUNK_TRIALS, tc.trials - start)
+        h = _sample_rho_chunk(first.fading, M, tc.seed, chunk_index, count)
+        out: list = [None] * len(points)
+        for factors, kernels in plan:
+            rho = h * factors
+            aggregates = _kernels.chunk_aggregates(rho, a)
+            for args, members in kernels.items():
+                base = _kernels.pair_rate_chunk(rho, a, *args, aggregates=aggregates)
+                for i, scale in members:
+                    rates = base * scale if scale != 1.0 else base
+                    if np.all(np.isfinite(rates)):
+                        out[i] = _chunk_stats(rates)
+                    else:
+                        out[i] = start + int(np.argwhere(~np.isfinite(rates))[0][0])
+        return out
+
+    if tc.workers == 1 or n_chunks == 1:
+        stats, bad_trial = _merge_parts(map(run_chunk, range(n_chunks)), len(points))
+    else:
+        with ThreadPoolExecutor(max_workers=tc.workers) as pool:
+            stats, bad_trial = _merge_parts(pool.map(run_chunk, range(n_chunks)), len(points))
+    for i, trial in enumerate(bad_trial):
+        if trial is not None:
+            raise SweepPointError(i, trial)
+    return [_result(M, s) for s in stats]
+
+
+def simulate_asr(
+    cfg: NetworkConfig,
+    fading: FadingParams,
+    imp: ImpairmentProfile,
+    tc: TrialConfig,
+    prefactor: float = 0.5,
+) -> AsrResult:
+    """Monte Carlo sum rate: average of per-pair prefactor * log2(1 + SINR).
+
+    A one-point ``simulate_sweep``; bit-identical output for identical
+    (seed, trials) at any worker count.
+    """
+    return simulate_sweep([SweepPoint(cfg, fading, imp, prefactor)], tc)[0]
 
 
 def mc_estimate(result: AsrResult) -> McEstimate:

@@ -15,10 +15,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baseline import asr_oma, simulate_asr_oma
+from .baseline import asr_oma, scheme_prefactor
 from .channel import FadingParams, order_stat_moments
-from .errors import ConfigurationError, MwrnomaError
-from .montecarlo import TrialConfig, simulate_asr
+from .errors import ConfigurationError, MwrnomaError, NumericError, SweepPointError
+from .montecarlo import SweepPoint, TrialConfig, simulate_sweep
 from .rate import asr
 from .signal import ImpairmentProfile, NetworkConfig
 
@@ -110,12 +110,13 @@ def distances(geom: Geometry) -> np.ndarray:
     )
 
 
-def _fading_at(geom: Geometry, fading_template: FadingParams) -> FadingParams:
-    """Template fading with distances refreshed from the geometry.
+def _fading_at(geom_template: Geometry, x, y, fading_template: FadingParams) -> FadingParams:
+    """Template fading with distances refreshed for the relay at (x, y).
 
     Descending distances map to ascending order positions so the weakest
     mean gain sits at position 1.
     """
+    geom = replace(geom_template, uav_xy=(float(x), float(y)))
     d = sorted(distances(geom).tolist(), reverse=True)
     return replace(fading_template, distances=tuple(d))
 
@@ -145,25 +146,34 @@ def sweep_grid(
             f"geometry has {geom_template.n_users} users, config expects {cfg.n_users}"
         )
     xs, ys = grid.xs, grid.ys
-    surface = np.empty((ys.size, xs.size))
-    for j, y in enumerate(ys):
-        for i, x in enumerate(xs):
-            geom = replace(geom_template, uav_xy=(float(x), float(y)))
-            fading = _fading_at(geom, fading_template)
-            try:
-                if engine == "analytical":
+    if engine == "analytical":
+        surface = np.empty((ys.size, xs.size))
+        for j, y in enumerate(ys):
+            for i, x in enumerate(xs):
+                fading = _fading_at(geom_template, x, y, fading_template)
+                try:
                     moments = order_stat_moments(fading, cfg.n_users)
                     if scheme == "noma":
                         result = asr(moments, cfg, imp, condition)
                     else:
                         result = asr_oma(moments, cfg, imp, condition)
-                else:
-                    mc_imp = ImpairmentProfile.ideal() if condition == "ideal" else imp
-                    sim = simulate_asr if scheme == "noma" else simulate_asr_oma
-                    result = sim(cfg, fading, mc_imp, tc)
-            except MwrnomaError as exc:
-                raise type(exc)(f"grid point (x={x:g}, y={y:g}): {exc}") from exc
-            surface[j, i] = result.total
+                except MwrnomaError as exc:
+                    raise type(exc)(f"grid point (x={x:g}, y={y:g}): {exc}") from exc
+                surface[j, i] = result.total
+    else:
+        mc_imp = ImpairmentProfile.ideal() if condition == "ideal" else imp
+        share = scheme_prefactor(scheme, cfg.n_users)
+        sites = [(x, y) for y in ys for x in xs]
+        points = [
+            SweepPoint(cfg, _fading_at(geom_template, x, y, fading_template), mc_imp, share)
+            for x, y in sites
+        ]
+        try:
+            results = simulate_sweep(points, tc)
+        except SweepPointError as exc:
+            x, y = sites[exc.point]
+            raise NumericError(f"grid point (x={x:g}, y={y:g}): {exc}") from exc
+        surface = np.array([r.total for r in results]).reshape(ys.size, xs.size)
     j_best, i_best = np.unravel_index(int(np.argmax(surface)), surface.shape)
     return PlacementSurface(
         xs=xs, ys=ys, asr=surface, argmax_xy=(float(xs[i_best]), float(ys[j_best]))

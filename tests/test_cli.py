@@ -3,9 +3,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import mwrnoma
+from mwrnoma import _kernels
 from mwrnoma.cli import (
     KAPPA_HEADER,
     MOMENTS_HEADER,
@@ -305,3 +312,28 @@ class TestMain:
         r1, r2, r3 = (read_rows(o) for o in (out1, out2, out3))
         assert r1[0]["asr_mc"] != r2[0]["asr_mc"]
         assert r1[0]["asr_mc"] == r3[0]["asr_mc"]
+
+    def test_nonfinite_mc_rate_exit_three(self, tmp_path, capsys, monkeypatch):
+        original = _kernels.pair_rate_chunk
+
+        def nan_at_15db(rho, a, inv_r1, *args, **kwargs):
+            out = original(rho, a, inv_r1, *args, **kwargs)
+            if rho.shape[0] > 1 and 0.01 < inv_r1 < 0.1:
+                out[5, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(_kernels, "pair_rate_chunk", nan_at_15db)
+        path = write_config(tmp_path, tiny_snr_config(tmp_path))
+        assert main(["run", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: numeric: snr_db=15 noma/ideal: non-finite rate in trial 5\n"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy serves only the quadrature oracle; importing it costs most of
+    # the CLI start-up time
+    src = str(Path(mwrnoma.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, mwrnoma.cli; sys.exit(int('scipy' in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert proc.returncode == 0

@@ -1,6 +1,7 @@
 """Monte Carlo engine: determinism, stream derivation, statistical behavior."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,10 +17,21 @@ from mwrnoma import (
     derive_trial_stream,
     mc_estimate,
     order_stat_moments,
+    NumericError,
+    SweepPoint,
+    SweepPointError,
     pair_indices,
+    scheme_prefactor,
     simulate_asr,
+    simulate_sweep,
 )
-from mwrnoma.montecarlo import CHUNK_TRIALS, _sample_rho_chunk
+from mwrnoma import _kernels
+from mwrnoma.montecarlo import (
+    CHUNK_TRIALS,
+    _chunk_stats,
+    _merge_stats,
+    _sample_rho_chunk,
+)
 
 FADING3 = FadingParams(alpha=2, beta=3.0, nu=3.0, distances=(1.0,) * 3)
 CFG3 = NetworkConfig(n_users=3, a=(0.5, 0.3, 0.2), r1=1000.0)
@@ -180,3 +192,127 @@ class TestInterfaces:
         assert sim.provenance == "monte-carlo"
         assert sim.trials == 1_000
         assert sim.stderr is not None and sim.stderr >= 0
+
+
+CFG4 = NetworkConfig(n_users=4, a=(0.5, 0.3, 0.15, 0.05), r1=100.0)
+FADING4 = FadingParams(alpha=2, beta=3.0, nu=3.0, distances=(1.0,) * 4)
+FAR4 = replace(FADING4, distances=(3.0, 2.0, 1.5, 1.0))
+OMA4 = scheme_prefactor("oma", 4)
+IDEAL = ImpairmentProfile.ideal()
+
+# mixed SNR, distortion profile, 1/slot_count prefactor and path loss; the
+# first two share a kernel call, the last three a path-loss vector
+SWEEP = [
+    SweepPoint(CFG4, FADING4, IDEAL),
+    SweepPoint(CFG4, FADING4, IDEAL, OMA4),
+    SweepPoint(replace(CFG4, r1=1000.0), FADING4, ImpairmentProfile.uniform(0.1)),
+    SweepPoint(replace(CFG4, r1=1000.0), FAR4, ImpairmentProfile(0.2, 0.0, 0.2, 0.0)),
+    SweepPoint(CFG4, FAR4, IDEAL, OMA4),
+    SweepPoint(replace(CFG4, r1=10.0), FAR4, ImpairmentProfile(0.0, 0.2, 0.0, 0.2)),
+]
+
+
+def reference_stats(point, tc):
+    """The per-point loop: sample, scale, evaluate and merge chunk by chunk."""
+    imp, cfg = point.imp, point.cfg
+    stats = None
+    for c in range(0, (tc.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS):
+        count = min(CHUNK_TRIALS, tc.trials - c * CHUNK_TRIALS)
+        rho = _sample_rho_chunk(point.fading, 4, tc.seed, c, count)
+        rho = rho * point.fading.path_loss_factors()
+        rates = _kernels.pair_rate_chunk(
+            rho, np.asarray(cfg.a), 1.0 / cfg.r1, 1.0 / cfg.r2,
+            imp.kappa_ut**2, imp.kappa_ur**2, imp.kappa_rt**2, imp.kappa_rr**2,
+        )
+        if point.prefactor != 0.5:
+            rates = rates * (point.prefactor / 0.5)
+        part = _chunk_stats(rates)
+        stats = part if stats is None else _merge_stats(stats, part)
+    return stats
+
+
+def assert_same_result(got, want):
+    assert got.total == want.total
+    assert got.stderr == want.stderr
+    assert got.trials == want.trials
+    assert np.array_equal(got.per_pair, want.per_pair)
+    assert np.array_equal(got.per_pair_stderr, want.per_pair_stderr)
+
+
+class TestSweepEngine:
+    # not a multiple of the chunk size, so the short last chunk is covered
+    TRIALS = 2 * CHUNK_TRIALS + 123
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_matches_one_point_runs(self, workers):
+        results = simulate_sweep(SWEEP, TrialConfig(self.TRIALS, seed=31, workers=workers))
+        assert len(results) == len(SWEEP)
+        for point, got in zip(SWEEP, results):
+            alone = simulate_asr(
+                point.cfg, point.fading, point.imp, TrialConfig(self.TRIALS, seed=31),
+                prefactor=point.prefactor,
+            )
+            assert_same_result(got, alone)
+
+    def test_matches_per_point_loop(self):
+        tc = TrialConfig(self.TRIALS, seed=31)
+        for point, got in zip(SWEEP, simulate_sweep(SWEEP, tc)):
+            n, mean, _, t_mean, t_m2 = reference_stats(point, tc)
+            assert n == got.trials == self.TRIALS
+            assert got.total == t_mean
+            assert got.stderr == math.sqrt(t_m2 / (n * (n - 1)))
+            assert np.array_equal(got.per_pair[np.tril_indices(4, -1)], mean)
+
+    def test_rejects_mixed_law_and_empty(self):
+        tc = TrialConfig(100, seed=1)
+        beta4 = replace(FADING4, beta=4.0)
+        with pytest.raises(ConfigurationError):
+            simulate_sweep([SWEEP[0], SweepPoint(CFG4, beta4, IDEAL)], tc)
+        cfg3 = SweepPoint(CFG3, FADING3, IDEAL)
+        with pytest.raises(ConfigurationError):
+            simulate_sweep([SWEEP[0], cfg3], tc)
+        with pytest.raises(ConfigurationError):
+            simulate_sweep([], tc)
+
+
+def nan_kernel(monkeypatch, fading, seed, bad_rows):
+    """Kernel returning NaN at row bad_rows[(inv_r1, chunk)] of a chunk; the
+    chunk is recognised by its first sampled row."""
+    original = _kernels.pair_rate_chunk
+    scale = fading.path_loss_factors()
+    firsts = [_sample_rho_chunk(fading, 4, seed, c, 1)[0] * scale for c in range(3)]
+
+    def patched(rho, a, inv_r1, *args, **kwargs):
+        out = original(rho, a, inv_r1, *args, **kwargs)
+        for chunk, first in enumerate(firsts):
+            row = bad_rows.get((inv_r1, chunk))
+            if row is not None and np.array_equal(rho[0], first):
+                out[row, -1] = np.nan
+        return out
+
+    monkeypatch.setattr(_kernels, "pair_rate_chunk", patched)
+
+
+class TestSweepErrors:
+    TRIALS = 2 * CHUNK_TRIALS + 100
+    POINTS = [SweepPoint(replace(CFG4, r1=r1), FADING4, IDEAL) for r1 in (10.0, 100.0, 1000.0)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_failing_point_named(self, monkeypatch, workers):
+        # point 0 first fails in chunk 1 (and again in chunk 2); point 2
+        # already fails in chunk 0
+        bad = {(1 / 10.0, 1): 7, (1 / 10.0, 2): 1, (1 / 1000.0, 0): 3}
+        nan_kernel(monkeypatch, FADING4, 2, bad)
+        tc = TrialConfig(self.TRIALS, seed=2, workers=workers)
+        expected = None
+        for i, p in enumerate(self.POINTS):
+            try:
+                simulate_asr(p.cfg, p.fading, p.imp, tc)
+            except NumericError as exc:
+                expected = (i, str(exc))
+                break
+        assert expected == (0, f"non-finite rate in trial {CHUNK_TRIALS + 7}")
+        with pytest.raises(SweepPointError) as info:
+            simulate_sweep(self.POINTS, tc)
+        assert (info.value.point, str(info.value)) == expected
+        assert info.value.trial == CHUNK_TRIALS + 7

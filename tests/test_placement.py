@@ -131,6 +131,26 @@ class TestSweep:
         analytic = sweep_grid(geom, grid, cfg, FADING_T, None, condition="ideal")
         assert surface.asr[0, 0] == pytest.approx(analytic.asr[0, 0], rel=0.1)
 
+    def test_monte_carlo_error_names_grid_point(self, monkeypatch):
+        from mwrnoma import NumericError, TrialConfig, _kernels
+
+        original = _kernels.pair_rate_chunk
+
+        def nan_in_second_chunk(rho, a, *args, **kwargs):
+            out = original(rho, a, *args, **kwargs)
+            if rho.shape[0] == 10:
+                out[4, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(_kernels, "pair_rate_chunk", nan_in_second_chunk)
+        geom = Geometry(user_positions=SQUARE, uav_height=10.0)
+        with pytest.raises(NumericError) as info:
+            sweep_grid(
+                geom, self.small_grid(), cfg_at(30.0), FADING_T, None,
+                engine="monte-carlo", condition="ideal", tc=TrialConfig(8192 + 10, seed=4),
+            )
+        assert str(info.value) == "grid point (x=-6, y=-6): non-finite rate in trial 8196"
+
     def test_preconditions(self):
         geom = Geometry(user_positions=SQUARE, uav_height=10.0)
         grid = self.small_grid()
