@@ -9,7 +9,7 @@ orthogonal-scheduling baseline, relay-placement sweeps, and a CLI that
 reproduces the bundled experiments as CSV.
 """
 
-from .baseline import asr_oma, scheme_prefactor, simulate_asr_oma, slot_count
+from .baseline import asr_oma, simulate_asr_oma, slot_count
 from .channel import (
     ChannelRealization,
     FadingParams,
@@ -25,7 +25,6 @@ from .errors import (
     ConfigurationError,
     MwrnomaError,
     NumericError,
-    SweepPointError,
     UnsupportedParameterError,
 )
 from .montecarlo import (
@@ -75,7 +74,6 @@ __all__ = [
     "SinrTerms",
     "SLOPE_FLOOR",
     "SweepPoint",
-    "SweepPointError",
     "TrialConfig",
     "UnsupportedParameterError",
     "amplification_gain",
@@ -95,7 +93,6 @@ __all__ = [
     "pair_indices",
     "psi_moment",
     "sample_channel_gains",
-    "scheme_prefactor",
     "simulate_asr",
     "simulate_asr_oma",
     "simulate_sweep",

@@ -19,13 +19,13 @@ from mwrnoma import (
     order_stat_moments,
     NumericError,
     SweepPoint,
-    SweepPointError,
     pair_indices,
-    scheme_prefactor,
     simulate_asr,
     simulate_sweep,
 )
 from mwrnoma import _kernels
+from mwrnoma.baseline import scheme_prefactor
+from mwrnoma.errors import SweepPointError
 from mwrnoma.montecarlo import (
     CHUNK_TRIALS,
     _chunk_stats,
