@@ -28,11 +28,9 @@ from .errors import (
     UnsupportedParameterError,
 )
 from .montecarlo import (
-    McEstimate,
     SweepPoint,
     TrialConfig,
     derive_trial_stream,
-    mc_estimate,
     simulate_asr,
     simulate_sweep,
 )
@@ -65,7 +63,6 @@ __all__ = [
     "Geometry",
     "GridSpec",
     "ImpairmentProfile",
-    "McEstimate",
     "MwrnomaError",
     "NetworkConfig",
     "NumericError",
@@ -86,7 +83,6 @@ __all__ = [
     "high_snr_offset",
     "high_snr_slope",
     "link_distance",
-    "mc_estimate",
     "moment_oracle",
     "omega_moment",
     "order_stat_moments",

@@ -9,24 +9,42 @@ overflow), and the high-SNR limit is the same formula at 1/r1 = 1/r2 = 0.
 import numpy as np
 
 
+def _suffix(rho, a):
+    """suffix[t, n] = sum_{j=n}^{M-2} a_j rho_j (interference left after pair n)."""
+    n_rows, M = rho.shape
+    suffix = np.zeros((n_rows, M))
+    if M > 1:
+        w = rho[:, : M - 1] * a[: M - 1]
+        suffix[:, : M - 1] = w[:, ::-1].cumsum(axis=1)[:, ::-1]
+    return suffix
+
+
 def chunk_aggregates(rho, a):
     """Per-row terms of the pair SINR that depend only on the gains and the
     power split, so every operating point evaluated on the same rows can
     share them.
 
-    Returns ``(weighted, suffix)``: weighted[t] = sum_j a_j rho_j and
-    suffix[t, n] = sum_{j=n}^{M-2} a_j rho_j (interference left after
-    pair n).
+    Returns ``(weighted, suffix)``: weighted[t] = sum_j a_j rho_j, formed by
+    one matrix-vector product over all rows, and suffix[t, n] =
+    sum_{j=n}^{M-2} a_j rho_j (interference left after pair n).
     """
     rho = np.ascontiguousarray(rho, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
-    n_rows, M = rho.shape
-    weighted = rho @ a
-    suffix = np.zeros((n_rows, M))
-    if M > 1:
-        w = rho[:, : M - 1] * a[: M - 1]
-        suffix[:, : M - 1] = w[:, ::-1].cumsum(axis=1)[:, ::-1]
-    return weighted, suffix
+    return rho @ a, _suffix(rho, a)
+
+
+def row_aggregates(rho, a):
+    """``chunk_aggregates`` with each row's weighted sum formed on its own.
+
+    A matrix-vector product over many rows can round a row differently from
+    the same product over that row alone; ``np.vecdot`` does not, so the
+    closed form gives a row the same bits alone (``rate.asr``) or inside a
+    placement surface.  The Monte Carlo engine keeps the matrix product,
+    whose bits its golden CSVs pin.
+    """
+    rho = np.ascontiguousarray(rho, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    return np.vecdot(rho, a), _suffix(rho, a)
 
 
 def pair_rate_chunk(rho, a, inv_r1, inv_r2, kut2, kur2, krt2, krr2, *, aggregates=None):

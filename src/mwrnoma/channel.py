@@ -7,11 +7,13 @@ order statistic scaled by large-scale attenuation 1/(1 + d_i^nu).
 
 Two independent routes to the per-position moments are provided:
 
-* ``psi_moment`` / ``omega_moment``: exact closed forms.  The CDF power
+* ``order_stat_moment_rows``: exact closed forms.  The CDF power
   F^(i-1) is binomially expanded, the Erlang survival-function power is
   multinomially expanded over compositions, and every term reduces to a
   Gamma integral.  All coefficients are rational, so the unscaled moments
-  are evaluated in exact rational arithmetic and converted to float once.
+  are evaluated in exact rational arithmetic once per (alpha, M) and
+  scaled by path loss for any number of distance rows at once;
+  ``order_stat_moments``, ``psi_moment`` and ``omega_moment`` read one row.
 * ``moment_oracle``: adaptive quadrature of x^p times the order-statistic
   density, sharing no code with the expansion above.
 """
@@ -36,6 +38,7 @@ __all__ = [
     "psi_moment",
     "omega_moment",
     "order_stat_moments",
+    "order_stat_moment_rows",
     "moment_oracle",
 ]
 
@@ -125,11 +128,9 @@ class OrderStatMoments:
         object.__setattr__(self, "omega", omega)
         if psi.shape != omega.shape:
             raise ConfigurationError("psi and omega must have equal length")
-        if np.any(psi <= 0) or np.any(omega <= 0):
-            raise ConfigurationError("moments must be positive")
-        # variance nonnegativity, small slack for rounding
-        if np.any(omega < psi**2 * (1 - 1e-12)):
-            raise ConfigurationError("second moment below squared mean")
+        fault = _first_moment_fault(psi[None, :], omega[None, :])
+        if fault is not None:
+            raise fault[1]
 
     @property
     def n_users(self) -> int:
@@ -182,7 +183,6 @@ def _compositions(total: int, parts: int):
             yield (head,) + tail
 
 
-@lru_cache(maxsize=None)
 def _unscaled_moment(alpha: int, n_users: int, i: int, p: int) -> Fraction:
     """p-th moment of the i-th ascending order statistic of M i.i.d.
     Gamma(alpha, 1) variates, as an exact rational.
@@ -209,24 +209,126 @@ def _unscaled_moment(alpha: int, n_users: int, i: int, p: int) -> Fraction:
     return prefactor * total / math.factorial(alpha - 1)
 
 
-def _scaled_moment(params: FadingParams, n_users: int, i: int, p: int) -> float:
+def _pow_each(base: np.ndarray, exponent: float) -> np.ndarray:
+    """``base ** exponent`` per entry with Python's float pow, inf where it
+    overflows.
+
+    That is libm's pow; numpy's vectorised pow rounds the last bit
+    differently on some inputs, and the placement CSVs pin these bits.
+    """
+    out = []
+    for b in base.ravel().tolist():
+        try:
+            out.append(b**exponent)
+        except OverflowError:
+            out.append(math.inf)
+    return np.array(out, dtype=np.float64).reshape(base.shape)
+
+
+@lru_cache(maxsize=None)
+def _unscaled_table(alpha: int, n_users: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Unscaled first and second moments of all M order positions.
+
+    The self-check runs once per (alpha, M): the unscaled means of
+    ascending order statistics must ascend.
+    """
+    positions = range(1, n_users + 1)
+    means = tuple(_unscaled_moment(alpha, n_users, i, 1) for i in positions)
+    if any(b < a for a, b in zip(means, means[1:])):
+        raise NumericError("order-statistic means are not ascending; expansion is broken")
+    return means, tuple(_unscaled_moment(alpha, n_users, i, 2) for i in positions)
+
+
+def _first_moment_fault(psi: np.ndarray, omega: np.ndarray):
+    """(row, error) of the first (rows, M) moment row that breaks an
+    invariant, or None."""
+    positive = (psi > 0).all(axis=1) & (omega > 0).all(axis=1)
+    # variance nonnegativity, small slack for rounding
+    spread = (omega >= psi**2 * (1 - 1e-12)).all(axis=1)
+    bad = ~(positive & spread)
+    if not bad.any():
+        return None
+    row = int(bad.argmax())
+    msg = "moments must be positive" if not positive[row] else "second moment below squared mean"
+    return row, ConfigurationError(msg)
+
+
+def _unscaled_floats(params: FadingParams, n_users: int) -> np.ndarray:
+    """(2, M) unscaled moments times beta^p, as floats."""
+    out = np.empty((2, n_users))
+    for p, table in enumerate(_unscaled_table(params.alpha, n_users), start=1):
+        for i, q in enumerate(table, start=1):
+            try:
+                out[p - 1, i - 1] = float(q) * params.beta**p
+            except OverflowError as exc:
+                raise NumericError(
+                    f"moment overflow for alpha={params.alpha}, M={n_users}, i={i}, p={p}"
+                ) from exc
+    return out
+
+
+def order_stat_moment_rows(params: FadingParams, distances):
+    """First and second moments of the ordered effective gains for every row
+    of order-position distances.
+
+    ``params`` supplies the fading law and path-loss exponent; ``distances``
+    is (rows, M), one row per relay position (``order_stat_moments`` is the
+    one-row case).  The exact rationals are converted and multiplied by
+    beta^p once, then divided by (1 + d^nu)^p for all rows together.
+
+    Returns ``(psi, omega, fault)``.  ``fault`` is None when every row is
+    valid.  Otherwise it is ``(row, error)`` for the first row whose moments
+    overflow or break an ``OrderStatMoments`` invariant, and psi and omega
+    cover only the rows before it.
+    """
+    d = np.asarray(distances, dtype=np.float64)
+    M = d.shape[1]
+    try:
+        unscaled = _unscaled_floats(params, M)
+    except NumericError as exc:
+        return np.empty((0, M)), np.empty((0, M)), (0, exc)
+    scale = 1.0 + _pow_each(d, params.nu)
+    scale2 = _pow_each(scale, 2.0)
+    fault = None
+    overflow = np.isinf(scale2).any(axis=1)
+    if overflow.any():
+        row = int(overflow.argmax())
+        # the first moments overflow first, then the second
+        p, pows = (1, scale[row]) if np.isinf(scale[row]).any() else (2, scale2[row])
+        i = int(np.isinf(pows).argmax()) + 1
+        fault = row, NumericError(
+            f"moment overflow for alpha={params.alpha}, M={M}, i={i}, p={p}: "
+            f"path loss (1 + d^nu)^{p} overflows at d={d[row, i - 1]:g}, nu={params.nu:g}"
+        )
+        scale, scale2 = scale[:row], scale2[:row]
+    psi = unscaled[0] / scale
+    omega = unscaled[1] / scale2
+    moment_fault = _first_moment_fault(psi, omega)
+    if moment_fault is not None:
+        fault = moment_fault
+        psi, omega = psi[: fault[0]], omega[: fault[0]]
+    return psi, omega, fault
+
+
+def order_stat_moments(params: FadingParams, n_users: int) -> OrderStatMoments:
+    """All M first/second moments of the ordered effective gains."""
+    _check_users(params, n_users)
+    psi, omega, fault = order_stat_moment_rows(params, [params.distances])
+    if fault is not None:
+        raise fault[1]
+    return OrderStatMoments(psi=psi[0], omega=omega[0])
+
+
+def _position(n_users: int, i: int) -> int:
     if not 1 <= i <= n_users:
         raise ValueError(f"order index i={i} out of range 1..{n_users}")
-    _check_users(params, n_users)
-    q = _unscaled_moment(params.alpha, n_users, i, p)
-    try:
-        unscaled = float(q) * params.beta**p
-    except OverflowError as exc:
-        raise NumericError(
-            f"moment overflow for alpha={params.alpha}, M={n_users}, i={i}, p={p}"
-        ) from exc
-    scale = 1.0 + params.distances[i - 1] ** params.nu
-    return unscaled / scale**p
+    return i - 1
 
 
 def psi_moment(params: FadingParams, n_users: int, i: int) -> float:
     """Closed-form mean of the i-th ordered effective gain."""
-    return _scaled_moment(params, n_users, i, 1)
+    pos = _position(n_users, i)
+    return float(order_stat_moments(params, n_users).psi[pos])
 
 
 def omega_moment(params: FadingParams, n_users: int, i: int) -> float:
@@ -236,18 +338,8 @@ def omega_moment(params: FadingParams, n_users: int, i: int) -> float:
     rho_i = h_(i) / (1 + d_i^nu), so its second moment carries the square
     of the scale.
     """
-    return _scaled_moment(params, n_users, i, 2)
-
-
-def order_stat_moments(params: FadingParams, n_users: int) -> OrderStatMoments:
-    """All M first/second moments of the ordered effective gains."""
-    psi = np.array([psi_moment(params, n_users, i) for i in range(1, n_users + 1)])
-    omega = np.array([omega_moment(params, n_users, i) for i in range(1, n_users + 1)])
-    # self-check: unscaled means of ascending order statistics must ascend
-    unscaled = [_unscaled_moment(params.alpha, n_users, i, 1) for i in range(1, n_users + 1)]
-    if any(b < a for a, b in zip(unscaled, unscaled[1:])):
-        raise NumericError("order-statistic means are not ascending; expansion is broken")
-    return OrderStatMoments(psi=psi, omega=omega)
+    pos = _position(n_users, i)
+    return float(order_stat_moments(params, n_users).omega[pos])
 
 
 def moment_oracle(
@@ -289,5 +381,10 @@ def moment_oracle(
             f"quadrature did not reach rel tol {rel_tol:g} "
             f"(value={value:g}, abserr={abserr:g})"
         )
-    scale = 1.0 + params.distances[i - 1] ** params.nu
-    return value / scale**moment_order
+    try:
+        scale = (1.0 + params.distances[i - 1] ** params.nu) ** moment_order
+    except OverflowError as exc:
+        raise NumericError(
+            f"path loss (1 + d^nu)^{moment_order} overflows at order position i={i}"
+        ) from exc
+    return value / scale

@@ -37,13 +37,11 @@ from .signal import ImpairmentProfile, NetworkConfig
 
 __all__ = [
     "TrialConfig",
-    "McEstimate",
     "SweepPoint",
     "CHUNK_TRIALS",
     "derive_trial_stream",
     "simulate_sweep",
     "simulate_asr",
-    "mc_estimate",
 ]
 
 # trials per counter-based stream; fixed so that chunk boundaries (and
@@ -68,21 +66,6 @@ class TrialConfig:
             raise ConfigurationError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not isinstance(self.workers, int) or self.workers < 1:
             raise ConfigurationError(f"workers must be an integer >= 1, got {self.workers!r}")
-
-
-@dataclass(frozen=True)
-class McEstimate:
-    """Mean estimate with its standard error."""
-
-    mean: float
-    stderr: float
-    trials: int
-
-    def __post_init__(self):
-        if self.stderr < 0:
-            raise ConfigurationError("stderr must be >= 0")
-        if self.trials < 1:
-            raise ConfigurationError("trials must be >= 1")
 
 
 def derive_trial_stream(seed: int, trial_index: int) -> Generator:
@@ -297,9 +280,3 @@ def simulate_asr(
     """
     return simulate_sweep([SweepPoint(cfg, fading, imp, prefactor)], tc)[0]
 
-
-def mc_estimate(result: AsrResult) -> McEstimate:
-    """Total-rate estimate of a Monte Carlo result."""
-    if result.provenance != "monte-carlo" or result.stderr is None or result.trials is None:
-        raise ValueError("mc_estimate needs a monte-carlo AsrResult")
-    return McEstimate(mean=result.total, stderr=result.stderr, trials=result.trials)

@@ -6,6 +6,13 @@ Each grid point maps to a fresh set of user distances, which re-scale the
 fading moments; longer links mean weaker mean gains, so distances sorted
 descending are assigned to ascending order positions (position 1 holds
 the weakest user).
+
+The analytical surface is one batch: the distances of every site form a
+(sites, M) array, the closed-form moments are scaled for all rows at once
+(``channel.order_stat_moment_rows``) and one kernel call gives every sum
+rate (``rate.asr_rows``).  Each site gets the same bits as a one-site
+evaluation, and a failure names the first failing site in row-major order
+(y outer, x inner).
 """
 
 from __future__ import annotations
@@ -15,11 +22,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baseline import asr_oma, scheme_prefactor
-from .channel import FadingParams, order_stat_moments
-from .errors import ConfigurationError, MwrnomaError, NumericError, SweepPointError
+from .baseline import scheme_prefactor
+from .channel import FadingParams, order_stat_moment_rows
+from .errors import ConfigurationError, NumericError, SweepPointError
 from .montecarlo import SweepPoint, TrialConfig, simulate_sweep
-from .rate import asr
+from .rate import asr_rows
 from .signal import ImpairmentProfile, NetworkConfig
 
 __all__ = [
@@ -110,15 +117,19 @@ def distances(geom: Geometry) -> np.ndarray:
     )
 
 
-def _fading_at(geom_template: Geometry, x, y, fading_template: FadingParams) -> FadingParams:
-    """Template fading with distances refreshed for the relay at (x, y).
+def _site_distances(geom: Geometry, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """User distances for the relay at every grid site, shape (sites, M).
 
-    Descending distances map to ascending order positions so the weakest
-    mean gain sits at position 1.
+    Sites are in row-major order (y outer, x inner).  Each row is sorted
+    descending, so the weakest mean gain sits at order position 1; the
+    arithmetic is ``link_distance``'s, entry by entry.
     """
-    geom = replace(geom_template, uav_xy=(float(x), float(y)))
-    d = sorted(distances(geom).tolist(), reverse=True)
-    return replace(fading_template, distances=tuple(d))
+    users = np.array(geom.user_positions)
+    dx = users[:, 0] - xs[:, None]
+    dy = users[:, 1] - ys[:, None]
+    sq = (dx * dx)[None, :, :] + (dy * dy)[:, None, :] + geom.uav_height * geom.uav_height
+    d = np.sqrt(sq).reshape(-1, geom.n_users)
+    return -np.sort(-d, axis=1)
 
 
 def sweep_grid(
@@ -132,7 +143,13 @@ def sweep_grid(
     scheme: str = "noma",
     tc: TrialConfig | None = None,
 ) -> PlacementSurface:
-    """Sum-rate surface over relay positions, plus the argmax location."""
+    """Sum-rate surface over relay positions, plus the argmax location.
+
+    The template's relay position and distances are replaced by each
+    site's.  The analytical engine evaluates all sites as one batch; the
+    Monte Carlo engine runs one sweep point per site.  A failure names the
+    first failing site in row-major order.
+    """
     if engine not in ("analytical", "monte-carlo"):
         raise ValueError(f"engine must be 'analytical' or 'monte-carlo', got {engine!r}")
     if scheme not in ("noma", "oma"):
@@ -146,34 +163,33 @@ def sweep_grid(
             f"geometry has {geom_template.n_users} users, config expects {cfg.n_users}"
         )
     xs, ys = grid.xs, grid.ys
+    dist = _site_distances(geom_template, xs, ys)
+    share = scheme_prefactor(scheme, cfg.n_users)
+
+    def site(row: int) -> str:
+        return f"grid point (x={xs[row % xs.size]:g}, y={ys[row // xs.size]:g})"
+
     if engine == "analytical":
-        surface = np.empty((ys.size, xs.size))
-        for j, y in enumerate(ys):
-            for i, x in enumerate(xs):
-                fading = _fading_at(geom_template, x, y, fading_template)
-                try:
-                    moments = order_stat_moments(fading, cfg.n_users)
-                    if scheme == "noma":
-                        result = asr(moments, cfg, imp, condition)
-                    else:
-                        result = asr_oma(moments, cfg, imp, condition)
-                except MwrnomaError as exc:
-                    raise type(exc)(f"grid point (x={x:g}, y={y:g}): {exc}") from exc
-                surface[j, i] = result.total
+        psi, _, fault = order_stat_moment_rows(fading_template, dist)
+        # a row that fails before its moments fail is the earlier site
+        _, totals, rate_fault = asr_rows(psi, cfg, imp, condition, share)
+        if rate_fault is not None:
+            fault = rate_fault
+        if fault is not None:
+            row, exc = fault
+            raise type(exc)(f"{site(row)}: {exc}") from exc
     else:
         mc_imp = ImpairmentProfile.ideal() if condition == "ideal" else imp
-        share = scheme_prefactor(scheme, cfg.n_users)
-        sites = [(x, y) for y in ys for x in xs]
         points = [
-            SweepPoint(cfg, _fading_at(geom_template, x, y, fading_template), mc_imp, share)
-            for x, y in sites
+            SweepPoint(cfg, replace(fading_template, distances=tuple(d)), mc_imp, share)
+            for d in dist.tolist()
         ]
         try:
             results = simulate_sweep(points, tc)
         except SweepPointError as exc:
-            x, y = sites[exc.point]
-            raise NumericError(f"grid point (x={x:g}, y={y:g}): {exc}") from exc
-        surface = np.array([r.total for r in results]).reshape(ys.size, xs.size)
+            raise NumericError(f"{site(exc.point)}: {exc}") from exc
+        totals = np.array([r.total for r in results])
+    surface = totals.reshape(ys.size, xs.size)
     j_best, i_best = np.unravel_index(int(np.argmax(surface)), surface.shape)
     return PlacementSurface(
         xs=xs, ys=ys, asr=surface, argmax_xy=(float(xs[i_best]), float(ys[j_best]))

@@ -25,6 +25,7 @@ __all__ = [
     "AsrResult",
     "SLOPE_FLOOR",
     "asr",
+    "asr_rows",
     "asr_asymptotic",
     "high_snr_slope",
     "high_snr_offset",
@@ -57,31 +58,31 @@ class AsrResult:
         object.__setattr__(self, "per_pair", per_pair)
         if self.provenance not in ("analytical", "monte-carlo", "asymptotic"):
             raise ConfigurationError(f"unknown provenance {self.provenance!r}")
-        # NaN fails every comparison below, so reject it here; +inf only
-        # marks a divergent pair of an asymptote
-        if not (np.isfinite(per_pair).all() and math.isfinite(self.total)):
-            if (
-                self.provenance != "asymptotic"
-                or np.isnan(per_pair).any()
-                or math.isnan(self.total)
-            ):
-                raise ConfigurationError(
-                    f"{self.provenance} rates must be finite, got total {self.total!r}"
-                )
-        if np.any(per_pair < 0):
-            raise ConfigurationError("per-pair rates must be >= 0")
-        s = float(per_pair.sum())
-        if math.isinf(s) or math.isinf(self.total):
-            if s != self.total:
-                raise ConfigurationError("total does not match per-pair sum")
-        elif abs(s - self.total) > 1e-9 * max(1.0, abs(s)):
-            raise ConfigurationError(
-                f"total {self.total!r} does not match per-pair sum {s!r}"
-            )
+        error = _result_error(per_pair, self.total, self.provenance)
+        if error is not None:
+            raise ConfigurationError(error)
 
     @property
     def n_users(self) -> int:
         return self.per_pair.shape[0]
+
+
+def _result_error(per_pair: np.ndarray, total: float, provenance: str) -> str | None:
+    """Why a per-pair matrix and total are not a valid result, or None."""
+    # NaN fails every comparison below, so reject it here; +inf only
+    # marks a divergent pair of an asymptote
+    if not (np.isfinite(per_pair).all() and math.isfinite(total)):
+        if provenance != "asymptotic" or np.isnan(per_pair).any() or math.isnan(total):
+            return f"{provenance} rates must be finite, got total {total!r}"
+    if np.any(per_pair < 0):
+        return "per-pair rates must be >= 0"
+    s = float(per_pair.sum())
+    if math.isinf(s) or math.isinf(total):
+        if s != total:
+            return "total does not match per-pair sum"
+    elif abs(s - total) > 1e-9 * max(1.0, abs(s)):
+        return f"total {total!r} does not match per-pair sum {s!r}"
+    return None
 
 
 def pair_indices(n_users: int) -> list[tuple[int, int]]:
@@ -90,7 +91,7 @@ def pair_indices(n_users: int) -> list[tuple[int, int]]:
 
 
 def _closed_form_pairs(
-    moments: OrderStatMoments,
+    psi: np.ndarray,
     cfg: NetworkConfig,
     imp: ImpairmentProfile | None,
     condition: str,
@@ -98,10 +99,11 @@ def _closed_form_pairs(
     inv_r1: float,
     inv_r2: float,
 ) -> np.ndarray:
-    """Per-pair matrix of the shared pair-rate kernel evaluated at psi."""
-    if moments.n_users != cfg.n_users:
+    """Per-pair matrices (rows, M, M-1) of the shared pair-rate kernel,
+    evaluated at each row of psi in one call."""
+    if psi.shape[1] != cfg.n_users:
         raise ConfigurationError(
-            f"moments cover {moments.n_users} users, config expects {cfg.n_users}"
+            f"moments cover {psi.shape[1]} users, config expects {cfg.n_users}"
         )
     if condition not in ("ideal", "nonideal"):
         raise ValueError(f"condition must be 'ideal' or 'nonideal', got {condition!r}")
@@ -109,9 +111,8 @@ def _closed_form_pairs(
         imp = ImpairmentProfile.ideal()
     elif imp is None:
         raise ValueError("nonideal condition requires an impairment profile")
-    M = cfg.n_users
     rates = _kernels.pair_rate_chunk(
-        moments.psi[None, :],
+        psi,
         cfg.a,
         inv_r1,
         inv_r2,
@@ -119,13 +120,47 @@ def _closed_form_pairs(
         imp.kappa_ur**2,
         imp.kappa_rt**2,
         imp.kappa_rr**2,
-    )[0]
+        aggregates=_kernels.row_aggregates(psi, cfg.a),
+    )
     if prefactor != 0.5:  # kernel output carries the 1/2 prefactor
         rates = rates * (prefactor / 0.5)
-    per_pair = np.zeros((M, M - 1))
-    for (k, n), rate in zip(pair_indices(M), rates):
-        per_pair[k - 1, n - 1] = rate
+    M = cfg.n_users
+    k, n = zip(*pair_indices(M))
+    per_pair = np.zeros((psi.shape[0], M, M - 1))
+    per_pair[:, np.array(k) - 1, np.array(n) - 1] = rates
     return per_pair
+
+
+def asr_rows(
+    psi: np.ndarray,
+    cfg: NetworkConfig,
+    imp: ImpairmentProfile | None = None,
+    condition: str = "nonideal",
+    prefactor: float = 0.5,
+):
+    """Closed-form sum rate at every row of order-statistic means.
+
+    psi is (rows, M); a relay-placement surface passes one row per site
+    and ``asr`` is the one-row case.  Returns ``(per_pair, totals, fault)``:
+    per_pair is (rows, M, M-1) and each total is the sum of its matrix.
+    ``fault`` is None when every row is an acceptable ``AsrResult``.
+    Otherwise it is ``(row, error)`` for the first row that is not, and
+    per_pair and totals cover only the rows before it.
+    """
+    per_pair = _closed_form_pairs(
+        np.asarray(psi, dtype=np.float64), cfg, imp, condition, prefactor,
+        1.0 / cfg.r1, 1.0 / cfg.r2,
+    )
+    rows, M, _ = per_pair.shape
+    flat = per_pair.reshape(rows, M * (M - 1))
+    totals = flat.sum(axis=1)
+    # the rows AsrResult rejects: a non-finite or negative rate or total
+    bad = ~(np.isfinite(flat).all(axis=1) & (flat >= 0).all(axis=1) & np.isfinite(totals))
+    if not bad.any():
+        return per_pair, totals, None
+    row = int(bad.argmax())
+    error = _result_error(per_pair[row], float(totals[row]), "analytical")
+    return per_pair[:row], totals[:row], (row, ConfigurationError(error))
 
 
 def asr(
@@ -141,10 +176,10 @@ def asr(
     ignores ``imp``.  The default 1/2 prefactor charges the two-slot
     exchange.
     """
-    per_pair = _closed_form_pairs(
-        moments, cfg, imp, condition, prefactor, 1.0 / cfg.r1, 1.0 / cfg.r2
-    )
-    return AsrResult(per_pair=per_pair, total=float(per_pair.sum()), provenance="analytical")
+    per_pair, totals, fault = asr_rows(moments.psi[None, :], cfg, imp, condition, prefactor)
+    if fault is not None:
+        raise fault[1]
+    return AsrResult(per_pair=per_pair[0], total=float(totals[0]), provenance="analytical")
 
 
 def asr_asymptotic(
@@ -161,7 +196,9 @@ def asr_asymptotic(
     ``finite_total`` carries the sum over the bounded pairs.
     """
     with np.errstate(divide="ignore"):
-        per_pair = _closed_form_pairs(moments, cfg, imp, condition, prefactor, 0.0, 0.0)
+        per_pair = _closed_form_pairs(
+            moments.psi[None, :], cfg, imp, condition, prefactor, 0.0, 0.0
+        )[0]
     notes = tuple(
         f"pair (k={k}, n={n}) has no interference ceiling: asymptote diverges"
         for k, n in pair_indices(cfg.n_users)

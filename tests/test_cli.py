@@ -328,6 +328,31 @@ class TestMain:
         err = capsys.readouterr().err
         assert err == "error: numeric: snr_db=15 noma/ideal: non-finite rate in trial 5\n"
 
+    @pytest.mark.parametrize(
+        "preset, fading, message",
+        [
+            (
+                "fig4a",
+                {"nu": 400.0},
+                "error: numeric: grid point (x=-20, y=-20): moment overflow for alpha=2, "
+                "M=4, i=1, p=1: path loss (1 + d^nu)^1 overflows at d=36.7423, nu=400\n",
+            ),
+            (
+                "fig2a",
+                {"nu": 400.0, "distances": [1, 1, 1, 20]},
+                "error: numeric: moment overflow for alpha=2, M=4, i=4, p=1: "
+                "path loss (1 + d^nu)^1 overflows at d=20, nu=400\n",
+            ),
+        ],
+    )
+    def test_path_loss_overflow_exit_three(self, tmp_path, capsys, preset, fading, message):
+        path = write_config(tmp_path, {"fading": fading})
+        out = tmp_path / "out.csv"
+        argv = ["run", "--preset", preset, "--config", str(path), "--output", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
 
 def test_cli_import_leaves_scipy_unloaded():
     # scipy serves only the quadrature oracle; importing it costs most of

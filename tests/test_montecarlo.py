@@ -15,7 +15,6 @@ from mwrnoma import (
     TrialConfig,
     asr,
     derive_trial_stream,
-    mc_estimate,
     order_stat_moments,
     NumericError,
     SweepPoint,
@@ -169,18 +168,6 @@ class TestInterfaces:
             TrialConfig(trials=10, seed=-1)
         with pytest.raises(ConfigurationError):
             TrialConfig(trials=10, seed=1, workers=0)
-
-    def test_mc_estimate(self):
-        sim = simulate_asr(CFG3, FADING3, ImpairmentProfile.ideal(), TrialConfig(4_000, seed=2))
-        est = mc_estimate(sim)
-        assert est.mean == sim.total
-        assert est.stderr == sim.stderr
-        assert est.trials == 4_000
-
-    def test_mc_estimate_rejects_analytic(self):
-        moments = order_stat_moments(FADING3, 3)
-        with pytest.raises(ValueError):
-            mc_estimate(asr(moments, CFG3, ImpairmentProfile.ideal()))
 
     def test_mismatched_fading_rejected(self):
         fading4 = FadingParams(alpha=2, beta=3.0, nu=3.0, distances=(1.0,) * 4)

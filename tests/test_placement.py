@@ -1,6 +1,7 @@
 """Geometry mapping and the relay-position sum-rate surface."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +12,11 @@ from mwrnoma import (
     Geometry,
     GridSpec,
     ImpairmentProfile,
+    MwrnomaError,
     NetworkConfig,
+    NumericError,
     asr,
+    asr_oma,
     distances,
     link_distance,
     order_stat_moments,
@@ -26,6 +30,38 @@ FADING_T = FadingParams(alpha=2, beta=3.0, nu=3.0, distances=(1.0,) * 4)
 
 def cfg_at(db, n_users=4, a=A4):
     return NetworkConfig(n_users=n_users, a=a, r1=10.0 ** (db / 10.0))
+
+
+def site_fading(geom, x, y, fading):
+    """Template fading with the distances of the relay at (x, y), sorted
+    descending, as one site of the surface sees them."""
+    d = distances(replace(geom, uav_xy=(float(x), float(y))))
+    return replace(fading, distances=tuple(sorted(d.tolist(), reverse=True)))
+
+
+def per_site_surface(geom, grid, cfg, fading, imp, condition, scheme):
+    """Reference surface: one closed-form evaluation per site, row-major."""
+    evaluate = asr if scheme == "noma" else asr_oma
+    return np.array(
+        [
+            [
+                evaluate(order_stat_moments(site_fading(geom, x, y, fading), cfg.n_users),
+                         cfg, imp, condition).total
+                for x in grid.xs
+            ]
+            for y in grid.ys
+        ]
+    )
+
+
+# (users, power split) with M = 3 and M = 5, neither centred on the grid
+LAYOUTS = {
+    "m3": (((4.0, 9.0), (11.0, -2.0), (-3.0, 1.5)), (0.6, 0.3, 0.1)),
+    "m5": (
+        ((6.0, 6.0), (6.0, -4.0), (-5.0, 5.0), (-4.0, -6.0), (13.0, 1.0)),
+        (0.4, 0.25, 0.18, 0.12, 0.05),
+    ),
+}
 
 
 class TestDistances:
@@ -150,6 +186,61 @@ class TestSweep:
                 engine="monte-carlo", condition="ideal", tc=TrialConfig(8192 + 10, seed=4),
             )
         assert str(info.value) == "grid point (x=-6, y=-6): non-finite rate in trial 8196"
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("scheme", ["noma", "oma"])
+    @pytest.mark.parametrize("condition", ["ideal", "nonideal"])
+    def test_batch_equals_per_site_evaluation(self, layout, scheme, condition):
+        users, a = LAYOUTS[layout]
+        geom = Geometry(user_positions=users, uav_height=8.0)
+        # off-centre and not square: 11 columns, 6 rows
+        grid = GridSpec(x_min=-3.5, x_max=21.5, y_min=-11.0, y_max=1.5, step=2.5)
+        cfg = NetworkConfig(n_users=len(users), a=a, r1=10.0 ** 2.7, c=1.5)
+        fading = FadingParams(alpha=2, beta=3.0, nu=2.7, distances=(1.0,) * len(users))
+        imp = ImpairmentProfile(kappa_ut=0.08, kappa_ur=0.15, kappa_rt=0.05, kappa_rr=0.11)
+        surface = sweep_grid(geom, grid, cfg, fading, imp, condition=condition, scheme=scheme)
+        expected = per_site_surface(geom, grid, cfg, fading, imp, condition, scheme)
+        assert surface.asr.shape == (6, 11)
+        assert np.array_equal(surface.asr, expected)
+
+    def test_analytical_error_names_first_grid_point(self):
+        # a tiny beta and a steep path loss: the second moment underflows to
+        # zero at the sites far from the users, which sit bottom left
+        users = ((-9.0, -5.0), (-6.0, -8.0), (-12.0, -9.0))
+        geom = Geometry(user_positions=users, uav_height=10.0)
+        grid = GridSpec(x_min=-14.0, x_max=16.0, y_min=-8.0, y_max=12.0, step=2.0)
+        cfg = NetworkConfig(n_users=3, a=(0.6, 0.3, 0.1), r1=1000.0)
+        fading = FadingParams(alpha=2, beta=1e-100, nu=41.0, distances=(1.0,) * 3)
+        failing = []
+        for y in grid.ys:
+            for x in grid.xs:
+                try:
+                    order_stat_moments(site_fading(geom, x, y, fading), 3)
+                except MwrnomaError as exc:
+                    failing.append((float(x), float(y), exc))
+        # several sites fail, the first in row-major order is neither the
+        # first site nor the first in column-major order
+        assert len(failing) > 1
+        assert failing[0][:2] == (16.0, 4.0)
+        assert min(failing, key=lambda f: f[:2])[:2] == (12.0, 12.0)
+        with pytest.raises(ConfigurationError) as info:
+            sweep_grid(geom, grid, cfg, fading, None, condition="ideal")
+        assert str(info.value) == f"grid point (x=16, y=4): {failing[0][2]}"
+        assert str(info.value) == "grid point (x=16, y=4): moments must be positive"
+
+    def test_path_loss_overflow_names_grid_point(self):
+        users = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
+        geom = Geometry(user_positions=users, uav_height=2.0)
+        grid = GridSpec(x_min=0.0, x_max=30.0, y_min=0.0, y_max=5.0, step=5.0)
+        # d^300 overflows beyond d = 10.6 and its square beyond d = 3.3; at
+        # x = 5 the farthest users are 6.4 m away
+        fading = replace(FADING_T, nu=300.0)
+        with pytest.raises(NumericError) as info:
+            sweep_grid(geom, grid, cfg_at(30.0), fading, None, condition="ideal")
+        assert str(info.value) == (
+            "grid point (x=5, y=0): moment overflow for alpha=2, M=4, i=1, p=2: "
+            "path loss (1 + d^nu)^2 overflows at d=6.40312, nu=300"
+        )
 
     def test_preconditions(self):
         geom = Geometry(user_positions=SQUARE, uav_height=10.0)

@@ -2,9 +2,13 @@
 
 import math
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwrnoma import (
     AsrResult,
@@ -19,6 +23,7 @@ from mwrnoma import (
     high_snr_slope,
     order_stat_moments,
 )
+from mwrnoma.rate import asr_rows
 
 A3 = (0.5, 0.3, 0.2)
 A4 = (0.5, 0.3, 0.15, 0.05)
@@ -33,9 +38,33 @@ def setup3():
 
 
 def cfg_at(cfg, r1):
-    from dataclasses import replace
-
     return replace(cfg, r1=r1)
+
+
+KAPPAS = ("kappa_ut", "kappa_ur", "kappa_rt", "kappa_rr")
+
+
+@st.composite
+def closed_form_cases(draw, min_kappa=0.0):
+    """A valid (moments, config, distortion profile): 2-5 users at 1-30 m,
+    integer fading shape, any SNR from -20 to 60 dB."""
+    M = draw(st.integers(2, 5))
+    d = draw(st.lists(st.floats(1.0, 30.0), min_size=M, max_size=M))
+    fading = FadingParams(
+        alpha=draw(st.integers(1, 3)),
+        beta=draw(st.floats(0.1, 10.0)),
+        nu=draw(st.floats(0.0, 4.0)),
+        distances=tuple(sorted(d, reverse=True)),
+    )
+    weights = sorted(draw(st.lists(st.integers(1, 1000), min_size=M, max_size=M, unique=True)))
+    cfg = NetworkConfig(
+        n_users=M,
+        a=tuple(w / sum(weights) for w in reversed(weights)),
+        r1=10.0 ** (draw(st.floats(-20.0, 60.0)) / 10.0),
+        c=draw(st.floats(0.25, 4.0)),
+    )
+    imp = ImpairmentProfile(**{k: draw(st.floats(min_kappa, 0.4)) for k in KAPPAS})
+    return order_stat_moments(fading, M), cfg, imp
 
 
 class TestPairRates:
@@ -210,6 +239,50 @@ class TestAsymptotics:
         limit = asr_asymptotic(moments, cfg, imp)
         curve = asr(moments, cfg_at(cfg, 1e7), imp)
         assert np.allclose(curve.per_pair, limit.per_pair, rtol=1e-3)
+
+
+class TestClosedFormProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(closed_form_cases(), st.floats(0.0, 40.0))
+    def test_finite_and_nondecreasing_in_snr(self, case, gain_db):
+        moments, cfg, imp = case
+        low = asr(moments, cfg, imp)
+        high = asr(moments, cfg_at(cfg, cfg.r1 * 10.0 ** (gain_db / 10.0)), imp)
+        assert np.isfinite(low.per_pair).all() and math.isfinite(low.total)
+        assert math.isfinite(high.total)
+        assert high.total >= low.total - 1e-12 * low.total
+
+    @settings(max_examples=60, deadline=None)
+    @given(closed_form_cases(), st.sampled_from(KAPPAS), st.floats(0.0, 0.3))
+    def test_nonincreasing_in_each_kappa(self, case, kappa, step):
+        moments, cfg, imp = case
+        worse = replace(imp, **{kappa: getattr(imp, kappa) + step})
+        assert asr(moments, cfg, worse).total <= asr(moments, cfg, imp).total * (1 + 1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(closed_form_cases(min_kappa=0.01))
+    def test_tends_to_asymptote(self, case):
+        moments, cfg, imp = case
+        limit = asr_asymptotic(moments, cfg, imp).total
+        assert math.isfinite(limit)
+        gaps = [limit - asr(moments, cfg_at(cfg, r1), imp).total for r1 in (1e4, 1e8, 1e16)]
+        # approached from below, ever closer
+        assert all(g >= -1e-12 * limit for g in gaps)
+        assert gaps[0] >= gaps[1] >= gaps[2]
+        assert gaps[2] <= 1e-9 * limit
+
+    @settings(max_examples=30, deadline=None)
+    @given(closed_form_cases(), st.integers(1, 64), st.randoms(use_true_random=False))
+    def test_rows_equal_one_row_evaluations(self, case, n_rows, rnd):
+        moments, cfg, imp = case
+        # rows of rescaled means, as a placement surface produces
+        psi = np.array([moments.psi * rnd.uniform(1e-3, 1.0) for _ in range(n_rows)])
+        _, totals, fault = asr_rows(psi, cfg, imp)
+        assert fault is None
+        one_row = [
+            asr(OrderStatMoments(psi=row, omega=moments.omega), cfg, imp).total for row in psi
+        ]
+        assert np.array_equal(totals, one_row)
 
 
 class TestSlopeOffset:
