@@ -50,14 +50,14 @@ def row_aggregates(rho, a):
 def pair_rate_chunk(rho, a, inv_r1, inv_r2, kut2, kur2, krt2, krr2, *, aggregates=None):
     """Rates 1/2 log2(1 + SINR) for every decodable pair of every row.
 
-    rho: (rows, M) sorted ascending effective gains (sampled gains, or the
-    order-statistic means as a single row).  inv_r1, inv_r2: reciprocal
-    user and relay SNR.  aggregates: ``chunk_aggregates(rho, a)`` when the
-    caller evaluates several points on the same rows; computed here
-    otherwise.  Returns (rows, M*(M-1)/2) in (k, then n) pair order,
-    1/2-prefactored.  A pair with an empty denominator (only at 1/r1 = 0
-    without distortion) is +inf; callers that allow it silence the
-    division warning.
+    rho: (rows, M) sorted ascending effective gains (sampled gains, or
+    order-statistic means, one row per operating point or placement site).
+    inv_r1, inv_r2: reciprocal user and relay SNR.  aggregates:
+    ``chunk_aggregates(rho, a)`` or ``row_aggregates(rho, a)``, computed by
+    the caller; ``chunk_aggregates`` is computed here when omitted.
+    Returns (rows, M*(M-1)/2) in (k, then n) pair order, 1/2-prefactored.
+    A pair with an empty denominator (only at 1/r1 = 0 without distortion)
+    is +inf; callers that allow it silence the division warning.
     """
     rho = np.ascontiguousarray(rho, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)

@@ -171,7 +171,8 @@ def sweep_grid(
 
     if engine == "analytical":
         psi, _, fault = order_stat_moment_rows(fading_template, dist)
-        # a row that fails before its moments fail is the earlier site
+        # asr_rows sees only the rows before the first moment fault, so a
+        # rate fault it reports is the earlier site
         _, totals, rate_fault = asr_rows(psi, cfg, imp, condition, share)
         if rate_fault is not None:
             fault = rate_fault

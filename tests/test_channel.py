@@ -20,6 +20,7 @@ from mwrnoma import (
     psi_moment,
     sample_channel_gains,
 )
+from mwrnoma.channel import _unscaled_moment, order_stat_moment_rows
 
 
 def params(alpha=1, beta=1.0, nu=2.0, d=0.0, n_users=1):
@@ -46,6 +47,22 @@ class TestClosedFormTrivial:
         assert psi_moment(p, 3, 1) == pytest.approx(26 / 27 * 3 / 2, rel=1e-12)
         assert psi_moment(p, 3, 2) == pytest.approx(197 / 108 * 3 / 2, rel=1e-12)
         assert omega_moment(p, 3, 3) == pytest.approx(4069 / 324 * 9 / 4, rel=1e-12)
+
+    def test_rows_equal_scalar_formula(self):
+        # float(q) beta^p / (1 + d^nu)^p with Python's float pow, per entry:
+        # numpy's vectorised pow and x * x differ from it in the last bit
+        # on a share of these distances
+        p = params(alpha=2, beta=3.0, nu=3.0, n_users=4)
+        d = -np.sort(-np.random.default_rng(5).uniform(10.0, 40.0, size=(5000, 4)), axis=1)
+        psi, omega, fault = order_stat_moment_rows(p, d)
+        assert fault is None
+        for power, table in ((1, psi), (2, omega)):
+            unscaled = [float(_unscaled_moment(2, 4, i, power)) * 3.0**power for i in range(1, 5)]
+            expected = [
+                [u / (1.0 + dist**3.0) ** power for u, dist in zip(unscaled, row)]
+                for row in d.tolist()
+            ]
+            assert np.array_equal(table, expected)
 
 
 class TestOracleAgreement:

@@ -42,16 +42,12 @@ def site_fading(geom, x, y, fading):
 def per_site_surface(geom, grid, cfg, fading, imp, condition, scheme):
     """Reference surface: one closed-form evaluation per site, row-major."""
     evaluate = asr if scheme == "noma" else asr_oma
-    return np.array(
-        [
-            [
-                evaluate(order_stat_moments(site_fading(geom, x, y, fading), cfg.n_users),
-                         cfg, imp, condition).total
-                for x in grid.xs
-            ]
-            for y in grid.ys
-        ]
-    )
+    surface = np.empty((grid.ys.size, grid.xs.size))
+    for j, y in enumerate(grid.ys):
+        for i, x in enumerate(grid.xs):
+            moments = order_stat_moments(site_fading(geom, x, y, fading), cfg.n_users)
+            surface[j, i] = evaluate(moments, cfg, imp, condition).total
+    return surface
 
 
 # (users, power split) with M = 3 and M = 5, neither centred on the grid
