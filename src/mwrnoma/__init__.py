@@ -48,7 +48,6 @@ from .signal import (
     ImpairmentProfile,
     NetworkConfig,
     SinrTerms,
-    amplification_gain,
     sinr_instantaneous,
     sinr_terms,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "SweepPoint",
     "TrialConfig",
     "UnsupportedParameterError",
-    "amplification_gain",
     "asr",
     "asr_asymptotic",
     "asr_oma",

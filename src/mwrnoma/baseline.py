@@ -48,11 +48,10 @@ def _slot_notes(n_users: int) -> tuple[str, ...]:
 def asr_oma(
     moments: OrderStatMoments,
     cfg: NetworkConfig,
-    imp: ImpairmentProfile | None = None,
-    condition: str = "nonideal",
+    imp: ImpairmentProfile = ImpairmentProfile(),
 ) -> AsrResult:
     """Closed-form sum rate of the orthogonal baseline."""
-    result = asr(moments, cfg, imp, condition, prefactor=scheme_prefactor("oma", cfg.n_users))
+    result = asr(moments, cfg, imp, prefactor=scheme_prefactor("oma", cfg.n_users))
     return replace(result, notes=result.notes + _slot_notes(cfg.n_users))
 
 

@@ -89,9 +89,20 @@ class FadingParams:
         return len(self.distances)
 
     def path_loss_factors(self) -> np.ndarray:
-        """1 / (1 + d_i^nu) per order position."""
-        d = np.asarray(self.distances, dtype=np.float64)
-        return 1.0 / (1.0 + d**self.nu)
+        """1 / (1 + d_i^nu) per order position.
+
+        Raises ``NumericError`` where 1 + d^nu overflows, rather than
+        returning a factor of 0.
+        """
+        scale = _path_loss_scale(self.distances, self.nu)
+        overflow = np.isinf(scale)
+        if overflow.any():
+            i = int(overflow.argmax()) + 1
+            raise NumericError(
+                f"path loss 1 + d^nu overflows at i={i}, "
+                f"d={self.distances[i - 1]:g}, nu={self.nu:g}"
+            )
+        return 1.0 / scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,6 +236,12 @@ def _pow_each(base: np.ndarray, exponent: float) -> np.ndarray:
     return np.array(out, dtype=np.float64).reshape(base.shape)
 
 
+def _path_loss_scale(distances, nu: float) -> np.ndarray:
+    """1 + d^nu per entry, inf where it overflows: the one path-loss formula
+    of the closed form and the Monte Carlo engine."""
+    return 1.0 + _pow_each(np.asarray(distances, dtype=np.float64), nu)
+
+
 @lru_cache(maxsize=None)
 def _unscaled_table(alpha: int, n_users: int) -> tuple[tuple[Fraction, ...], ...]:
     """Unscaled first and second moments of all M order positions.
@@ -287,7 +304,7 @@ def order_stat_moment_rows(params: FadingParams, distances):
         unscaled = _unscaled_floats(params, M)
     except NumericError as exc:
         return np.empty((0, M)), np.empty((0, M)), (0, exc)
-    scale = 1.0 + _pow_each(d, params.nu)
+    scale = _path_loss_scale(d, params.nu)
     scale2 = _pow_each(scale, 2.0)
     fault = None
     overflow = np.isinf(scale2).any(axis=1)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baseline import asr_oma, scheme_prefactor
+from .baseline import scheme_prefactor
 from .channel import FadingParams, gamma_variates, moment_oracle, order_stat_moments
 from .errors import ConfigurationError, NumericError, SweepPointError
 from .montecarlo import SweepPoint, TrialConfig, derive_trial_stream, simulate_sweep
@@ -206,8 +206,12 @@ def _spec_from_config(config: dict) -> ExperimentSpec:
     net = _need(config, "network", "config")
     n_users = _need(net, "n_users", "network")
     a = tuple(float(x) for x in _need(net, "a", "network"))
+    # noise variances at the relay and at the users; they only fix c
     sigma_r2 = float(net.get("sigma_r2", 1.0))
     sigma_t2 = float(net.get("sigma_t2", 1.0))
+    for key, value in (("sigma_r2", sigma_r2), ("sigma_t2", sigma_t2)):
+        if not (value > 0 and math.isfinite(value)):
+            raise ConfigurationError(f"network.{key}: must be finite and > 0, got {value}")
     if "c" in net:
         c = float(net["c"])
     else:
@@ -235,9 +239,7 @@ def _spec_from_config(config: dict) -> ExperimentSpec:
         r1_first = _snr_linear(_as_scalar(exp.get("snr_db", 0.0), "experiment.snr_db"))
 
     try:
-        network = NetworkConfig(
-            n_users=int(n_users), a=a, r1=r1_first, c=c, sigma_r2=sigma_r2, sigma_t2=sigma_t2
-        )
+        network = NetworkConfig(n_users=int(n_users), a=a, r1=r1_first, c=c)
     except ConfigurationError as exc:
         raise ConfigurationError(f"network: {exc}") from exc
 
@@ -366,13 +368,6 @@ def _mc_wanted(spec: ExperimentSpec) -> bool:
     return spec.engine in ("mc", "both") and spec.trials is not None
 
 
-def _analytic_total(spec, cfg, moments, scheme, profile) -> float:
-    condition = "ideal" if profile.is_ideal else "nonideal"
-    if scheme == "noma":
-        return asr(moments, cfg, profile, condition).total
-    return asr_oma(moments, cfg, profile, condition).total
-
-
 def _run_grid_sweep(spec: ExperimentSpec) -> RunResult:
     """Shared body of the snr- and kappa-sweeps (one scalar sweep column)."""
     if spec.kind == "snr-sweep":
@@ -388,6 +383,7 @@ def _run_grid_sweep(spec: ExperimentSpec) -> RunResult:
     for value, r1, sweep_profile in points:
         cfg = replace(spec.network, r1=r1)
         for scheme in spec.schemes:
+            share = scheme_prefactor(scheme, cfg.n_users)
             for label, base_profile in spec.variants:
                 profile = sweep_profile if sweep_profile is not None else base_profile
                 if sweep_profile is None:
@@ -398,14 +394,12 @@ def _run_grid_sweep(spec: ExperimentSpec) -> RunResult:
                     key: _fmt(value),
                     "scheme": scheme,
                     "condition": condition,
-                    "asr_analytical": _fmt(_analytic_total(spec, cfg, moments, scheme, profile)),
+                    "asr_analytical": _fmt(asr(moments, cfg, profile, prefactor=share).total),
                     "asr_mc": "",
                     "mc_stderr": "",
                 }
                 rows.append(row)
-                mc_points.append(
-                    SweepPoint(cfg, spec.fading, profile, scheme_prefactor(scheme, cfg.n_users))
-                )
+                mc_points.append(SweepPoint(cfg, spec.fading, profile, share))
 
     if _mc_wanted(spec):
         try:
@@ -443,8 +437,7 @@ def _run_grid_sweep(spec: ExperimentSpec) -> RunResult:
 
 def _run_placement(spec: ExperimentSpec) -> RunResult:
     engine = "monte-carlo" if spec.engine == "mc" else "analytical"
-    label, profile = spec.variants[0]
-    condition = "ideal" if profile.is_ideal else "nonideal"
+    _, profile = spec.variants[0]
     paths: list[Path] = []
     rows_by_path: dict[Path, list[dict]] = {}
     totals: dict[str, float] = {}
@@ -457,7 +450,6 @@ def _run_placement(spec: ExperimentSpec) -> RunResult:
             spec.fading,
             profile,
             engine=engine,
-            condition=condition,
             scheme=scheme,
             tc=spec.trials,
         )

@@ -20,11 +20,12 @@ class NumericError(MwrnomaError, ArithmeticError):
 class SweepPointError(NumericError):
     """Numerical failure at one point of a multi-point Monte Carlo run.
 
-    ``point`` is the index of the failing point in the caller's list and
-    ``trial`` the first trial whose rate was not finite.
+    ``point`` is the index of the failing point in the caller's list.
+    ``trial`` is the first trial whose rate was not finite, or None when
+    the point failed before any trial (its path loss overflows).
     """
 
-    def __init__(self, point: int, trial: int):
-        super().__init__(f"non-finite rate in trial {trial}")
+    def __init__(self, point: int, message: str, trial: int | None = None):
+        super().__init__(message)
         self.point = point
         self.trial = trial

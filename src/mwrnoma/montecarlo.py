@@ -31,7 +31,7 @@ from numpy.random import Generator, Philox
 
 from . import _kernels
 from .channel import FadingParams, gamma_variates
-from .errors import ConfigurationError, SweepPointError
+from .errors import ConfigurationError, NumericError, SweepPointError
 from .rate import AsrResult, pair_indices
 from .signal import ImpairmentProfile, NetworkConfig
 
@@ -152,7 +152,10 @@ def _sweep_plan(points):
     """
     groups: dict = {}
     for i, p in enumerate(points):
-        factors = p.fading.path_loss_factors()
+        try:
+            factors = p.fading.path_loss_factors()
+        except NumericError as exc:
+            raise SweepPointError(i, str(exc)) from exc
         imp = p.imp
         args = (
             1.0 / p.cfg.r1,
@@ -216,7 +219,8 @@ def simulate_sweep(points: Sequence[SweepPoint], tc: TrialConfig) -> list[AsrRes
     (they may differ in path loss).  A non-finite rate raises
     ``SweepPointError`` for the first failing point in list order, naming
     its first non-finite trial, as separate one-point runs in that order
-    would.
+    would.  A path loss 1 + d^nu that overflows is an input fault: it raises
+    ``SweepPointError`` for the first such point before any trial is drawn.
     """
     if not points:
         raise ConfigurationError("need at least one sweep point")
@@ -244,7 +248,7 @@ def simulate_sweep(points: Sequence[SweepPoint], tc: TrialConfig) -> list[AsrRes
         out: list = [None] * len(points)
         for factors, kernels in plan:
             rho = h * factors
-            aggregates = _kernels.chunk_aggregates(rho, a)
+            aggregates = _kernels.weighted_sums(rho, a)
             for args, members in kernels.items():
                 base = _kernels.pair_rate_chunk(rho, a, *args, aggregates=aggregates)
                 for i, scale in members:
@@ -262,7 +266,7 @@ def simulate_sweep(points: Sequence[SweepPoint], tc: TrialConfig) -> list[AsrRes
             stats, bad_trial = _merge_parts(pool.map(run_chunk, range(n_chunks)), len(points))
     for i, trial in enumerate(bad_trial):
         if trial is not None:
-            raise SweepPointError(i, trial)
+            raise SweepPointError(i, f"non-finite rate in trial {trial}", trial)
     return [_result(M, s) for s in stats]
 
 

@@ -10,9 +10,12 @@ the weakest user).
 The analytical surface is one batch: the distances of every site form a
 (sites, M) array, the closed-form moments are scaled for all rows at once
 (``channel.order_stat_moment_rows``) and one kernel call gives every sum
-rate (``rate.asr_rows``).  Each site gets the same bits as a one-site
-evaluation, and a failure names the first failing site in row-major order
-(y outer, x inner).
+rate (``rate.asr_rows``).  The Monte Carlo surface is one sweep with a
+point per site (``montecarlo.simulate_sweep``).  Both engines use the one
+path-loss formula 1 + d^nu, computed per entry, and a row-local kernel, so
+each site gets the same bits as a one-site evaluation.  A failure, a path
+loss that overflows included, names the first failing site in row-major
+order (y outer, x inner).
 """
 
 from __future__ import annotations
@@ -137,18 +140,18 @@ def sweep_grid(
     grid: GridSpec,
     cfg: NetworkConfig,
     fading_template: FadingParams,
-    imp: ImpairmentProfile | None = None,
+    imp: ImpairmentProfile = ImpairmentProfile(),
     engine: str = "analytical",
-    condition: str = "nonideal",
     scheme: str = "noma",
     tc: TrialConfig | None = None,
 ) -> PlacementSurface:
     """Sum-rate surface over relay positions, plus the argmax location.
 
     The template's relay position and distances are replaced by each
-    site's.  The analytical engine evaluates all sites as one batch; the
-    Monte Carlo engine runs one sweep point per site.  A failure names the
-    first failing site in row-major order.
+    site's; ``imp`` defaults to the distortion-free profile.  The
+    analytical engine evaluates all sites as one batch; the Monte Carlo
+    engine runs one sweep point per site.  A failure names the first
+    failing site in row-major order.
     """
     if engine not in ("analytical", "monte-carlo"):
         raise ValueError(f"engine must be 'analytical' or 'monte-carlo', got {engine!r}")
@@ -156,8 +159,6 @@ def sweep_grid(
         raise ValueError(f"scheme must be 'noma' or 'oma', got {scheme!r}")
     if engine == "monte-carlo" and tc is None:
         raise ValueError("monte-carlo engine requires a TrialConfig")
-    if engine == "monte-carlo" and condition == "nonideal" and imp is None:
-        raise ValueError("nonideal monte-carlo sweep requires an impairment profile")
     if geom_template.n_users != cfg.n_users:
         raise ConfigurationError(
             f"geometry has {geom_template.n_users} users, config expects {cfg.n_users}"
@@ -173,16 +174,15 @@ def sweep_grid(
         psi, _, fault = order_stat_moment_rows(fading_template, dist)
         # asr_rows sees only the rows before the first moment fault, so a
         # rate fault it reports is the earlier site
-        _, totals, rate_fault = asr_rows(psi, cfg, imp, condition, share)
+        _, totals, rate_fault = asr_rows(psi, cfg, imp, share)
         if rate_fault is not None:
             fault = rate_fault
         if fault is not None:
             row, exc = fault
             raise type(exc)(f"{site(row)}: {exc}") from exc
     else:
-        mc_imp = ImpairmentProfile.ideal() if condition == "ideal" else imp
         points = [
-            SweepPoint(cfg, replace(fading_template, distances=tuple(d)), mc_imp, share)
+            SweepPoint(cfg, replace(fading_template, distances=tuple(d)), imp, share)
             for d in dist.tolist()
         ]
         try:

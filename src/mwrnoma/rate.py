@@ -4,9 +4,12 @@ Per-pair rates replace the expectation of 1/2 log2(1 + SINR) by the rate
 of the moment-substituted SINR (each ordered gain replaced by its mean
 psi), which collapses the ergodic rate to an algebraic expression in the
 order-statistic moments.  That is the Monte Carlo pair-rate kernel
-evaluated on one row, psi; the high-SNR per-pair asymptotes are the same
-kernel at 1/r1 = 1/r2 = 0.  Slope and power-offset diagnostics are
-estimated numerically from sampled sum-rate curves.
+evaluated on one row of psi per operating point or placement site; the
+high-SNR per-pair asymptotes are the same kernel at 1/r1 = 1/r2 = 0.
+Distortion enters only through the impairment profile: the ideal
+transceiver is the all-zero profile, which is the default.  Slope and
+power-offset diagnostics are estimated numerically from sampled sum-rate
+curves.
 """
 
 from __future__ import annotations
@@ -93,8 +96,7 @@ def pair_indices(n_users: int) -> list[tuple[int, int]]:
 def _closed_form_pairs(
     psi: np.ndarray,
     cfg: NetworkConfig,
-    imp: ImpairmentProfile | None,
-    condition: str,
+    imp: ImpairmentProfile,
     prefactor: float,
     inv_r1: float,
     inv_r2: float,
@@ -105,12 +107,6 @@ def _closed_form_pairs(
         raise ConfigurationError(
             f"moments cover {psi.shape[1]} users, config expects {cfg.n_users}"
         )
-    if condition not in ("ideal", "nonideal"):
-        raise ValueError(f"condition must be 'ideal' or 'nonideal', got {condition!r}")
-    if condition == "ideal":
-        imp = ImpairmentProfile.ideal()
-    elif imp is None:
-        raise ValueError("nonideal condition requires an impairment profile")
     rates = _kernels.pair_rate_chunk(
         psi,
         cfg.a,
@@ -120,7 +116,6 @@ def _closed_form_pairs(
         imp.kappa_ur**2,
         imp.kappa_rt**2,
         imp.kappa_rr**2,
-        aggregates=_kernels.row_aggregates(psi, cfg.a),
     )
     if prefactor != 0.5:  # kernel output carries the 1/2 prefactor
         rates = rates * (prefactor / 0.5)
@@ -134,8 +129,7 @@ def _closed_form_pairs(
 def asr_rows(
     psi: np.ndarray,
     cfg: NetworkConfig,
-    imp: ImpairmentProfile | None = None,
-    condition: str = "nonideal",
+    imp: ImpairmentProfile = ImpairmentProfile(),
     prefactor: float = 0.5,
 ):
     """Closed-form sum rate at every row of order-statistic means.
@@ -148,8 +142,7 @@ def asr_rows(
     per_pair and totals cover only the rows before it.
     """
     per_pair = _closed_form_pairs(
-        np.asarray(psi, dtype=np.float64), cfg, imp, condition, prefactor,
-        1.0 / cfg.r1, 1.0 / cfg.r2,
+        np.asarray(psi, dtype=np.float64), cfg, imp, prefactor, 1.0 / cfg.r1, 1.0 / cfg.r2
     )
     rows, M, _ = per_pair.shape
     flat = per_pair.reshape(rows, M * (M - 1))
@@ -166,17 +159,15 @@ def asr_rows(
 def asr(
     moments: OrderStatMoments,
     cfg: NetworkConfig,
-    imp: ImpairmentProfile | None = None,
-    condition: str = "nonideal",
+    imp: ImpairmentProfile = ImpairmentProfile(),
     prefactor: float = 0.5,
 ) -> AsrResult:
     """Achievable sum rate: per-pair matrix plus the total.
 
-    The ``"ideal"`` condition evaluates the distortion-free profile and
-    ignores ``imp``.  The default 1/2 prefactor charges the two-slot
-    exchange.
+    The default profile is distortion-free; the default 1/2 prefactor
+    charges the two-slot exchange.
     """
-    per_pair, totals, fault = asr_rows(moments.psi[None, :], cfg, imp, condition, prefactor)
+    per_pair, totals, fault = asr_rows(moments.psi[None, :], cfg, imp, prefactor)
     if fault is not None:
         raise fault[1]
     return AsrResult(per_pair=per_pair[0], total=float(totals[0]), provenance="analytical")
@@ -185,8 +176,7 @@ def asr(
 def asr_asymptotic(
     moments: OrderStatMoments,
     cfg: NetworkConfig,
-    imp: ImpairmentProfile | None = None,
-    condition: str = "nonideal",
+    imp: ImpairmentProfile = ImpairmentProfile(),
     prefactor: float = 0.5,
 ) -> AsrResult:
     """High-SNR limit of the sum rate (r1 -> infinity with r2 = c r1).
@@ -197,7 +187,7 @@ def asr_asymptotic(
     """
     with np.errstate(divide="ignore"):
         per_pair = _closed_form_pairs(
-            moments.psi[None, :], cfg, imp, condition, prefactor, 0.0, 0.0
+            moments.psi[None, :], cfg, imp, prefactor, 0.0, 0.0
         )[0]
     notes = tuple(
         f"pair (k={k}, n={n}) has no interference ceiling: asymptote diverges"

@@ -29,7 +29,6 @@ __all__ = [
     "ImpairmentProfile",
     "NetworkConfig",
     "SinrTerms",
-    "amplification_gain",
     "sinr_terms",
     "sinr_instantaneous",
 ]
@@ -74,16 +73,14 @@ class NetworkConfig:
     """User count, power split and SNR operating point.
 
     r1 is the per-user transmit SNR (linear); the relay SNR is r2 = c * r1.
-    sigma_r2 / sigma_t2 are the noise variances at the relay and at the
-    users; together with r1, c they fix the absolute powers P and P_R.
+    Absolute powers and noise variances enter the rates only through r1
+    and r2.
     """
 
     n_users: int
     a: tuple[float, ...]
     r1: float
     c: float = 1.0
-    sigma_r2: float = 1.0
-    sigma_t2: float = 1.0
 
     def __post_init__(self):
         if not isinstance(self.n_users, int) or isinstance(self.n_users, bool) or self.n_users < 2:
@@ -101,7 +98,7 @@ class NetworkConfig:
                 "power allocation must be strictly decreasing and positive "
                 "(most power to the weakest user)"
             )
-        for name in ("r1", "c", "sigma_r2", "sigma_t2"):
+        for name in ("r1", "c"):
             v = getattr(self, name)
             if not (v > 0 and math.isfinite(v)):
                 raise ConfigurationError(f"{name} must be finite and > 0, got {v}")
@@ -109,16 +106,6 @@ class NetworkConfig:
     @property
     def r2(self) -> float:
         return self.c * self.r1
-
-    @property
-    def power_user(self) -> float:
-        """Per-user transmit power P = r1 * sigma_r2."""
-        return self.r1 * self.sigma_r2
-
-    @property
-    def power_relay(self) -> float:
-        """Relay transmit power P_R = r2 * sigma_t2."""
-        return self.r2 * self.sigma_t2
 
 
 @dataclass(frozen=True)
@@ -155,24 +142,6 @@ def _check_pair(n_users: int, k: int, n: int) -> None:
         raise ValueError(f"decoder index k={k} out of range 1..{n_users}")
     if not 1 <= n <= n_users:
         raise ValueError(f"decoded index n={n} out of range 1..{n_users}")
-
-
-def amplification_gain(
-    realization: ChannelRealization, cfg: NetworkConfig, imp: ImpairmentProfile
-) -> float:
-    """Relay amplitude normalization G.
-
-    G^2 scales the relay's mean received power (signal plus transmit-side
-    distortion plus noise) to the relay power budget P_R.
-    """
-    rho = realization.rho
-    if rho.shape[0] != cfg.n_users:
-        raise ConfigurationError(
-            f"realization has {rho.shape[0]} gains, config expects {cfg.n_users}"
-        )
-    a = np.asarray(cfg.a)
-    received = float(np.dot(rho, a)) * cfg.power_user * imp.mac_distortion
-    return math.sqrt(cfg.power_relay / (received + cfg.sigma_r2))
 
 
 def sinr_terms(

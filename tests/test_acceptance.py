@@ -94,7 +94,7 @@ def test_criterion_2_analytic_vs_monte_carlo():
     worst = 0.0
     for snr_db in range(0, 45, 5):
         cfg = replace(cfg0, r1=10.0 ** (snr_db / 10.0))
-        analytic = asr(moments, cfg, imp, "ideal").total
+        analytic = asr(moments, cfg, imp).total
         mc = simulate_asr(cfg, fading, imp, tc).total
         worst = max(worst, abs(analytic - mc) / mc)
     report(
@@ -137,7 +137,7 @@ def test_criterion_4_high_snr_diagnostics():
 
     # ideal case: only the interference-limited pairs have a finite limit
     def ideal_finite_total(r):
-        result = asr(moments, replace(cfg0, r1=r), condition="ideal")
+        result = asr(moments, replace(cfg0, r1=r))
         return float(result.per_pair[:, : cfg0.n_users - 2].sum())
 
     y_id = [ideal_finite_total(r) for r in grid]
@@ -164,8 +164,8 @@ def test_criterion_5_superposed_beats_orthogonal():
     for n_users in (4, 5):
         fading, cfg = reference_setup(n_users, 30.0)
         moments = order_stat_moments(fading, n_users)
-        noma = asr(moments, cfg, condition="ideal").total
-        oma = asr_oma(moments, cfg, condition="ideal").total
+        noma = asr(moments, cfg).total
+        oma = asr_oma(moments, cfg).total
         gaps[n_users] = noma - oma
     ok = gaps[4] > 0 and gaps[5] > 0 and gaps[5] > gaps[4]
     report(
@@ -214,7 +214,7 @@ def test_criterion_7_tx_rx_near_symmetry():
         cfg = replace(cfg0, r1=10.0 ** (snr_db / 10.0))
         y_tx = asr(moments, cfg, tx).total
         y_rx = asr(moments, cfg, rx).total
-        y_ideal = asr(moments, cfg, condition="ideal").total
+        y_ideal = asr(moments, cfg).total
         y_both = asr(moments, cfg, both).total
         worst_gap = max(worst_gap, abs(y_tx - y_rx) / max(y_tx, y_rx))
         ordered &= y_both < min(y_tx, y_rx) and max(y_tx, y_rx) < y_ideal
@@ -236,9 +236,9 @@ def test_criterion_8_placement_surface():
     fading = FadingParams(alpha=2, beta=3.0, nu=3.0, distances=(1.0,) * 4)
     cfg30 = NetworkConfig(n_users=4, a=A4, r1=10.0**3.0)
     cfg35 = NetworkConfig(n_users=4, a=A4, r1=10.0**3.5)
-    s30 = sweep_grid(geom, grid, cfg30, fading, None, condition="ideal")
-    s35 = sweep_grid(geom, grid, cfg35, fading, None, condition="ideal")
-    s30_oma = sweep_grid(geom, grid, cfg30, fading, None, condition="ideal", scheme="oma")
+    s30 = sweep_grid(geom, grid, cfg30, fading)
+    s35 = sweep_grid(geom, grid, cfg35, fading)
+    s30_oma = sweep_grid(geom, grid, cfg30, fading, scheme="oma")
     centroid_dist = math.hypot(*s30.argmax_xy)
     ok = (
         centroid_dist <= grid.step

@@ -36,8 +36,8 @@ def test_slot_counts():
 
 def test_two_user_schemes_coincide_and_flagged():
     fading, moments, cfg = setup(2, (0.7, 0.3), r1=100.0)
-    noma = asr(moments, cfg, condition="ideal")
-    oma = asr_oma(moments, cfg, condition="ideal")
+    noma = asr(moments, cfg)
+    oma = asr_oma(moments, cfg)
     assert oma.total == pytest.approx(noma.total, rel=1e-12)
     assert any("same" in note for note in oma.notes)
 
@@ -46,8 +46,8 @@ def test_superposed_beats_orthogonal_at_30db():
     gaps = {}
     for n_users, a in ((4, A4), (5, A5)):
         _, moments, cfg = setup(n_users, a)
-        noma = asr(moments, cfg, condition="ideal").total
-        oma = asr_oma(moments, cfg, condition="ideal").total
+        noma = asr(moments, cfg).total
+        oma = asr_oma(moments, cfg).total
         assert noma > oma
         gaps[n_users] = noma - oma
     assert gaps[5] > gaps[4]
@@ -57,8 +57,8 @@ def test_gap_nondecreasing_in_users():
     gaps = []
     for n_users, a in ((3, (0.5, 0.3, 0.2)), (4, A4), (5, A5)):
         _, moments, cfg = setup(n_users, a)
-        noma = asr(moments, cfg, condition="ideal").total
-        oma = asr_oma(moments, cfg, condition="ideal").total
+        noma = asr(moments, cfg).total
+        oma = asr_oma(moments, cfg).total
         gaps.append(noma - oma)
     assert all(b >= a for a, b in zip(gaps, gaps[1:]))
 

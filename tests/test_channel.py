@@ -11,6 +11,7 @@ from mwrnoma import (
     ChannelRealization,
     ConfigurationError,
     FadingParams,
+    NumericError,
     UnsupportedParameterError,
     derive_trial_stream,
     gamma_variates,
@@ -63,6 +64,21 @@ class TestClosedFormTrivial:
                 for row in d.tolist()
             ]
             assert np.array_equal(table, expected)
+
+    @pytest.mark.parametrize("nu", [2.7, 3.0, 4.1])
+    def test_factors_share_the_moment_path_loss(self, nu):
+        # the Monte Carlo factors use the closed form's 1 + d^nu (Python's
+        # float pow); numpy's vectorised pow differs on a share of these
+        rows = np.random.default_rng(7).uniform(10.0, 40.0, size=(2000, 4)).tolist()
+        for row in rows:
+            factors = FadingParams(alpha=2, beta=3.0, nu=nu, distances=row).path_loss_factors()
+            assert factors.tolist() == [1.0 / (1.0 + d**nu) for d in row]
+
+    def test_path_loss_overflow_raises(self):
+        p = FadingParams(alpha=2, beta=3.0, nu=400.0, distances=(20.0, 1.0, 30.0))
+        with pytest.raises(NumericError) as info:
+            p.path_loss_factors()
+        assert str(info.value) == "path loss 1 + d^nu overflows at i=1, d=20, nu=400"
 
 
 class TestOracleAgreement:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,14 @@ class TestSpecLoading:
         config = tiny_snr_config(tmp_path, network={"power_ratio_n": 2.0})
         spec = load_spec(config_path=write_config(tmp_path, config))
         assert spec.network.c == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("key", ["sigma_r2", "sigma_t2"])
+    def test_noise_variances_must_be_positive(self, tmp_path, capsys, key):
+        # they fix c; a zero sigma_t2 divided by zero
+        config = tiny_snr_config(tmp_path, network={key: 0.0})
+        assert main(["run", "--config", str(write_config(tmp_path, config))]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: config: network.{key}: must be finite and > 0, got 0.0\n"
 
 
 class TestSnrSweep:
@@ -351,6 +360,23 @@ class TestMain:
         argv = ["run", "--preset", preset, "--config", str(path), "--output", str(out)]
         assert main(argv) == 3
         assert capsys.readouterr().err == message
+        assert not out.exists()
+
+    def test_monte_carlo_path_loss_overflow_exit_three(self, tmp_path, capsys):
+        # Monte Carlo needs only 1 + d^nu; before, it overflowed to a factor
+        # of 0 and wrote a surface of zeros with exit 0
+        path = write_config(tmp_path, {"fading": {"nu": 400.0}})
+        out = tmp_path / "out.csv"
+        argv = ["run", "--preset", "fig4a", "--engine", "mc", "--trials", "1000",
+                "--config", str(path), "--output", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 3
+        assert caught == []
+        assert capsys.readouterr().err == (
+            "error: numeric: grid point (x=-20, y=-20): "
+            "path loss 1 + d^nu overflows at i=1, d=36.7423, nu=400\n"
+        )
         assert not out.exists()
 
 

@@ -43,3 +43,14 @@ def test_kernel_matches_scalar_model(n_users):
         for p, (k, n) in enumerate(pairs):
             gamma = sinr_instantaneous(real, cfg, imp, k, n)
             assert rates[t, p] == pytest.approx(0.5 * np.log2(1.0 + gamma), rel=1e-12)
+
+
+@pytest.mark.parametrize("n_users", [4, 8])
+def test_kernel_is_row_local(n_users):
+    # a Monte Carlo chunk, a placement batch and a one-row closed form must
+    # give a row the same bits
+    rho, a = make_inputs(n_users, n_trials=8192, seed=n_users)
+    args = (np.asarray(a), 1.0 / 316.0, 1.0 / 632.0, 0.01, 0.04, 0.0025, 0.0225)
+    block = pair_rate_chunk(rho, *args)
+    rows = np.concatenate([pair_rate_chunk(rho[t : t + 1], *args) for t in range(rho.shape[0])])
+    assert np.array_equal(block, rows)

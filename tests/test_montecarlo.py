@@ -102,7 +102,7 @@ class TestDeterminism:
 class TestStatistics:
     def test_matches_analytic_at_operating_point(self):
         moments = order_stat_moments(FADING3, 3)
-        analytic = asr(moments, CFG3, ImpairmentProfile.ideal(), "ideal").total
+        analytic = asr(moments, CFG3, ImpairmentProfile.ideal()).total
         sim = simulate_asr(CFG3, FADING3, ImpairmentProfile.ideal(), TrialConfig(100_000, seed=42))
         assert abs(sim.total - analytic) / sim.total < 0.10
 
@@ -173,6 +173,13 @@ class TestInterfaces:
         fading4 = FadingParams(alpha=2, beta=3.0, nu=3.0, distances=(1.0,) * 4)
         with pytest.raises(ConfigurationError):
             simulate_asr(CFG3, fading4, ImpairmentProfile.ideal(), TrialConfig(10, seed=1))
+
+    def test_path_loss_overflow_raises(self):
+        # a factor that overflowed to 0 would give all-zero rates
+        fading = replace(FADING3, nu=400.0, distances=(20.0, 1.0, 1.0))
+        with pytest.raises(NumericError) as info:
+            simulate_asr(CFG3, fading, ImpairmentProfile.ideal(), TrialConfig(1_000, seed=1))
+        assert str(info.value) == "path loss 1 + d^nu overflows at i=1, d=20, nu=400"
 
     def test_result_provenance(self):
         sim = simulate_asr(CFG3, FADING3, ImpairmentProfile.ideal(), TrialConfig(1_000, seed=1))
@@ -303,3 +310,13 @@ class TestSweepErrors:
             simulate_sweep(self.POINTS, tc)
         assert (info.value.point, str(info.value)) == expected
         assert info.value.trial == CHUNK_TRIALS + 7
+
+    def test_path_loss_overflow_names_point(self):
+        # an input fault: raised for the first overflowing point, before
+        # any trial is drawn
+        far = replace(FADING4, nu=400.0, distances=(30.0, 20.0, 1.0, 1.0))
+        points = [self.POINTS[0], SweepPoint(CFG4, far, IDEAL), SweepPoint(CFG4, far, IDEAL)]
+        with pytest.raises(SweepPointError) as info:
+            simulate_sweep(points, TrialConfig(10, seed=2))
+        assert (info.value.point, info.value.trial) == (1, None)
+        assert str(info.value) == "path loss 1 + d^nu overflows at i=1, d=30, nu=400"

@@ -39,14 +39,14 @@ def site_fading(geom, x, y, fading):
     return replace(fading, distances=tuple(sorted(d.tolist(), reverse=True)))
 
 
-def per_site_surface(geom, grid, cfg, fading, imp, condition, scheme):
+def per_site_surface(geom, grid, cfg, fading, imp, scheme):
     """Reference surface: one closed-form evaluation per site, row-major."""
     evaluate = asr if scheme == "noma" else asr_oma
     surface = np.empty((grid.ys.size, grid.xs.size))
     for j, y in enumerate(grid.ys):
         for i, x in enumerate(grid.xs):
             moments = order_stat_moments(site_fading(geom, x, y, fading), cfg.n_users)
-            surface[j, i] = evaluate(moments, cfg, imp, condition).total
+            surface[j, i] = evaluate(moments, cfg, imp).total
     return surface
 
 
@@ -93,26 +93,26 @@ class TestSweep:
         geom = Geometry(user_positions=SQUARE, uav_xy=(0.0, 0.0), uav_height=10.0)
         grid = GridSpec(x_min=2.0, x_max=2.0, y_min=-1.0, y_max=-1.0, step=1.0)
         cfg = cfg_at(30.0)
-        surface = sweep_grid(geom, grid, cfg, FADING_T, None, condition="ideal")
+        surface = sweep_grid(geom, grid, cfg, FADING_T)
         at_point = Geometry(user_positions=SQUARE, uav_xy=(2.0, -1.0), uav_height=10.0)
         d = tuple(sorted(distances(at_point).tolist(), reverse=True))
         fading = FadingParams(alpha=2, beta=3.0, nu=3.0, distances=d)
-        expected = asr(order_stat_moments(fading, 4), cfg, condition="ideal").total
+        expected = asr(order_stat_moments(fading, 4), cfg).total
         assert surface.asr.shape == (1, 1)
         assert surface.asr[0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_argmax_at_centroid_for_symmetric_layout(self):
         geom = Geometry(user_positions=SQUARE, uav_xy=(0.0, 0.0), uav_height=10.0)
         surface = sweep_grid(
-            geom, self.small_grid(), cfg_at(30.0), FADING_T, None, condition="ideal"
+            geom, self.small_grid(), cfg_at(30.0), FADING_T
         )
         assert surface.argmax_xy == (0.0, 0.0)
 
     def test_higher_snr_dominates_pointwise(self):
         geom = Geometry(user_positions=SQUARE, uav_xy=(0.0, 0.0), uav_height=10.0)
         grid = self.small_grid()
-        s30 = sweep_grid(geom, grid, cfg_at(30.0), FADING_T, None, condition="ideal")
-        s35 = sweep_grid(geom, grid, cfg_at(35.0), FADING_T, None, condition="ideal")
+        s30 = sweep_grid(geom, grid, cfg_at(30.0), FADING_T)
+        s35 = sweep_grid(geom, grid, cfg_at(35.0), FADING_T)
         assert np.all(s35.asr >= s30.asr)
 
     def test_translational_invariance(self):
@@ -129,8 +129,8 @@ class TestSweep:
         geom0 = Geometry(user_positions=SQUARE, uav_height=10.0)
         geom1 = Geometry(user_positions=users, uav_height=10.0)
         cfg = cfg_at(30.0)
-        s0 = sweep_grid(geom0, grid0, cfg, FADING_T, None, condition="ideal")
-        s1 = sweep_grid(geom1, grid1, cfg, FADING_T, None, condition="ideal")
+        s0 = sweep_grid(geom0, grid0, cfg, FADING_T)
+        s1 = sweep_grid(geom1, grid1, cfg, FADING_T)
         assert np.allclose(s0.asr, s1.asr, rtol=1e-12)
         assert s1.argmax_xy == (s0.argmax_xy[0] + offset[0], s0.argmax_xy[1] + offset[1])
 
@@ -138,16 +138,16 @@ class TestSweep:
         perm = (SQUARE[2], SQUARE[0], SQUARE[3], SQUARE[1])
         grid = self.small_grid()
         cfg = cfg_at(30.0)
-        s0 = sweep_grid(Geometry(SQUARE, uav_height=10.0), grid, cfg, FADING_T, None, condition="ideal")
-        s1 = sweep_grid(Geometry(perm, uav_height=10.0), grid, cfg, FADING_T, None, condition="ideal")
+        s0 = sweep_grid(Geometry(SQUARE, uav_height=10.0), grid, cfg, FADING_T)
+        s1 = sweep_grid(Geometry(perm, uav_height=10.0), grid, cfg, FADING_T)
         assert np.array_equal(s0.asr, s1.asr)
 
     def test_scheme_surfaces_ordered(self):
         geom = Geometry(user_positions=SQUARE, uav_height=10.0)
         grid = self.small_grid()
         cfg = cfg_at(30.0)
-        noma = sweep_grid(geom, grid, cfg, FADING_T, None, condition="ideal", scheme="noma")
-        oma = sweep_grid(geom, grid, cfg, FADING_T, None, condition="ideal", scheme="oma")
+        noma = sweep_grid(geom, grid, cfg, FADING_T, scheme="noma")
+        oma = sweep_grid(geom, grid, cfg, FADING_T, scheme="oma")
         assert np.all(noma.asr > oma.asr)
 
     def test_monte_carlo_engine(self):
@@ -157,10 +157,9 @@ class TestSweep:
         grid = GridSpec(x_min=0.0, x_max=0.0, y_min=0.0, y_max=0.0, step=1.0)
         cfg = cfg_at(30.0)
         surface = sweep_grid(
-            geom, grid, cfg, FADING_T, None,
-            engine="monte-carlo", condition="ideal", tc=TrialConfig(20_000, seed=4),
+            geom, grid, cfg, FADING_T, engine="monte-carlo", tc=TrialConfig(20_000, seed=4),
         )
-        analytic = sweep_grid(geom, grid, cfg, FADING_T, None, condition="ideal")
+        analytic = sweep_grid(geom, grid, cfg, FADING_T)
         assert surface.asr[0, 0] == pytest.approx(analytic.asr[0, 0], rel=0.1)
 
     def test_monte_carlo_error_names_grid_point(self, monkeypatch):
@@ -178,8 +177,8 @@ class TestSweep:
         geom = Geometry(user_positions=SQUARE, uav_height=10.0)
         with pytest.raises(NumericError) as info:
             sweep_grid(
-                geom, self.small_grid(), cfg_at(30.0), FADING_T, None,
-                engine="monte-carlo", condition="ideal", tc=TrialConfig(8192 + 10, seed=4),
+                geom, self.small_grid(), cfg_at(30.0), FADING_T,
+                engine="monte-carlo", tc=TrialConfig(8192 + 10, seed=4),
             )
         assert str(info.value) == "grid point (x=-6, y=-6): non-finite rate in trial 8196"
 
@@ -193,9 +192,11 @@ class TestSweep:
         grid = GridSpec(x_min=-3.5, x_max=21.5, y_min=-11.0, y_max=1.5, step=2.5)
         cfg = NetworkConfig(n_users=len(users), a=a, r1=10.0 ** 2.7, c=1.5)
         fading = FadingParams(alpha=2, beta=3.0, nu=2.7, distances=(1.0,) * len(users))
-        imp = ImpairmentProfile(kappa_ut=0.08, kappa_ur=0.15, kappa_rt=0.05, kappa_rr=0.11)
-        surface = sweep_grid(geom, grid, cfg, fading, imp, condition=condition, scheme=scheme)
-        expected = per_site_surface(geom, grid, cfg, fading, imp, condition, scheme)
+        imp = ImpairmentProfile()
+        if condition == "nonideal":
+            imp = ImpairmentProfile(kappa_ut=0.08, kappa_ur=0.15, kappa_rt=0.05, kappa_rr=0.11)
+        surface = sweep_grid(geom, grid, cfg, fading, imp, scheme=scheme)
+        expected = per_site_surface(geom, grid, cfg, fading, imp, scheme)
         assert surface.asr.shape == (6, 11)
         assert np.array_equal(surface.asr, expected)
 
@@ -220,7 +221,7 @@ class TestSweep:
         assert failing[0][:2] == (16.0, 4.0)
         assert min(failing, key=lambda f: f[:2])[:2] == (12.0, 12.0)
         with pytest.raises(ConfigurationError) as info:
-            sweep_grid(geom, grid, cfg, fading, None, condition="ideal")
+            sweep_grid(geom, grid, cfg, fading)
         assert str(info.value) == f"grid point (x=16, y=4): {failing[0][2]}"
         assert str(info.value) == "grid point (x=16, y=4): moments must be positive"
 
@@ -232,10 +233,27 @@ class TestSweep:
         # x = 5 the farthest users are 6.4 m away
         fading = replace(FADING_T, nu=300.0)
         with pytest.raises(NumericError) as info:
-            sweep_grid(geom, grid, cfg_at(30.0), fading, None, condition="ideal")
+            sweep_grid(geom, grid, cfg_at(30.0), fading)
         assert str(info.value) == (
             "grid point (x=5, y=0): moment overflow for alpha=2, M=4, i=1, p=2: "
             "path loss (1 + d^nu)^2 overflows at d=6.40312, nu=300"
+        )
+
+    def test_monte_carlo_path_loss_overflow_names_grid_point(self):
+        from mwrnoma import TrialConfig
+
+        users = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
+        geom = Geometry(user_positions=users, uav_height=2.0)
+        grid = GridSpec(x_min=0.0, x_max=30.0, y_min=0.0, y_max=5.0, step=5.0)
+        # d^300 overflows beyond d = 10.6: first at x = 10, y = 0 (the
+        # analytical engine already fails at x = 5, where the square does)
+        fading = replace(FADING_T, nu=300.0)
+        with pytest.raises(NumericError) as info:
+            sweep_grid(
+                geom, grid, cfg_at(30.0), fading, engine="monte-carlo", tc=TrialConfig(10, seed=1)
+            )
+        assert str(info.value) == (
+            "grid point (x=10, y=0): path loss 1 + d^nu overflows at i=1, d=11.225, nu=300"
         )
 
     def test_preconditions(self):
@@ -243,17 +261,14 @@ class TestSweep:
         grid = self.small_grid()
         cfg = cfg_at(30.0)
         with pytest.raises(ValueError):
-            sweep_grid(geom, grid, cfg, FADING_T, None, engine="monte-carlo")
+            sweep_grid(geom, grid, cfg, FADING_T, engine="monte-carlo")
         with pytest.raises(ValueError):
-            sweep_grid(geom, grid, cfg, FADING_T, None, engine="quantum")
+            sweep_grid(geom, grid, cfg, FADING_T, engine="quantum")
         with pytest.raises(ValueError):
-            sweep_grid(geom, grid, cfg, FADING_T, None, scheme="tdma")
-        with pytest.raises(ValueError):
-            sweep_grid(geom, grid, cfg, FADING_T, None, engine="monte-carlo",
-                       condition="nonideal", tc=None)
+            sweep_grid(geom, grid, cfg, FADING_T, scheme="tdma")
         geom3 = Geometry(user_positions=SQUARE[:3], uav_height=10.0)
         with pytest.raises(ConfigurationError):
-            sweep_grid(geom3, grid, cfg, FADING_T, None, condition="ideal")
+            sweep_grid(geom3, grid, cfg, FADING_T)
 
     def test_grid_validation(self):
         with pytest.raises(ConfigurationError):

@@ -1,7 +1,5 @@
 """Instantaneous SINR chain: hand-computed cases and structural invariants."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +10,6 @@ from mwrnoma import (
     ConfigurationError,
     ImpairmentProfile,
     NetworkConfig,
-    amplification_gain,
     sinr_instantaneous,
     sinr_terms,
 )
@@ -22,33 +19,8 @@ def realization(*rho):
     return ChannelRealization(rho=np.array(rho, dtype=float))
 
 
-def config(n_users, a, r1, c=1.0, sigma_r2=1.0, sigma_t2=1.0):
-    return NetworkConfig(n_users=n_users, a=tuple(a), r1=r1, c=c,
-                         sigma_r2=sigma_r2, sigma_t2=sigma_t2)
-
-
-class TestAmplificationGain:
-    def test_zero_gains_collapse_to_noise(self):
-        # P_R = 4, sigma_r2 = 1 -> G = 2
-        cfg = config(2, (0.7, 0.3), r1=4.0)
-        g = amplification_gain(realization(0.0, 0.0), cfg, ImpairmentProfile.ideal())
-        assert g == pytest.approx(2.0, rel=1e-12)
-
-    def test_hand_value_ideal(self):
-        cfg = config(2, (0.8, 0.2), r1=10.0)
-        g = amplification_gain(realization(1.0, 1.0), cfg, ImpairmentProfile.ideal())
-        assert g == pytest.approx(math.sqrt(10.0 / 11.0), rel=1e-12)
-
-    def test_hand_value_with_distortion(self):
-        cfg = config(2, (0.8, 0.2), r1=10.0)
-        imp = ImpairmentProfile(kappa_ut=0.2, kappa_rr=0.2)
-        g = amplification_gain(realization(1.0, 1.0), cfg, imp)
-        assert g == pytest.approx(math.sqrt(10.0 / (10.0 * 1.08 + 1.0)), rel=1e-12)
-
-    def test_mismatched_length(self):
-        cfg = config(3, (0.5, 0.3, 0.2), r1=10.0)
-        with pytest.raises(ConfigurationError):
-            amplification_gain(realization(1.0, 2.0), cfg, ImpairmentProfile.ideal())
+def config(n_users, a, r1, c=1.0):
+    return NetworkConfig(n_users=n_users, a=tuple(a), r1=r1, c=c)
 
 
 class TestSinr:
@@ -86,16 +58,6 @@ class TestSinr:
         imp = ImpairmentProfile.uniform(0.1)
         assert sinr_instantaneous(realization(0.0, 1.0, 2.0), cfg, imp, 3, 1) == 0.0
         assert sinr_instantaneous(realization(0.5, 1.0, 2.0), cfg, imp, 3, 1) > 0.0
-
-    def test_scale_consistency(self):
-        # absolute powers enter only through r1 and r2
-        real = realization(0.5, 1.0, 2.0)
-        imp = ImpairmentProfile.uniform(0.15)
-        a = config(3, (0.5, 0.3, 0.2), r1=50.0, sigma_r2=1.0, sigma_t2=1.0)
-        b = config(3, (0.5, 0.3, 0.2), r1=50.0, sigma_r2=9.0, sigma_t2=4.0)
-        assert sinr_instantaneous(real, a, imp, 3, 1) == pytest.approx(
-            sinr_instantaneous(real, b, imp, 3, 1), rel=1e-12
-        )
 
     def test_index_errors(self):
         cfg = config(2, (0.8, 0.2), r1=10.0)
@@ -160,7 +122,5 @@ class TestValidation:
         assert u.kappa_ut == u.kappa_ur == u.kappa_rt == u.kappa_rr == 0.2
 
     def test_r2_and_powers(self):
-        cfg = config(2, (0.8, 0.2), r1=10.0, c=2.0, sigma_r2=3.0, sigma_t2=0.5)
+        cfg = config(2, (0.8, 0.2), r1=10.0, c=2.0)
         assert cfg.r2 == pytest.approx(20.0)
-        assert cfg.power_user == pytest.approx(30.0)
-        assert cfg.power_relay == pytest.approx(10.0)
