@@ -107,7 +107,7 @@ class TestSpecLoading:
 
     @pytest.mark.parametrize("key", ["sigma_r2", "sigma_t2"])
     def test_noise_variances_must_be_positive(self, tmp_path, capsys, key):
-        # they fix c; a zero sigma_t2 divided by zero
+        # they fix c = sigma_r2 / (power_ratio_n * sigma_t2)
         config = tiny_snr_config(tmp_path, network={key: 0.0})
         assert main(["run", "--config", str(write_config(tmp_path, config))]) == 2
         err = capsys.readouterr().err
@@ -363,8 +363,8 @@ class TestMain:
         assert not out.exists()
 
     def test_monte_carlo_path_loss_overflow_exit_three(self, tmp_path, capsys):
-        # Monte Carlo needs only 1 + d^nu; before, it overflowed to a factor
-        # of 0 and wrote a surface of zeros with exit 0
+        # Monte Carlo needs only 1 + d^nu; its overflow must not become a
+        # factor of 0, which writes a surface of zeros with exit 0
         path = write_config(tmp_path, {"fading": {"nu": 400.0}})
         out = tmp_path / "out.csv"
         argv = ["run", "--preset", "fig4a", "--engine", "mc", "--trials", "1000",

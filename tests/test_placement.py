@@ -103,9 +103,7 @@ class TestSweep:
 
     def test_argmax_at_centroid_for_symmetric_layout(self):
         geom = Geometry(user_positions=SQUARE, uav_xy=(0.0, 0.0), uav_height=10.0)
-        surface = sweep_grid(
-            geom, self.small_grid(), cfg_at(30.0), FADING_T
-        )
+        surface = sweep_grid(geom, self.small_grid(), cfg_at(30.0), FADING_T)
         assert surface.argmax_xy == (0.0, 0.0)
 
     def test_higher_snr_dominates_pointwise(self):
