@@ -2,8 +2,9 @@
 
 The files under ``tests/golden/`` pin the exact output of each preset:
 the Monte Carlo presets at 16384 trials and the default seed, the
-placement presets as shipped, a Monte Carlo placement sweep on a 5 m grid
-and a 200k-sample moments check.  They depend on the Philox stream and on
+placement presets as shipped, a Monte Carlo placement sweep on a 5 m grid,
+an M=8 point at 65,536 trials (28 pair rates per trial total, the only
+golden with more than 8) and a 200k-sample moments check.  They depend on the Philox stream and on
 the platform's libm (log1p, log2), so a change of either can move the last
 printed digit without any change to the model.
 """
@@ -27,6 +28,15 @@ MOMENTS_CONFIG = {
     "experiment": {"kind": "moments-check", "mc_samples": 200_000},
 }
 
+# the perfbench mc_point_m8 workload, both engines
+M8_CONFIG = {
+    "network": {"n_users": 8, "a": [0.35, 0.22, 0.15, 0.1, 0.07, 0.05, 0.04, 0.02]},
+    "fading": {"alpha": 2, "beta": 3.0, "nu": 3.0, "distances": [1.0] * 8},
+    "impairments": {"kappa_ut": 0.1, "kappa_ur": 0.1, "kappa_rt": 0.1, "kappa_rr": 0.1},
+    "trials": {"trials": 65_536, "seed": 12022, "workers": 1},
+    "experiment": {"kind": "snr-sweep", "snr_db": [20.0], "schemes": ["noma"], "engine": "both"},
+}
+
 # name -> (preset, config file contents, extra flags)
 CASES = {
     "fig2a": ("fig2a", None, MC_ARGS),
@@ -35,6 +45,7 @@ CASES = {
     "fig4a": ("fig4a", None, []),
     "fig4b": ("fig4b", None, []),
     "placement_mc": ("fig4a", {"experiment": {"engine": "mc", "grid": {"step": 5.0}}}, MC_ARGS),
+    "mc_point_m8": (None, M8_CONFIG, []),
     "moments_check": (None, MOMENTS_CONFIG, []),
 }
 
