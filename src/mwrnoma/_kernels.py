@@ -6,7 +6,10 @@ and 1/r2.  That keeps every finite SNR finite (no r1 * r2 product to
 overflow), and the high-SNR limit is the same formula at 1/r1 = 1/r2 = 0.
 
 Every operation is row-local, so a row gets the same bits alone, in a
-placement batch or in a Monte Carlo chunk.
+placement batch or in a Monte Carlo chunk.  The gains may come in either
+memory order; they are held column-major (a C-ordered placement batch is
+copied once), so each step runs one contiguous loop over all rows, and
+the rates come out column-major too.
 """
 
 import numpy as np
@@ -21,12 +24,13 @@ def weighted_sums(rho, a):
     (interference left after pair n), and weighted[t] = sum_j a_j rho_j,
     which extends suffix[t, 0] by the strongest user's term.
     """
-    rho = np.ascontiguousarray(rho, dtype=np.float64)
+    rho = np.asfortranarray(rho, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
     n_rows, M = rho.shape
-    suffix = np.zeros((n_rows, M))
-    w = rho[:, : M - 1] * a[: M - 1]
-    suffix[:, : M - 1] = w[:, ::-1].cumsum(axis=1)[:, ::-1]
+    suffix = np.zeros((n_rows, M), order="F")
+    for n in range(M - 2, -1, -1):
+        np.multiply(rho[:, n], a[n], out=suffix[:, n])
+        suffix[:, n] += suffix[:, n + 1]
     return suffix[:, 0] + a[-1] * rho[:, -1], suffix
 
 
@@ -42,7 +46,7 @@ def pair_rate_chunk(rho, a, inv_r1, inv_r2, kut2, kur2, krt2, krr2, *, aggregate
     without distortion) is +inf; callers that allow it silence the
     division warning.
     """
-    rho = np.ascontiguousarray(rho, dtype=np.float64)
+    rho = np.asfortranarray(rho, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
     n_rows, M = rho.shape
     weighted, suffix = weighted_sums(rho, a) if aggregates is None else aggregates
@@ -55,13 +59,21 @@ def pair_rate_chunk(rho, a, inv_r1, inv_r2, kut2, kur2, krt2, krr2, *, aggregate
     # left after n, distortion, and the broadcast-hop noise term)
     inner = suffix + (mix * weighted + bc * inv_r1)[:, None]
 
-    out = np.empty((n_rows, M * (M - 1) // 2))
+    out = np.empty((n_rows, M * (M - 1) // 2), order="F")
+    num = np.empty(n_rows)
     p = 0
     for k in range(2, M + 1):
         rho_k = rho[:, k - 1]
         for n in range(1, k):
-            den = rho_k * inner[:, n] + noise_fwd
-            gamma = rho_k * rho[:, n - 1] * a[n - 1] / den
-            out[:, p] = 0.5 * np.log2(1.0 + gamma)
+            den = out[:, p]
+            np.multiply(rho_k, inner[:, n], out=den)
+            den += noise_fwd
+            np.multiply(rho_k, rho[:, n - 1], out=num)
+            num *= a[n - 1]
+            np.divide(num, den, out=den)
             p += 1
+    # every column now holds its SINR
+    out += 1.0
+    np.log2(out, out=out)
+    out *= 0.5
     return out

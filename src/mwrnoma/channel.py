@@ -163,8 +163,20 @@ def gamma_variates(alpha: int, beta: float, size, rng: np.random.Generator) -> n
     alpha uniforms per variate.
     """
     shape = (size,) if np.isscalar(size) else tuple(size)
-    u = rng.random(shape + (int(alpha),))
-    return -beta * np.log1p(-u).sum(axis=-1)
+    alpha = int(alpha)
+    u = rng.random(shape + (alpha,))
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    if alpha >= 8:
+        # numpy sums 8 or more items pairwise; below that it adds left to
+        # right, which the slice loop repeats with one long loop per slice
+        total = u.sum(axis=-1)
+    else:
+        total = u[..., 0].copy()
+        for j in range(1, alpha):
+            total += u[..., j]
+    total *= -beta
+    return total
 
 
 def sample_channel_gains(

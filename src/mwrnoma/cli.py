@@ -270,12 +270,11 @@ def _spec_from_config(config: dict) -> ExperimentSpec:
     else:
         dist = tuple(float(x) for x in _need(fad, "distances", "fading"))
 
+    beta = _as_scalar(_need(fad, "beta", "fading"), "fading.beta")
+    nu = _as_scalar(_need(fad, "nu", "fading"), "fading.nu")
     try:
         fading = FadingParams(
-            alpha=_need(fad, "alpha", "fading"),
-            beta=float(_need(fad, "beta", "fading")),
-            nu=float(_need(fad, "nu", "fading")),
-            distances=dist,
+            alpha=_need(fad, "alpha", "fading"), beta=beta, nu=nu, distances=dist
         )
     except ConfigurationError as exc:
         raise ConfigurationError(f"fading: {exc}") from exc

@@ -16,7 +16,14 @@ SNR, distortion profile and prefactor to those gains (common random
 numbers) and reduces them to per-point chunk statistics.  Each point's
 statistics merge in chunk order, exactly as a one-point run merges them,
 so a point's result does not depend on which other points share the run
-or on the worker count.  Only per-point statistics outlive a chunk.
+or on the worker count.  Duplicate points share their chunk statistics.
+Only per-point statistics outlive a chunk.
+
+A chunk is column-major from the sampler to the statistics: the sorted
+gains and the pair rates are (trials, M) and (trials, pairs) arrays with
+one contiguous column per position or pair.  A trial's total adds its
+pair rates left to right; each pair's mean and squared deviations are
+numpy's pairwise sums along the chunk's trials.
 """
 
 from __future__ import annotations
@@ -93,13 +100,14 @@ def _sample_rho_chunk(
     """Sorted Gamma gains, before path loss, for `count` trials of one chunk.
 
     Each trial consumes exactly M * alpha uniforms laid out contiguously,
-    so a shorter final chunk reproduces the same per-trial variates.
+    so a shorter final chunk reproduces the same per-trial variates.  The
+    gains are returned column-major: one contiguous column per position.
     """
     h = gamma_variates(
         fading.alpha, fading.beta, (count, n_users), _chunk_stream(seed, chunk_index)
     )
     h.sort(axis=1)
-    return h
+    return np.asfortranarray(h)
 
 
 def _chunk_stats(rates: np.ndarray):
@@ -144,11 +152,13 @@ class SweepPoint:
 
 
 def _sweep_plan(points):
-    """Group the points by path-loss vector, then by kernel arguments.
+    """Group the points by path-loss vector, then by kernel arguments,
+    then by prefactor.
 
     Points in one path-loss group share the scaled gains and their
     aggregates; points in one kernel group (they differ only in the
-    prefactor) share the kernel call.
+    prefactor) share the kernel call; points that also share the
+    prefactor are duplicates and share the chunk statistics.
     """
     groups: dict = {}
     for i, p in enumerate(points):
@@ -167,7 +177,7 @@ def _sweep_plan(points):
         )
         kernels = groups.setdefault(factors.tobytes(), (factors, {}))[1]
         # kernel output carries the 1/2 prefactor
-        kernels.setdefault(args, []).append((i, p.prefactor / 0.5))
+        kernels.setdefault(args, {}).setdefault(p.prefactor / 0.5, []).append(i)
     return list(groups.values())
 
 
@@ -249,14 +259,16 @@ def simulate_sweep(points: Sequence[SweepPoint], tc: TrialConfig) -> list[AsrRes
         for factors, kernels in plan:
             rho = h * factors
             aggregates = _kernels.weighted_sums(rho, a)
-            for args, members in kernels.items():
+            for args, scales in kernels.items():
                 base = _kernels.pair_rate_chunk(rho, a, *args, aggregates=aggregates)
-                for i, scale in members:
+                for scale, members in scales.items():
                     rates = base * scale if scale != 1.0 else base
                     if np.all(np.isfinite(rates)):
-                        out[i] = _chunk_stats(rates)
+                        part = _chunk_stats(rates)
                     else:
-                        out[i] = start + int(np.argwhere(~np.isfinite(rates))[0][0])
+                        part = start + int(np.argwhere(~np.isfinite(rates))[0][0])
+                    for i in members:
+                        out[i] = part
         return out
 
     if tc.workers == 1 or n_chunks == 1:

@@ -153,6 +153,15 @@ class TestSampling:
         se = rho1.std(ddof=1) / math.sqrt(rho1.size)
         assert abs(rho1.mean() - target) < 3 * se
 
+    @pytest.mark.parametrize("alpha", range(1, 11))
+    def test_variates_keep_the_summation_bits(self, alpha):
+        # the sum of alpha log-uniforms must add in numpy's own order: left
+        # to right below 8 terms, pairwise from 8 on
+        shape = (1000, 5)
+        h = gamma_variates(alpha, 3.0, shape, np.random.Generator(np.random.Philox(key=alpha)))
+        u = np.random.Generator(np.random.Philox(key=alpha)).random(shape + (alpha,))
+        assert np.array_equal(h, -3.0 * np.log1p(-u).sum(axis=-1))
+
     def test_sorted_and_scaled(self):
         p = FadingParams(alpha=2, beta=1.0, nu=2.0, distances=(3.0, 2.0, 1.0))
         real = sample_channel_gains(p, 3, derive_trial_stream(1, 0))

@@ -113,6 +113,17 @@ class TestSpecLoading:
         err = capsys.readouterr().err
         assert err == f"error: config: network.{key}: must be finite and > 0, got 0.0\n"
 
+    @pytest.mark.parametrize("key, value", [("beta", [1]), ("nu", "x")])
+    def test_fading_scalar_named(self, tmp_path, capsys, key, value):
+        path = write_config(tmp_path, {"fading": {key: value}})
+        out = tmp_path / "out.csv"
+        argv = ["run", "--preset", "fig2a", "--config", str(path), "--output", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: config: fading.{key}: expected a single number, got {value!r}\n"
+        )
+        assert not out.exists()
+
 
 class TestSnrSweep:
     def test_csv_contract(self, tmp_path):

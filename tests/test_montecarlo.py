@@ -22,7 +22,7 @@ from mwrnoma import (
     simulate_asr,
     simulate_sweep,
 )
-from mwrnoma import _kernels
+from mwrnoma import _kernels, montecarlo
 from mwrnoma.baseline import scheme_prefactor
 from mwrnoma.errors import SweepPointError
 from mwrnoma.montecarlo import (
@@ -65,6 +65,11 @@ class TestStreams:
         full = _sample_rho_chunk(FADING3, 3, seed=4, chunk_index=2, count=100)
         head = _sample_rho_chunk(FADING3, 3, seed=4, chunk_index=2, count=10)
         assert np.array_equal(full[:10], head)
+
+    def test_chunk_is_column_major(self):
+        # each sorted position is one contiguous column of the chunk
+        rho = _sample_rho_chunk(FADING3, 3, seed=4, chunk_index=0, count=100)
+        assert rho.shape == (100, 3) and rho.flags.f_contiguous
 
 
 class TestDeterminism:
@@ -257,6 +262,28 @@ class TestSweepEngine:
             assert got.stderr == math.sqrt(t_m2 / (n * (n - 1)))
             assert np.array_equal(got.per_pair[np.tril_indices(4, -1)], mean)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_duplicate_points_share_results(self, monkeypatch, workers):
+        # duplicates (same path loss, kernel arguments and prefactor) reduce
+        # each chunk once and still match one-point runs bit for bit
+        calls = []
+
+        def counted(rates):
+            calls.append(rates.shape[0])
+            return _chunk_stats(rates)
+
+        monkeypatch.setattr(montecarlo, "_chunk_stats", counted)
+        points = [SWEEP[2], SWEEP[0], SWEEP[2], SWEEP[1], SWEEP[0], SWEEP[2]]
+        tc = TrialConfig(self.TRIALS, seed=31, workers=workers)
+        results = simulate_sweep(points, tc)
+        assert len(calls) == 3 * 3  # three distinct points, three chunks
+        for point, got in zip(points, results):
+            alone = simulate_asr(
+                point.cfg, point.fading, point.imp, TrialConfig(self.TRIALS, seed=31),
+                prefactor=point.prefactor,
+            )
+            assert_same_result(got, alone)
+
     def test_rejects_mixed_law_and_empty(self):
         tc = TrialConfig(100, seed=1)
         beta4 = replace(FADING4, beta=4.0)
@@ -310,6 +337,26 @@ class TestSweepErrors:
             simulate_sweep(self.POINTS, tc)
         assert (info.value.point, str(info.value)) == expected
         assert info.value.trial == CHUNK_TRIALS + 7
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_duplicated_failing_point_named(self, monkeypatch, workers):
+        # the failing point occurs twice; its first occurrence is named
+        bad = {(1 / 10.0, 1): 7, (1 / 1000.0, 1): 3}
+        nan_kernel(monkeypatch, FADING4, 2, bad)
+        points = [self.POINTS[1], self.POINTS[2], self.POINTS[1], self.POINTS[2], self.POINTS[0]]
+        tc = TrialConfig(self.TRIALS, seed=2, workers=workers)
+        expected = None
+        for i, p in enumerate(points):
+            try:
+                simulate_asr(p.cfg, p.fading, p.imp, tc)
+            except NumericError as exc:
+                expected = (i, str(exc))
+                break
+        assert expected == (1, f"non-finite rate in trial {CHUNK_TRIALS + 3}")
+        with pytest.raises(SweepPointError) as info:
+            simulate_sweep(points, tc)
+        assert (info.value.point, str(info.value)) == expected
+        assert info.value.trial == CHUNK_TRIALS + 3
 
     def test_path_loss_overflow_names_point(self):
         # an input fault: raised for the first overflowing point, before
