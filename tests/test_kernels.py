@@ -54,14 +54,8 @@ def test_kernel_is_row_local(n_users):
     block = pair_rate_chunk(rho, *args)
     rows = np.concatenate([pair_rate_chunk(rho[t : t + 1], *args) for t in range(rho.shape[0])])
     assert np.array_equal(block, rows)
-    # nor may the memory order of the gains change a bit
-    assert np.array_equal(pair_rate_chunk(np.asfortranarray(rho), *args), block)
-    assert np.array_equal(pair_rate_chunk(np.ascontiguousarray(rho), *args), block)
-
-
-def test_kernel_output_is_column_major():
-    # the Monte Carlo statistics reduce each pair over one contiguous column
-    rho, a = make_inputs(4)
-    args = (np.asarray(a), 1.0 / 316.0, 1.0 / 632.0, 0.01, 0.04, 0.0025, 0.0225)
-    for order in "CF":
-        assert pair_rate_chunk(np.asarray(rho, order=order), *args).flags.f_contiguous
+    # nor may the memory order of the gains (rho is C-ordered); either way
+    # the rates come out column-major, one contiguous column per pair
+    fortran = pair_rate_chunk(np.asfortranarray(rho), *args)
+    assert np.array_equal(fortran, block)
+    assert rho.flags.c_contiguous and block.flags.f_contiguous and fortran.flags.f_contiguous

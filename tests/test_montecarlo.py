@@ -65,11 +65,8 @@ class TestStreams:
         full = _sample_rho_chunk(FADING3, 3, seed=4, chunk_index=2, count=100)
         head = _sample_rho_chunk(FADING3, 3, seed=4, chunk_index=2, count=10)
         assert np.array_equal(full[:10], head)
-
-    def test_chunk_is_column_major(self):
         # each sorted position is one contiguous column of the chunk
-        rho = _sample_rho_chunk(FADING3, 3, seed=4, chunk_index=0, count=100)
-        assert rho.shape == (100, 3) and rho.flags.f_contiguous
+        assert full.shape == (100, 3) and full.flags.f_contiguous
 
 
 class TestDeterminism:
