@@ -11,15 +11,11 @@ reproduces the bundled experiments as CSV.
 
 from .baseline import asr_oma, simulate_asr_oma, slot_count
 from .channel import (
-    ChannelRealization,
     FadingParams,
     OrderStatMoments,
     gamma_variates,
     moment_oracle,
-    omega_moment,
     order_stat_moments,
-    psi_moment,
-    sample_channel_gains,
 )
 from .errors import (
     ConfigurationError,
@@ -27,13 +23,7 @@ from .errors import (
     NumericError,
     UnsupportedParameterError,
 )
-from .montecarlo import (
-    SweepPoint,
-    TrialConfig,
-    derive_trial_stream,
-    simulate_asr,
-    simulate_sweep,
-)
+from .montecarlo import SweepPoint, TrialConfig, sample_moments, simulate_asr, simulate_sweep
 from .placement import Geometry, GridSpec, PlacementSurface, distances, link_distance, sweep_grid
 from .rate import (
     SLOPE_FLOOR,
@@ -56,7 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsrResult",
-    "ChannelRealization",
     "ConfigurationError",
     "FadingParams",
     "Geometry",
@@ -75,18 +64,15 @@ __all__ = [
     "asr",
     "asr_asymptotic",
     "asr_oma",
-    "derive_trial_stream",
     "distances",
     "gamma_variates",
     "high_snr_offset",
     "high_snr_slope",
     "link_distance",
     "moment_oracle",
-    "omega_moment",
     "order_stat_moments",
     "pair_indices",
-    "psi_moment",
-    "sample_channel_gains",
+    "sample_moments",
     "simulate_asr",
     "simulate_asr_oma",
     "simulate_sweep",

@@ -13,7 +13,7 @@ Two independent routes to the per-position moments are provided:
   Gamma integral.  All coefficients are rational, so the unscaled moments
   are evaluated in exact rational arithmetic once per (alpha, M) and
   scaled by path loss for any number of distance rows at once;
-  ``order_stat_moments``, ``psi_moment`` and ``omega_moment`` read one row.
+  ``order_stat_moments`` reads one row.
 * ``moment_oracle``: adaptive quadrature of x^p times the order-statistic
   density, sharing no code with the expansion above.
 """
@@ -31,12 +31,8 @@ from .errors import ConfigurationError, NumericError, UnsupportedParameterError
 
 __all__ = [
     "FadingParams",
-    "ChannelRealization",
     "OrderStatMoments",
     "gamma_variates",
-    "sample_channel_gains",
-    "psi_moment",
-    "omega_moment",
     "order_stat_moments",
     "order_stat_moment_rows",
     "moment_oracle",
@@ -106,26 +102,6 @@ class FadingParams:
 
 
 @dataclass(frozen=True, eq=False)
-class ChannelRealization:
-    """One draw of instantaneous channel gains, sorted ascending."""
-
-    rho: np.ndarray
-    sorted_ascending: bool = True
-
-    def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=np.float64)
-        object.__setattr__(self, "rho", rho)
-        if not np.all(np.isfinite(rho)) or np.any(rho < 0):
-            raise ConfigurationError("channel gains must be finite and >= 0")
-        if self.sorted_ascending and np.any(np.diff(rho) < 0):
-            raise ConfigurationError("channel gains must be nondecreasing")
-
-    @property
-    def n_users(self) -> int:
-        return self.rho.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class OrderStatMoments:
     """First and second moments of the ordered, path-loss-scaled gains."""
 
@@ -177,23 +153,6 @@ def gamma_variates(alpha: int, beta: float, size, rng: np.random.Generator) -> n
             total += u[..., j]
     total *= -beta
     return total
-
-
-def sample_channel_gains(
-    params: FadingParams, n_users: int, rng: np.random.Generator
-) -> ChannelRealization:
-    """Draw one sorted realization of the M effective channel gains.
-
-    Raw gains are i.i.d. Gamma(alpha, beta); sorting happens before the
-    path-loss scaling, so distance d_i attaches to order position i.
-    """
-    if n_users < 2:
-        raise ConfigurationError(f"need at least 2 users, got {n_users}")
-    _check_users(params, n_users)
-    h = gamma_variates(params.alpha, params.beta, n_users, rng)
-    h.sort()
-    rho = h * params.path_loss_factors()
-    return ChannelRealization(rho=rho)
 
 
 def _compositions(total: int, parts: int):
@@ -346,29 +305,6 @@ def order_stat_moments(params: FadingParams, n_users: int) -> OrderStatMoments:
     if fault is not None:
         raise fault[1]
     return OrderStatMoments(psi=psi[0], omega=omega[0])
-
-
-def _position(n_users: int, i: int) -> int:
-    if not 1 <= i <= n_users:
-        raise ValueError(f"order index i={i} out of range 1..{n_users}")
-    return i - 1
-
-
-def psi_moment(params: FadingParams, n_users: int, i: int) -> float:
-    """Closed-form mean of the i-th ordered effective gain."""
-    pos = _position(n_users, i)
-    return float(order_stat_moments(params, n_users).psi[pos])
-
-
-def omega_moment(params: FadingParams, n_users: int, i: int) -> float:
-    """Closed-form second moment of the i-th ordered effective gain.
-
-    The path-loss factor is applied squared: the effective gain is
-    rho_i = h_(i) / (1 + d_i^nu), so its second moment carries the square
-    of the scale.
-    """
-    pos = _position(n_users, i)
-    return float(order_stat_moments(params, n_users).omega[pos])
 
 
 def moment_oracle(

@@ -19,12 +19,10 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from .baseline import scheme_prefactor
-from .channel import FadingParams, gamma_variates, moment_oracle, order_stat_moments
+from .channel import FadingParams, moment_oracle, order_stat_moments
 from .errors import ConfigurationError, NumericError, SweepPointError
-from .montecarlo import SweepPoint, TrialConfig, derive_trial_stream, simulate_sweep
+from .montecarlo import SweepPoint, TrialConfig, sample_moments, simulate_sweep
 from .placement import Geometry, GridSpec, distances, sweep_grid
 from .presets import DEFAULT_SEED, PRESETS, preset
 from .rate import asr
@@ -75,7 +73,6 @@ class ExperimentSpec:
     kappa_grid: tuple[float, ...] | None = None
     geometry: Geometry | None = None
     grid: GridSpec | None = None
-    mc_samples: int = 1_000_000
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -107,8 +104,8 @@ class ExperimentSpec:
                 raise ConfigurationError(
                     "experiment.engine: placement-sweep uses a single engine"
                 )
-        if self.engine in ("mc", "both") and self.kind != "moments-check" and self.trials is None:
-            raise ConfigurationError("trials: required when the mc engine is requested")
+        if (self.engine != "analytical" or self.kind == "moments-check") and self.trials is None:
+            raise ConfigurationError("trials: required by the mc engine and by moments-check")
 
 
 @dataclass(frozen=True)
@@ -138,10 +135,27 @@ def _need(section: dict, key: str, where: str):
     return section[key]
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_scalar(value, where: str) -> float:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if _is_number(value):
         return float(value)
     raise ConfigurationError(f"{where}: expected a single number, got {value!r}")
+
+
+def _as_count(value, where: str) -> int:
+    number = _as_scalar(value, where)
+    if not number.is_integer():
+        raise ConfigurationError(f"{where}: expected an integer, got {value!r}")
+    return int(number)
+
+
+def _as_numbers(value, where: str) -> tuple[float, ...]:
+    if isinstance(value, list) and all(map(_is_number, value)):
+        return tuple(float(v) for v in value)
+    raise ConfigurationError(f"{where}: expected a list of numbers, got {value!r}")
 
 
 def _as_grid(value, where: str) -> tuple[float, ...]:
@@ -175,12 +189,15 @@ def _parse_impairments(raw: dict | None) -> tuple[tuple[str, ImpairmentProfile],
     if raw is None:
         return (("ideal", ImpairmentProfile.ideal()),)
     if "variants" in raw:
-        variants = []
-        for label, section in raw["variants"].items():
-            variants.append((str(label), _profile_from(section, f"impairments.variants.{label}")))
-        if not variants:
-            raise ConfigurationError("impairments.variants: must not be empty")
-        return tuple(variants)
+        variants = raw["variants"]
+        if not isinstance(variants, dict) or not variants:
+            raise ConfigurationError(
+                f"impairments.variants: expected a non-empty mapping, got {variants!r}"
+            )
+        return tuple(
+            (str(label), _profile_from(section, f"impairments.variants.{label}"))
+            for label, section in variants.items()
+        )
     profile = _profile_from(raw, "impairments")
     return ((("ideal" if profile.is_ideal else "nonideal"), profile),)
 
@@ -203,9 +220,14 @@ def _spec_from_config(config: dict) -> ExperimentSpec:
     if kind not in KINDS:
         raise ConfigurationError(f"experiment.kind: unknown kind {kind!r}")
 
+    if "mc_samples" in exp:
+        raise ConfigurationError(
+            "experiment.mc_samples: removed; the moments check draws trials.trials samples"
+        )
+
     net = _need(config, "network", "config")
-    n_users = _need(net, "n_users", "network")
-    a = tuple(float(x) for x in _need(net, "a", "network"))
+    n_users = _as_count(_need(net, "n_users", "network"), "network.n_users")
+    a = _as_numbers(_need(net, "a", "network"), "network.a")
     # noise variances at the relay and at the users; they only fix c
     sigma_r2 = float(net.get("sigma_r2", 1.0))
     sigma_t2 = float(net.get("sigma_t2", 1.0))
@@ -239,16 +261,21 @@ def _spec_from_config(config: dict) -> ExperimentSpec:
         r1_first = _snr_linear(_as_scalar(exp.get("snr_db", 0.0), "experiment.snr_db"))
 
     try:
-        network = NetworkConfig(n_users=int(n_users), a=a, r1=r1_first, c=c)
+        network = NetworkConfig(n_users=n_users, a=a, r1=r1_first, c=c)
     except ConfigurationError as exc:
         raise ConfigurationError(f"network: {exc}") from exc
 
     fad = _need(config, "fading", "config")
     if kind == "placement-sweep":
         geo = _need(config, "geometry", "config")
-        users = tuple(
-            (float(p[0]), float(p[1])) for p in _need(geo, "users", "geometry")
-        )
+        users = _need(geo, "users", "geometry")
+        if not isinstance(users, list) or not all(
+            isinstance(p, list) and len(p) == 2 for p in users
+        ):
+            raise ConfigurationError(
+                f"geometry.users: expected a list of [x, y] pairs, got {users!r}"
+            )
+        users = tuple(_as_numbers(p, "geometry.users") for p in users)
         try:
             geometry = Geometry(
                 user_positions=users, uav_xy=(0.0, 0.0), uav_height=float(geo.get("height", 10.0))
@@ -268,7 +295,7 @@ def _spec_from_config(config: dict) -> ExperimentSpec:
             raise ConfigurationError(f"experiment.grid: {exc}") from exc
         dist = tuple(sorted(distances(geometry).tolist(), reverse=True))
     else:
-        dist = tuple(float(x) for x in _need(fad, "distances", "fading"))
+        dist = _as_numbers(_need(fad, "distances", "fading"), "fading.distances")
 
     beta = _as_scalar(_need(fad, "beta", "fading"), "fading.beta")
     nu = _as_scalar(_need(fad, "nu", "fading"), "fading.nu")
@@ -327,7 +354,6 @@ def _spec_from_config(config: dict) -> ExperimentSpec:
         kappa_grid=kappa_grid,
         geometry=geometry,
         grid=grid,
-        mc_samples=int(exp.get("mc_samples", 1_000_000)),
     )
 
 
@@ -363,10 +389,6 @@ def load_spec(
     return _spec_from_config(merged)
 
 
-def _mc_wanted(spec: ExperimentSpec) -> bool:
-    return spec.engine in ("mc", "both") and spec.trials is not None
-
-
 def _run_grid_sweep(spec: ExperimentSpec) -> RunResult:
     """Shared body of the snr- and kappa-sweeps (one scalar sweep column)."""
     if spec.kind == "snr-sweep":
@@ -400,7 +422,7 @@ def _run_grid_sweep(spec: ExperimentSpec) -> RunResult:
                 rows.append(row)
                 mc_points.append(SweepPoint(cfg, spec.fading, profile, share))
 
-    if _mc_wanted(spec):
+    if spec.engine != "analytical":
         try:
             results = simulate_sweep(mc_points, spec.trials)
         except SweepPointError as exc:
@@ -483,26 +505,7 @@ def _run_placement(spec: ExperimentSpec) -> RunResult:
 
 def _run_moments_check(spec: ExperimentSpec) -> RunResult:
     fading, M = spec.fading, spec.network.n_users
-    seed = spec.trials.seed if spec.trials is not None else DEFAULT_SEED
-    samples = spec.mc_samples
-    gen = derive_trial_stream(seed, 0)
-    sums = np.zeros(M)
-    sq_sums = np.zeros(M)
-    quad_sums = np.zeros(M)
-    done = 0
-    while done < samples:
-        count = min(100_000, samples - done)
-        h = gamma_variates(fading.alpha, fading.beta, (count, M), gen)
-        h.sort(axis=1)
-        rho = h * fading.path_loss_factors()
-        sums += rho.sum(axis=0)
-        sq_sums += (rho**2).sum(axis=0)
-        quad_sums += (rho**4).sum(axis=0)
-        done += count
-    mc_psi = sums / samples
-    mc_omega = sq_sums / samples
-    psi_se = np.sqrt((mc_omega - mc_psi**2) / samples)
-    omega_se = np.sqrt((quad_sums / samples - mc_omega**2) / samples)
+    (mc_psi, mc_omega), (psi_se, omega_se) = sample_moments(fading, spec.trials)
 
     moments = order_stat_moments(fading, M)
     rows = []

@@ -6,8 +6,7 @@ chunk c draws its uniforms from a counter-based stream
 Philox(key=seed, counter=c << 128), so every trial's variates depend only
 on the seed and its own index, any partition of chunks across threads
 yields the same numbers, and partial accumulators are merged in chunk
-order.  ``derive_trial_stream`` exposes single-trial streams from a
-disjoint counter range for callers that need per-trial granularity.
+order.
 
 One engine, ``simulate_sweep``, serves every sweep: chunks run in the
 outer loop and sweep points in the inner loop.  Each chunk draws and
@@ -17,7 +16,9 @@ numbers) and reduces them to per-point chunk statistics.  Each point's
 statistics merge in chunk order, exactly as a one-point run merges them,
 so a point's result does not depend on which other points share the run
 or on the worker count.  Duplicate points share their chunk statistics.
-Only per-point statistics outlive a chunk.
+Only per-point statistics outlive a chunk.  ``sample_moments`` runs the
+same chunks and reduces the sorted, path-loss-scaled gains and their
+squares instead of pair rates.
 
 A chunk is column-major from the sampler to the statistics: the sorted
 gains and the pair rates are (trials, M) and (trials, pairs) arrays with
@@ -32,6 +33,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -46,7 +48,7 @@ __all__ = [
     "TrialConfig",
     "SweepPoint",
     "CHUNK_TRIALS",
-    "derive_trial_stream",
+    "sample_moments",
     "simulate_sweep",
     "simulate_asr",
 ]
@@ -73,21 +75,6 @@ class TrialConfig:
             raise ConfigurationError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not isinstance(self.workers, int) or self.workers < 1:
             raise ConfigurationError(f"workers must be an integer >= 1, got {self.workers!r}")
-
-
-def derive_trial_stream(seed: int, trial_index: int) -> Generator:
-    """Deterministic per-trial stream: a pure function of (seed, trial_index).
-
-    Streams occupy disjoint counter ranges (2^128 blocks each) in the top
-    half of the Philox counter space, away from the chunk streams used by
-    ``simulate_sweep``, so indices never collide across uses.
-    """
-    if not 0 <= seed < _SEED_MAX:
-        raise ConfigurationError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-    if trial_index < 0:
-        raise ValueError(f"trial_index must be >= 0, got {trial_index}")
-    counter = (1 << 255) | (trial_index << 128)
-    return Generator(Philox(key=seed, counter=counter))
 
 
 def _chunk_stream(seed: int, chunk_index: int) -> Generator:
@@ -181,6 +168,17 @@ def _sweep_plan(points):
     return list(groups.values())
 
 
+def _fold_chunks(run_chunk, tc: TrialConfig, fold):
+    """``fold`` over ``run_chunk(chunk_index, count)`` of every chunk, in
+    chunk order, with the chunks run on ``tc.workers`` threads."""
+    indices = range((tc.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS)
+    counts = [min(CHUNK_TRIALS, tc.trials - c * CHUNK_TRIALS) for c in indices]
+    if tc.workers == 1 or len(indices) == 1:
+        return fold(map(run_chunk, indices, counts))
+    with ThreadPoolExecutor(max_workers=tc.workers) as pool:
+        return fold(pool.map(run_chunk, indices, counts))
+
+
 def _merge_parts(parts, n_points: int):
     """Fold per-chunk outputs, in chunk order, into per-point statistics
     and each point's first bad trial (None while all rates are finite)."""
@@ -248,12 +246,10 @@ def simulate_sweep(points: Sequence[SweepPoint], tc: TrialConfig) -> list[AsrRes
             )
     a = np.asarray(first.cfg.a, dtype=np.float64)
     plan = _sweep_plan(points)
-    n_chunks = (tc.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
 
-    def run_chunk(chunk_index: int):
+    def run_chunk(chunk_index: int, count: int):
         """Per-point chunk statistics, or the first bad trial of a point."""
         start = chunk_index * CHUNK_TRIALS
-        count = min(CHUNK_TRIALS, tc.trials - start)
         h = _sample_rho_chunk(first.fading, M, tc.seed, chunk_index, count)
         out: list = [None] * len(points)
         for factors, kernels in plan:
@@ -271,11 +267,7 @@ def simulate_sweep(points: Sequence[SweepPoint], tc: TrialConfig) -> list[AsrRes
                         out[i] = part
         return out
 
-    if tc.workers == 1 or n_chunks == 1:
-        stats, bad_trial = _merge_parts(map(run_chunk, range(n_chunks)), len(points))
-    else:
-        with ThreadPoolExecutor(max_workers=tc.workers) as pool:
-            stats, bad_trial = _merge_parts(pool.map(run_chunk, range(n_chunks)), len(points))
+    stats, bad_trial = _fold_chunks(run_chunk, tc, lambda parts: _merge_parts(parts, len(points)))
     for i, trial in enumerate(bad_trial):
         if trial is not None:
             raise SweepPointError(i, f"non-finite rate in trial {trial}", trial)
@@ -296,3 +288,26 @@ def simulate_asr(
     """
     return simulate_sweep([SweepPoint(cfg, fading, imp, prefactor)], tc)[0]
 
+
+def sample_moments(fading: FadingParams, tc: TrialConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Sampled first and second moments of the ordered effective gains.
+
+    Returns ``(mean, stderr)``, each (2, M): row 0 is rho_i, row 1 is
+    rho_i^2, for order positions i = 1..M.  The gains are the engine's
+    chunks (same streams as ``simulate_sweep``), scaled by path loss, and
+    their statistics merge in chunk order, so the result is bit-identical
+    at any worker count.
+    """
+    M = fading.n_users
+    factors = fading.path_loss_factors()
+
+    def run_chunk(chunk_index: int, count: int):
+        h = _sample_rho_chunk(fading, M, tc.seed, chunk_index, count)
+        x = np.empty((count, 2 * M), order="F")
+        np.multiply(h, factors, out=x[:, :M])
+        np.square(x[:, :M], out=x[:, M:])
+        return _chunk_stats(x)
+
+    n, mean, m2, _, _ = _fold_chunks(run_chunk, tc, lambda parts: reduce(_merge_stats, parts))
+    stderr = np.sqrt(m2 / (n * max(n - 1, 1)))
+    return mean.reshape(2, M), stderr.reshape(2, M)

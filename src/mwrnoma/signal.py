@@ -11,8 +11,10 @@ Decoding at user k proceeds from the weakest user upward; while decoding
 user n the still-undecoded superposed users n+1..M-1 remain as co-channel
 interference (the strongest user's own contribution is removed by the
 successive cancellation chain).  ``sinr_instantaneous`` evaluates the
-resulting SINR for one channel realization; the five denominator
-aggregates are exposed for inspection via ``sinr_terms``.
+resulting SINR for one channel realization, given as the vector of the M
+effective gains sorted ascending; the five denominator aggregates are
+exposed for inspection via ``sinr_terms``.  These two are the scalar
+reference that the vectorised pair-rate kernel is tested against.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization
 from .errors import ConfigurationError
 
 __all__ = [
@@ -137,23 +138,32 @@ class SinrTerms:
         return self.theta1 + self.theta2 + self.theta3 + self.theta4 + self.theta5
 
 
-def _check_pair(n_users: int, k: int, n: int) -> None:
+def _check_inputs(rho, n_users: int, k: int, n: int) -> np.ndarray:
+    """The gains as a float array, after checking them and the pair indices."""
     if not 1 <= k <= n_users:
         raise ValueError(f"decoder index k={k} out of range 1..{n_users}")
     if not 1 <= n <= n_users:
         raise ValueError(f"decoded index n={n} out of range 1..{n_users}")
+    rho = np.asarray(rho, dtype=np.float64)
+    if not np.all(np.isfinite(rho)) or np.any(rho < 0):
+        raise ConfigurationError("channel gains must be finite and >= 0")
+    if np.any(np.diff(rho) < 0):
+        raise ConfigurationError("channel gains must be nondecreasing")
+    return rho
 
 
 def sinr_terms(
-    realization: ChannelRealization,
+    rho,
     cfg: NetworkConfig,
     imp: ImpairmentProfile,
     k: int,
     n: int,
 ) -> SinrTerms:
-    """Assemble the SINR denominator for decoder k decoding user n (n < k)."""
-    _check_pair(cfg.n_users, k, n)
-    rho = realization.rho
+    """Assemble the SINR denominator for decoder k decoding user n (n < k).
+
+    rho: the M effective channel gains, sorted ascending.
+    """
+    rho = _check_inputs(rho, cfg.n_users, k, n)
     a = np.asarray(cfg.a)
     r1, r2 = cfg.r1, cfg.r2
     kut2, kur2 = imp.kappa_ut**2, imp.kappa_ur**2
@@ -174,7 +184,7 @@ def sinr_terms(
 
 
 def sinr_instantaneous(
-    realization: ChannelRealization,
+    rho,
     cfg: NetworkConfig,
     imp: ImpairmentProfile,
     k: int,
@@ -182,12 +192,12 @@ def sinr_instantaneous(
 ) -> float:
     """Instantaneous SINR at decoder k for user n's signal.
 
-    Zero when n >= k: the successive decoding order forbids decoding a
-    stronger (or own) position before it has been reached.
+    rho: the M effective channel gains, sorted ascending.  Zero when
+    n >= k: the successive decoding order forbids decoding a stronger (or
+    own) position before it has been reached.
     """
-    _check_pair(cfg.n_users, k, n)
+    rho = _check_inputs(rho, cfg.n_users, k, n)
     if n >= k:
         return 0.0
-    rho = realization.rho
     numerator = float(rho[k - 1]) * float(rho[n - 1]) * cfg.a[n - 1] * cfg.r1 * cfg.r2
-    return numerator / sinr_terms(realization, cfg, imp, k, n).total
+    return numerator / sinr_terms(rho, cfg, imp, k, n).total

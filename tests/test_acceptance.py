@@ -23,14 +23,11 @@ from mwrnoma import (
     asr,
     asr_asymptotic,
     asr_oma,
-    derive_trial_stream,
-    gamma_variates,
     high_snr_offset,
     high_snr_slope,
     moment_oracle,
-    omega_moment,
     order_stat_moments,
-    psi_moment,
+    sample_moments,
     simulate_asr,
     sweep_grid,
 )
@@ -65,18 +62,14 @@ def test_criterion_1_moment_correctness():
     for alpha, beta in ((1, 1.0), (2, 3.0), (3, 2.0)):
         for n_users in (2, 3, 5):
             fading = FadingParams(alpha=alpha, beta=beta, nu=3.0, distances=(1.0,) * n_users)
-            gen = derive_trial_stream(SEED, 0)
-            h = gamma_variates(alpha, beta, (1_000_000, n_users), gen)
-            h.sort(axis=1)
-            rho = h * fading.path_loss_factors()
+            moments = order_stat_moments(fading, n_users)
+            mean, stderr = sample_moments(fading, TrialConfig(trials=1_000_000, seed=SEED))
             for i in range(1, n_users + 1):
-                for moment_order, closed_fn in ((1, psi_moment), (2, omega_moment)):
-                    closed = closed_fn(fading, n_users, i)
-                    quad = moment_oracle(fading, n_users, i, moment_order)
+                for row, closed in enumerate((moments.psi[i - 1], moments.omega[i - 1])):
+                    quad = moment_oracle(fading, n_users, i, row + 1)
                     worst_rel = max(worst_rel, abs(closed - quad) / quad)
-                    col = rho[:, i - 1] ** moment_order
-                    se = col.std(ddof=1) / math.sqrt(col.size)
-                    worst_z = max(worst_z, abs(col.mean() - closed) / se)
+                    z = abs(mean[row, i - 1] - closed) / stderr[row, i - 1]
+                    worst_z = max(worst_z, z)
     report(
         1,
         "moments match quadrature to 1e-3 and 1e6-sample MC within 3 se",

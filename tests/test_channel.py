@@ -8,46 +8,58 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mwrnoma import (
-    ChannelRealization,
     ConfigurationError,
     FadingParams,
+    ImpairmentProfile,
+    NetworkConfig,
     NumericError,
     UnsupportedParameterError,
-    derive_trial_stream,
     gamma_variates,
     moment_oracle,
-    omega_moment,
     order_stat_moments,
-    psi_moment,
-    sample_channel_gains,
+    sinr_terms,
 )
 from mwrnoma.channel import _unscaled_moment, order_stat_moment_rows
+from mwrnoma.montecarlo import _sample_rho_chunk
 
 
 def params(alpha=1, beta=1.0, nu=2.0, d=0.0, n_users=1):
     return FadingParams(alpha=alpha, beta=beta, nu=nu, distances=(d,) * n_users)
 
 
+def psi(p, n_users, i):
+    return order_stat_moments(p, n_users).psi[i - 1]
+
+
+def omega(p, n_users, i):
+    return order_stat_moments(p, n_users).omega[i - 1]
+
+
+def stream(seed):
+    """The Monte Carlo engine's chunk-0 stream for this seed."""
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
 class TestClosedFormTrivial:
     def test_single_exponential_mean(self):
         # M=1: plain Exp(1) mean
-        assert psi_moment(params(), 1, 1) == pytest.approx(1.0, abs=1e-12)
+        assert psi(params(), 1, 1) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_exponential_second_moment(self):
-        assert omega_moment(params(), 1, 1) == pytest.approx(2.0, abs=1e-12)
+        assert omega(params(), 1, 1) == pytest.approx(2.0, abs=1e-12)
 
     def test_max_of_two_exponentials(self):
         p = params(n_users=2)
-        assert psi_moment(p, 2, 2) == pytest.approx(1.5, abs=1e-12)
-        assert omega_moment(p, 2, 2) == pytest.approx(3.5, abs=1e-12)
+        assert psi(p, 2, 2) == pytest.approx(1.5, abs=1e-12)
+        assert omega(p, 2, 2) == pytest.approx(3.5, abs=1e-12)
 
     def test_path_loss_scaling(self):
         # d=1, nu=3 divides the mean by 2 and the second moment by 4
         p = params(alpha=2, beta=3.0, nu=3.0, d=1.0, n_users=3)
         # exact rationals: unscaled means are 3*(26/27, 197/108, 347/108)
-        assert psi_moment(p, 3, 1) == pytest.approx(26 / 27 * 3 / 2, rel=1e-12)
-        assert psi_moment(p, 3, 2) == pytest.approx(197 / 108 * 3 / 2, rel=1e-12)
-        assert omega_moment(p, 3, 3) == pytest.approx(4069 / 324 * 9 / 4, rel=1e-12)
+        assert psi(p, 3, 1) == pytest.approx(26 / 27 * 3 / 2, rel=1e-12)
+        assert psi(p, 3, 2) == pytest.approx(197 / 108 * 3 / 2, rel=1e-12)
+        assert omega(p, 3, 3) == pytest.approx(4069 / 324 * 9 / 4, rel=1e-12)
 
     def test_rows_equal_scalar_formula(self):
         # float(q) beta^p / (1 + d^nu)^p with Python's float pow, per entry:
@@ -87,10 +99,10 @@ class TestOracleAgreement:
     def test_closed_form_matches_quadrature(self, alpha, beta, n_users):
         p = params(alpha=alpha, beta=beta, nu=3.0, d=1.0, n_users=n_users)
         for i in range(1, n_users + 1):
-            assert psi_moment(p, n_users, i) == pytest.approx(
+            assert psi(p, n_users, i) == pytest.approx(
                 moment_oracle(p, n_users, i, 1), rel=1e-6
             )
-            assert omega_moment(p, n_users, i) == pytest.approx(
+            assert omega(p, n_users, i) == pytest.approx(
                 moment_oracle(p, n_users, i, 2), rel=1e-6
             )
 
@@ -102,7 +114,7 @@ class TestOracleAgreement:
         # alpha=2, beta=3, M=5, middle position, first moment
         p = params(alpha=2, beta=3.0, n_users=5)
         target = moment_oracle(p, 5, 3, 1)
-        gen = derive_trial_stream(2024, 0)
+        gen = stream(2024)
         total, sq_total, n = 0.0, 0.0, 0
         for _ in range(10):
             h = gamma_variates(2, 3.0, (1_000_000, 5), gen)
@@ -133,20 +145,20 @@ class TestInvariants:
     def test_sum_identity_exact_cases(self):
         for alpha, beta, n_users in [(2, 3.0, 4), (3, 2.0, 5), (1, 1.0, 3)]:
             p = params(alpha=alpha, beta=beta, n_users=n_users)
-            total = sum(psi_moment(p, n_users, i) for i in range(1, n_users + 1))
+            total = sum(psi(p, n_users, i) for i in range(1, n_users + 1))
             assert total == pytest.approx(n_users * alpha * beta, rel=1e-12)
 
 
 class TestSampling:
     def test_exponential_identity(self):
-        gen = derive_trial_stream(7, 0)
+        gen = stream(7)
         draws = gamma_variates(1, 1.0, 1_000_000, gen)
         assert draws.mean() == pytest.approx(1.0, abs=0.01)
 
     def test_smallest_gain_mean_matches_moment(self):
         p = params(alpha=2, beta=3.0, nu=3.0, d=1.0, n_users=3)
-        target = psi_moment(p, 3, 1)
-        gen = derive_trial_stream(11, 0)
+        target = psi(p, 3, 1)
+        gen = stream(11)
         h = gamma_variates(2, 3.0, (200_000, 3), gen)
         h.sort(axis=1)
         rho1 = h[:, 0] / 2.0
@@ -163,21 +175,25 @@ class TestSampling:
         assert np.array_equal(h, -3.0 * np.log1p(-u).sum(axis=-1))
 
     def test_sorted_and_scaled(self):
+        # the engine's gains: sorted per trial before the path loss scales
+        # each order position
         p = FadingParams(alpha=2, beta=1.0, nu=2.0, distances=(3.0, 2.0, 1.0))
-        real = sample_channel_gains(p, 3, derive_trial_stream(1, 0))
-        assert real.rho.shape == (3,)
-        assert np.all(real.rho >= 0)
+        h = _sample_rho_chunk(p, 3, seed=1, chunk_index=0, count=1000)
+        assert h.shape == (1000, 3)
+        assert np.all(h >= 0) and np.all(np.diff(h, axis=1) >= 0)
+        rho = h * p.path_loss_factors()
+        np.testing.assert_allclose(rho, h / [10.0, 5.0, 2.0], rtol=1e-15)
 
     def test_determinism(self):
         p = params(alpha=2, beta=3.0, n_users=4)
-        a = sample_channel_gains(p, 4, derive_trial_stream(42, 5))
-        b = sample_channel_gains(p, 4, derive_trial_stream(42, 5))
-        assert np.array_equal(a.rho, b.rho)
+        a = _sample_rho_chunk(p, 4, seed=42, chunk_index=5, count=100)
+        b = _sample_rho_chunk(p, 4, seed=42, chunk_index=5, count=100)
+        assert np.array_equal(a, b)
 
     def test_sample_convergence_to_moments(self):
         p = params(alpha=2, beta=3.0, n_users=3)
         moments = order_stat_moments(p, 3)
-        gen = derive_trial_stream(3, 0)
+        gen = stream(3)
         h = gamma_variates(2, 3.0, (1_000_000, 3), gen)
         h.sort(axis=1)
         for i in range(3):
@@ -199,17 +215,13 @@ class TestValidation:
 
     def test_bad_index(self):
         with pytest.raises(ValueError):
-            psi_moment(params(n_users=3), 3, 4)
+            moment_oracle(params(n_users=3), 3, 4, 1)
         with pytest.raises(ValueError):
-            psi_moment(params(n_users=3), 3, 0)
+            moment_oracle(params(n_users=3), 3, 0, 1)
 
     def test_user_count_mismatch(self):
         with pytest.raises(ConfigurationError):
-            psi_moment(params(n_users=3), 2, 1)
-
-    def test_sampling_needs_two_users(self):
-        with pytest.raises(ConfigurationError):
-            sample_channel_gains(params(n_users=1), 1, derive_trial_stream(0, 0))
+            order_stat_moments(params(n_users=3), 2)
 
     def test_bad_fading_values(self):
         with pytest.raises(ConfigurationError):
@@ -220,10 +232,11 @@ class TestValidation:
             FadingParams(alpha=1, beta=1.0, nu=2.0, distances=(-1.0,))
 
     def test_realization_must_be_sorted(self):
-        with pytest.raises(ConfigurationError):
-            ChannelRealization(rho=np.array([2.0, 1.0]))
-        with pytest.raises(ConfigurationError):
-            ChannelRealization(rho=np.array([-1.0, 1.0]))
+        # the scalar SINR oracle takes the sorted gain vector and checks it
+        cfg = NetworkConfig(n_users=2, a=(0.8, 0.2), r1=10.0)
+        for rho in ([2.0, 1.0], [-1.0, 1.0], [np.nan, 1.0], [1.0, np.inf]):
+            with pytest.raises(ConfigurationError):
+                sinr_terms(np.array(rho), cfg, ImpairmentProfile.ideal(), 2, 1)
 
     def test_bad_moment_order(self):
         with pytest.raises(ValueError):

@@ -113,6 +113,29 @@ class TestSpecLoading:
         err = capsys.readouterr().err
         assert err == f"error: config: network.{key}: must be finite and > 0, got 0.0\n"
 
+    @pytest.mark.parametrize(
+        "preset, config, message",
+        [
+            ("fig4a", {"geometry": {"users": [[0]]}},
+             "geometry.users: expected a list of [x, y] pairs, got [[0]]"),
+            ("fig4a", {"geometry": {"users": "ab"}},
+             "geometry.users: expected a list of [x, y] pairs, got 'ab'"),
+            ("fig2b", {"impairments": {"variants": []}},
+             "impairments.variants: expected a non-empty mapping, got []"),
+            ("fig2a", {"network": {"n_users": 2.5}},
+             "network.n_users: expected an integer, got 2.5"),
+            ("fig2a", {"network": {"a": "xy"}},
+             "network.a: expected a list of numbers, got 'xy'"),
+        ],
+    )
+    def test_config_value_named(self, tmp_path, capsys, preset, config, message):
+        path = write_config(tmp_path, config)
+        out = tmp_path / "out.csv"
+        argv = ["run", "--preset", preset, "--config", str(path), "--output", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: config: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", [("beta", [1]), ("nu", "x")])
     def test_fading_scalar_named(self, tmp_path, capsys, key, value):
         path = write_config(tmp_path, {"fading": {key: value}})
@@ -251,20 +274,26 @@ class TestPlacementSweep:
             load_spec(config_path=write_config(tmp_path, config))
 
 
+def moments_config(tmp_path, name="moments.csv"):
+    return {
+        "network": {"n_users": 3, "a": [0.5, 0.3, 0.2]},
+        "fading": {"alpha": 2, "beta": 3.0, "nu": 3.0, "distances": [1.0] * 3},
+        "trials": {"trials": 50_000, "seed": 5},
+        "experiment": {"kind": "moments-check", "output": str(tmp_path / name)},
+    }
+
+
 class TestMomentsCheck:
-    def test_table_and_tolerances(self, tmp_path):
-        config = {
-            "network": {"n_users": 3, "a": [0.5, 0.3, 0.2]},
-            "fading": {"alpha": 2, "beta": 3.0, "nu": 3.0, "distances": [1.0] * 3},
-            "trials": {"trials": 1, "seed": 5},
-            "experiment": {
-                "kind": "moments-check",
-                "mc_samples": 50_000,
-                "output": str(tmp_path / "moments.csv"),
-            },
-        }
-        spec = load_spec(config_path=write_config(tmp_path, config))
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_table_and_tolerances(self, tmp_path, monkeypatch, workers):
+        reference = moments_config(tmp_path, "reference.csv")
+        run(load_spec(config_path=write_config(tmp_path, reference, "reference.json")))
+        monkeypatch.setenv("MWRNOMA_WORKERS", str(workers))
+        spec = load_spec(config_path=write_config(tmp_path, moments_config(tmp_path)))
+        assert spec.trials.workers == workers
         run(spec)
+        # the samples are the engine's chunks, merged in chunk order
+        assert spec.output.read_bytes() == (tmp_path / "reference.csv").read_bytes()
         rows = read_rows(spec.output)
         assert list(rows[0].keys()) == MOMENTS_HEADER
         assert len(rows) == 3
@@ -273,6 +302,27 @@ class TestMomentsCheck:
             assert abs(closed - quad) / quad < 1e-3
             mc, se = float(row["psi_mc"]), float(row["psi_mc_stderr"])
             assert abs(mc - closed) < 4 * se
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (
+                {"experiment": {"mc_samples": 50_000}},
+                "experiment.mc_samples: removed; the moments check draws trials.trials samples",
+            ),
+            ({"trials": None}, "trials: required by the mc engine and by moments-check"),
+        ],
+    )
+    def test_sample_count_comes_from_trials(self, tmp_path, capsys, change, message):
+        config = moments_config(tmp_path)
+        for section, value in change.items():
+            if value is None:
+                del config[section]
+            else:
+                config[section].update(value)
+        assert main(["run", "--config", str(write_config(tmp_path, config))]) == 2
+        assert capsys.readouterr().err == f"error: config: {message}\n"
+        assert not (tmp_path / "moments.csv").exists()
 
 
 class TestMain:

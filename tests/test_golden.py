@@ -24,8 +24,8 @@ MC_ARGS = ["--trials", "16384", "--seed", str(DEFAULT_SEED)]
 MOMENTS_CONFIG = {
     "network": {"n_users": 4, "a": [0.5, 0.3, 0.15, 0.05]},
     "fading": {"alpha": 2, "beta": 3.0, "nu": 3.0, "distances": [1.0] * 4},
-    "trials": {"trials": 1, "seed": DEFAULT_SEED},
-    "experiment": {"kind": "moments-check", "mc_samples": 200_000},
+    "trials": {"trials": 200_000, "seed": DEFAULT_SEED},
+    "experiment": {"kind": "moments-check"},
 }
 
 # the perfbench mc_point_m8 workload, both engines

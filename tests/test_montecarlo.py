@@ -14,11 +14,11 @@ from mwrnoma import (
     NetworkConfig,
     TrialConfig,
     asr,
-    derive_trial_stream,
     order_stat_moments,
     NumericError,
     SweepPoint,
     pair_indices,
+    sample_moments,
     simulate_asr,
     simulate_sweep,
 )
@@ -28,6 +28,7 @@ from mwrnoma.errors import SweepPointError
 from mwrnoma.montecarlo import (
     CHUNK_TRIALS,
     _chunk_stats,
+    _chunk_stream,
     _merge_stats,
     _sample_rho_chunk,
 )
@@ -38,27 +39,19 @@ CFG3 = NetworkConfig(n_users=3, a=(0.5, 0.3, 0.2), r1=1000.0)
 
 class TestStreams:
     def test_same_index_same_stream(self):
-        a = derive_trial_stream(99, 0).random(16)
-        b = derive_trial_stream(99, 0).random(16)
+        a = _chunk_stream(99, 0).random(16)
+        b = _chunk_stream(99, 0).random(16)
         assert np.array_equal(a, b)
 
     def test_distinct_indices_distinct_streams(self):
-        a = derive_trial_stream(99, 0).random(8)
-        b = derive_trial_stream(99, 1).random(8)
+        a = _chunk_stream(99, 0).random(8)
+        b = _chunk_stream(99, 1).random(8)
         assert not np.array_equal(a, b)
 
     def test_first_draw_uniformity(self):
-        firsts = np.array([derive_trial_stream(5, t).random() for t in range(10_000)])
+        firsts = np.array([_chunk_stream(5, c).random() for c in range(10_000)])
         counts, _ = np.histogram(firsts, bins=20, range=(0.0, 1.0))
         assert sstats.chisquare(counts).pvalue > 0.01
-
-    def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            derive_trial_stream(1, -1)
-        with pytest.raises(ConfigurationError):
-            derive_trial_stream(-1, 0)
-        with pytest.raises(ConfigurationError):
-            derive_trial_stream(2**64, 0)
 
     def test_chunk_prefix_property(self):
         # shorter chunks reproduce the same leading trials
@@ -168,6 +161,8 @@ class TestInterfaces:
             TrialConfig(trials=0, seed=1)
         with pytest.raises(ConfigurationError):
             TrialConfig(trials=10, seed=-1)
+        with pytest.raises(ConfigurationError):
+            TrialConfig(trials=10, seed=2**64)
         with pytest.raises(ConfigurationError):
             TrialConfig(trials=10, seed=1, workers=0)
 
@@ -364,3 +359,22 @@ class TestSweepErrors:
             simulate_sweep(points, TrialConfig(10, seed=2))
         assert (info.value.point, info.value.trial) == (1, None)
         assert str(info.value) == "path loss 1 + d^nu overflows at i=1, d=30, nu=400"
+
+
+class TestSampleMoments:
+    def test_matches_pooled_sample_at_any_worker_count(self):
+        fading = replace(FADING4, distances=(3.0, 2.0, 1.5, 1.0))
+        trials = 2 * CHUNK_TRIALS + 123
+        mean, stderr = sample_moments(fading, TrialConfig(trials, seed=8))
+        assert mean.shape == stderr.shape == (2, 4)
+        for workers in (2, 3):
+            got = sample_moments(fading, TrialConfig(trials, seed=8, workers=workers))
+            assert np.array_equal(got[0], mean) and np.array_equal(got[1], stderr)
+        # the same trials pooled in one array, reduced by numpy directly
+        rho = np.concatenate([
+            _sample_rho_chunk(fading, 4, 8, c, min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS))
+            for c in range(3)
+        ]) * fading.path_loss_factors()
+        x = np.stack([rho, rho**2])
+        np.testing.assert_allclose(mean, x.mean(axis=1), rtol=1e-12)
+        np.testing.assert_allclose(stderr, x.std(axis=1, ddof=1) / math.sqrt(trials), rtol=1e-10)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mwrnoma import (
-    ChannelRealization,
     ConfigurationError,
     ImpairmentProfile,
     NetworkConfig,
@@ -16,7 +15,7 @@ from mwrnoma import (
 
 
 def realization(*rho):
-    return ChannelRealization(rho=np.array(rho, dtype=float))
+    return np.array(rho, dtype=float)
 
 
 def config(n_users, a, r1, c=1.0):
