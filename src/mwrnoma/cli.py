@@ -188,7 +188,7 @@ def _snr_linear(db: float) -> float:
 def _parse_impairments(raw: dict | None) -> tuple[tuple[str, ImpairmentProfile], ...]:
     if raw is None:
         return (("ideal", ImpairmentProfile.ideal()),)
-    if "variants" in raw:
+    if isinstance(raw, dict) and "variants" in raw:
         variants = raw["variants"]
         if not isinstance(variants, dict) or not variants:
             raise ConfigurationError(
@@ -203,6 +203,8 @@ def _parse_impairments(raw: dict | None) -> tuple[tuple[str, ImpairmentProfile],
 
 
 def _profile_from(section: dict, where: str) -> ImpairmentProfile:
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"{where}: expected a mapping, got {section!r}")
     try:
         return ImpairmentProfile(
             kappa_ut=float(section.get("kappa_ut", 0.0)),

@@ -122,6 +122,9 @@ class TestSpecLoading:
              "geometry.users: expected a list of [x, y] pairs, got 'ab'"),
             ("fig2b", {"impairments": {"variants": []}},
              "impairments.variants: expected a non-empty mapping, got []"),
+            ("fig2b", {"impairments": {"variants": {"rhi": 0.2}}},
+             "impairments.variants.rhi: expected a mapping, got 0.2"),
+            ("fig2a", {"impairments": 0.2}, "impairments: expected a mapping, got 0.2"),
             ("fig2a", {"network": {"n_users": 2.5}},
              "network.n_users: expected an integer, got 2.5"),
             ("fig2a", {"network": {"a": "xy"}},
@@ -286,6 +289,7 @@ def moments_config(tmp_path, name="moments.csv"):
 class TestMomentsCheck:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_table_and_tolerances(self, tmp_path, monkeypatch, workers):
+        monkeypatch.delenv("MWRNOMA_WORKERS", raising=False)
         reference = moments_config(tmp_path, "reference.csv")
         run(load_spec(config_path=write_config(tmp_path, reference, "reference.json")))
         monkeypatch.setenv("MWRNOMA_WORKERS", str(workers))
@@ -303,25 +307,19 @@ class TestMomentsCheck:
             mc, se = float(row["psi_mc"]), float(row["psi_mc_stderr"])
             assert abs(mc - closed) < 4 * se
 
-    @pytest.mark.parametrize(
-        "change, message",
-        [
-            (
-                {"experiment": {"mc_samples": 50_000}},
-                "experiment.mc_samples: removed; the moments check draws trials.trials samples",
-            ),
-            ({"trials": None}, "trials: required by the mc engine and by moments-check"),
-        ],
-    )
-    def test_sample_count_comes_from_trials(self, tmp_path, capsys, change, message):
+    def test_sample_count_comes_from_trials(self, tmp_path, capsys):
         config = moments_config(tmp_path)
-        for section, value in change.items():
-            if value is None:
-                del config[section]
-            else:
-                config[section].update(value)
+        config["experiment"]["mc_samples"] = 50_000
         assert main(["run", "--config", str(write_config(tmp_path, config))]) == 2
-        assert capsys.readouterr().err == f"error: config: {message}\n"
+        assert capsys.readouterr().err == (
+            "error: config: experiment.mc_samples: removed; "
+            "the moments check draws trials.trials samples\n"
+        )
+        del config["experiment"]["mc_samples"], config["trials"]
+        assert main(["run", "--config", str(write_config(tmp_path, config))]) == 2
+        assert capsys.readouterr().err == (
+            "error: config: trials: required by the mc engine and by moments-check\n"
+        )
         assert not (tmp_path / "moments.csv").exists()
 
 
