@@ -8,8 +8,11 @@ overflow), and the high-SNR limit is the same formula at 1/r1 = 1/r2 = 0.
 Every operation is row-local, so a row gets the same bits alone, in a
 placement batch or in a Monte Carlo chunk.  The gains may come in either
 memory order; they are held column-major (a C-ordered placement batch is
-copied once), so each step runs one contiguous loop over all rows, and
-the rates come out column-major too.
+copied once), so each step runs one contiguous loop over all rows.
+``pair_rate_columns`` finishes one pair's rate column at a time in a
+caller-given buffer, so a Monte Carlo chunk reduces each column while it
+is in cache and never holds all its pair rates at once;
+``pair_rate_chunk`` collects the columns for the closed form.
 """
 
 import numpy as np
@@ -34,21 +37,22 @@ def weighted_sums(rho, a):
     return suffix[:, 0] + a[-1] * rho[:, -1], suffix
 
 
-def pair_rate_chunk(rho, a, inv_r1, inv_r2, kut2, kur2, krt2, krr2, *, aggregates=None):
-    """Rates 1/2 log2(1 + SINR) for every decodable pair of every row.
+def pair_rate_columns(rho, a, inv_r1, inv_r2, kut2, kur2, krt2, krr2, *, out, aggregates=None):
+    """Yield the rate 1/2 log2(1 + SINR) of each decodable pair, one
+    finished column at a time, in (k, then n) pair order.
 
     rho: (rows, M) sorted ascending effective gains (sampled gains, or
     order-statistic means, one row per operating point or placement site).
-    inv_r1, inv_r2: reciprocal user and relay SNR.  aggregates:
-    ``weighted_sums(rho, a)``, computed here when the caller does not
-    share it.  Returns (rows, M*(M-1)/2) in (k, then n) pair order,
-    1/2-prefactored.  A pair with an empty denominator (only at 1/r1 = 0
-    without distortion) is +inf; callers that allow it silence the
-    division warning.
+    inv_r1, inv_r2: reciprocal user and relay SNR.  out: a (rows,) buffer
+    that every yielded column overwrites, so a column is valid only until
+    the next one is drawn.  aggregates: ``weighted_sums(rho, a)``, computed
+    here when the caller does not share it.  A pair with an empty
+    denominator (only at 1/r1 = 0 without distortion) is +inf; callers that
+    allow it silence the division warning.
     """
     rho = np.asfortranarray(rho, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
-    n_rows, M = rho.shape
+    M = rho.shape[1]
     weighted, suffix = weighted_sums(rho, a) if aggregates is None else aggregates
     mac = 1.0 + kut2 + krr2
     mix = (kut2 + krr2) + (krt2 + kur2) * mac
@@ -59,21 +63,28 @@ def pair_rate_chunk(rho, a, inv_r1, inv_r2, kut2, kur2, krt2, krr2, *, aggregate
     # left after n, distortion, and the broadcast-hop noise term)
     inner = suffix + (mix * weighted + bc * inv_r1)[:, None]
 
-    out = np.empty((n_rows, M * (M - 1) // 2), order="F")
-    num = np.empty(n_rows)
-    p = 0
+    num = np.empty_like(out)
     for k in range(2, M + 1):
         rho_k = rho[:, k - 1]
         for n in range(1, k):
-            den = out[:, p]
-            np.multiply(rho_k, inner[:, n], out=den)
-            den += noise_fwd
+            np.multiply(rho_k, inner[:, n], out=out)
+            out += noise_fwd
             np.multiply(rho_k, rho[:, n - 1], out=num)
             num *= a[n - 1]
-            np.divide(num, den, out=den)
-            p += 1
-    # every column now holds its SINR
-    out += 1.0
-    np.log2(out, out=out)
-    out *= 0.5
-    return out
+            np.divide(num, out, out=out)
+            out += 1.0
+            np.log2(out, out=out)
+            out *= 0.5
+            yield out
+
+
+def pair_rate_chunk(rho, a, *args, aggregates=None):
+    """Rates of every decodable pair of every row: ``pair_rate_columns``
+    collected into a (rows, M*(M-1)/2) column-major array, in (k, then n)
+    pair order, 1/2-prefactored."""
+    n_rows, M = np.shape(rho)
+    rates = np.empty((n_rows, M * (M - 1) // 2), order="F")
+    columns = pair_rate_columns(rho, a, *args, out=np.empty(n_rows), aggregates=aggregates)
+    for p, column in enumerate(columns):
+        rates[:, p] = column
+    return rates

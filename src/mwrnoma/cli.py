@@ -135,40 +135,52 @@ def _need(section: dict, key: str, where: str):
     return section[key]
 
 
+def _section(value, where: str) -> dict:
+    if isinstance(value, dict):
+        return value
+    raise ConfigurationError(f"{where}: expected a mapping, got {value!r}")
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _as_scalar(value, where: str) -> float:
     if _is_number(value):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            pass
     raise ConfigurationError(f"{where}: expected a single number, got {value!r}")
 
 
 def _as_count(value, where: str) -> int:
-    number = _as_scalar(value, where)
-    if not number.is_integer():
+    """An integral number, kept exact (a 64-bit seed does not pass through float)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if not _as_scalar(value, where).is_integer():
         raise ConfigurationError(f"{where}: expected an integer, got {value!r}")
-    return int(number)
+    return int(value)
 
 
 def _as_numbers(value, where: str) -> tuple[float, ...]:
     if isinstance(value, list) and all(map(_is_number, value)):
-        return tuple(float(v) for v in value)
+        return tuple(_as_scalar(v, where) for v in value)
     raise ConfigurationError(f"{where}: expected a list of numbers, got {value!r}")
 
 
 def _as_grid(value, where: str) -> tuple[float, ...]:
     if isinstance(value, dict):
-        start = float(_need(value, "start", where))
-        stop = float(_need(value, "stop", where))
-        step = float(_need(value, "step", where))
+        start, stop, step = (
+            _as_scalar(_need(value, key, where), f"{where}.{key}")
+            for key in ("start", "stop", "step")
+        )
         if step <= 0 or stop < start:
             raise ConfigurationError(f"{where}: need step > 0 and stop >= start")
         n = int(math.floor((stop - start) / step + 1e-9)) + 1
         return tuple(start + step * i for i in range(n))
-    if isinstance(value, (list, tuple)) and value:
-        return tuple(float(v) for v in value)
+    if isinstance(value, list) and value:
+        return _as_numbers(value, where)
     raise ConfigurationError(f"{where}: expected a list or start/stop/step mapping")
 
 
@@ -202,22 +214,20 @@ def _parse_impairments(raw: dict | None) -> tuple[tuple[str, ImpairmentProfile],
     return ((("ideal" if profile.is_ideal else "nonideal"), profile),)
 
 
-def _profile_from(section: dict, where: str) -> ImpairmentProfile:
-    if not isinstance(section, dict):
-        raise ConfigurationError(f"{where}: expected a mapping, got {section!r}")
+def _profile_from(section, where: str) -> ImpairmentProfile:
+    section = _section(section, where)
+    levels = {
+        key: _as_scalar(section.get(key, 0.0), f"{where}.{key}")
+        for key in ("kappa_ut", "kappa_ur", "kappa_rt", "kappa_rr")
+    }
     try:
-        return ImpairmentProfile(
-            kappa_ut=float(section.get("kappa_ut", 0.0)),
-            kappa_ur=float(section.get("kappa_ur", 0.0)),
-            kappa_rt=float(section.get("kappa_rt", 0.0)),
-            kappa_rr=float(section.get("kappa_rr", 0.0)),
-        )
-    except (TypeError, ValueError) as exc:
+        return ImpairmentProfile(**levels)
+    except ConfigurationError as exc:
         raise ConfigurationError(f"{where}: {exc}") from exc
 
 
 def _spec_from_config(config: dict) -> ExperimentSpec:
-    exp = _need(config, "experiment", "config")
+    exp = _section(_need(config, "experiment", "config"), "experiment")
     kind = str(_need(exp, "kind", "experiment"))
     if kind not in KINDS:
         raise ConfigurationError(f"experiment.kind: unknown kind {kind!r}")
@@ -227,20 +237,20 @@ def _spec_from_config(config: dict) -> ExperimentSpec:
             "experiment.mc_samples: removed; the moments check draws trials.trials samples"
         )
 
-    net = _need(config, "network", "config")
+    net = _section(_need(config, "network", "config"), "network")
     n_users = _as_count(_need(net, "n_users", "network"), "network.n_users")
     a = _as_numbers(_need(net, "a", "network"), "network.a")
     # noise variances at the relay and at the users; they only fix c
-    sigma_r2 = float(net.get("sigma_r2", 1.0))
-    sigma_t2 = float(net.get("sigma_t2", 1.0))
+    sigma_r2 = _as_scalar(net.get("sigma_r2", 1.0), "network.sigma_r2")
+    sigma_t2 = _as_scalar(net.get("sigma_t2", 1.0), "network.sigma_t2")
     for key, value in (("sigma_r2", sigma_r2), ("sigma_t2", sigma_t2)):
         if not (value > 0 and math.isfinite(value)):
             raise ConfigurationError(f"network.{key}: must be finite and > 0, got {value}")
     if "c" in net:
-        c = float(net["c"])
+        c = _as_scalar(net["c"], "network.c")
     else:
         # equal-power default: user power = n * relay power
-        ratio_n = float(net.get("power_ratio_n", 1.0))
+        ratio_n = _as_scalar(net.get("power_ratio_n", 1.0), "network.power_ratio_n")
         if ratio_n <= 0:
             raise ConfigurationError(f"network.power_ratio_n: must be > 0, got {ratio_n}")
         c = sigma_r2 / (ratio_n * sigma_t2)
@@ -267,9 +277,9 @@ def _spec_from_config(config: dict) -> ExperimentSpec:
     except ConfigurationError as exc:
         raise ConfigurationError(f"network: {exc}") from exc
 
-    fad = _need(config, "fading", "config")
+    fad = _section(_need(config, "fading", "config"), "fading")
     if kind == "placement-sweep":
-        geo = _need(config, "geometry", "config")
+        geo = _section(_need(config, "geometry", "config"), "geometry")
         users = _need(geo, "users", "geometry")
         if not isinstance(users, list) or not all(
             isinstance(p, list) and len(p) == 2 for p in users
@@ -278,21 +288,20 @@ def _spec_from_config(config: dict) -> ExperimentSpec:
                 f"geometry.users: expected a list of [x, y] pairs, got {users!r}"
             )
         users = tuple(_as_numbers(p, "geometry.users") for p in users)
+        height = _as_scalar(geo.get("height", 10.0), "geometry.height")
         try:
-            geometry = Geometry(
-                user_positions=users, uav_xy=(0.0, 0.0), uav_height=float(geo.get("height", 10.0))
-            )
+            geometry = Geometry(user_positions=users, uav_xy=(0.0, 0.0), uav_height=height)
         except ConfigurationError as exc:
             raise ConfigurationError(f"geometry: {exc}") from exc
-        grid_section = _need(exp, "grid", "experiment")
-        try:
-            grid = GridSpec(
-                x_min=float(grid_section.get("x_min", -20.0)),
-                x_max=float(grid_section.get("x_max", 20.0)),
-                y_min=float(grid_section.get("y_min", -20.0)),
-                y_max=float(grid_section.get("y_max", 20.0)),
-                step=float(grid_section.get("step", 1.0)),
+        grid_section = _section(_need(exp, "grid", "experiment"), "experiment.grid")
+        bounds = {
+            key: _as_scalar(grid_section.get(key, default), f"experiment.grid.{key}")
+            for key, default in (
+                ("x_min", -20.0), ("x_max", 20.0), ("y_min", -20.0), ("y_max", 20.0), ("step", 1.0)
             )
+        }
+        try:
+            grid = GridSpec(**bounds)
         except ConfigurationError as exc:
             raise ConfigurationError(f"experiment.grid: {exc}") from exc
         dist = tuple(sorted(distances(geometry).tolist(), reverse=True))
@@ -320,7 +329,7 @@ def _spec_from_config(config: dict) -> ExperimentSpec:
 
     trials = None
     if "trials" in config:
-        tr = config["trials"]
+        tr = _section(config["trials"], "trials")
         workers_env = os.environ.get(WORKERS_ENV)
         if workers_env is not None:
             try:
@@ -330,13 +339,11 @@ def _spec_from_config(config: dict) -> ExperimentSpec:
                     f"{WORKERS_ENV}: must be an integer, got {workers_env!r}"
                 ) from exc
         else:
-            workers = int(tr.get("workers", 1))
+            workers = _as_count(tr.get("workers", 1), "trials.workers")
+        count = _as_count(_need(tr, "trials", "trials"), "trials.trials")
+        seed = _as_count(tr.get("seed", DEFAULT_SEED), "trials.seed")
         try:
-            trials = TrialConfig(
-                trials=int(_need(tr, "trials", "trials")),
-                seed=int(tr.get("seed", DEFAULT_SEED)),
-                workers=workers,
-            )
+            trials = TrialConfig(trials=count, seed=seed, workers=workers)
         except ConfigurationError as exc:
             raise ConfigurationError(f"trials: {exc}") from exc
 

@@ -20,11 +20,13 @@ Only per-point statistics outlive a chunk.  ``sample_moments`` runs the
 same chunks and reduces the sorted, path-loss-scaled gains and their
 squares instead of pair rates.
 
-A chunk is column-major from the sampler to the statistics: the sorted
-gains and the pair rates are (trials, M) and (trials, pairs) arrays with
-one contiguous column per position or pair.  A trial's total adds its
-pair rates left to right; each pair's mean and squared deviations are
-numpy's pairwise sums along the chunk's trials.
+A chunk's sorted gains are a column-major (trials, M) array, one
+contiguous column per position.  No (trials, pairs) array of rates
+exists: the kernel finishes one pair's rate column at a time into a
+reused (trials,) buffer, and ``_chunk_stats`` reduces it while it is
+still in cache.  A trial's total adds its pair rates left to right; each
+pair's mean and squared deviations are numpy's pairwise sums along the
+chunk's trials, so the bits are those of a whole-array reduction.
 """
 
 from __future__ import annotations
@@ -97,16 +99,47 @@ def _sample_rho_chunk(
     return np.asfortranarray(h)
 
 
-def _chunk_stats(rates: np.ndarray):
-    """Two-pass mean and sum of squared deviations, per pair and for the
-    per-trial totals."""
-    n = rates.shape[0]
-    mean = rates.mean(axis=0)
-    m2 = ((rates - mean) ** 2).sum(axis=0)
-    totals = rates.sum(axis=1)
-    t_mean = totals.mean()
-    t_m2 = float(((totals - t_mean) ** 2).sum())
-    return n, mean, m2, float(t_mean), t_m2
+def _chunk_stats(columns, count: int, scales=(1.0,)):
+    """Reduce a chunk's columns, each as it arrives, to chunk statistics.
+
+    columns: (count,) arrays, each valid only until the next is drawn.
+    For each scale, the columns times that scale get the two-pass mean and
+    sum of squared deviations, per column and for the per-trial totals
+    (which add the columns left to right).  Returns one
+    ``(n, mean, m2, t_mean, t_m2)`` per scale, or, if any column holds a
+    non-finite value, the chunk's first trial that does (an int).
+
+    A column's sum is non-finite exactly when one of its values is: every
+    finite rate is at most 1/2 log2(1 + DBL_MAX) < 513, so a chunk's finite
+    rates cannot overflow their sum.  Only a non-finite column is searched.
+    """
+    scaled = np.empty(count) if any(scale != 1.0 for scale in scales) else None
+    dev = np.empty(count)
+    totals = [np.zeros(count) for _ in scales]
+    means: list = [[] for _ in scales]
+    m2s: list = [[] for _ in scales]
+    bad = count
+    for col in columns:
+        for s, scale in enumerate(scales):
+            x = col if scale == 1.0 else np.multiply(col, scale, out=scaled)
+            mean = np.add.reduce(x) / count
+            if not math.isfinite(mean):
+                bad = min(bad, int(np.argmin(np.isfinite(x))))
+                break
+            totals[s] += x
+            np.subtract(x, mean, out=dev)
+            np.square(dev, out=dev)
+            means[s].append(mean)
+            m2s[s].append(np.add.reduce(dev))
+    if bad < count:
+        return bad
+    out = []
+    for t, mean, m2 in zip(totals, means, m2s):
+        t_mean = np.add.reduce(t) / count
+        np.subtract(t, t_mean, out=dev)
+        np.square(dev, out=dev)
+        out.append((count, np.array(mean), np.array(m2), float(t_mean), float(np.add.reduce(dev))))
+    return out
 
 
 def _merge_stats(left, right):
@@ -252,17 +285,18 @@ def simulate_sweep(points: Sequence[SweepPoint], tc: TrialConfig) -> list[AsrRes
         start = chunk_index * CHUNK_TRIALS
         h = _sample_rho_chunk(first.fading, M, tc.seed, chunk_index, count)
         out: list = [None] * len(points)
+        col = np.empty(count)
         for factors, kernels in plan:
             rho = h * factors
             aggregates = _kernels.weighted_sums(rho, a)
             for args, scales in kernels.items():
-                base = _kernels.pair_rate_chunk(rho, a, *args, aggregates=aggregates)
-                for scale, members in scales.items():
-                    rates = base * scale if scale != 1.0 else base
-                    if np.all(np.isfinite(rates)):
-                        part = _chunk_stats(rates)
-                    else:
-                        part = start + int(np.argwhere(~np.isfinite(rates))[0][0])
+                columns = _kernels.pair_rate_columns(
+                    rho, a, *args, out=col, aggregates=aggregates
+                )
+                parts = _chunk_stats(columns, count, tuple(scales))
+                if isinstance(parts, int):
+                    parts = [start + parts] * len(scales)
+                for part, members in zip(parts, scales.values()):
                     for i in members:
                         out[i] = part
         return out
@@ -296,17 +330,28 @@ def sample_moments(fading: FadingParams, tc: TrialConfig) -> tuple[np.ndarray, n
     rho_i^2, for order positions i = 1..M.  The gains are the engine's
     chunks (same streams as ``simulate_sweep``), scaled by path loss, and
     their statistics merge in chunk order, so the result is bit-identical
-    at any worker count.
+    at any worker count.  Raises ``NumericError`` if a chunk's sums of the
+    gains or their squares are not finite.
     """
     M = fading.n_users
     factors = fading.path_loss_factors()
 
     def run_chunk(chunk_index: int, count: int):
         h = _sample_rho_chunk(fading, M, tc.seed, chunk_index, count)
-        x = np.empty((count, 2 * M), order="F")
-        np.multiply(h, factors, out=x[:, :M])
-        np.square(x[:, :M], out=x[:, M:])
-        return _chunk_stats(x)
+
+        def columns():
+            col = np.empty(count)
+            for square in (False, True):
+                for i in range(M):
+                    np.multiply(h[:, i], factors[i], out=col)
+                    if square:
+                        np.square(col, out=col)
+                    yield col
+
+        parts = _chunk_stats(columns(), count)
+        if isinstance(parts, int):
+            raise NumericError(f"sampled gain moments are not finite in chunk {chunk_index}")
+        return parts[0]
 
     n, mean, m2, _, _ = _fold_chunks(run_chunk, tc, lambda parts: reduce(_merge_stats, parts))
     stderr = np.sqrt(m2 / (n * max(n - 1, 1)))

@@ -129,6 +129,26 @@ class TestSpecLoading:
              "network.n_users: expected an integer, got 2.5"),
             ("fig2a", {"network": {"a": "xy"}},
              "network.a: expected a list of numbers, got 'xy'"),
+            ("fig2a", {"network": {"c": [1]}}, "network.c: expected a single number, got [1]"),
+            ("fig2a", {"network": 3}, "network: expected a mapping, got 3"),
+            ("fig2a", {"trials": 5}, "trials: expected a mapping, got 5"),
+            ("fig2a", {"network": {"power_ratio_n": "x"}},
+             "network.power_ratio_n: expected a single number, got 'x'"),
+            ("fig4a", {"geometry": {"height": [1]}},
+             "geometry.height: expected a single number, got [1]"),
+            ("fig2a", {"trials": {"trials": 2.5}}, "trials.trials: expected an integer, got 2.5"),
+            ("fig2a", {"trials": {"seed": 1.5}}, "trials.seed: expected an integer, got 1.5"),
+            ("fig2a", {"network": {"sigma_t2": "x"}},
+             "network.sigma_t2: expected a single number, got 'x'"),
+            ("fig2a", {"impairments": {"kappa_rr": [0.1]}},
+             "impairments.kappa_rr: expected a single number, got [0.1]"),
+            ("fig2a", {"experiment": {"snr_db": {"start": 0, "stop": "x", "step": 5}}},
+             "experiment.snr_db.stop: expected a single number, got 'x'"),
+            ("fig4a", {"experiment": {"grid": {"step": "x"}}},
+             "experiment.grid.step: expected a single number, got 'x'"),
+            ("fig4a", {"experiment": {"grid": 3}}, "experiment.grid: expected a mapping, got 3"),
+            ("fig4a", {"geometry": 3}, "geometry: expected a mapping, got 3"),
+            ("fig2a", {"fading": 3}, "fading: expected a mapping, got 3"),
         ],
     )
     def test_config_value_named(self, tmp_path, capsys, preset, config, message):
@@ -382,15 +402,15 @@ class TestMain:
         assert r1[0]["asr_mc"] == r3[0]["asr_mc"]
 
     def test_nonfinite_mc_rate_exit_three(self, tmp_path, capsys, monkeypatch):
-        original = _kernels.pair_rate_chunk
+        original = _kernels.pair_rate_columns
 
         def nan_at_15db(rho, a, inv_r1, *args, **kwargs):
-            out = original(rho, a, inv_r1, *args, **kwargs)
-            if rho.shape[0] > 1 and 0.01 < inv_r1 < 0.1:
-                out[5, 0] = np.nan
-            return out
+            for p, col in enumerate(original(rho, a, inv_r1, *args, **kwargs)):
+                if p == 0 and rho.shape[0] > 1 and 0.01 < inv_r1 < 0.1:
+                    col[5] = np.nan
+                yield col
 
-        monkeypatch.setattr(_kernels, "pair_rate_chunk", nan_at_15db)
+        monkeypatch.setattr(_kernels, "pair_rate_columns", nan_at_15db)
         path = write_config(tmp_path, tiny_snr_config(tmp_path))
         assert main(["run", "--config", str(path)]) == 3
         err = capsys.readouterr().err

@@ -203,8 +203,20 @@ SWEEP = [
 ]
 
 
+def whole_array_stats(rates):
+    """The oracle of ``_chunk_stats``: the whole-array reduction of one
+    (trials, pairs) chunk of rates."""
+    mean = rates.mean(axis=0)
+    m2 = ((rates - mean) ** 2).sum(axis=0)
+    totals = rates.sum(axis=1)
+    t_mean = totals.mean()
+    t_m2 = float(((totals - t_mean) ** 2).sum())
+    return rates.shape[0], mean, m2, float(t_mean), t_m2
+
+
 def reference_stats(point, tc):
-    """The per-point loop: sample, scale, evaluate and merge chunk by chunk."""
+    """The per-point loop: sample, scale, evaluate the whole chunk of rates,
+    reduce it as one array and merge chunk by chunk."""
     imp, cfg = point.imp, point.cfg
     stats = None
     for c in range(0, (tc.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS):
@@ -217,7 +229,7 @@ def reference_stats(point, tc):
         )
         if point.prefactor != 0.5:
             rates = rates * (point.prefactor / 0.5)
-        part = _chunk_stats(rates)
+        part = whole_array_stats(rates)
         stats = part if stats is None else _merge_stats(stats, part)
     return stats
 
@@ -260,9 +272,10 @@ class TestSweepEngine:
         # each chunk once and still match one-point runs bit for bit
         calls = []
 
-        def counted(rates):
-            calls.append(rates.shape[0])
-            return _chunk_stats(rates)
+        def counted(columns, count, scales=(1.0,)):
+            # one entry per set of chunk statistics the reducer returns
+            calls.extend([count] * len(scales))
+            return _chunk_stats(columns, count, scales)
 
         monkeypatch.setattr(montecarlo, "_chunk_stats", counted)
         points = [SWEEP[2], SWEEP[0], SWEEP[2], SWEEP[1], SWEEP[0], SWEEP[2]]
@@ -275,6 +288,28 @@ class TestSweepEngine:
                 prefactor=point.prefactor,
             )
             assert_same_result(got, alone)
+
+    @pytest.mark.parametrize("n_users", range(2, 9))
+    def test_column_reducer_matches_whole_array(self, n_users):
+        # both schemes in one kernel group, nonzero distortion, a full and
+        # a short chunk: the reducer's statistics are the oracle's bits
+        raw = np.arange(n_users, 0, -1.0)
+        a = raw / raw.sum()
+        fading = FadingParams(alpha=2, beta=3.0, nu=3.0, distances=tuple(np.linspace(2, 1, n_users)))
+        args = (1e-2, 1e-2, 0.1**2, 0.2**2, 0.05**2, 0.15**2)
+        scales = (1.0, scheme_prefactor("oma", n_users) / 0.5)
+        for chunk, count in ((0, CHUNK_TRIALS), (1, 777)):
+            rho = _sample_rho_chunk(fading, n_users, 6, chunk, count) * fading.path_loss_factors()
+            columns = _kernels.pair_rate_columns(rho, a, *args, out=np.empty(count))
+            got = _chunk_stats(columns, count, scales)
+            rates = _kernels.pair_rate_chunk(rho, a, *args)
+            assert rates.shape == (count, n_users * (n_users - 1) // 2)
+            for stats, scale in zip(got, scales):
+                want = whole_array_stats(rates * scale if scale != 1.0 else rates)
+                assert stats[0] == want[0] == count
+                assert np.array_equal(stats[1], want[1])
+                assert np.array_equal(stats[2], want[2])
+                assert stats[3:] == want[3:]
 
     def test_rejects_mixed_law_and_empty(self):
         tc = TrialConfig(100, seed=1)
@@ -289,21 +324,24 @@ class TestSweepEngine:
 
 
 def nan_kernel(monkeypatch, fading, seed, bad_rows):
-    """Kernel returning NaN at row bad_rows[(inv_r1, chunk)] of a chunk; the
-    chunk is recognised by its first sampled row."""
-    original = _kernels.pair_rate_chunk
+    """Kernel columns with NaN at the rows that bad_rows[(inv_r1, chunk)]
+    names: a row of the last pair, or a {pair: row} mapping.  The chunk is
+    recognised by its first sampled row."""
+    original = _kernels.pair_rate_columns
     scale = fading.path_loss_factors()
     firsts = [_sample_rho_chunk(fading, 4, seed, c, 1)[0] * scale for c in range(3)]
 
     def patched(rho, a, inv_r1, *args, **kwargs):
-        out = original(rho, a, inv_r1, *args, **kwargs)
-        for chunk, first in enumerate(firsts):
-            row = bad_rows.get((inv_r1, chunk))
-            if row is not None and np.array_equal(rho[0], first):
-                out[row, -1] = np.nan
-        return out
+        chunk = next((c for c, first in enumerate(firsts) if np.array_equal(rho[0], first)), None)
+        cells = bad_rows.get((inv_r1, chunk), {})
+        if not isinstance(cells, dict):
+            cells = {len(pair_indices(rho.shape[1])) - 1: cells}
+        for p, col in enumerate(original(rho, a, inv_r1, *args, **kwargs)):
+            if p in cells:
+                col[cells[p]] = np.nan
+            yield col
 
-    monkeypatch.setattr(_kernels, "pair_rate_chunk", patched)
+    monkeypatch.setattr(_kernels, "pair_rate_columns", patched)
 
 
 class TestSweepErrors:
@@ -349,6 +387,17 @@ class TestSweepErrors:
             simulate_sweep(points, tc)
         assert (info.value.point, str(info.value)) == expected
         assert info.value.trial == CHUNK_TRIALS + 3
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_earliest_trial_named_across_pairs(self, monkeypatch, workers):
+        # in chunk 1 pair 1 fails at trial 9 and the later pair 4 already
+        # at trial 2; the chunk's earliest bad trial is named
+        nan_kernel(monkeypatch, FADING4, 2, {(1 / 100.0, 1): {1: 9, 4: 2}})
+        tc = TrialConfig(self.TRIALS, seed=2, workers=workers)
+        with pytest.raises(SweepPointError) as info:
+            simulate_sweep(self.POINTS, tc)
+        assert (info.value.point, info.value.trial) == (1, CHUNK_TRIALS + 2)
+        assert str(info.value) == f"non-finite rate in trial {CHUNK_TRIALS + 2}"
 
     def test_path_loss_overflow_names_point(self):
         # an input fault: raised for the first overflowing point, before

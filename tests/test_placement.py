@@ -163,15 +163,15 @@ class TestSweep:
     def test_monte_carlo_error_names_grid_point(self, monkeypatch):
         from mwrnoma import NumericError, TrialConfig, _kernels
 
-        original = _kernels.pair_rate_chunk
+        original = _kernels.pair_rate_columns
 
         def nan_in_second_chunk(rho, a, *args, **kwargs):
-            out = original(rho, a, *args, **kwargs)
-            if rho.shape[0] == 10:
-                out[4, 0] = np.nan
-            return out
+            for p, col in enumerate(original(rho, a, *args, **kwargs)):
+                if p == 0 and rho.shape[0] == 10:
+                    col[4] = np.nan
+                yield col
 
-        monkeypatch.setattr(_kernels, "pair_rate_chunk", nan_in_second_chunk)
+        monkeypatch.setattr(_kernels, "pair_rate_columns", nan_in_second_chunk)
         geom = Geometry(user_positions=SQUARE, uav_height=10.0)
         with pytest.raises(NumericError) as info:
             sweep_grid(
