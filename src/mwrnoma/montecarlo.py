@@ -348,7 +348,9 @@ def sample_moments(fading: FadingParams, tc: TrialConfig) -> tuple[np.ndarray, n
                         np.square(col, out=col)
                     yield col
 
-        parts = _chunk_stats(columns(), count)
+        # an overflow is reported once, as a NumericError
+        with np.errstate(over="ignore", invalid="ignore"):
+            parts = _chunk_stats(columns(), count)
         if isinstance(parts, int):
             raise NumericError(f"sampled gain moments are not finite in chunk {chunk_index}")
         return parts[0]

@@ -411,6 +411,11 @@ class TestSweepErrors:
 
 
 class TestSampleMoments:
+    def test_overflowing_moments_raise(self):
+        huge = replace(FADING4, beta=1e306)  # finite gains, squares overflow
+        with pytest.raises(NumericError, match="sampled gain moments are not finite in chunk 0"):
+            sample_moments(huge, TrialConfig(100, seed=1))
+
     def test_matches_pooled_sample_at_any_worker_count(self):
         fading = replace(FADING4, distances=(3.0, 2.0, 1.5, 1.0))
         trials = 2 * CHUNK_TRIALS + 123
