@@ -18,19 +18,21 @@ is in cache and never holds all its pair rates at once;
 import numpy as np
 
 
-def weighted_sums(rho, a):
+def weighted_sums(rho, a, *, out=None):
     """Per-row terms of the pair SINR that depend only on the gains and the
     power split, so every operating point evaluated on the same rows can
     share them.
 
     Returns ``(weighted, suffix)``: suffix[t, n] = sum_{j=n}^{M-2} a_j rho_j
     (interference left after pair n), and weighted[t] = sum_j a_j rho_j,
-    which extends suffix[t, 0] by the strongest user's term.
+    which extends suffix[t, 0] by the strongest user's term.  out: a
+    (rows, M) column-major array to hold suffix, allocated when None.
     """
     rho = np.asfortranarray(rho, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
     n_rows, M = rho.shape
-    suffix = np.zeros((n_rows, M), order="F")
+    suffix = np.empty((n_rows, M), order="F") if out is None else out
+    suffix[:, M - 1] = 0.0
     for n in range(M - 2, -1, -1):
         np.multiply(rho[:, n], a[n], out=suffix[:, n])
         suffix[:, n] += suffix[:, n + 1]
@@ -59,15 +61,16 @@ def pair_rate_columns(rho, a, inv_r1, inv_r2, kut2, kur2, krt2, krr2, *, out, ag
     bc = 1.0 + krt2 + kur2
 
     noise_fwd = mac * weighted * inv_r2 + inv_r1 * inv_r2
-    # inner[t, n]: the denominator terms that scale with rho_k (interference
-    # left after n, distortion, and the broadcast-hop noise term)
-    inner = suffix + (mix * weighted + bc * inv_r1)[:, None]
+    # the denominator terms that scale with rho_k, besides the interference
+    # suffix[:, n] left after n: distortion and the broadcast-hop noise
+    shared = mix * weighted + bc * inv_r1
 
     num = np.empty_like(out)
     for k in range(2, M + 1):
         rho_k = rho[:, k - 1]
         for n in range(1, k):
-            np.multiply(rho_k, inner[:, n], out=out)
+            np.add(suffix[:, n], shared, out=out)
+            out *= rho_k
             out += noise_fwd
             np.multiply(rho_k, rho[:, n - 1], out=num)
             num *= a[n - 1]

@@ -139,20 +139,26 @@ def gamma_variates(alpha: int, beta: float, size, rng: np.random.Generator) -> n
     alpha uniforms per variate.
     """
     shape = (size,) if np.isscalar(size) else tuple(size)
-    alpha = int(alpha)
-    u = rng.random(shape + (alpha,))
+    u = rng.random(shape + (int(alpha),))
+    return gamma_from_uniforms(u, beta, np.empty(shape))
+
+
+def gamma_from_uniforms(u: np.ndarray, beta: float, out: np.ndarray) -> np.ndarray:
+    """Gamma(alpha, beta) variates -beta * sum_j log(1 - u_j) from the
+    uniforms u (..., alpha), written to out (...) and returned; u is
+    overwritten."""
     np.negative(u, out=u)
     np.log1p(u, out=u)
-    if alpha >= 8:
+    if u.shape[-1] >= 8:
         # numpy sums 8 or more items pairwise; below that it adds left to
         # right, which the slice loop repeats with one long loop per slice
-        total = u.sum(axis=-1)
+        u.sum(axis=-1, out=out)
     else:
-        total = u[..., 0].copy()
-        for j in range(1, alpha):
-            total += u[..., j]
-    total *= -beta
-    return total
+        np.copyto(out, u[..., 0])
+        for j in range(1, u.shape[-1]):
+            out += u[..., j]
+    out *= -beta
+    return out
 
 
 def _compositions(total: int, parts: int):

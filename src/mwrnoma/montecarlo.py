@@ -27,11 +27,16 @@ reused (trials,) buffer, and ``_chunk_stats`` reduces it while it is
 still in cache.  A trial's total adds its pair rates left to right; each
 pair's mean and squared deviations are numpy's pairwise sums along the
 chunk's trials, so the bits are those of a whole-array reduction.
+Each worker thread fills the same uniforms, gains, path-loss-scaled gains,
+interference sums and rate column for every chunk it runs, so a run
+allocates its chunk-sized arrays once per thread rather than once per
+chunk.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -41,7 +46,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from . import _kernels
-from .channel import FadingParams, gamma_variates
+from .channel import FadingParams, gamma_from_uniforms
 from .errors import ConfigurationError, NumericError, SweepPointError
 from .rate import AsrResult, pair_indices
 from .signal import ImpairmentProfile, NetworkConfig
@@ -83,20 +88,61 @@ def _chunk_stream(seed: int, chunk_index: int) -> Generator:
     return Generator(Philox(key=seed, counter=chunk_index << 128))
 
 
+class _ChunkBuffers:
+    """The arrays of one chunk of ``count`` trials at M users.
+
+    A worker thread keeps one set and refills it for every chunk of the
+    same size (``_thread_buffers``).  At M = 8 they hold several MB, and
+    allocating them per chunk made the allocator hand the pages back to
+    the OS at the end of each chunk and fault them in again for the next.
+    """
+
+    def __init__(self, n_users: int, alpha: int, count: int):
+        self.count = count
+        self.uniforms = np.empty((count, n_users, alpha))
+        self.draws = np.empty((count, n_users))
+        self.gains = np.empty((count, n_users), order="F")
+        self.rho = np.empty((count, n_users), order="F")
+        self.suffix = np.empty((count, n_users), order="F")
+        self.column = np.empty(count)
+
+
+def _thread_buffers(n_users: int, alpha: int):
+    """``count -> _ChunkBuffers``, one set per calling thread, kept while
+    the thread asks for the same count (every chunk but a short last one)."""
+    local = threading.local()
+
+    def get(count: int) -> _ChunkBuffers:
+        buffers = getattr(local, "buffers", None)
+        if buffers is None or buffers.count != count:
+            buffers = local.buffers = _ChunkBuffers(n_users, alpha, count)
+        return buffers
+
+    return get
+
+
 def _sample_rho_chunk(
-    fading: FadingParams, n_users: int, seed: int, chunk_index: int, count: int
+    fading: FadingParams,
+    n_users: int,
+    seed: int,
+    chunk_index: int,
+    count: int,
+    buffers: _ChunkBuffers | None = None,
 ) -> np.ndarray:
     """Sorted Gamma gains, before path loss, for `count` trials of one chunk.
 
     Each trial consumes exactly M * alpha uniforms laid out contiguously,
     so a shorter final chunk reproduces the same per-trial variates.  The
-    gains are returned column-major: one contiguous column per position.
+    gains are returned column-major, one contiguous column per position,
+    in ``buffers.gains`` (fresh buffers when None).
     """
-    h = gamma_variates(
-        fading.alpha, fading.beta, (count, n_users), _chunk_stream(seed, chunk_index)
-    )
+    if buffers is None:
+        buffers = _ChunkBuffers(n_users, fading.alpha, count)
+    u = _chunk_stream(seed, chunk_index).random(out=buffers.uniforms)
+    h = gamma_from_uniforms(u, fading.beta, buffers.draws)
     h.sort(axis=1)
-    return np.asfortranarray(h)
+    np.copyto(buffers.gains, h)
+    return buffers.gains
 
 
 def _chunk_stats(columns, count: int, scales=(1.0,)):
@@ -279,19 +325,20 @@ def simulate_sweep(points: Sequence[SweepPoint], tc: TrialConfig) -> list[AsrRes
             )
     a = np.asarray(first.cfg.a, dtype=np.float64)
     plan = _sweep_plan(points)
+    chunk_buffers = _thread_buffers(M, first.fading.alpha)
 
     def run_chunk(chunk_index: int, count: int):
         """Per-point chunk statistics, or the first bad trial of a point."""
         start = chunk_index * CHUNK_TRIALS
-        h = _sample_rho_chunk(first.fading, M, tc.seed, chunk_index, count)
+        buffers = chunk_buffers(count)
+        h = _sample_rho_chunk(first.fading, M, tc.seed, chunk_index, count, buffers)
         out: list = [None] * len(points)
-        col = np.empty(count)
         for factors, kernels in plan:
-            rho = h * factors
-            aggregates = _kernels.weighted_sums(rho, a)
+            rho = np.multiply(h, factors, out=buffers.rho)
+            aggregates = _kernels.weighted_sums(rho, a, out=buffers.suffix)
             for args, scales in kernels.items():
                 columns = _kernels.pair_rate_columns(
-                    rho, a, *args, out=col, aggregates=aggregates
+                    rho, a, *args, out=buffers.column, aggregates=aggregates
                 )
                 parts = _chunk_stats(columns, count, tuple(scales))
                 if isinstance(parts, int):
@@ -336,11 +383,14 @@ def sample_moments(fading: FadingParams, tc: TrialConfig) -> tuple[np.ndarray, n
     M = fading.n_users
     factors = fading.path_loss_factors()
 
+    chunk_buffers = _thread_buffers(M, fading.alpha)
+
     def run_chunk(chunk_index: int, count: int):
-        h = _sample_rho_chunk(fading, M, tc.seed, chunk_index, count)
+        buffers = chunk_buffers(count)
+        h = _sample_rho_chunk(fading, M, tc.seed, chunk_index, count, buffers)
 
         def columns():
-            col = np.empty(count)
+            col = buffers.column
             for square in (False, True):
                 for i in range(M):
                     np.multiply(h[:, i], factors[i], out=col)

@@ -1,6 +1,7 @@
 """Monte Carlo engine: determinism, stream derivation, statistical behavior."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -31,6 +32,7 @@ from mwrnoma.montecarlo import (
     _chunk_stream,
     _merge_stats,
     _sample_rho_chunk,
+    _thread_buffers,
 )
 
 FADING3 = FadingParams(alpha=2, beta=3.0, nu=3.0, distances=(1.0,) * 3)
@@ -60,6 +62,17 @@ class TestStreams:
         assert np.array_equal(full[:10], head)
         # each sorted position is one contiguous column of the chunk
         assert full.shape == (100, 3) and full.flags.f_contiguous
+
+    def test_buffers_refilled_per_thread(self):
+        buffers = _thread_buffers(3, FADING3.alpha)
+        mine = buffers(100)
+        _sample_rho_chunk(FADING3, 3, seed=4, chunk_index=1, count=100, buffers=mine)
+        refill = _sample_rho_chunk(FADING3, 3, 4, 2, 100, buffers=buffers(100))
+        assert buffers(100) is mine and refill is mine.gains
+        assert np.array_equal(refill, _sample_rho_chunk(FADING3, 3, 4, 2, 100))
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            assert pool.submit(buffers, 100).result() is not mine
+        assert buffers(10).count == 10
 
 
 class TestDeterminism:
