@@ -26,12 +26,10 @@ from .errors import (
 from .montecarlo import SweepPoint, TrialConfig, sample_moments, simulate_asr, simulate_sweep
 from .placement import Geometry, GridSpec, PlacementSurface, distances, link_distance, sweep_grid
 from .rate import (
-    SLOPE_FLOOR,
     AsrResult,
     asr,
+    asr_affine,
     asr_asymptotic,
-    high_snr_offset,
-    high_snr_slope,
     pair_indices,
 )
 from .signal import (
@@ -57,17 +55,15 @@ __all__ = [
     "OrderStatMoments",
     "PlacementSurface",
     "SinrTerms",
-    "SLOPE_FLOOR",
     "SweepPoint",
     "TrialConfig",
     "UnsupportedParameterError",
     "asr",
+    "asr_affine",
     "asr_asymptotic",
     "asr_oma",
     "distances",
     "gamma_variates",
-    "high_snr_offset",
-    "high_snr_slope",
     "link_distance",
     "moment_oracle",
     "order_stat_moments",

@@ -4,6 +4,8 @@ The SINR of ``mwrnoma.signal`` is evaluated with numerator and
 denominator divided through by r1 * r2, so the SNR enters only as 1/r1
 and 1/r2.  That keeps every finite SNR finite (no r1 * r2 product to
 overflow), and the high-SNR limit is the same formula at 1/r1 = 1/r2 = 0.
+Without distortion one pair has nothing left in that limit: its SINR
+grows as r1 times ``divergent_pair_gain``.
 
 Every operation is row-local, so a row gets the same bits alone, in a
 placement batch or in a Monte Carlo chunk.  The gains may come in either
@@ -79,6 +81,19 @@ def pair_rate_columns(rho, a, inv_r1, inv_r2, kut2, kur2, krt2, krr2, *, out, ag
             np.log2(out, out=out)
             out *= 0.5
             yield out
+
+
+def divergent_pair_gain(rho, a, c):
+    """Per-row limit of SINR / r1 for decoder M and user M-1 without
+    distortion, the one pair whose denominator vanishes at 1/r1 = 0.
+
+    With every kappa zero, that pair's denominator in
+    ``pair_rate_columns`` is rho_M / r1 + weighted / r2 + 1 / (r1 r2);
+    times r1, with r2 = c r1, it tends to rho_M + weighted / c.
+    """
+    rho = np.asfortranarray(rho, dtype=np.float64)
+    weighted, _ = weighted_sums(rho, a)
+    return rho[:, -1] * rho[:, -2] * a[-2] / (rho[:, -1] + weighted / c)
 
 
 def pair_rate_chunk(rho, a, *args, aggregates=None):

@@ -488,12 +488,12 @@ def _run_placement(spec: ExperimentSpec) -> RunResult:
             path = spec.output.with_name(
                 spec.output.stem + f"_{scheme}" + spec.output.suffix
             )
+        # each axis label is formatted once, not once per site
+        xs = [_fmt(x) for x in surface.xs]
         rows = []
-        for j, y in enumerate(surface.ys):
-            for i, x in enumerate(surface.xs):
-                rows.append(
-                    {"x_m": _fmt(x), "y_m": _fmt(y), "asr": _fmt(surface.asr[j, i])}
-                )
+        for j, y in enumerate(_fmt(y) for y in surface.ys):
+            for i, x in enumerate(xs):
+                rows.append({"x_m": x, "y_m": y, "asr": _fmt(surface.asr[j, i])})
         _write_csv(path, PLACEMENT_HEADER, rows)
         paths.append(path)
         rows_by_path[path] = rows

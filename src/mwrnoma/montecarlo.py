@@ -76,8 +76,9 @@ class TrialConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.trials, int) or self.trials < 1:
-            raise ConfigurationError(f"trials must be an integer >= 1, got {self.trials!r}")
+        # the stderr needs the ddof=1 variance, undefined for one trial
+        if not isinstance(self.trials, int) or self.trials < 2:
+            raise ConfigurationError(f"trials must be an integer >= 2, got {self.trials!r}")
         if not isinstance(self.seed, int) or not 0 <= self.seed < _SEED_MAX:
             raise ConfigurationError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not isinstance(self.workers, int) or self.workers < 1:
@@ -122,22 +123,17 @@ def _thread_buffers(n_users: int, alpha: int):
 
 
 def _sample_rho_chunk(
-    fading: FadingParams,
-    n_users: int,
-    seed: int,
-    chunk_index: int,
-    count: int,
-    buffers: _ChunkBuffers | None = None,
+    fading: FadingParams, seed: int, chunk_index: int, buffers: _ChunkBuffers
 ) -> np.ndarray:
-    """Sorted Gamma gains, before path loss, for `count` trials of one chunk.
+    """Sorted Gamma gains, before path loss, for the ``buffers.count``
+    trials of one chunk.
 
     Each trial consumes exactly M * alpha uniforms laid out contiguously,
     so a shorter final chunk reproduces the same per-trial variates.  The
     gains are returned column-major, one contiguous column per position,
-    in ``buffers.gains`` (fresh buffers when None).
+    in ``buffers.gains``, which the next draw into the same buffers
+    overwrites.
     """
-    if buffers is None:
-        buffers = _ChunkBuffers(n_users, fading.alpha, count)
     u = _chunk_stream(seed, chunk_index).random(out=buffers.uniforms)
     h = gamma_from_uniforms(u, fading.beta, buffers.draws)
     h.sort(axis=1)
@@ -278,11 +274,11 @@ def _result(M: int, stats) -> AsrResult:
     n, mean, m2, t_mean, t_m2 = stats
     per_pair = np.zeros((M, M - 1))
     per_pair_stderr = np.zeros((M, M - 1))
-    pair_se = np.sqrt(m2 / (n * max(n - 1, 1)))
+    pair_se = np.sqrt(m2 / (n * (n - 1)))
     for p, (k, nn) in enumerate(pair_indices(M)):
         per_pair[k - 1, nn - 1] = mean[p]
         per_pair_stderr[k - 1, nn - 1] = pair_se[p]
-    total_se = math.sqrt(t_m2 / (n * max(n - 1, 1)))
+    total_se = math.sqrt(t_m2 / (n * (n - 1)))
     return AsrResult(
         per_pair=per_pair,
         total=t_mean,
@@ -331,7 +327,7 @@ def simulate_sweep(points: Sequence[SweepPoint], tc: TrialConfig) -> list[AsrRes
         """Per-point chunk statistics, or the first bad trial of a point."""
         start = chunk_index * CHUNK_TRIALS
         buffers = chunk_buffers(count)
-        h = _sample_rho_chunk(first.fading, M, tc.seed, chunk_index, count, buffers)
+        h = _sample_rho_chunk(first.fading, tc.seed, chunk_index, buffers)
         out: list = [None] * len(points)
         for factors, kernels in plan:
             rho = np.multiply(h, factors, out=buffers.rho)
@@ -387,7 +383,7 @@ def sample_moments(fading: FadingParams, tc: TrialConfig) -> tuple[np.ndarray, n
 
     def run_chunk(chunk_index: int, count: int):
         buffers = chunk_buffers(count)
-        h = _sample_rho_chunk(fading, M, tc.seed, chunk_index, count, buffers)
+        h = _sample_rho_chunk(fading, tc.seed, chunk_index, buffers)
 
         def columns():
             col = buffers.column
@@ -406,5 +402,5 @@ def sample_moments(fading: FadingParams, tc: TrialConfig) -> tuple[np.ndarray, n
         return parts[0]
 
     n, mean, m2, _, _ = _fold_chunks(run_chunk, tc, lambda parts: reduce(_merge_stats, parts))
-    stderr = np.sqrt(m2 / (n * max(n - 1, 1)))
+    stderr = np.sqrt(m2 / (n * (n - 1)))
     return mean.reshape(2, M), stderr.reshape(2, M)

@@ -7,10 +7,9 @@ order-statistic moments.  That is the Monte Carlo pair-rate kernel
 evaluated on one row of psi per operating point or placement site; the
 high-SNR per-pair asymptotes are the same kernel at 1/r1 = 1/r2 = 0.
 Distortion enters only through the impairment profile: the ideal
-transceiver is the all-zero profile, which is the default.  Slope and
-power-offset diagnostics are estimated numerically from sampled sum-rate
-curves.
-"""
+transceiver is the all-zero profile, which is the default.  The affine
+high-SNR expansion ASR ~ S (log2 r1 - L), in terms of the high-SNR slope
+S and the power offset L, follows in closed form from those limits."""
 
 from __future__ import annotations
 
@@ -26,17 +25,12 @@ from .signal import ImpairmentProfile, NetworkConfig
 
 __all__ = [
     "AsrResult",
-    "SLOPE_FLOOR",
     "asr",
     "asr_rows",
     "asr_asymptotic",
-    "high_snr_slope",
-    "high_snr_offset",
+    "asr_affine",
     "pair_indices",
 ]
-
-# below this many bits/s/Hz per 3 dB the numerical slope is treated as zero
-SLOPE_FLOOR = 0.05
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,7 +47,6 @@ class AsrResult:
     stderr: float | None = None
     per_pair_stderr: np.ndarray | None = None
     trials: int | None = None
-    finite_total: float | None = None
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -182,8 +175,7 @@ def asr_asymptotic(
     """High-SNR limit of the sum rate (r1 -> infinity with r2 = c r1).
 
     Pairs whose limiting denominator is empty have no ceiling: those
-    per-pair entries are +inf, the total is flagged divergent, and
-    ``finite_total`` carries the sum over the bounded pairs.
+    per-pair entries are +inf and the total is flagged divergent.
     """
     with np.errstate(divide="ignore"):
         per_pair = _closed_form_pairs(
@@ -198,39 +190,28 @@ def asr_asymptotic(
         per_pair=per_pair,
         total=float(per_pair.sum()),
         provenance="asymptotic",
-        finite_total=float(per_pair[np.isfinite(per_pair)].sum()),
         notes=notes,
     )
 
 
-def _check_curve(r1_grid, asr_values) -> tuple[np.ndarray, np.ndarray]:
-    r = np.asarray(r1_grid, dtype=np.float64)
-    y = np.asarray(asr_values, dtype=np.float64)
-    if r.shape != y.shape or r.ndim != 1:
-        raise ValueError("r1 grid and rate samples must be 1-D and equally long")
-    if r.size < 3:
-        raise ValueError(f"need at least 3 samples, got {r.size}")
-    if np.any(np.diff(r) <= 0):
-        raise ValueError("r1 grid must be strictly increasing")
-    span_db = 10.0 * math.log10(r[-1] / r[0])
-    if span_db < 20.0:
-        raise ValueError(f"samples must span >= 20 dB, got {span_db:.1f} dB")
-    return r, y
+def asr_affine(
+    moments: OrderStatMoments,
+    cfg: NetworkConfig,
+    imp: ImpairmentProfile = ImpairmentProfile(),
+    prefactor: float = 0.5,
+) -> tuple[float, float, float]:
+    """High-SNR slope, power offset (3 dB units) and ceiling of the sum rate.
 
-
-def high_snr_slope(r1_grid, asr_values) -> float:
-    """Secant estimate of lim rate / log2(r1) from the top of a sampled curve."""
-    r, y = _check_curve(r1_grid, asr_values)
-    return float((y[-1] - y[-2]) / (math.log2(r[-1]) - math.log2(r[-2])))
-
-
-def high_snr_offset(r1_grid, asr_values, slope: float) -> float:
-    """Power-offset estimate, in 3 dB units (log2 of SNR).
-
-    When the slope estimate sits below ``SLOPE_FLOOR`` the offset diverges
-    and +inf is returned.
+    The affine expansion ASR ~ slope * (log2 r1 - offset) as r1 -> infinity
+    with r2 = c r1.  Any distortion bounds every pair: the slope is 0, the
+    offset +inf and the ceiling is the ``asr_asymptotic`` total.  Without
+    it, only pair (k=M, n=M-1) diverges, its SINR growing as
+    r1 * ``_kernels.divergent_pair_gain``: the slope is the prefactor, the
+    offset absorbs the bounded pairs' limits and the ceiling is +inf.
     """
-    r, y = _check_curve(r1_grid, asr_values)
-    if abs(slope) < SLOPE_FLOOR:
-        return math.inf
-    return float(math.log2(r[-1]) - y[-1] / slope)
+    limit = asr_asymptotic(moments, cfg, imp, prefactor)
+    if math.isfinite(limit.total):
+        return 0.0, math.inf, limit.total
+    bounded = float(limit.per_pair[np.isfinite(limit.per_pair)].sum())
+    gain = _kernels.divergent_pair_gain(moments.psi[None, :], cfg.a, cfg.c)[0]
+    return prefactor, -(bounded + prefactor * math.log2(gain)) / prefactor, math.inf

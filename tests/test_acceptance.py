@@ -21,16 +21,16 @@ from mwrnoma import (
     NetworkConfig,
     TrialConfig,
     asr,
+    asr_affine,
     asr_asymptotic,
     asr_oma,
-    high_snr_offset,
-    high_snr_slope,
     moment_oracle,
     order_stat_moments,
     sample_moments,
     simulate_asr,
     sweep_grid,
 )
+from mwrnoma.baseline import scheme_prefactor
 from mwrnoma.cli import load_spec, run
 
 A3 = (0.5, 0.3, 0.2)
@@ -117,37 +117,65 @@ def test_criterion_3_error_floor():
     )
 
 
+def affine_residual_coefficient(moments, cfg, prefactor, r1):
+    """K with |asr - slope (log2 r1 - offset)| <= K / r1 without distortion.
+
+    Every pair but the last sits below its limit by at most
+    prefactor log2(1 + excess / limit) <= prefactor excess / (limit ln 2),
+    where r1 * excess = psi_k + weighted / c + 1 / (c r1) and the limit is
+    psi_k times the interference left.  The last pair's SINR is r1 G / (1 + e)
+    with G = psi_M psi_{M-1} a_{M-1} / D, D = psi_M + weighted / c and
+    r1 e = 1 / (c D), so its rate is within prefactor max(e, 1 / (r1 G)) / ln 2
+    of prefactor log2(r1 G).
+    """
+    psi, a, M = moments.psi, np.asarray(cfg.a), cfg.n_users
+    weighted = float(psi @ a)
+    D = psi[-1] + weighted / cfg.c
+    G = psi[-1] * psi[-2] * a[-2] / D
+    k_sum = max(1.0 / (cfg.c * D), 1.0 / G)
+    for k in range(2, M + 1):
+        for n in range(1, min(k, M - 1)):
+            limit = psi[k - 1] * float(psi[n : M - 1] @ a[n : M - 1])
+            k_sum += (psi[k - 1] + weighted / cfg.c + 1.0 / (cfg.c * r1)) / limit
+    return prefactor * k_sum / math.log(2.0)
+
+
 def test_criterion_4_high_snr_diagnostics():
-    """Numerical slope below 0.05 for both conditions; offset divergent."""
-    fading, cfg0 = reference_setup(3, 40.0)
-    moments = order_stat_moments(fading, 3)
-    grid = [10.0 ** (db / 10.0) for db in (40, 50, 60)]
+    """Closed-form affine expansion: slope 1/2 (NOMA) and 1/3 (OMA), equal
+    offsets, residual within the model's K / r1 over 40-120 dB; any
+    distortion gives slope 0 and the asymptote as ceiling."""
+    fading, cfg = reference_setup(4, 40.0)
+    moments = order_stat_moments(fading, 4)
+    ok = True
+    detail = []
+    for scheme in ("noma", "oma"):
+        prefactor = scheme_prefactor(scheme, 4)
+        slope, offset, ceiling = asr_affine(moments, cfg, prefactor=prefactor)
+        ok &= slope == {"noma": 0.5, "oma": 1.0 / 3.0}[scheme] and math.isinf(ceiling)
+        ok &= abs(offset - (-2.76686)) < 5e-6
+        scaled = []
+        for snr_db in range(40, 130, 10):
+            r1 = 10.0 ** (snr_db / 10.0)
+            rate = asr(moments, replace(cfg, r1=r1), prefactor=prefactor).total
+            residual = rate - slope * (math.log2(r1) - offset)
+            bound = affine_residual_coefficient(moments, cfg, prefactor, r1) / r1
+            rounding = 16.0 * np.finfo(np.float64).eps * (rate + slope * math.log2(r1))
+            ok &= abs(residual) <= bound + rounding
+            scaled.append(r1 * residual)
+        detail.append(
+            f"{scheme} S {slope:.4f}, L {offset:.5f}, "
+            f"r1*residual {min(scaled):.3f}..{max(scaled):.3f}"
+        )
 
     imp = ImpairmentProfile.uniform(0.2)
-    y_ni = [asr(moments, replace(cfg0, r1=r), imp).total for r in grid]
-    slope_ni = high_snr_slope(grid, y_ni)
-    offset_ni = high_snr_offset(grid, y_ni, slope_ni)
-
-    # ideal case: only the interference-limited pairs have a finite limit
-    def ideal_finite_total(r):
-        result = asr(moments, replace(cfg0, r1=r))
-        return float(result.per_pair[:, : cfg0.n_users - 2].sum())
-
-    y_id = [ideal_finite_total(r) for r in grid]
-    slope_id = high_snr_slope(grid, y_id)
-    offset_id = high_snr_offset(grid, y_id, slope_id)
-
-    ok = (
-        abs(slope_ni) < 0.05
-        and abs(slope_id) < 0.05
-        and math.isinf(offset_ni)
-        and math.isinf(offset_id)
-    )
+    ceiling = asr_asymptotic(moments, cfg, imp).total
+    ok &= asr_affine(moments, cfg, imp) == (0.0, math.inf, ceiling)
     report(
         4,
-        "40-60 dB slope magnitudes < 0.05 and offsets divergent",
+        "affine high-SNR expansion: slope 1/2 and 1/3, L -2.76686, residual <= K/r1 at 40-120 dB, "
+        "slope 0 with distortion",
         ok,
-        f"slopes {slope_ni:.4f} (non-ideal), {slope_id:.4f} (ideal finite pairs)",
+        "; ".join(detail),
     )
 
 

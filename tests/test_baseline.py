@@ -9,12 +9,14 @@ from mwrnoma import (
     NetworkConfig,
     TrialConfig,
     asr,
+    asr_affine,
     asr_oma,
     order_stat_moments,
     simulate_asr,
     simulate_asr_oma,
     slot_count,
 )
+from mwrnoma.baseline import scheme_prefactor
 
 A4 = (0.5, 0.3, 0.15, 0.05)
 A5 = (0.5, 0.2, 0.15, 0.1, 0.05)
@@ -89,3 +91,15 @@ def test_oma_distortion_monotonicity():
         for v in np.arange(0.0, 0.31, 0.05)
     ]
     assert all(x > y for x, y in zip(totals, totals[1:]))
+
+
+@pytest.mark.parametrize("n_users", range(2, 9))
+def test_slope_ratio_is_slot_share(n_users):
+    # the paper's time-slot claim in closed form: only the slope carries the
+    # prefactor, so the two schemes share the power offset
+    raw = np.arange(n_users, 0, -1.0)
+    _, moments, cfg = setup(n_users, tuple(raw / raw.sum()))
+    noma = asr_affine(moments, cfg, prefactor=scheme_prefactor("noma", n_users))
+    oma = asr_affine(moments, cfg, prefactor=scheme_prefactor("oma", n_users))
+    assert oma[0] / noma[0] == pytest.approx(2.0 / slot_count(n_users), rel=1e-15)
+    assert oma[1] == pytest.approx(noma[1], rel=1e-12)

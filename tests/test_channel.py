@@ -20,7 +20,7 @@ from mwrnoma import (
     sinr_terms,
 )
 from mwrnoma.channel import _unscaled_moment, order_stat_moment_rows
-from mwrnoma.montecarlo import _sample_rho_chunk
+from mwrnoma.montecarlo import _ChunkBuffers, _sample_rho_chunk
 
 
 def params(alpha=1, beta=1.0, nu=2.0, d=0.0, n_users=1):
@@ -178,7 +178,7 @@ class TestSampling:
         # the engine's gains: sorted per trial before the path loss scales
         # each order position
         p = FadingParams(alpha=2, beta=1.0, nu=2.0, distances=(3.0, 2.0, 1.0))
-        h = _sample_rho_chunk(p, 3, seed=1, chunk_index=0, count=1000)
+        h = _sample_rho_chunk(p, seed=1, chunk_index=0, buffers=_ChunkBuffers(3, p.alpha, 1000))
         assert h.shape == (1000, 3)
         assert np.all(h >= 0) and np.all(np.diff(h, axis=1) >= 0)
         rho = h * p.path_loss_factors()
@@ -186,8 +186,9 @@ class TestSampling:
 
     def test_determinism(self):
         p = params(alpha=2, beta=3.0, n_users=4)
-        a = _sample_rho_chunk(p, 4, seed=42, chunk_index=5, count=100)
-        b = _sample_rho_chunk(p, 4, seed=42, chunk_index=5, count=100)
+        # separate buffers: a result lives in its buffers until the next draw
+        a = _sample_rho_chunk(p, 42, 5, _ChunkBuffers(4, p.alpha, 100))
+        b = _sample_rho_chunk(p, 42, 5, _ChunkBuffers(4, p.alpha, 100))
         assert np.array_equal(a, b)
 
     def test_sample_convergence_to_moments(self):

@@ -149,6 +149,8 @@ class TestSpecLoading:
             ("fig4a", {"experiment": {"grid": 3}}, "experiment.grid: expected a mapping, got 3"),
             ("fig4a", {"geometry": 3}, "geometry: expected a mapping, got 3"),
             ("fig2a", {"fading": 3}, "fading: expected a mapping, got 3"),
+            # one trial has no ddof=1 variance, so no standard error to write
+            ("fig2b", {"trials": {"trials": 1}}, "trials: trials must be an integer >= 2, got 1"),
         ],
     )
     def test_config_value_named(self, tmp_path, capsys, preset, config, message):

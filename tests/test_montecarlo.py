@@ -28,6 +28,7 @@ from mwrnoma.baseline import scheme_prefactor
 from mwrnoma.errors import SweepPointError
 from mwrnoma.montecarlo import (
     CHUNK_TRIALS,
+    _ChunkBuffers,
     _chunk_stats,
     _chunk_stream,
     _merge_stats,
@@ -57,8 +58,8 @@ class TestStreams:
 
     def test_chunk_prefix_property(self):
         # shorter chunks reproduce the same leading trials
-        full = _sample_rho_chunk(FADING3, 3, seed=4, chunk_index=2, count=100)
-        head = _sample_rho_chunk(FADING3, 3, seed=4, chunk_index=2, count=10)
+        full = _sample_rho_chunk(FADING3, 4, 2, _ChunkBuffers(3, FADING3.alpha, 100))
+        head = _sample_rho_chunk(FADING3, 4, 2, _ChunkBuffers(3, FADING3.alpha, 10))
         assert np.array_equal(full[:10], head)
         # each sorted position is one contiguous column of the chunk
         assert full.shape == (100, 3) and full.flags.f_contiguous
@@ -66,10 +67,11 @@ class TestStreams:
     def test_buffers_refilled_per_thread(self):
         buffers = _thread_buffers(3, FADING3.alpha)
         mine = buffers(100)
-        _sample_rho_chunk(FADING3, 3, seed=4, chunk_index=1, count=100, buffers=mine)
-        refill = _sample_rho_chunk(FADING3, 3, 4, 2, 100, buffers=buffers(100))
+        _sample_rho_chunk(FADING3, seed=4, chunk_index=1, buffers=mine)
+        refill = _sample_rho_chunk(FADING3, 4, 2, buffers(100))
         assert buffers(100) is mine and refill is mine.gains
-        assert np.array_equal(refill, _sample_rho_chunk(FADING3, 3, 4, 2, 100))
+        fresh = _sample_rho_chunk(FADING3, 4, 2, _ChunkBuffers(3, FADING3.alpha, 100))
+        assert np.array_equal(refill, fresh)
         with ThreadPoolExecutor(max_workers=1) as pool:
             assert pool.submit(buffers, 100).result() is not mine
         assert buffers(10).count == 10
@@ -172,6 +174,8 @@ class TestInterfaces:
     def test_trialconfig_validation(self):
         with pytest.raises(ConfigurationError):
             TrialConfig(trials=0, seed=1)
+        with pytest.raises(ConfigurationError, match="trials must be an integer >= 2, got 1"):
+            TrialConfig(trials=1, seed=1)
         with pytest.raises(ConfigurationError):
             TrialConfig(trials=10, seed=-1)
         with pytest.raises(ConfigurationError):
@@ -234,7 +238,8 @@ def reference_stats(point, tc):
     stats = None
     for c in range(0, (tc.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS):
         count = min(CHUNK_TRIALS, tc.trials - c * CHUNK_TRIALS)
-        rho = _sample_rho_chunk(point.fading, 4, tc.seed, c, count)
+        buffers = _ChunkBuffers(4, point.fading.alpha, count)
+        rho = _sample_rho_chunk(point.fading, tc.seed, c, buffers)
         rho = rho * point.fading.path_loss_factors()
         rates = _kernels.pair_rate_chunk(
             rho, np.asarray(cfg.a), 1.0 / cfg.r1, 1.0 / cfg.r2,
@@ -312,7 +317,8 @@ class TestSweepEngine:
         args = (1e-2, 1e-2, 0.1**2, 0.2**2, 0.05**2, 0.15**2)
         scales = (1.0, scheme_prefactor("oma", n_users) / 0.5)
         for chunk, count in ((0, CHUNK_TRIALS), (1, 777)):
-            rho = _sample_rho_chunk(fading, n_users, 6, chunk, count) * fading.path_loss_factors()
+            buffers = _ChunkBuffers(n_users, fading.alpha, count)
+            rho = _sample_rho_chunk(fading, 6, chunk, buffers) * fading.path_loss_factors()
             columns = _kernels.pair_rate_columns(rho, a, *args, out=np.empty(count))
             got = _chunk_stats(columns, count, scales)
             rates = _kernels.pair_rate_chunk(rho, a, *args)
@@ -342,7 +348,8 @@ def nan_kernel(monkeypatch, fading, seed, bad_rows):
     recognised by its first sampled row."""
     original = _kernels.pair_rate_columns
     scale = fading.path_loss_factors()
-    firsts = [_sample_rho_chunk(fading, 4, seed, c, 1)[0] * scale for c in range(3)]
+    buffers = _ChunkBuffers(4, fading.alpha, 1)
+    firsts = [_sample_rho_chunk(fading, seed, c, buffers)[0] * scale for c in range(3)]
 
     def patched(rho, a, inv_r1, *args, **kwargs):
         chunk = next((c for c, first in enumerate(firsts) if np.array_equal(rho[0], first)), None)
@@ -438,9 +445,11 @@ class TestSampleMoments:
             got = sample_moments(fading, TrialConfig(trials, seed=8, workers=workers))
             assert np.array_equal(got[0], mean) and np.array_equal(got[1], stderr)
         # the same trials pooled in one array, reduced by numpy directly
+        # each chunk in its own buffers, kept past the next draw
+        counts = [min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS) for c in range(3)]
         rho = np.concatenate([
-            _sample_rho_chunk(fading, 4, 8, c, min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS))
-            for c in range(3)
+            _sample_rho_chunk(fading, 8, c, _ChunkBuffers(4, fading.alpha, count))
+            for c, count in enumerate(counts)
         ]) * fading.path_loss_factors()
         x = np.stack([rho, rho**2])
         np.testing.assert_allclose(mean, x.mean(axis=1), rtol=1e-12)

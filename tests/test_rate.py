@@ -18,11 +18,11 @@ from mwrnoma import (
     NetworkConfig,
     OrderStatMoments,
     asr,
+    asr_affine,
     asr_asymptotic,
-    high_snr_offset,
-    high_snr_slope,
     order_stat_moments,
 )
+from mwrnoma.baseline import scheme_prefactor
 from mwrnoma.rate import asr_rows, pair_indices
 
 A3 = (0.5, 0.3, 0.2)
@@ -67,29 +67,65 @@ def closed_form_cases(draw, min_kappa=0.0):
     return order_stat_moments(fading, M), cfg, imp
 
 
-def asymptote_gap_bound(moments, cfg, imp, r1):
-    """Upper bound on asr_asymptotic - asr at r1 from the signal model.
-
-    Each pair's SINR denominator (divided by r1 r2) exceeds its high-SNR
-    limit by the noise-driven terms rho_k (1 + krt2 + kur2) / r1,
-    mac * weighted / r2 and 1 / (r1 r2).  A relative excess delta costs
-    the pair at most 1/2 log2(1 + delta); 8 eps of the limit covers the
-    rounding of both sums.
-    """
+def pair_denominators(moments, cfg, imp, r1):
+    """(limit, excess) of each pair's SINR denominator, divided by r1 r2,
+    in pair order: the high-SNR limit rho_k (residual + weighted * distortion)
+    and the noise-driven terms rho_k (1 + krt2 + kur2) / r1,
+    mac * weighted / r2 and 1 / (r1 r2) by which it exceeds that limit."""
     psi, a, M = moments.psi, np.asarray(cfg.a), cfg.n_users
     kut2, kur2, krt2, krr2 = (getattr(imp, k) ** 2 for k in KAPPAS)
     mac = 1.0 + kut2 + krr2
     weighted = float(psi @ a)
     r2 = cfg.c * r1
-    bound = 0.0
     for k, n in pair_indices(M):
         rho_k = psi[k - 1]
         residual = float(psi[n : M - 1] @ a[n : M - 1])
         limit = rho_k * (residual + weighted * (kut2 + krr2 + (krt2 + kur2) * mac))
         excess = rho_k * (1.0 + krt2 + kur2) / r1 + mac * weighted / r2 + 1.0 / (r1 * r2)
-        bound += 0.5 * math.log1p(excess / limit) / math.log(2.0)
+        yield limit, excess
+
+
+def asymptote_gap_bound(moments, cfg, imp, r1):
+    """Upper bound on asr_asymptotic - asr at r1 from the signal model.
+
+    A relative excess delta of a pair's denominator over its limit costs
+    the pair at most 1/2 log2(1 + delta); 8 eps of the limit covers the
+    rounding of both sums.
+    """
+    bound = sum(
+        0.5 * math.log1p(excess / limit) / math.log(2.0)
+        for limit, excess in pair_denominators(moments, cfg, imp, r1)
+    )
     limit_total = asr_asymptotic(moments, cfg, imp).total
     return bound + 8.0 * np.finfo(np.float64).eps * limit_total
+
+
+def affine_residual_bounds(moments, cfg, prefactor, r1):
+    """Bounds (low, high) on asr - slope (log2 r1 - offset) at r1 without
+    distortion, from the signal model.
+
+    Every pair but the last sits below its limit by at most
+    prefactor log2(1 + excess / limit), as in ``asymptote_gap_bound``.
+    The last pair (k=M, n=M-1) has SINR r1 G / (1 + e) with
+    G = psi_M psi_{M-1} a_{M-1} / D, D = psi_M + weighted / c and
+    e = 1 / (c r1 D), so its rate less prefactor log2(r1 G) lies between
+    -prefactor log2(1 + e) and prefactor log2(1 + 1 / (r1 G)).  16 eps of
+    the magnitudes summed covers the rounding.
+    """
+    psi, a = moments.psi, cfg.a
+    terms = list(pair_denominators(moments, cfg, ImpairmentProfile(), r1))[:-1]
+    gaps = sum(prefactor * math.log2(1.0 + excess / limit) for limit, excess in terms)
+    D = psi[-1] + float(psi @ np.asarray(a)) / cfg.c
+    G = psi[-1] * psi[-2] * a[-2] / D
+    rate = asr(moments, replace(cfg, r1=r1), prefactor=prefactor).total
+    limits = asr_asymptotic(moments, cfg, prefactor=prefactor).per_pair
+    rounding = 16.0 * np.finfo(np.float64).eps * (
+        rate + limits[np.isfinite(limits)].sum()
+        + prefactor * (abs(math.log2(r1)) + abs(math.log2(G)))
+    )
+    low = -gaps - prefactor * math.log1p(1.0 / (cfg.c * r1 * D)) / math.log(2.0)
+    high = prefactor * math.log1p(1.0 / (r1 * G)) / math.log(2.0)
+    return low - rounding, high + rounding
 
 
 # tiny means and distortion: the gap at r1 = 1e16 is 2.45e-9, above
@@ -250,7 +286,7 @@ class TestAsymptotics:
         result = asr_asymptotic(moments, cfg)
         assert math.isinf(result.per_pair[2, 1])  # k=3 decoding n=2: nothing left
         assert math.isinf(result.total)
-        assert result.finite_total is not None and math.isfinite(result.finite_total)
+        assert math.isfinite(asr_affine(moments, cfg)[1])
         assert any("k=3, n=2" in note for note in result.notes)
 
     def test_nonideal_asymptote_is_finite_and_reached(self, setup3):
@@ -323,37 +359,45 @@ class TestClosedFormProperties:
         assert np.array_equal(totals, one_row)
 
 
-class TestSlopeOffset:
-    def test_calibration_unit_slope(self):
-        r = [10.0**4, 10.0**5, 10.0**6]
-        y = [math.log2(v) for v in r]
-        assert high_snr_slope(r, y) == pytest.approx(1.0, abs=1e-9)
+# tiny means at the two weakest positions: the last pair's gain G is
+# 1.35e-5 and the offset 14.7028, so the residual is +0.854 at 40 dB and
+# falls as 1/r1 only above about 110 dB
+SLOW_PSI = np.array([2e-5, 5e-5, 0.5])
+SLOW_AFFINE = (
+    OrderStatMoments(psi=SLOW_PSI, omega=2.0 * SLOW_PSI**2),
+    NetworkConfig(n_users=3, a=A3, r1=1.0, c=1.8),
+    ImpairmentProfile(),
+)
 
-    def test_calibration_offset_shift(self):
-        r = [10.0**4, 10.0**5, 10.0**6]
-        y = [math.log2(v) - 2.0 for v in r]
-        slope = high_snr_slope(r, y)
-        assert high_snr_offset(r, y, slope) == pytest.approx(2.0, abs=1e-9)
 
-    def test_calibration_offset_quarter_snr(self):
-        r = [10.0**4, 10.0**5, 10.0**6]
-        y = [math.log2(v / 4.0) for v in r]
-        slope = high_snr_slope(r, y)
-        assert high_snr_offset(r, y, slope) == pytest.approx(2.0, abs=1e-9)
+class TestAffineExpansion:
+    def test_two_user_hand_value(self):
+        # one pair, which diverges: offset = -log2 G
+        moments = OrderStatMoments(psi=np.array([0.5, 1.5]), omega=np.array([0.5, 3.5]))
+        cfg = NetworkConfig(n_users=2, a=(0.7, 0.3), r1=10.0, c=2.0)
+        gain = 1.5 * 0.5 * 0.7 / (1.5 + (0.7 * 0.5 + 0.3 * 1.5) / 2.0)
+        slope, offset, ceiling = asr_affine(moments, cfg)
+        assert slope == 0.5 and math.isinf(ceiling)
+        assert offset == pytest.approx(-math.log2(gain), rel=1e-12)
 
-    def test_system_curves_have_zero_slope_divergent_offset(self, setup3):
-        _, moments, cfg = setup3
-        imp = ImpairmentProfile.uniform(0.2)
-        r = [10.0 ** (db / 10.0) for db in (40, 50, 60)]
-        y = [asr(moments, cfg_at(cfg, v), imp).total for v in r]
-        slope = high_snr_slope(r, y)
-        assert abs(slope) < 0.05
-        assert math.isinf(high_snr_offset(r, y, slope))
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            high_snr_slope([1.0, 10.0], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            high_snr_slope([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])  # 4.8 dB span
-        with pytest.raises(ValueError):
-            high_snr_slope([1.0, 100.0, 10.0], [1.0, 2.0, 3.0])
+    @settings(max_examples=60, deadline=None)
+    @given(closed_form_cases(), st.sampled_from(("noma", "oma")), st.booleans())
+    @example(SLOW_AFFINE, "noma", False)
+    def test_expansion_within_model_bound(self, case, scheme, distorted):
+        moments, cfg, imp = case
+        prefactor = scheme_prefactor(scheme, cfg.n_users)
+        if distorted:
+            imp = replace(imp, kappa_ut=imp.kappa_ut + 0.01)
+            limit = asr_asymptotic(moments, cfg, imp, prefactor).total
+            assert asr_affine(moments, cfg, imp, prefactor) == (0.0, math.inf, limit)
+            return
+        slope, offset, ceiling = asr_affine(moments, cfg, prefactor=prefactor)
+        assert slope == prefactor and math.isfinite(offset) and math.isinf(ceiling)
+        # from noise-limited to far past the asymptote: the residual obeys
+        # the model's bound, which decays as 1/r1
+        for snr_db in range(0, 170, 20):
+            r1 = 10.0 ** (snr_db / 10.0)
+            rate = asr(moments, cfg_at(cfg, r1), prefactor=prefactor).total
+            residual = rate - slope * (math.log2(r1) - offset)
+            low, high = affine_residual_bounds(moments, cfg, prefactor, r1)
+            assert low <= residual <= high
