@@ -7,6 +7,15 @@ overflow), and the high-SNR limit is the same formula at 1/r1 = 1/r2 = 0.
 Without distortion one pair has nothing left in that limit: its SINR
 grows as r1 times ``divergent_pair_gain``.
 
+The four distortion levels enter the SINR only through three terms,
+which ``distortion_terms`` computes and the kernel takes as its input:
+mac = 1 + kappa_ut^2 + kappa_rr^2 scales the relay's received power,
+bc = 1 + kappa_rt^2 + kappa_ur^2 the broadcast-hop noise, and
+mix = (kappa_ut^2 + kappa_rr^2) + (kappa_rt^2 + kappa_ur^2) * mac the
+distortion power at a decoder.  Profiles with equal terms, such as
+transmitter-only and receiver-only distortion of one level, give the same
+rates bit for bit.
+
 Every operation is row-local, so a row gets the same bits alone, in a
 placement batch or in a Monte Carlo chunk.  The gains may come in either
 memory order; they are held column-major (a C-ordered placement batch is
@@ -41,15 +50,25 @@ def weighted_sums(rho, a, *, out=None):
     return suffix[:, 0] + a[-1] * rho[:, -1], suffix
 
 
-def pair_rate_columns(rho, a, inv_r1, inv_r2, kut2, kur2, krt2, krr2, *, out, aggregates=None):
+def distortion_terms(imp):
+    """``(mac, mix, bc)`` of an impairment profile: the only way its four
+    distortion levels enter ``pair_rate_columns``."""
+    kut2, kur2 = imp.kappa_ut**2, imp.kappa_ur**2
+    krt2, krr2 = imp.kappa_rt**2, imp.kappa_rr**2
+    mac = 1.0 + kut2 + krr2
+    return mac, (kut2 + krr2) + (krt2 + kur2) * mac, 1.0 + krt2 + kur2
+
+
+def pair_rate_columns(rho, a, inv_r1, inv_r2, mac, mix, bc, *, out, aggregates=None):
     """Yield the rate 1/2 log2(1 + SINR) of each decodable pair, one
     finished column at a time, in (k, then n) pair order.
 
     rho: (rows, M) sorted ascending effective gains (sampled gains, or
     order-statistic means, one row per operating point or placement site).
-    inv_r1, inv_r2: reciprocal user and relay SNR.  out: a (rows,) buffer
-    that every yielded column overwrites, so a column is valid only until
-    the next one is drawn.  aggregates: ``weighted_sums(rho, a)``, computed
+    inv_r1, inv_r2: reciprocal user and relay SNR.  mac, mix, bc: the
+    profile's ``distortion_terms``.  out: a (rows,) buffer that every
+    yielded column overwrites, so a column is valid only until the next
+    one is drawn.  aggregates: ``weighted_sums(rho, a)``, computed
     here when the caller does not share it.  A pair with an empty
     denominator (only at 1/r1 = 0 without distortion) is +inf; callers that
     allow it silence the division warning.
@@ -58,9 +77,6 @@ def pair_rate_columns(rho, a, inv_r1, inv_r2, kut2, kur2, krt2, krr2, *, out, ag
     a = np.asarray(a, dtype=np.float64)
     M = rho.shape[1]
     weighted, suffix = weighted_sums(rho, a) if aggregates is None else aggregates
-    mac = 1.0 + kut2 + krr2
-    mix = (kut2 + krr2) + (krt2 + kur2) * mac
-    bc = 1.0 + krt2 + kur2
 
     noise_fwd = mac * weighted * inv_r2 + inv_r1 * inv_r2
     # the denominator terms that scale with rho_k, besides the interference

@@ -110,11 +110,10 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Artifacts of one run: written files, their rows, and rounded totals."""
+    """Artifacts of one run: written files and rounded totals."""
 
     kind: str
     csv_paths: tuple[Path, ...]
-    rows: dict[Path, list[dict]]
     reported_totals: dict[str, float]
     summary: str
 
@@ -408,7 +407,8 @@ def _run_grid_sweep(spec: ExperimentSpec) -> RunResult:
         points = [(v, spec.network.r1, ImpairmentProfile.uniform(v)) for v in spec.kappa_grid]
 
     moments = order_stat_moments(spec.fading, spec.network.n_users)
-    rows: list[dict] = []
+    # (sweep value, scheme, condition, asr_analytical), formatted
+    rows: list[tuple[str, str, str, str]] = []
     mc_points: list[SweepPoint] = []
     for value, r1, sweep_profile in points:
         cfg = replace(spec.network, r1=r1)
@@ -420,46 +420,35 @@ def _run_grid_sweep(spec: ExperimentSpec) -> RunResult:
                     condition = label
                 else:
                     condition = "ideal" if profile.is_ideal else "nonideal"
-                row = {
-                    key: _fmt(value),
-                    "scheme": scheme,
-                    "condition": condition,
-                    "asr_analytical": _fmt(asr(moments, cfg, profile, prefactor=share).total),
-                    "asr_mc": "",
-                    "mc_stderr": "",
-                }
-                rows.append(row)
+                analytic = _fmt(asr(moments, cfg, profile, prefactor=share).total)
+                rows.append((_fmt(value), scheme, condition, analytic))
                 mc_points.append(SweepPoint(cfg, spec.fading, profile, share))
 
+    mc_cells = [("", "")] * len(rows)
     if spec.engine != "analytical":
         try:
             results = simulate_sweep(mc_points, spec.trials)
         except SweepPointError as exc:
-            row = rows[exc.point]
-            raise NumericError(
-                f"{key}={row[key]} {row['scheme']}/{row['condition']}: {exc}"
-            ) from exc
-        for row, result in zip(rows, results):
-            row["asr_mc"] = _fmt(result.total)
-            row["mc_stderr"] = _fmt(result.stderr)
-            gap = abs(float(row["asr_analytical"]) - result.total)
+            value, scheme, condition, _ = rows[exc.point]
+            raise NumericError(f"{key}={value} {scheme}/{condition}: {exc}") from exc
+        mc_cells = [(_fmt(result.total), _fmt(result.stderr)) for result in results]
+        for (value, scheme, condition, analytic), result in zip(rows, results):
             log.info(
                 "%s=%s %s/%s: analytic-vs-mc gap %.3g",
-                key, row[key], row["scheme"], row["condition"], gap,
+                key, value, scheme, condition, abs(float(analytic) - result.total),
             )
 
-    _write_csv(spec.output, header, rows)
+    _write_csv(spec.output, header, (row + cells for row, cells in zip(rows, mc_cells)))
     totals: dict[str, float] = {}
-    for row in rows:
-        group = f"{row['scheme']}/{row['condition']}"
-        totals[group] = totals.get(group, 0.0) + float(row["asr_analytical"])
+    for _, scheme, condition, analytic in rows:
+        group = f"{scheme}/{condition}"
+        totals[group] = totals.get(group, 0.0) + float(analytic)
     lines = [f"{spec.kind}: {len(rows)} rows -> {spec.output}"]
     for group in sorted(totals):
         lines.append(f"  sum(asr_analytical) {group}: {_fmt(totals[group])}")
     return RunResult(
         kind=spec.kind,
         csv_paths=(spec.output,),
-        rows={spec.output: rows},
         reported_totals=totals,
         summary="\n".join(lines),
     )
@@ -469,7 +458,6 @@ def _run_placement(spec: ExperimentSpec) -> RunResult:
     engine = "monte-carlo" if spec.engine == "mc" else "analytical"
     _, profile = spec.variants[0]
     paths: list[Path] = []
-    rows_by_path: dict[Path, list[dict]] = {}
     totals: dict[str, float] = {}
     lines: list[str] = []
     for scheme in spec.schemes:
@@ -488,25 +476,23 @@ def _run_placement(spec: ExperimentSpec) -> RunResult:
             path = spec.output.with_name(
                 spec.output.stem + f"_{scheme}" + spec.output.suffix
             )
-        # each axis label is formatted once, not once per site
+        # each axis label is formatted once, not once per site; the rates
+        # run y outer, x inner, as the rows do
         xs = [_fmt(x) for x in surface.xs]
-        rows = []
-        for j, y in enumerate(_fmt(y) for y in surface.ys):
-            for i, x in enumerate(xs):
-                rows.append({"x_m": x, "y_m": y, "asr": _fmt(surface.asr[j, i])})
-        _write_csv(path, PLACEMENT_HEADER, rows)
+        ys = [_fmt(y) for y in surface.ys]
+        rates = [_fmt(v) for v in surface.asr.ravel().tolist()]
+        sites = ((x, y) for y in ys for x in xs)
+        _write_csv(path, PLACEMENT_HEADER, (site + (r,) for site, r in zip(sites, rates)))
         paths.append(path)
-        rows_by_path[path] = rows
-        totals[scheme] = math.fsum(float(r["asr"]) for r in rows)
+        totals[scheme] = math.fsum(float(r) for r in rates)
         lines.append(
-            f"placement {scheme}: {len(rows)} points -> {path}; "
+            f"placement {scheme}: {len(rates)} points -> {path}; "
             f"argmax at ({_fmt(surface.argmax_xy[0])}, {_fmt(surface.argmax_xy[1])}); "
             f"sum(asr) {_fmt(totals[scheme])}"
         )
     return RunResult(
         kind=spec.kind,
         csv_paths=tuple(paths),
-        rows=rows_by_path,
         reported_totals=totals,
         summary="\n".join(lines),
     )
@@ -528,20 +514,20 @@ def _run_moments_check(spec: ExperimentSpec) -> RunResult:
             abs(moments.omega[i - 1] - omega_q) / omega_q,
         )
         rows.append(
-            {
-                "i": str(i),
-                "psi_closed": _fmt(moments.psi[i - 1]),
-                "psi_quadrature": _fmt(psi_q),
-                "psi_mc": _fmt(mc_psi[i - 1]),
-                "psi_mc_stderr": _fmt(psi_se[i - 1]),
-                "omega_closed": _fmt(moments.omega[i - 1]),
-                "omega_quadrature": _fmt(omega_q),
-                "omega_mc": _fmt(mc_omega[i - 1]),
-                "omega_mc_stderr": _fmt(omega_se[i - 1]),
-            }
+            (
+                str(i),
+                _fmt(moments.psi[i - 1]),
+                _fmt(psi_q),
+                _fmt(mc_psi[i - 1]),
+                _fmt(psi_se[i - 1]),
+                _fmt(moments.omega[i - 1]),
+                _fmt(omega_q),
+                _fmt(mc_omega[i - 1]),
+                _fmt(omega_se[i - 1]),
+            )
         )
     _write_csv(spec.output, MOMENTS_HEADER, rows)
-    totals = {"psi_closed": math.fsum(float(r["psi_closed"]) for r in rows)}
+    totals = {"psi_closed": math.fsum(float(r[1]) for r in rows)}
     summary = (
         f"moments-check: {M} positions -> {spec.output}; "
         f"max closed-vs-quadrature rel err {worst:.3g}; "
@@ -550,19 +536,20 @@ def _run_moments_check(spec: ExperimentSpec) -> RunResult:
     return RunResult(
         kind=spec.kind,
         csv_paths=(spec.output,),
-        rows={spec.output: rows},
         reported_totals=totals,
         summary=summary,
     )
 
 
-def _write_csv(path: Path, header: list[str], rows: list[dict]) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write the header and then ``rows``, an iterable of tuples of cells
+    in header order."""
     path = Path(path)
     if path.parent != Path(""):
         path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=header, lineterminator="\n")
-        writer.writeheader()
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
         writer.writerows(rows)
 
 

@@ -15,7 +15,11 @@ SNR, distortion profile and prefactor to those gains (common random
 numbers) and reduces them to per-point chunk statistics.  Each point's
 statistics merge in chunk order, exactly as a one-point run merges them,
 so a point's result does not depend on which other points share the run
-or on the worker count.  Duplicate points share their chunk statistics.
+or on the worker count.  The kernel sees a profile only through its three
+distortion terms (``_kernels.distortion_terms``), so points with equal
+path loss, SNR and terms share one kernel call per chunk, and those that
+also share the prefactor share their chunk statistics: transmitter-only
+and receiver-only distortion of one level cost one evaluation.
 Only per-point statistics outlive a chunk.  ``sample_moments`` runs the
 same chunks and reduces the sorted, path-loss-scaled gains and their
 squares instead of pair rates.
@@ -217,10 +221,12 @@ def _sweep_plan(points):
     """Group the points by path-loss vector, then by kernel arguments,
     then by prefactor.
 
-    Points in one path-loss group share the scaled gains and their
-    aggregates; points in one kernel group (they differ only in the
-    prefactor) share the kernel call; points that also share the
-    prefactor are duplicates and share the chunk statistics.
+    The kernel arguments are the computed floats (1/r1, 1/r2, mac, mix,
+    bc), so points whose distortion profiles differ but whose
+    ``_kernels.distortion_terms`` are bit-equal fall in one group.  Points
+    in one path-loss group share the scaled gains and their aggregates;
+    points in one kernel group share the kernel call; points that also
+    share the prefactor share the chunk statistics.
     """
     groups: dict = {}
     for i, p in enumerate(points):
@@ -228,15 +234,7 @@ def _sweep_plan(points):
             factors = p.fading.path_loss_factors()
         except NumericError as exc:
             raise SweepPointError(i, str(exc)) from exc
-        imp = p.imp
-        args = (
-            1.0 / p.cfg.r1,
-            1.0 / p.cfg.r2,
-            imp.kappa_ut**2,
-            imp.kappa_ur**2,
-            imp.kappa_rt**2,
-            imp.kappa_rr**2,
-        )
+        args = (1.0 / p.cfg.r1, 1.0 / p.cfg.r2, *_kernels.distortion_terms(p.imp))
         kernels = groups.setdefault(factors.tobytes(), (factors, {}))[1]
         # kernel output carries the 1/2 prefactor
         kernels.setdefault(args, {}).setdefault(p.prefactor / 0.5, []).append(i)

@@ -105,10 +105,7 @@ def _closed_form_pairs(
         cfg.a,
         inv_r1,
         inv_r2,
-        imp.kappa_ut**2,
-        imp.kappa_ur**2,
-        imp.kappa_rt**2,
-        imp.kappa_rr**2,
+        *_kernels.distortion_terms(imp),
     )
     if prefactor != 0.5:  # kernel output carries the 1/2 prefactor
         rates = rates * (prefactor / 0.5)

@@ -208,6 +208,21 @@ class TestSnrSweep:
             blobs.append((tmp_path / f"w{workers}.csv").read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
 
+    def test_tx_and_rx_distortion_rows_equal(self, tmp_path):
+        # the paper's result 2 in the shipped fig2b: transmitter-only and
+        # receiver-only distortion give the same strings in every column
+        out = tmp_path / "fig2b.csv"
+        argv = ["run", "--preset", "fig2b", "--trials", "20000", "--engine", "both"]
+        assert main(argv + ["--output", str(out)]) == 0
+        by_condition = {}
+        for row in read_rows(out):
+            cells = (row["snr_db"], row["asr_analytical"], row["asr_mc"], row["mc_stderr"])
+            by_condition.setdefault(row["condition"], []).append(cells)
+        assert len(by_condition["tx-rhi"]) == 9
+        assert all(mc and se for _, _, mc, se in by_condition["tx-rhi"])
+        assert by_condition["tx-rhi"] == by_condition["rx-rhi"]
+        assert by_condition["tx-rhi"] != by_condition["transceiver-rhi"]
+
     def test_variant_conditions_labelled(self, tmp_path):
         config = tiny_snr_config(tmp_path)
         config["impairments"] = {

@@ -9,7 +9,7 @@ from mwrnoma import (
     pair_indices,
     sinr_instantaneous,
 )
-from mwrnoma._kernels import pair_rate_chunk
+from mwrnoma._kernels import distortion_terms, pair_rate_chunk
 
 
 def make_inputs(n_users, n_trials=256, seed=0):
@@ -30,10 +30,7 @@ def test_kernel_matches_scalar_model(n_users):
         np.asarray(a),
         1.0 / cfg.r1,
         1.0 / cfg.r2,
-        imp.kappa_ut**2,
-        imp.kappa_ur**2,
-        imp.kappa_rt**2,
-        imp.kappa_rr**2,
+        *distortion_terms(imp),
     )
     pairs = pair_indices(n_users)
     assert rates.shape == (rho.shape[0], len(pairs))
@@ -48,7 +45,8 @@ def test_kernel_is_row_local(n_users):
     # a Monte Carlo chunk, a placement batch and a one-row closed form must
     # give a row the same bits
     rho, a = make_inputs(n_users, n_trials=8192, seed=n_users)
-    args = (np.asarray(a), 1.0 / 316.0, 1.0 / 632.0, 0.01, 0.04, 0.0025, 0.0225)
+    imp = ImpairmentProfile(kappa_ut=0.1, kappa_ur=0.2, kappa_rt=0.05, kappa_rr=0.15)
+    args = (np.asarray(a), 1.0 / 316.0, 1.0 / 632.0, *distortion_terms(imp))
     block = pair_rate_chunk(rho, *args)
     rows = np.concatenate([pair_rate_chunk(rho[t : t + 1], *args) for t in range(rho.shape[0])])
     assert np.array_equal(block, rows)

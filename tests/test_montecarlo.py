@@ -1,11 +1,15 @@
 """Monte Carlo engine: determinism, stream derivation, statistical behavior."""
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sstats
 
 from mwrnoma import (
@@ -25,6 +29,7 @@ from mwrnoma import (
 )
 from mwrnoma import _kernels, montecarlo
 from mwrnoma.baseline import scheme_prefactor
+from mwrnoma.cli import main
 from mwrnoma.errors import SweepPointError
 from mwrnoma.montecarlo import (
     CHUNK_TRIALS,
@@ -243,13 +248,57 @@ def reference_stats(point, tc):
         rho = rho * point.fading.path_loss_factors()
         rates = _kernels.pair_rate_chunk(
             rho, np.asarray(cfg.a), 1.0 / cfg.r1, 1.0 / cfg.r2,
-            imp.kappa_ut**2, imp.kappa_ur**2, imp.kappa_rt**2, imp.kappa_rr**2,
+            *_kernels.distortion_terms(imp),
         )
         if point.prefactor != 0.5:
             rates = rates * (point.prefactor / 0.5)
         part = whole_array_stats(rates)
         stats = part if stats is None else _merge_stats(stats, part)
     return stats
+
+
+def counted_reducer(monkeypatch):
+    """Wrap ``_chunk_stats``; the returned list gets one entry per set of
+    chunk statistics the reducer returns."""
+    calls = []
+
+    def counted(columns, count, scales=(1.0,)):
+        calls.extend([count] * len(scales))
+        return _chunk_stats(columns, count, scales)
+
+    monkeypatch.setattr(montecarlo, "_chunk_stats", counted)
+    return calls
+
+
+def exact_terms(imp):
+    """``_kernels.distortion_terms`` in exact rational arithmetic."""
+    kut2, kur2, krt2, krr2 = (
+        Fraction(k) ** 2 for k in (imp.kappa_ut, imp.kappa_ur, imp.kappa_rt, imp.kappa_rr)
+    )
+    mac = 1 + kut2 + krr2
+    return mac, (kut2 + krr2) + (krt2 + kur2) * mac, 1 + krt2 + kur2
+
+
+def near_miss_profiles():
+    """A transmitter-only profile and a profile whose distortion terms
+    equal its in real arithmetic but differ in floating point.
+
+    The near miss splits the uplink level kappa over kappa_ut = a and
+    kappa_rr = b with a^2 + b^2 = kappa^2 exactly: (a, b, kappa) is a
+    Pythagorean triple scaled by a power of two, with mantissas long
+    enough that the squares round.
+    """
+    for m in itertools.count(2**20 + 1):
+        n = m // 3
+        a, b, kappa = (
+            math.ldexp(v, -(m * m + n * n).bit_length() - 1)
+            for v in (m * m - n * n, 2 * m * n, m * m + n * n)
+        )
+        tx = ImpairmentProfile(kappa_ut=kappa, kappa_rt=kappa)
+        near = ImpairmentProfile(kappa_ut=a, kappa_rt=kappa, kappa_rr=b)
+        assert exact_terms(near) == exact_terms(tx)
+        if _kernels.distortion_terms(near) != _kernels.distortion_terms(tx):
+            return tx, near
 
 
 def assert_same_result(got, want):
@@ -314,7 +363,7 @@ class TestSweepEngine:
         raw = np.arange(n_users, 0, -1.0)
         a = raw / raw.sum()
         fading = FadingParams(alpha=2, beta=3.0, nu=3.0, distances=tuple(np.linspace(2, 1, n_users)))
-        args = (1e-2, 1e-2, 0.1**2, 0.2**2, 0.05**2, 0.15**2)
+        args = (1e-2, 1e-2, *_kernels.distortion_terms(ImpairmentProfile(0.1, 0.2, 0.05, 0.15)))
         scales = (1.0, scheme_prefactor("oma", n_users) / 0.5)
         for chunk, count in ((0, CHUNK_TRIALS), (1, 777)):
             buffers = _ChunkBuffers(n_users, fading.alpha, count)
@@ -330,6 +379,36 @@ class TestSweepEngine:
                 assert np.array_equal(stats[2], want[2])
                 assert stats[3:] == want[3:]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_groups_by_computed_distortion_terms(self, monkeypatch, workers):
+        # the kernel groups compare the computed floats (mac, mix, bc):
+        # transmitter-only and receiver-only distortion of one level share
+        # a group, a profile equal to those only in real arithmetic does not
+        tx, near = near_miss_profiles()
+        kappa = tx.kappa_ut
+        rx = ImpairmentProfile(kappa_ur=kappa, kappa_rr=kappa)
+        cfg = replace(CFG4, r1=1000.0)
+        points = [
+            SweepPoint(cfg, FAR4, imp)
+            for imp in (tx, rx, ImpairmentProfile.uniform(kappa), near, tx)
+        ]
+        distinct = {_kernels.distortion_terms(p.imp) for p in points}
+        assert len(distinct) == 3
+        calls = counted_reducer(monkeypatch)
+        results = simulate_sweep(points, TrialConfig(self.TRIALS, seed=17, workers=workers))
+        assert len(calls) == len(distinct) * 3  # three chunks
+        for point, got in zip(points, results):
+            alone = simulate_asr(point.cfg, point.fading, point.imp, TrialConfig(self.TRIALS, seed=17))
+            assert_same_result(got, alone)
+        assert_same_result(results[0], results[1])
+
+    def test_fig2b_shares_tx_and_rx_groups(self, monkeypatch, tmp_path):
+        # 9 SNRs x 4 profiles, of which tx-rhi and rx-rhi have equal terms
+        calls = counted_reducer(monkeypatch)
+        argv = ["run", "--preset", "fig2b", "--trials", str(self.TRIALS)]
+        assert main(argv + ["--output", str(tmp_path / "fig2b.csv")]) == 0
+        assert len(calls) == 27 * 3  # per chunk, three chunks
+
     def test_rejects_mixed_law_and_empty(self):
         tc = TrialConfig(100, seed=1)
         beta4 = replace(FADING4, beta=4.0)
@@ -340,6 +419,39 @@ class TestSweepEngine:
             simulate_sweep([SWEEP[0], cfg3], tc)
         with pytest.raises(ConfigurationError):
             simulate_sweep([], tc)
+
+
+class TestTxRxSymmetry:
+    """The paper's result 2: transmitter and receiver distortion of one
+    level have the same effect on the sum rate."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kappa=st.floats(0.0, 0.9),
+        n_users=st.integers(2, 6),
+        snr_db=st.floats(0.0, 60.0),
+        scheme=st.sampled_from(("noma", "oma")),
+        weights=st.lists(st.integers(1, 1000), min_size=6, max_size=6, unique=True),
+    )
+    def test_tx_and_rx_distortion_give_equal_rates(self, kappa, n_users, snr_db, scheme, weights):
+        weights = sorted(weights[:n_users], reverse=True)
+        cfg = NetworkConfig(
+            n_users=n_users,
+            a=tuple(w / sum(weights) for w in weights),
+            r1=10.0 ** (snr_db / 10.0),
+        )
+        fading = FadingParams(alpha=2, beta=3.0, nu=3.0, distances=(1.0,) * n_users)
+        share = scheme_prefactor(scheme, n_users)
+        tx = ImpairmentProfile(kappa_ut=kappa, kappa_rt=kappa)
+        rx = ImpairmentProfile(kappa_ur=kappa, kappa_rr=kappa)
+        moments = order_stat_moments(fading, n_users)
+        assert asr(moments, cfg, tx, share).total == asr(moments, cfg, rx, share).total
+        tc = TrialConfig(TestSweepEngine.TRIALS, seed=23)
+        points = [SweepPoint(cfg, fading, imp, share) for imp in (tx, rx)]
+        results = simulate_sweep(points, tc)
+        assert_same_result(results[0], results[1])
+        for point, got in zip(points, results):
+            assert_same_result(got, simulate_asr(cfg, fading, point.imp, tc, prefactor=share))
 
 
 def nan_kernel(monkeypatch, fading, seed, bad_rows):
