@@ -23,7 +23,10 @@ copied once), so each step runs one contiguous loop over all rows.
 ``pair_rate_columns`` finishes one pair's rate column at a time in a
 caller-given buffer, so a Monte Carlo chunk reduces each column while it
 is in cache and never holds all its pair rates at once;
-``pair_rate_chunk`` collects the columns for the closed form.
+``pair_rate_chunk`` collects the columns for the closed form.  The
+factor of the decoder's gain in a pair's denominator depends only on the
+decoded user, so the kernel forms it once per user, and calls on the same
+gains may share their ``pair_numerators``.
 """
 
 import numpy as np
@@ -59,19 +62,46 @@ def distortion_terms(imp):
     return mac, (kut2 + krr2) + (krt2 + kur2) * mac, 1.0 + krt2 + kur2
 
 
-def pair_rate_columns(rho, a, inv_r1, inv_r2, mac, mix, bc, *, out, aggregates=None):
+def kernel_args(cfg, imp):
+    """``(1/r1, 1/r2, mac, mix, bc)``: all that ``pair_rate_columns`` takes
+    of an operating point and its distortion profile."""
+    return (1.0 / cfg.r1, 1.0 / cfg.r2, *distortion_terms(imp))
+
+
+def pair_indices(n_users: int) -> list[tuple[int, int]]:
+    """Decodable (k, n) pairs, 1-based, in canonical (k, then n) order."""
+    return [(k, n) for k in range(2, n_users + 1) for n in range(1, k)]
+
+
+def pair_numerators(rho, a, *, out=None):
+    """The SINR numerator rho_k rho_n a_n of each pair (k, n), a
+    column-major (rows, pairs) array in ``pair_indices`` order; out, when
+    given, is filled."""
+    rho = np.asfortranarray(rho, dtype=np.float64)
+    n_rows, M = rho.shape
+    num = np.empty((n_rows, M * (M - 1) // 2), order="F") if out is None else out
+    for p, (k, n) in enumerate(pair_indices(M)):
+        np.multiply(rho[:, k - 1], rho[:, n - 1], out=num[:, p])
+        num[:, p] *= a[n - 1]
+    return num
+
+
+def pair_rate_columns(
+    rho, a, inv_r1, inv_r2, mac, mix, bc, *, work, aggregates=None, numerators=None
+):
     """Yield the rate 1/2 log2(1 + SINR) of each decodable pair, one
     finished column at a time, in (k, then n) pair order.
 
     rho: (rows, M) sorted ascending effective gains (sampled gains, or
     order-statistic means, one row per operating point or placement site).
     inv_r1, inv_r2: reciprocal user and relay SNR.  mac, mix, bc: the
-    profile's ``distortion_terms``.  out: a (rows,) buffer that every
-    yielded column overwrites, so a column is valid only until the next
-    one is drawn.  aggregates: ``weighted_sums(rho, a)``, computed
-    here when the caller does not share it.  A pair with an empty
-    denominator (only at 1/r1 = 0 without distortion) is +inf; callers that
-    allow it silence the division warning.
+    profile's ``distortion_terms``; each a scalar or one value per row.
+    work: a (rows, M) column-major buffer; every yielded column is
+    ``work[:, 0]``, valid only until the next one is drawn.  aggregates
+    (``weighted_sums(rho, a)``) and numerators (``pair_numerators(rho,
+    a)``) are computed here when the caller does not share them.  A pair
+    with an empty denominator (only at 1/r1 = 0 without distortion) is
+    +inf; callers that allow it silence the division warning.
     """
     rho = np.asfortranarray(rho, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
@@ -79,24 +109,25 @@ def pair_rate_columns(rho, a, inv_r1, inv_r2, mac, mix, bc, *, out, aggregates=N
     weighted, suffix = weighted_sums(rho, a) if aggregates is None else aggregates
 
     noise_fwd = mac * weighted * inv_r2 + inv_r1 * inv_r2
-    # the denominator terms that scale with rho_k, besides the interference
-    # suffix[:, n] left after n: distortion and the broadcast-hop noise
+    # work[:, n]: what scales with rho_k in the denominator of user n, for
+    # every decoder k: the interference suffix[:, n] left after n,
+    # distortion and the broadcast-hop noise
     shared = mix * weighted + bc * inv_r1
+    np.add(suffix[:, 1:], shared[:, None], out=work[:, 1:])
 
-    num = np.empty_like(out)
-    for k in range(2, M + 1):
-        rho_k = rho[:, k - 1]
-        for n in range(1, k):
-            np.add(suffix[:, n], shared, out=out)
-            out *= rho_k
-            out += noise_fwd
-            np.multiply(rho_k, rho[:, n - 1], out=num)
+    out = work[:, 0]
+    num = np.empty_like(out) if numerators is None else None
+    for p, (k, n) in enumerate(pair_indices(M)):
+        np.multiply(work[:, n], rho[:, k - 1], out=out)
+        out += noise_fwd
+        if numerators is None:
+            np.multiply(rho[:, k - 1], rho[:, n - 1], out=num)
             num *= a[n - 1]
-            np.divide(num, out, out=out)
-            out += 1.0
-            np.log2(out, out=out)
-            out *= 0.5
-            yield out
+        np.divide(num if numerators is None else numerators[:, p], out, out=out)
+        out += 1.0
+        np.log2(out, out=out)
+        out *= 0.5
+        yield out
 
 
 def divergent_pair_gain(rho, a, c):
@@ -112,13 +143,14 @@ def divergent_pair_gain(rho, a, c):
     return rho[:, -1] * rho[:, -2] * a[-2] / (rho[:, -1] + weighted / c)
 
 
-def pair_rate_chunk(rho, a, *args, aggregates=None):
+def pair_rate_chunk(rho, a, *args):
     """Rates of every decodable pair of every row: ``pair_rate_columns``
     collected into a (rows, M*(M-1)/2) column-major array, in (k, then n)
     pair order, 1/2-prefactored."""
     n_rows, M = np.shape(rho)
     rates = np.empty((n_rows, M * (M - 1) // 2), order="F")
-    columns = pair_rate_columns(rho, a, *args, out=np.empty(n_rows), aggregates=aggregates)
+    work = np.empty((n_rows, M), order="F")
+    columns = pair_rate_columns(rho, a, *args, work=work)
     for p, column in enumerate(columns):
         rates[:, p] = column
     return rates

@@ -28,12 +28,13 @@ A chunk's sorted gains are a column-major (trials, M) array, one
 contiguous column per position.  No (trials, pairs) array of rates
 exists: the kernel finishes one pair's rate column at a time into a
 reused (trials,) buffer, and ``_chunk_stats`` reduces it while it is
-still in cache.  A trial's total adds its pair rates left to right; each
-pair's mean and squared deviations are numpy's pairwise sums along the
-chunk's trials, so the bits are those of a whole-array reduction.
+still in cache.  A trial's total adds its pair rates left to right; the
+means per pair, and the mean and M2 (sum of squared deviations) of the
+totals, are numpy's pairwise sums along the chunk's trials, so the bits
+are those of a whole-array reduction.
 Each worker thread fills the same uniforms, gains, path-loss-scaled gains,
-interference sums and rate column for every chunk it runs, so a run
-allocates its chunk-sized arrays once per thread rather than once per
+interference sums and kernel work columns for every chunk it runs, so a
+run allocates its chunk-sized arrays once per thread rather than once per
 chunk.
 """
 
@@ -52,7 +53,7 @@ from numpy.random import Generator, Philox
 from . import _kernels
 from .channel import FadingParams, gamma_from_uniforms
 from .errors import ConfigurationError, NumericError, SweepPointError
-from .rate import AsrResult, pair_indices
+from .rate import AsrResult
 from .signal import ImpairmentProfile, NetworkConfig
 
 __all__ = [
@@ -100,6 +101,10 @@ class _ChunkBuffers:
     same size (``_thread_buffers``).  At M = 8 they hold several MB, and
     allocating them per chunk made the allocator hand the pages back to
     the OS at the end of each chunk and fault them in again for the next.
+    The uniforms and the unsorted draws are spent once the sorted gains
+    are copied out, so the draws hold the kernel's work columns, and the
+    uniforms the pair numerators where they fit; otherwise the first
+    path-loss group that shares the numerators allocates them.
     """
 
     def __init__(self, n_users: int, alpha: int, count: int):
@@ -109,7 +114,11 @@ class _ChunkBuffers:
         self.gains = np.empty((count, n_users), order="F")
         self.rho = np.empty((count, n_users), order="F")
         self.suffix = np.empty((count, n_users), order="F")
-        self.column = np.empty(count)
+        self.work = self.draws.reshape(-1).reshape((count, n_users), order="F")
+        pairs = n_users * (n_users - 1) // 2
+        spent = self.uniforms.reshape(-1)[: count * pairs]
+        fits = pairs <= n_users * alpha
+        self.numerators = spent.reshape((count, pairs), order="F") if fits else None
 
 
 def _thread_buffers(n_users: int, alpha: int):
@@ -145,25 +154,32 @@ def _sample_rho_chunk(
     return buffers.gains
 
 
+def _mean_m2(x):
+    """Two-pass mean and M2 (sum of squared deviations) of x, which is
+    overwritten."""
+    mean = np.add.reduce(x) / x.size
+    np.subtract(x, mean, out=x)
+    np.square(x, out=x)
+    return mean, np.add.reduce(x)
+
+
 def _chunk_stats(columns, count: int, scales=(1.0,)):
     """Reduce a chunk's columns, each as it arrives, to chunk statistics.
 
     columns: (count,) arrays, each valid only until the next is drawn.
-    For each scale, the columns times that scale get the two-pass mean and
-    sum of squared deviations, per column and for the per-trial totals
-    (which add the columns left to right).  Returns one
-    ``(n, mean, m2, t_mean, t_m2)`` per scale, or, if any column holds a
-    non-finite value, the chunk's first trial that does (an int).
+    For each scale, the columns times that scale get their means, and the
+    per-trial totals (which add the columns left to right) their
+    ``_mean_m2``.  Returns one ``(n, t_mean, t_m2, means)`` per scale, or,
+    if any column holds a non-finite value, the chunk's first trial that
+    does (an int).
 
     A column's sum is non-finite exactly when one of its values is: every
     finite rate is at most 1/2 log2(1 + DBL_MAX) < 513, so a chunk's finite
     rates cannot overflow their sum.  Only a non-finite column is searched.
     """
     scaled = np.empty(count) if any(scale != 1.0 for scale in scales) else None
-    dev = np.empty(count)
     totals = [np.zeros(count) for _ in scales]
     means: list = [[] for _ in scales]
-    m2s: list = [[] for _ in scales]
     bad = count
     for col in columns:
         for s, scale in enumerate(scales):
@@ -173,33 +189,25 @@ def _chunk_stats(columns, count: int, scales=(1.0,)):
                 bad = min(bad, int(np.argmin(np.isfinite(x))))
                 break
             totals[s] += x
-            np.subtract(x, mean, out=dev)
-            np.square(dev, out=dev)
             means[s].append(mean)
-            m2s[s].append(np.add.reduce(dev))
     if bad < count:
         return bad
     out = []
-    for t, mean, m2 in zip(totals, means, m2s):
-        t_mean = np.add.reduce(t) / count
-        np.subtract(t, t_mean, out=dev)
-        np.square(dev, out=dev)
-        out.append((count, np.array(mean), np.array(m2), float(t_mean), float(np.add.reduce(dev))))
+    for t, mean in zip(totals, means):
+        t_mean, t_m2 = _mean_m2(t)
+        out.append((count, float(t_mean), float(t_m2), np.array(mean)))
     return out
 
 
 def _merge_stats(left, right):
-    """Combine two disjoint-sample statistics (parallel Welford merge)."""
-    n1, mu1, m21, t1, tm21 = left
-    n2, mu2, m22, t2, tm22 = right
+    """Combine the ``(n, mean, m2, *means)`` of two disjoint samples: a
+    parallel Welford merge of mean and M2, and of any further means.  Each
+    entry but n may be an array."""
+    (n1, mu1, m21, *rest1), (n2, mu2, m22, *rest2) = left, right
     n = n1 + n2
     delta = mu2 - mu1
-    mu = mu1 + delta * (n2 / n)
-    m2 = m21 + m22 + delta**2 * (n1 * n2 / n)
-    tdelta = t2 - t1
-    t = t1 + tdelta * (n2 / n)
-    tm2 = tm21 + tm22 + tdelta**2 * (n1 * n2 / n)
-    return n, mu, m2, t, tm2
+    means = [a + (b - a) * (n2 / n) for a, b in zip(rest1, rest2)]
+    return n, mu1 + delta * (n2 / n), m21 + m22 + delta**2 * (n1 * n2 / n), *means
 
 
 @dataclass(frozen=True)
@@ -224,9 +232,9 @@ def _sweep_plan(points):
     The kernel arguments are the computed floats (1/r1, 1/r2, mac, mix,
     bc), so points whose distortion profiles differ but whose
     ``_kernels.distortion_terms`` are bit-equal fall in one group.  Points
-    in one path-loss group share the scaled gains and their aggregates;
-    points in one kernel group share the kernel call; points that also
-    share the prefactor share the chunk statistics.
+    in one path-loss group share the scaled gains, their aggregates and
+    pair numerators; points in one kernel group share the kernel call;
+    points that also share the prefactor share the chunk statistics.
     """
     groups: dict = {}
     for i, p in enumerate(points):
@@ -234,7 +242,7 @@ def _sweep_plan(points):
             factors = p.fading.path_loss_factors()
         except NumericError as exc:
             raise SweepPointError(i, str(exc)) from exc
-        args = (1.0 / p.cfg.r1, 1.0 / p.cfg.r2, *_kernels.distortion_terms(p.imp))
+        args = _kernels.kernel_args(p.cfg, p.imp)
         kernels = groups.setdefault(factors.tobytes(), (factors, {}))[1]
         # kernel output carries the 1/2 prefactor
         kernels.setdefault(args, {}).setdefault(p.prefactor / 0.5, []).append(i)
@@ -269,20 +277,14 @@ def _merge_parts(parts, n_points: int):
 
 
 def _result(M: int, stats) -> AsrResult:
-    n, mean, m2, t_mean, t_m2 = stats
+    n, t_mean, t_m2, mean = stats
     per_pair = np.zeros((M, M - 1))
-    per_pair_stderr = np.zeros((M, M - 1))
-    pair_se = np.sqrt(m2 / (n * (n - 1)))
-    for p, (k, nn) in enumerate(pair_indices(M)):
-        per_pair[k - 1, nn - 1] = mean[p]
-        per_pair_stderr[k - 1, nn - 1] = pair_se[p]
-    total_se = math.sqrt(t_m2 / (n * (n - 1)))
+    per_pair[np.tril_indices(M, -1, M - 1)] = mean  # (k, then n) pair order
     return AsrResult(
         per_pair=per_pair,
         total=t_mean,
         provenance="monte-carlo",
-        stderr=total_se,
-        per_pair_stderr=per_pair_stderr,
+        stderr=math.sqrt(t_m2 / (n * (n - 1))),
         trials=n,
     )
 
@@ -330,9 +332,13 @@ def simulate_sweep(points: Sequence[SweepPoint], tc: TrialConfig) -> list[AsrRes
         for factors, kernels in plan:
             rho = np.multiply(h, factors, out=buffers.rho)
             aggregates = _kernels.weighted_sums(rho, a, out=buffers.suffix)
+            shared = len(kernels) > 1  # the kernel groups share the pair numerators
+            if shared:
+                buffers.numerators = _kernels.pair_numerators(rho, a, out=buffers.numerators)
             for args, scales in kernels.items():
                 columns = _kernels.pair_rate_columns(
-                    rho, a, *args, out=buffers.column, aggregates=aggregates
+                    rho, a, *args, work=buffers.work,
+                    aggregates=aggregates, numerators=buffers.numerators if shared else None,
                 )
                 parts = _chunk_stats(columns, count, tuple(scales))
                 if isinstance(parts, int):
@@ -382,23 +388,20 @@ def sample_moments(fading: FadingParams, tc: TrialConfig) -> tuple[np.ndarray, n
     def run_chunk(chunk_index: int, count: int):
         buffers = chunk_buffers(count)
         h = _sample_rho_chunk(fading, tc.seed, chunk_index, buffers)
-
-        def columns():
-            col = buffers.column
-            for square in (False, True):
-                for i in range(M):
-                    np.multiply(h[:, i], factors[i], out=col)
-                    if square:
-                        np.square(col, out=col)
-                    yield col
-
-        # an overflow is reported once, as a NumericError
+        col = buffers.work[:, 0]
+        stats = []
         with np.errstate(over="ignore", invalid="ignore"):
-            parts = _chunk_stats(columns(), count)
-        if isinstance(parts, int):
+            for i in range(2 * M):
+                np.multiply(h[:, i % M], factors[i % M], out=col)
+                if i >= M:
+                    np.square(col, out=col)
+                stats.append(_mean_m2(col))
+        mean, m2 = map(np.array, zip(*stats))
+        # an overflow is reported once, as a NumericError
+        if not np.isfinite(mean).all():
             raise NumericError(f"sampled gain moments are not finite in chunk {chunk_index}")
-        return parts[0]
+        return count, mean, m2
 
-    n, mean, m2, _, _ = _fold_chunks(run_chunk, tc, lambda parts: reduce(_merge_stats, parts))
+    n, mean, m2 = _fold_chunks(run_chunk, tc, lambda parts: reduce(_merge_stats, parts))
     stderr = np.sqrt(m2 / (n * (n - 1)))
     return mean.reshape(2, M), stderr.reshape(2, M)

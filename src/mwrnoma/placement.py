@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._kernels import kernel_args
 from .baseline import scheme_prefactor
 from .channel import FadingParams, order_stat_moment_rows
 from .errors import ConfigurationError, NumericError, SweepPointError
@@ -174,7 +175,7 @@ def sweep_grid(
         psi, _, fault = order_stat_moment_rows(fading_template, dist)
         # asr_rows sees only the rows before the first moment fault, so a
         # rate fault it reports is the earlier site
-        _, totals, rate_fault = asr_rows(psi, cfg, imp, share)
+        _, totals, rate_fault = asr_rows(psi, cfg.a, kernel_args(cfg, imp), share)
         if rate_fault is not None:
             fault = rate_fault
         if fault is not None:

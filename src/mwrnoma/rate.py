@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from ._kernels import pair_indices
 from .channel import OrderStatMoments
 from .errors import ConfigurationError
 from .signal import ImpairmentProfile, NetworkConfig
@@ -38,14 +39,15 @@ class AsrResult:
     """Per-pair rate matrix and its sum.
 
     per_pair[k-1, n-1] holds the rate of decoder k for user n
-    (zero whenever n >= k); total is the sum over all pairs.
+    (zero whenever n >= k); total is the sum over all pairs.  A Monte
+    Carlo result also carries the standard error of its total and its
+    trial count.
     """
 
     per_pair: np.ndarray
     total: float
     provenance: str
     stderr: float | None = None
-    per_pair_stderr: np.ndarray | None = None
     trials: int | None = None
     notes: tuple[str, ...] = ()
 
@@ -81,59 +83,42 @@ def _result_error(per_pair: np.ndarray, total: float, provenance: str) -> str | 
     return None
 
 
-def pair_indices(n_users: int) -> list[tuple[int, int]]:
-    """Decodable (k, n) pairs, 1-based, in canonical (k, then n) order."""
-    return [(k, n) for k in range(2, n_users + 1) for n in range(1, k)]
-
-
-def _closed_form_pairs(
-    psi: np.ndarray,
-    cfg: NetworkConfig,
-    imp: ImpairmentProfile,
-    prefactor: float,
-    inv_r1: float,
-    inv_r2: float,
-) -> np.ndarray:
+def _closed_form_pairs(psi: np.ndarray, a, args, prefactor) -> np.ndarray:
     """Per-pair matrices (rows, M, M-1) of the shared pair-rate kernel,
-    evaluated at each row of psi in one call."""
-    if psi.shape[1] != cfg.n_users:
-        raise ConfigurationError(
-            f"moments cover {psi.shape[1]} users, config expects {cfg.n_users}"
-        )
-    rates = _kernels.pair_rate_chunk(
-        psi,
-        cfg.a,
-        inv_r1,
-        inv_r2,
-        *_kernels.distortion_terms(imp),
-    )
-    if prefactor != 0.5:  # kernel output carries the 1/2 prefactor
-        rates = rates * (prefactor / 0.5)
-    M = cfg.n_users
+    evaluated at each row of psi in one call.
+
+    args: ``_kernels.kernel_args``, one tuple for all rows or one per row;
+    prefactor: one for all rows or one per row.
+    """
+    M = len(a)
+    if psi.shape[1] != M:
+        raise ConfigurationError(f"moments cover {psi.shape[1]} users, config expects {M}")
+    rates = _kernels.pair_rate_chunk(psi, a, *np.asarray(args, dtype=np.float64).T)
+    # kernel output carries the 1/2 prefactor
+    scale = np.asarray(prefactor, dtype=np.float64) / 0.5
+    if (scale != 1.0).any():
+        rates *= scale.reshape(-1, 1)
     k, n = zip(*pair_indices(M))
     per_pair = np.zeros((psi.shape[0], M, M - 1))
     per_pair[:, np.array(k) - 1, np.array(n) - 1] = rates
     return per_pair
 
 
-def asr_rows(
-    psi: np.ndarray,
-    cfg: NetworkConfig,
-    imp: ImpairmentProfile = ImpairmentProfile(),
-    prefactor: float = 0.5,
-):
+def asr_rows(psi: np.ndarray, a, args, prefactor=0.5):
     """Closed-form sum rate at every row of order-statistic means.
 
-    psi is (rows, M); a relay-placement surface passes one row per site
-    and ``asr`` is the one-row case.  Returns ``(per_pair, totals, fault)``:
-    per_pair is (rows, M, M-1) and each total is the sum of its matrix.
-    ``fault`` is None when every row is an acceptable ``AsrResult``.
-    Otherwise it is ``(row, error)`` for the first row that is not, and
-    per_pair and totals cover only the rows before it.
+    psi is (rows, M) and a the power split.  args is
+    ``_kernels.kernel_args(cfg, imp)``: one tuple for every row, as for a
+    relay-placement surface (one row per site), or a (rows, 5) sequence,
+    one per row, as for an SNR or distortion sweep.  prefactor is one
+    scheme share for every row or one per row.  ``asr`` is the one-row
+    case.  Returns ``(per_pair, totals, fault)``: per_pair is (rows, M,
+    M-1) and each total is the sum of its matrix.  ``fault`` is None when
+    every row is an acceptable ``AsrResult``.  Otherwise it is ``(row,
+    error)`` for the first row that is not, and per_pair and totals cover
+    only the rows before it.
     """
-    per_pair = _closed_form_pairs(
-        np.asarray(psi, dtype=np.float64), cfg, imp, prefactor, 1.0 / cfg.r1, 1.0 / cfg.r2
-    )
+    per_pair = _closed_form_pairs(np.asarray(psi, dtype=np.float64), a, args, prefactor)
     rows, M, _ = per_pair.shape
     flat = per_pair.reshape(rows, M * (M - 1))
     totals = flat.sum(axis=1)
@@ -157,7 +142,8 @@ def asr(
     The default profile is distortion-free; the default 1/2 prefactor
     charges the two-slot exchange.
     """
-    per_pair, totals, fault = asr_rows(moments.psi[None, :], cfg, imp, prefactor)
+    args = _kernels.kernel_args(cfg, imp)
+    per_pair, totals, fault = asr_rows(moments.psi[None, :], cfg.a, args, prefactor)
     if fault is not None:
         raise fault[1]
     return AsrResult(per_pair=per_pair[0], total=float(totals[0]), provenance="analytical")
@@ -175,9 +161,8 @@ def asr_asymptotic(
     per-pair entries are +inf and the total is flagged divergent.
     """
     with np.errstate(divide="ignore"):
-        per_pair = _closed_form_pairs(
-            moments.psi[None, :], cfg, imp, prefactor, 0.0, 0.0
-        )[0]
+        args = (0.0, 0.0, *_kernels.distortion_terms(imp))
+        per_pair = _closed_form_pairs(moments.psi[None, :], cfg.a, args, prefactor)[0]
     notes = tuple(
         f"pair (k={k}, n={n}) has no interference ceiling: asymptote diverges"
         for k, n in pair_indices(cfg.n_users)

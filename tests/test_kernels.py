@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwrnoma import (
     ImpairmentProfile,
@@ -9,7 +11,13 @@ from mwrnoma import (
     pair_indices,
     sinr_instantaneous,
 )
-from mwrnoma._kernels import distortion_terms, pair_rate_chunk
+from mwrnoma._kernels import (
+    distortion_terms,
+    pair_numerators,
+    pair_rate_chunk,
+    pair_rate_columns,
+    weighted_sums,
+)
 
 
 def make_inputs(n_users, n_trials=256, seed=0):
@@ -55,3 +63,51 @@ def test_kernel_is_row_local(n_users):
     fortran = pair_rate_chunk(np.asfortranarray(rho), *args)
     assert np.array_equal(fortran, block)
     assert rho.flags.c_contiguous and block.flags.f_contiguous and fortran.flags.f_contiguous
+
+
+def unhoisted_columns(rho, a, inv_r1, inv_r2, mac, mix, bc):
+    """The pair rates with every term formed inside the pair loop, in the
+    kernel's operand order: the reference for its hoisted terms."""
+    weighted, suffix = weighted_sums(rho, a)
+    noise_fwd = mac * weighted * inv_r2 + inv_r1 * inv_r2
+    shared = mix * weighted + bc * inv_r1
+    M = rho.shape[1]
+    for k in range(2, M + 1):
+        for n in range(1, k):
+            den = (suffix[:, n] + shared) * rho[:, k - 1] + noise_fwd
+            yield 0.5 * np.log2(rho[:, k - 1] * rho[:, n - 1] * a[n - 1] / den + 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_users=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    snr_db=st.floats(-20.0, 80.0),
+    kappas=st.lists(st.floats(0.0, 0.5), min_size=4, max_size=4),
+    limit=st.booleans(),
+)
+def test_hoisted_terms_keep_the_bits(n_users, seed, snr_db, kappas, limit):
+    # shared numerators or none, and per-user denominator terms, give the
+    # bits of forming every term per pair; at 1/r1 = 0 without distortion
+    # the last pair is +inf
+    rho, a = make_inputs(n_users, n_trials=300, seed=seed)
+    rho = np.asfortranarray(rho)
+    a = np.asarray(a)
+    imp = ImpairmentProfile(*(0.0 if limit else k for k in kappas))
+    inv_r1 = 0.0 if limit else 10.0 ** (-snr_db / 10.0)
+    args = (inv_r1, inv_r1 / 2.0, *distortion_terms(imp))
+    work = np.empty((rho.shape[0], n_users), order="F")
+    with np.errstate(divide="ignore"):
+        want = np.column_stack(list(unhoisted_columns(rho, a, *args)))
+        alone = [c.copy() for c in pair_rate_columns(rho, a, *args, work=work)]
+        numerators = pair_numerators(rho, a)
+        shared = [
+            c.copy()
+            for c in pair_rate_columns(rho, a, *args, work=work, numerators=numerators)
+        ]
+    assert np.array_equal(np.column_stack(alone), want)
+    assert np.array_equal(np.column_stack(shared), want)
+    if limit:
+        assert np.isposinf(want[:, -1]).all() and np.isfinite(want[:, :-1]).all()
+    else:
+        assert np.isfinite(want).all()

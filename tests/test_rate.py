@@ -22,6 +22,7 @@ from mwrnoma import (
     asr_asymptotic,
     order_stat_moments,
 )
+from mwrnoma._kernels import kernel_args
 from mwrnoma.baseline import scheme_prefactor
 from mwrnoma.rate import asr_rows, pair_indices
 
@@ -351,12 +352,51 @@ class TestClosedFormProperties:
         moments, cfg, imp = case
         # rows of rescaled means, as a placement surface produces
         psi = np.array([moments.psi * rnd.uniform(1e-3, 1.0) for _ in range(n_rows)])
-        _, totals, fault = asr_rows(psi, cfg, imp)
+        _, totals, fault = asr_rows(psi, cfg.a, kernel_args(cfg, imp))
         assert fault is None
         one_row = [
             asr(OrderStatMoments(psi=row, omega=moments.omega), cfg, imp).total for row in psi
         ]
         assert np.array_equal(totals, one_row)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        closed_form_cases(),
+        st.lists(
+            st.tuples(st.floats(-20.0, 60.0), st.floats(0.0, 0.4), st.sampled_from(("noma", "oma"))),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    def test_per_row_arguments_equal_one_row_evaluations(self, case, points):
+        # an SNR or distortion sweep: an SNR, a profile and a scheme share
+        # per row, all rows in one kernel call
+        moments, cfg, _ = case
+        cfgs = [cfg_at(cfg, 10.0 ** (db / 10.0)) for db, _, _ in points]
+        imps = [ImpairmentProfile.uniform(kappa) for _, kappa, _ in points]
+        shares = [scheme_prefactor(scheme, cfg.n_users) for _, _, scheme in points]
+        psi = np.broadcast_to(moments.psi, (len(points), cfg.n_users))
+        args = [kernel_args(c, imp) for c, imp in zip(cfgs, imps)]
+        per_pair, totals, fault = asr_rows(psi, cfg.a, args, shares)
+        assert fault is None
+        for row, (c, imp, share) in enumerate(zip(cfgs, imps, shares)):
+            alone = asr(moments, c, imp, share)
+            assert totals[row] == alone.total
+            assert np.array_equal(per_pair[row], alone.per_pair)
+
+    def test_first_faulting_row_named(self, setup3):
+        # rows 2 and 4 give NaN rates; the batch names row 2, with the
+        # error that row gives alone, and keeps the rows before it
+        _, moments, cfg = setup3
+        psi = np.tile(moments.psi, (6, 1))
+        psi[[2, 4], 0] = np.nan
+        args = [kernel_args(cfg_at(cfg, 10.0**db), ImpairmentProfile()) for db in range(6)]
+        per_pair, totals, fault = asr_rows(psi, cfg.a, args, [0.5, 1 / 3] * 3)
+        row, error = fault
+        assert row == 2 and per_pair.shape[0] == totals.shape[0] == 2
+        _, _, (alone_row, alone) = asr_rows(psi[2:3], cfg.a, args[2], 0.5)
+        assert alone_row == 0 and isinstance(error, ConfigurationError)
+        assert str(error) == str(alone) == "analytical rates must be finite, got total nan"
 
 
 # tiny means at the two weakest positions: the last pair's gain G is
