@@ -24,7 +24,15 @@ from .errors import (
     UnsupportedParameterError,
 )
 from .montecarlo import SweepPoint, TrialConfig, sample_moments, simulate_asr, simulate_sweep
-from .placement import Geometry, GridSpec, PlacementSurface, distances, link_distance, sweep_grid
+from .placement import (
+    Geometry,
+    GridSpec,
+    PlacementSurface,
+    distances,
+    link_distance,
+    sweep_grid,
+    sweep_surfaces,
+)
 from .rate import (
     AsrResult,
     asr,
@@ -76,5 +84,6 @@ __all__ = [
     "sinr_terms",
     "slot_count",
     "sweep_grid",
+    "sweep_surfaces",
     "__version__",
 ]

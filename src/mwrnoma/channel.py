@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -202,15 +203,22 @@ def _pow_each(base: np.ndarray, exponent: float) -> np.ndarray:
     overflows.
 
     That is libm's pow; numpy's vectorised pow rounds the last bit
-    differently on some inputs, and the placement CSVs pin these bits.
+    differently on some inputs (``x * x`` too, against ``pow(x, 2.0)``),
+    and the placement CSVs pin these bits.  ``math.pow`` is the same libm
+    call, mapped over the entries without a Python-level loop; only when
+    an entry overflows are they redone one at a time.
     """
-    out = []
-    for b in base.ravel().tolist():
-        try:
-            out.append(b**exponent)
-        except OverflowError:
-            out.append(math.inf)
-    return np.array(out, dtype=np.float64).reshape(base.shape)
+    values = base.ravel().tolist()
+    try:
+        out = np.fromiter(map(math.pow, values, repeat(exponent)), np.float64, len(values))
+    except OverflowError:
+        out = np.empty(len(values))
+        for i, b in enumerate(values):
+            try:
+                out[i] = b**exponent
+            except OverflowError:
+                out[i] = math.inf
+    return out.reshape(base.shape)
 
 
 def _path_loss_scale(distances, nu: float) -> np.ndarray:

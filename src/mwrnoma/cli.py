@@ -17,6 +17,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from .baseline import scheme_prefactor
 from .channel import FadingParams, moment_oracle, order_stat_moments
 from .errors import ConfigurationError, NumericError, SweepPointError
 from .montecarlo import SweepPoint, TrialConfig, sample_moments, simulate_sweep
-from .placement import Geometry, GridSpec, distances, sweep_grid
+from .placement import Geometry, GridSpec, distances, sweep_surfaces
 from .presets import DEFAULT_SEED, PRESETS, preset
 from .rate import asr_rows
 from .signal import ImpairmentProfile, NetworkConfig
@@ -55,9 +56,9 @@ MOMENTS_HEADER = [
 ]
 
 
-def _fmt(x: float) -> str:
-    """Decimal output with 9 significant digits."""
-    return f"{x:.9g}"
+# decimal output with 9 significant digits; a bound method, so that
+# ``map(_fmt, ...)`` makes no Python-level call per value
+_fmt = "{:.9g}".format
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,13 @@ class ExperimentSpec:
             raise ConfigurationError(f"experiment.engine: must be one of {ENGINES}")
         if any(s not in ("noma", "oma") for s in self.schemes):
             raise ConfigurationError("experiment.schemes: entries must be 'noma' or 'oma'")
+        # every scheme names one CSV (placement) or one set of rows (sweeps)
+        if not self.schemes:
+            raise ConfigurationError("experiment.schemes: need at least one scheme")
+        if len(set(self.schemes)) != len(self.schemes):
+            raise ConfigurationError(
+                f"experiment.schemes: each scheme may appear once, got {list(self.schemes)!r}"
+            )
         sweeps = sum(
             x is not None for x in (self.snr_db_grid, self.kappa_grid, self.grid)
         )
@@ -350,14 +358,18 @@ def _spec_from_config(config: dict) -> ExperimentSpec:
             raise ConfigurationError(f"trials: {exc}") from exc
 
     engine = str(exp.get("engine", "analytical"))
-    schemes = tuple(str(s) for s in exp.get("schemes", ["noma"]))
+    schemes = exp.get("schemes", ["noma"])
+    if not (isinstance(schemes, list) and all(isinstance(s, str) for s in schemes)):
+        raise ConfigurationError(
+            f"experiment.schemes: expected a list of scheme names, got {schemes!r}"
+        )
     output = Path(exp.get("output", f"{kind}.csv"))
     return ExperimentSpec(
         kind=kind,
         network=network,
         fading=fading,
         variants=variants,
-        schemes=schemes,
+        schemes=tuple(schemes),
         engine=engine,
         output=output,
         trials=trials,
@@ -468,20 +480,20 @@ def _run_grid_sweep(spec: ExperimentSpec) -> RunResult:
 def _run_placement(spec: ExperimentSpec) -> RunResult:
     engine = "monte-carlo" if spec.engine == "mc" else "analytical"
     _, profile = spec.variants[0]
+    surfaces = sweep_surfaces(
+        spec.geometry,
+        spec.grid,
+        spec.network,
+        spec.fading,
+        profile,
+        engine=engine,
+        schemes=spec.schemes,
+        tc=spec.trials,
+    )
     paths: list[Path] = []
     totals: dict[str, float] = {}
     lines: list[str] = []
-    for scheme in spec.schemes:
-        surface = sweep_grid(
-            spec.geometry,
-            spec.grid,
-            spec.network,
-            spec.fading,
-            profile,
-            engine=engine,
-            scheme=scheme,
-            tc=spec.trials,
-        )
+    for scheme, surface in zip(spec.schemes, surfaces):
         path = spec.output
         if scheme != spec.schemes[0]:
             path = spec.output.with_name(
@@ -489,13 +501,12 @@ def _run_placement(spec: ExperimentSpec) -> RunResult:
             )
         # each axis label is formatted once, not once per site; the rates
         # run y outer, x inner, as the rows do
-        xs = [_fmt(x) for x in surface.xs]
-        ys = [_fmt(y) for y in surface.ys]
-        rates = [_fmt(v) for v in surface.asr.ravel().tolist()]
-        sites = ((x, y) for y in ys for x in xs)
-        _write_csv(path, PLACEMENT_HEADER, (site + (r,) for site, r in zip(sites, rates)))
+        xs = list(map(_fmt, surface.xs.tolist()))
+        ys = chain.from_iterable(repeat(y, len(xs)) for y in map(_fmt, surface.ys.tolist()))
+        rates = list(map(_fmt, surface.asr.ravel().tolist()))
+        _write_csv(path, PLACEMENT_HEADER, zip(xs * surface.ys.size, ys, rates))
         paths.append(path)
-        totals[scheme] = math.fsum(float(r) for r in rates)
+        totals[scheme] = math.fsum(map(float, rates))
         lines.append(
             f"placement {scheme}: {len(rates)} points -> {path}; "
             f"argmax at ({_fmt(surface.argmax_xy[0])}, {_fmt(surface.argmax_xy[1])}); "

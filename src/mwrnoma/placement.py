@@ -11,7 +11,12 @@ The analytical surface is one batch: the distances of every site form a
 (sites, M) array, the closed-form moments are scaled for all rows at once
 (``channel.order_stat_moment_rows``) and one kernel call gives every sum
 rate (``rate.asr_rows``).  The Monte Carlo surface is one sweep with a
-point per site (``montecarlo.simulate_sweep``).  Both engines use the one
+point per site (``montecarlo.simulate_sweep``).  The NOMA and OMA surfaces
+differ only in the prefactor of each pair rate, so ``sweep_surfaces``
+evaluates every scheme of a surface in one pass: the schemes share the
+site distances and the closed-form moments (one kernel call per scheme),
+or one Monte Carlo sweep whose schemes share the draws and kernel calls
+and differ only in a scaled reduction.  Both engines use the one
 path-loss formula 1 + d^nu, computed per entry, and a row-local kernel, so
 each site gets the same bits as a one-site evaluation.  A failure, a path
 loss that overflows included, names the first failing site in row-major
@@ -40,6 +45,7 @@ __all__ = [
     "link_distance",
     "distances",
     "sweep_grid",
+    "sweep_surfaces",
 ]
 
 
@@ -148,16 +154,38 @@ def sweep_grid(
 ) -> PlacementSurface:
     """Sum-rate surface over relay positions, plus the argmax location.
 
+    The one-scheme case of ``sweep_surfaces``.
+    """
+    return sweep_surfaces(
+        geom_template, grid, cfg, fading_template, imp, engine, (scheme,), tc
+    )[0]
+
+
+def sweep_surfaces(
+    geom_template: Geometry,
+    grid: GridSpec,
+    cfg: NetworkConfig,
+    fading_template: FadingParams,
+    imp: ImpairmentProfile = ImpairmentProfile(),
+    engine: str = "analytical",
+    schemes: tuple[str, ...] = ("noma",),
+    tc: TrialConfig | None = None,
+) -> list[PlacementSurface]:
+    """Sum-rate surface of every scheme over relay positions, in order.
+
     The template's relay position and distances are replaced by each
-    site's; ``imp`` defaults to the distortion-free profile.  The
-    analytical engine evaluates all sites as one batch; the Monte Carlo
-    engine runs one sweep point per site.  A failure names the first
-    failing site in row-major order.
+    site's; ``imp`` defaults to the distortion-free profile.  The schemes
+    differ only in the prefactor, so they share the site distances and
+    either the closed-form moments (analytical engine, one batch per
+    scheme) or the draws and kernel calls (Monte Carlo engine, one sweep
+    with a point per scheme and site, scheme-major).  A failure names the
+    first failing site in row-major order, of the first scheme that fails.
     """
     if engine not in ("analytical", "monte-carlo"):
         raise ValueError(f"engine must be 'analytical' or 'monte-carlo', got {engine!r}")
-    if scheme not in ("noma", "oma"):
-        raise ValueError(f"scheme must be 'noma' or 'oma', got {scheme!r}")
+    if not schemes:
+        raise ValueError("need at least one scheme")
+    shares = [scheme_prefactor(scheme, cfg.n_users) for scheme in schemes]
     if engine == "monte-carlo" and tc is None:
         raise ValueError("monte-carlo engine requires a TrialConfig")
     if geom_template.n_users != cfg.n_users:
@@ -166,33 +194,37 @@ def sweep_grid(
         )
     xs, ys = grid.xs, grid.ys
     dist = _site_distances(geom_template, xs, ys)
-    share = scheme_prefactor(scheme, cfg.n_users)
 
     def site(row: int) -> str:
         return f"grid point (x={xs[row % xs.size]:g}, y={ys[row // xs.size]:g})"
 
     if engine == "analytical":
-        psi, _, fault = order_stat_moment_rows(fading_template, dist)
-        # asr_rows sees only the rows before the first moment fault, so a
-        # rate fault it reports is the earlier site
-        _, totals, rate_fault = asr_rows(psi, cfg.a, kernel_args(cfg, imp), share)
-        if rate_fault is not None:
-            fault = rate_fault
-        if fault is not None:
-            row, exc = fault
-            raise type(exc)(f"{site(row)}: {exc}") from exc
+        psi, _, moment_fault = order_stat_moment_rows(fading_template, dist)
+        args = kernel_args(cfg, imp)
+        surfaces = []
+        for share in shares:
+            # asr_rows sees only the rows before the first moment fault, so a
+            # rate fault it reports is the earlier site
+            _, totals, rate_fault = asr_rows(psi, cfg.a, args, share)
+            fault = rate_fault if rate_fault is not None else moment_fault
+            if fault is not None:
+                row, exc = fault
+                raise type(exc)(f"{site(row)}: {exc}") from exc
+            surfaces.append(totals)
     else:
-        points = [
-            SweepPoint(cfg, replace(fading_template, distances=tuple(d)), imp, share)
-            for d in dist.tolist()
-        ]
+        site_fading = [replace(fading_template, distances=tuple(d)) for d in dist.tolist()]
+        points = [SweepPoint(cfg, f, imp, share) for share in shares for f in site_fading]
         try:
             results = simulate_sweep(points, tc)
         except SweepPointError as exc:
-            raise NumericError(f"{site(exc.point)}: {exc}") from exc
+            raise NumericError(f"{site(exc.point % len(site_fading))}: {exc}") from exc
         totals = np.array([r.total for r in results])
-    surface = totals.reshape(ys.size, xs.size)
-    j_best, i_best = np.unravel_index(int(np.argmax(surface)), surface.shape)
+        surfaces = np.split(totals, len(shares))
+    return [_surface(xs, ys, totals.reshape(ys.size, xs.size)) for totals in surfaces]
+
+
+def _surface(xs: np.ndarray, ys: np.ndarray, asr: np.ndarray) -> PlacementSurface:
+    j_best, i_best = np.unravel_index(int(np.argmax(asr)), asr.shape)
     return PlacementSurface(
-        xs=xs, ys=ys, asr=surface, argmax_xy=(float(xs[i_best]), float(ys[j_best]))
+        xs=xs, ys=ys, asr=asr, argmax_xy=(float(xs[i_best]), float(ys[j_best]))
     )

@@ -19,7 +19,7 @@ from mwrnoma import (
     order_stat_moments,
     sinr_terms,
 )
-from mwrnoma.channel import _unscaled_moment, order_stat_moment_rows
+from mwrnoma.channel import _pow_each, _unscaled_moment, order_stat_moment_rows
 from mwrnoma.montecarlo import _ChunkBuffers, _sample_rho_chunk
 
 
@@ -91,6 +91,26 @@ class TestClosedFormTrivial:
         with pytest.raises(NumericError) as info:
             p.path_loss_factors()
         assert str(info.value) == "path loss 1 + d^nu overflows at i=1, d=20, nu=400"
+
+    @pytest.mark.parametrize("exponent", [2.0, 3.0, 2.7])
+    @pytest.mark.parametrize("overflow", [False, True])
+    def test_pow_each_keeps_python_pow_bits(self, exponent, overflow):
+        # the mapped libm pow gives the bits of b ** e entry by entry; with
+        # an overflowing entry the per-entry fallback marks it inf in place
+        rng = np.random.default_rng(int(exponent * 10) + overflow)
+        top = 200.0 if overflow else 100.0
+        base = 10.0 ** rng.uniform(-10.0, top, size=(700, 3))
+        expected = []
+        for b in base.ravel().tolist():
+            try:
+                expected.append(b**exponent)
+            except OverflowError:
+                expected.append(math.inf)
+        expected = np.array(expected).reshape(base.shape)
+        assert np.isinf(expected).any() == overflow
+        got = _pow_each(base, exponent)
+        assert got.shape == base.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestOracleAgreement:

@@ -151,6 +151,21 @@ class TestSpecLoading:
             ("fig2a", {"fading": 3}, "fading: expected a mapping, got 3"),
             # one trial has no ddof=1 variance, so no standard error to write
             ("fig2b", {"trials": {"trials": 1}}, "trials: trials must be an integer >= 2, got 1"),
+            # every scheme names one placement CSV or one set of sweep rows
+            ("fig2a", {"experiment": {"schemes": []}},
+             "experiment.schemes: need at least one scheme"),
+            ("fig3", {"experiment": {"schemes": []}},
+             "experiment.schemes: need at least one scheme"),
+            ("fig4b", {"experiment": {"schemes": []}},
+             "experiment.schemes: need at least one scheme"),
+            ("fig2a", {"experiment": {"schemes": ["noma", "noma"]}},
+             "experiment.schemes: each scheme may appear once, got ['noma', 'noma']"),
+            ("fig4b", {"experiment": {"schemes": ["noma", "noma"]}},
+             "experiment.schemes: each scheme may appear once, got ['noma', 'noma']"),
+            ("fig4b", {"experiment": {"schemes": "noma"}},
+             "experiment.schemes: expected a list of scheme names, got 'noma'"),
+            ("fig2a", {"experiment": {"schemes": 5}},
+             "experiment.schemes: expected a list of scheme names, got 5"),
         ],
     )
     def test_config_value_named(self, tmp_path, capsys, preset, config, message):

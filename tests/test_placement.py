@@ -15,13 +15,18 @@ from mwrnoma import (
     MwrnomaError,
     NetworkConfig,
     NumericError,
+    TrialConfig,
     asr,
     asr_oma,
     distances,
     link_distance,
     order_stat_moments,
     sweep_grid,
+    sweep_surfaces,
 )
+from mwrnoma import placement
+from mwrnoma.cli import load_spec
+from mwrnoma.errors import SweepPointError
 
 SQUARE = ((5.0, 5.0), (5.0, -5.0), (-5.0, 5.0), (-5.0, -5.0))
 A4 = (0.5, 0.3, 0.15, 0.05)
@@ -273,3 +278,132 @@ class TestSweep:
             GridSpec(step=0.0)
         with pytest.raises(ConfigurationError):
             GridSpec(x_min=5.0, x_max=-5.0)
+
+
+class TestSharedSchemes:
+    """Every scheme of a surface from one pass: shared distances and moments
+    (analytical) or one Monte Carlo sweep, scheme-major."""
+
+    SCHEMES = ("noma", "oma")
+
+    def case(self):
+        users, a = LAYOUTS["m5"]
+        geom = Geometry(user_positions=users, uav_height=8.0)
+        cfg = NetworkConfig(n_users=len(users), a=a, r1=10.0 ** 2.7, c=1.5)
+        fading = FadingParams(alpha=2, beta=3.0, nu=2.7, distances=(1.0,) * len(users))
+        imp = ImpairmentProfile(kappa_ut=0.08, kappa_ur=0.15, kappa_rt=0.05, kappa_rr=0.11)
+        return geom, cfg, fading, imp
+
+    def assert_equal_surfaces(self, shared, separate):
+        assert len(shared) == len(separate)
+        for s, t in zip(shared, separate):
+            assert np.array_equal(s.xs, t.xs) and np.array_equal(s.ys, t.ys)
+            assert s.asr.tobytes() == t.asr.tobytes()
+            assert s.argmax_xy == t.argmax_xy
+
+    def test_analytical_equals_one_sweep_per_scheme(self):
+        geom, cfg, fading, imp = self.case()
+        grid = GridSpec(x_min=-3.5, x_max=21.5, y_min=-11.0, y_max=1.5, step=2.5)
+        shared = sweep_surfaces(geom, grid, cfg, fading, imp, schemes=self.SCHEMES)
+        separate = [sweep_grid(geom, grid, cfg, fading, imp, scheme=s) for s in self.SCHEMES]
+        self.assert_equal_surfaces(shared, separate)
+        # M = 5 has three slots: the schemes really differ
+        assert not np.array_equal(shared[0].asr, shared[1].asr)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_monte_carlo_equals_one_sweep_per_scheme(self, workers):
+        geom, cfg, fading, imp = self.case()
+        grid = GridSpec(x_min=0.0, x_max=6.0, y_min=-3.0, y_max=0.0, step=3.0)
+        # two full chunks and a short one
+        tc = TrialConfig(2 * 8192 + 37, seed=9, workers=workers)
+        shared = sweep_surfaces(
+            geom, grid, cfg, fading, imp, engine="monte-carlo", schemes=self.SCHEMES, tc=tc
+        )
+        separate = [
+            sweep_grid(geom, grid, cfg, fading, imp, engine="monte-carlo", scheme=s, tc=tc)
+            for s in self.SCHEMES
+        ]
+        self.assert_equal_surfaces(shared, separate)
+        reversed_order = sweep_surfaces(
+            geom, grid, cfg, fading, imp, engine="monte-carlo", schemes=self.SCHEMES[::-1], tc=tc
+        )
+        self.assert_equal_surfaces(reversed_order, separate[::-1])
+
+    @pytest.mark.parametrize("engine", ["analytical", "monte-carlo"])
+    def test_shared_work_runs_once(self, monkeypatch, engine):
+        calls = {}
+
+        def counted(name):
+            original = getattr(placement, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(placement, name, wrapper)
+
+        for name in ("_site_distances", "order_stat_moment_rows", "simulate_sweep"):
+            counted(name)
+        geom, cfg, fading, imp = self.case()
+        grid = GridSpec(x_min=0.0, x_max=4.0, y_min=0.0, y_max=2.0, step=2.0)
+        surfaces = sweep_surfaces(
+            geom, grid, cfg, fading, imp, engine=engine, schemes=self.SCHEMES,
+            tc=TrialConfig(100, seed=3),
+        )
+        assert len(surfaces) == 2
+        if engine == "analytical":
+            assert calls == {"_site_distances": 1, "order_stat_moment_rows": 1}
+        else:
+            assert calls == {"_site_distances": 1, "simulate_sweep": 1}
+
+    @pytest.mark.parametrize(
+        "engine, message",
+        [
+            ("analytical",
+             "grid point (x=-20, y=-20): moment overflow for alpha=2, M=4, i=1, p=1: "
+             "path loss (1 + d^nu)^1 overflows at d=36.7423, nu=400"),
+            ("monte-carlo",
+             "grid point (x=-20, y=-20): path loss 1 + d^nu overflows at i=1, "
+             "d=36.7423, nu=400"),
+        ],
+    )
+    def test_path_loss_overflow_names_the_same_grid_point(self, engine, message):
+        # fig4b with nu = 400: the message of each one-scheme surface
+        spec = load_spec(preset_name="fig4b", overrides={"fading": {"nu": 400.0}})
+        assert spec.schemes == self.SCHEMES
+        args = (spec.geometry, spec.grid, spec.network, spec.fading, spec.variants[0][1])
+        tc = TrialConfig(1000, seed=1)
+        with pytest.raises(NumericError) as info:
+            sweep_surfaces(*args, engine=engine, schemes=spec.schemes, tc=tc)
+        assert str(info.value) == message
+        for scheme in spec.schemes:
+            with pytest.raises(NumericError) as one:
+                sweep_grid(*args, engine=engine, scheme=scheme, tc=tc)
+            assert str(one.value) == message
+
+    def test_monte_carlo_error_of_a_later_scheme_names_its_site(self, monkeypatch):
+        # the sweep's points run scheme-major; a failing point of the second
+        # scheme names its own site
+        geom, cfg, fading, imp = self.case()
+        grid = GridSpec(x_min=0.0, x_max=4.0, y_min=0.0, y_max=2.0, step=2.0)
+        sites = grid.xs.size * grid.ys.size
+
+        def fail_second_scheme(points, tc):
+            assert len(points) == 2 * sites
+            raise SweepPointError(sites + 4, "non-finite rate in trial 7", 7)
+
+        monkeypatch.setattr(placement, "simulate_sweep", fail_second_scheme)
+        with pytest.raises(NumericError) as info:
+            sweep_surfaces(
+                geom, grid, cfg, fading, imp, engine="monte-carlo", schemes=self.SCHEMES,
+                tc=TrialConfig(100, seed=3),
+            )
+        assert str(info.value) == "grid point (x=2, y=2): non-finite rate in trial 7"
+
+    def test_schemes_must_be_given(self):
+        geom, cfg, fading, imp = self.case()
+        grid = GridSpec(x_min=0.0, x_max=0.0, y_min=0.0, y_max=0.0, step=1.0)
+        with pytest.raises(ValueError):
+            sweep_surfaces(geom, grid, cfg, fading, imp, schemes=())
+        with pytest.raises(ValueError):
+            sweep_surfaces(geom, grid, cfg, fading, imp, schemes=("noma", "tdma"))
