@@ -179,6 +179,12 @@ def _as_numbers(value, where: str) -> tuple[float, ...]:
     raise ConfigurationError(f"{where}: expected a list of numbers, got {value!r}")
 
 
+def _as_path(value, where: str) -> Path:
+    if isinstance(value, str) and value:
+        return Path(value)
+    raise ConfigurationError(f"{where}: expected a non-empty path string, got {value!r}")
+
+
 def _as_grid(value, where: str) -> tuple[float, ...]:
     if isinstance(value, dict):
         start, stop, step = (
@@ -363,7 +369,7 @@ def _spec_from_config(config: dict) -> ExperimentSpec:
         raise ConfigurationError(
             f"experiment.schemes: expected a list of scheme names, got {schemes!r}"
         )
-    output = Path(exp.get("output", f"{kind}.csv"))
+    output = _as_path(exp.get("output", f"{kind}.csv"), "experiment.output")
     return ExperimentSpec(
         kind=kind,
         network=network,
@@ -598,7 +604,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="named experiment preset (config file values override it)",
     )
-    runp.add_argument("--output", type=Path, default=None, help="CSV output path")
+    runp.add_argument("--output", default=None, help="CSV output path")
     runp.add_argument("--seed", type=int, default=None, help="64-bit seed override")
     runp.add_argument("--trials", type=int, default=None, help="Monte Carlo trials override")
     runp.add_argument("--engine", choices=ENGINES, default=None, help="engine override")
@@ -612,7 +618,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.engine is not None:
         overrides.setdefault("experiment", {})["engine"] = args.engine
     if args.output is not None:
-        overrides.setdefault("experiment", {})["output"] = str(args.output)
+        overrides.setdefault("experiment", {})["output"] = args.output
 
     try:
         spec = load_spec(args.config, args.preset, overrides)

@@ -36,19 +36,23 @@ Each worker thread fills the same uniforms, gains, path-loss-scaled gains,
 interference sums and kernel work columns for every chunk it runs, so a
 run allocates its chunk-sized arrays once per thread rather than once per
 chunk.
+
+Importing this module loads neither ``numpy.random`` nor a thread pool,
+so a closed-form run, which draws nothing, pays for neither:
+``numpy.random`` (and the OpenSSL library it pulls in) loads at the first
+chunk's draw, and ``concurrent.futures`` only when a run folds more than
+one chunk on ``workers > 1`` threads.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from . import _kernels
 from .channel import FadingParams, gamma_from_uniforms
@@ -90,7 +94,9 @@ class TrialConfig:
             raise ConfigurationError(f"workers must be an integer >= 1, got {self.workers!r}")
 
 
-def _chunk_stream(seed: int, chunk_index: int) -> Generator:
+def _chunk_stream(seed: int, chunk_index: int) -> np.random.Generator:
+    from numpy.random import Generator, Philox
+
     return Generator(Philox(key=seed, counter=chunk_index << 128))
 
 
@@ -256,6 +262,8 @@ def _fold_chunks(run_chunk, tc: TrialConfig, fold):
     counts = [min(CHUNK_TRIALS, tc.trials - c * CHUNK_TRIALS) for c in indices]
     if tc.workers == 1 or len(indices) == 1:
         return fold(map(run_chunk, indices, counts))
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=tc.workers) as pool:
         return fold(pool.map(run_chunk, indices, counts))
 

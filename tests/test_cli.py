@@ -166,15 +166,30 @@ class TestSpecLoading:
              "experiment.schemes: expected a list of scheme names, got 'noma'"),
             ("fig2a", {"experiment": {"schemes": 5}},
              "experiment.schemes: expected a list of scheme names, got 5"),
+            # the CSV path; "" would resolve to the working directory
+            ("fig2a", {"experiment": {"output": 5}},
+             "experiment.output: expected a non-empty path string, got 5"),
+            ("fig4a", {"experiment": {"output": ""}},
+             "experiment.output: expected a non-empty path string, got ''"),
         ],
     )
     def test_config_value_named(self, tmp_path, capsys, preset, config, message):
         path = write_config(tmp_path, config)
         out = tmp_path / "out.csv"
-        argv = ["run", "--preset", preset, "--config", str(path), "--output", str(out)]
+        argv = ["run", "--preset", preset, "--config", str(path)]
+        if "output" not in config.get("experiment", {}):
+            # --output would override the config value under test
+            argv += ["--output", str(out)]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: config: {message}\n"
         assert not out.exists()
+
+    def test_empty_output_flag_named(self, capsys):
+        # the flag goes through the same reader as the config key
+        assert main(["run", "--preset", "fig4a", "--output", ""]) == 2
+        assert capsys.readouterr().err == (
+            "error: config: experiment.output: expected a non-empty path string, got ''\n"
+        )
 
     @pytest.mark.parametrize("key, value", [("beta", [1]), ("nu", "x")])
     def test_fading_scalar_named(self, tmp_path, capsys, key, value):
@@ -502,3 +517,35 @@ def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, mwrnoma.cli; sys.exit(int('scipy' in sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize(
+    "engine_args, loaded",
+    [
+        # the closed form draws no random numbers and runs on one thread
+        ([], []),
+        # one worker draws its chunks on the calling thread, without a pool
+        (["--engine", "mc", "--trials", "2000"], ["numpy.random"]),
+    ],
+    ids=["analytical", "mc-one-worker"],
+)
+def test_cli_run_loads_only_its_engine(tmp_path, engine_args, loaded):
+    src = str(Path(mwrnoma.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "MWRNOMA_WORKERS"}
+    env["PYTHONPATH"] = src
+    path = write_config(tmp_path, {"experiment": {"grid": {"step": 10.0}}})
+    argv = ["run", "--preset", "fig4a", "--config", str(path),
+            "--output", str(tmp_path / "out.csv"), *engine_args]
+    code = (
+        "import json, sys, mwrnoma.cli\n"
+        "rc = mwrnoma.cli.main(sys.argv[1:])\n"
+        "names = ('numpy.random', 'concurrent.futures', 'scipy')\n"
+        "print(json.dumps([m for m in names if m in sys.modules]))\n"
+        "sys.exit(rc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == loaded
+    assert (tmp_path / "out.csv").exists()
