@@ -9,11 +9,11 @@ Two independent routes to the per-position moments are provided:
 
 * ``order_stat_moment_rows``: exact closed forms.  The CDF power
   F^(i-1) is binomially expanded, the Erlang survival-function power is
-  multinomially expanded over compositions, and every term reduces to a
-  Gamma integral.  All coefficients are rational, so the unscaled moments
-  are evaluated in exact rational arithmetic once per (alpha, M) and
-  scaled by path loss for any number of distance rows at once;
-  ``order_stat_moments`` reads one row.
+  expanded as a polynomial in x with integer coefficients, and every term
+  reduces to a Gamma integral.  All coefficients are rational, so the
+  unscaled moments are evaluated in exact rational arithmetic once per
+  (alpha, M) and scaled by path loss for any number of distance rows at
+  once; ``order_stat_moments`` reads one row.
 * ``moment_oracle``: adaptive quadrature of x^p times the order-statistic
   density, sharing no code with the expansion above.
 """
@@ -162,14 +162,29 @@ def gamma_from_uniforms(u: np.ndarray, beta: float, out: np.ndarray) -> np.ndarr
     return out
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative ints summing to `total`, lexicographic."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+@lru_cache(maxsize=None)
+def _survival_powers(alpha: int, n_users: int) -> tuple[tuple[int, ...], ...]:
+    """Integer coefficients of ((alpha-1)! sum_{g<alpha} t^g / g!)^N for
+    N = 0 .. M-1, lowest power of t first.
+
+    The Erlang survival function is e^-x sum_{g<alpha} x^g / g!, so these
+    are its N-th powers without the factor e^-Nx, times ((alpha-1)!)^N.
+    They are built once per (alpha, M) and shared by all positions and
+    both moments.
+    """
+    # B = sum_{g<alpha} t^g / g! has B' = B - t^(alpha-1) / (alpha-1)!, so
+    # P = B^N has P' = N P - N B^(N-1) t^(alpha-1) / (alpha-1)!; in the
+    # integer coefficients q of ((alpha-1)! B)^N and r of the (N-1)-th
+    # power that reads (k+1) q[k+1] = N (q[k] - r[k+1-alpha]), exactly
+    powers = [(1,)]
+    for big_n in range(1, n_users):
+        prev = powers[-1]
+        coeffs = [math.factorial(alpha - 1) ** big_n]
+        for k in range(big_n * (alpha - 1)):
+            lagged = prev[k + 1 - alpha] if k + 1 >= alpha else 0
+            coeffs.append(big_n * (coeffs[k] - lagged) // (k + 1))
+        powers.append(tuple(coeffs))
+    return tuple(powers)
 
 
 def _unscaled_moment(alpha: int, n_users: int, i: int, p: int) -> Fraction:
@@ -184,17 +199,19 @@ def _unscaled_moment(alpha: int, n_users: int, i: int, p: int) -> Fraction:
     total = Fraction(0)
     for n in range(m):
         big_n = n + M - m
+        coeffs = _survival_powers(alpha, M)[big_n]
+        # sum_k coeffs[k] (alpha-1+p+k)! / (N+1)^(alpha+p+k), the Gamma
+        # integral of each power of x, over the common denominator
+        # (N+1)^(alpha+p+K); Horner's rule supplies the (N+1)^(K-k)
+        numerator, fact = 0, math.factorial(alpha - 2 + p)
+        for k, c in enumerate(coeffs):
+            fact *= alpha - 1 + p + k
+            numerator = numerator * (big_n + 1) + c * fact
+        denominator = math.factorial(alpha - 1) ** big_n * (big_n + 1) ** (
+            alpha + p + len(coeffs) - 1
+        )
         sign = -1 if n % 2 else 1
-        binom = math.comb(m - 1, n)
-        for parts in _compositions(big_n, alpha):
-            # multinomial coefficient over the composition
-            coeff = Fraction(math.factorial(big_n))
-            for g, p_g in enumerate(parts):
-                coeff /= math.factorial(p_g) * math.factorial(g) ** p_g
-            g_sum = sum(g * p_g for g, p_g in enumerate(parts))
-            s = alpha - 1 + p + g_sum
-            term = coeff * math.factorial(s) / Fraction(big_n + 1) ** (s + 1)
-            total += sign * binom * term
+        total += sign * math.comb(m - 1, n) * Fraction(numerator, denominator)
     return prefactor * total / math.factorial(alpha - 1)
 
 

@@ -16,8 +16,9 @@ import logging
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from .baseline import scheme_prefactor
 from .channel import FadingParams, moment_oracle, order_stat_moments
 from .errors import ConfigurationError, NumericError, SweepPointError
 from .montecarlo import SweepPoint, TrialConfig, sample_moments, simulate_sweep
-from .placement import Geometry, GridSpec, distances, sweep_surfaces
+from .placement import Geometry, GridSpec, PlacementSurface, distances, sweep_surfaces
 from .presets import DEFAULT_SEED, PRESETS, preset
 from .rate import asr_rows
 from .signal import ImpairmentProfile, NetworkConfig
@@ -191,8 +192,12 @@ def _as_grid(value, where: str) -> tuple[float, ...]:
             _as_scalar(_need(value, key, where), f"{where}.{key}")
             for key in ("start", "stop", "step")
         )
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ConfigurationError(f"{where}: start, stop and step must be finite")
         if step <= 0 or stop < start:
             raise ConfigurationError(f"{where}: need step > 0 and stop >= start")
+        if not math.isfinite((stop - start) / step):
+            raise ConfigurationError(f"{where}: (stop - start) / step overflows")
         n = int(math.floor((stop - start) / step + 1e-9)) + 1
         return tuple(start + step * i for i in range(n))
     if isinstance(value, list) and value:
@@ -467,7 +472,8 @@ def _run_grid_sweep(spec: ExperimentSpec) -> RunResult:
                 key, value, scheme, condition, abs(float(analytic) - result.total),
             )
 
-    _write_csv(spec.output, header, (row + cells for row, cells in zip(rows, mc_cells)))
+    with _csv_writer(spec.output, header) as writer:
+        writer.writerows(row + cells for row, cells in zip(rows, mc_cells))
     totals: dict[str, float] = {}
     for _, scheme, condition, analytic in rows:
         group = f"{scheme}/{condition}"
@@ -505,16 +511,11 @@ def _run_placement(spec: ExperimentSpec) -> RunResult:
             path = spec.output.with_name(
                 spec.output.stem + f"_{scheme}" + spec.output.suffix
             )
-        # each axis label is formatted once, not once per site; the rates
-        # run y outer, x inner, as the rows do
-        xs = list(map(_fmt, surface.xs.tolist()))
-        ys = chain.from_iterable(repeat(y, len(xs)) for y in map(_fmt, surface.ys.tolist()))
-        rates = list(map(_fmt, surface.asr.ravel().tolist()))
-        _write_csv(path, PLACEMENT_HEADER, zip(xs * surface.ys.size, ys, rates))
+        with _csv_writer(path, PLACEMENT_HEADER) as writer:
+            totals[scheme] = math.fsum(_written_rates(writer, surface))
         paths.append(path)
-        totals[scheme] = math.fsum(map(float, rates))
         lines.append(
-            f"placement {scheme}: {len(rates)} points -> {path}; "
+            f"placement {scheme}: {surface.asr.size} points -> {path}; "
             f"argmax at ({_fmt(surface.argmax_xy[0])}, {_fmt(surface.argmax_xy[1])}); "
             f"sum(asr) {_fmt(totals[scheme])}"
         )
@@ -524,6 +525,17 @@ def _run_placement(spec: ExperimentSpec) -> RunResult:
         reported_totals=totals,
         summary="\n".join(lines),
     )
+
+
+def _written_rates(writer, surface: PlacementSurface):
+    """Write a surface's rows one grid row (y fixed, x inner) at a time and
+    yield each written rate, parsed back from its cell."""
+    # each axis label is formatted once, not once per site
+    xs = list(map(_fmt, surface.xs.tolist()))
+    for y, asr_row in zip(map(_fmt, surface.ys.tolist()), surface.asr):
+        rates = list(map(_fmt, asr_row.tolist()))
+        writer.writerows(zip(xs, repeat(y), rates))
+        yield from map(float, rates)
 
 
 def _run_moments_check(spec: ExperimentSpec) -> RunResult:
@@ -554,7 +566,8 @@ def _run_moments_check(spec: ExperimentSpec) -> RunResult:
                 _fmt(omega_se[i - 1]),
             )
         )
-    _write_csv(spec.output, MOMENTS_HEADER, rows)
+    with _csv_writer(spec.output, MOMENTS_HEADER) as writer:
+        writer.writerows(rows)
     totals = {"psi_closed": math.fsum(float(r[1]) for r in rows)}
     summary = (
         f"moments-check: {M} positions -> {spec.output}; "
@@ -569,16 +582,17 @@ def _run_moments_check(spec: ExperimentSpec) -> RunResult:
     )
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Write the header and then ``rows``, an iterable of tuples of cells
-    in header order."""
+@contextmanager
+def _csv_writer(path: Path, header: list[str]):
+    """A ``csv.writer`` on a new file at path, the header already written;
+    rows are tuples of cells in header order."""
     path = Path(path)
     if path.parent != Path(""):
         path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        yield writer
 
 
 def run(spec: ExperimentSpec) -> RunResult:

@@ -7,20 +7,23 @@ fading moments; longer links mean weaker mean gains, so distances sorted
 descending are assigned to ascending order positions (position 1 holds
 the weakest user).
 
-The analytical surface is one batch: the distances of every site form a
-(sites, M) array, the closed-form moments are scaled for all rows at once
-(``channel.order_stat_moment_rows``) and one kernel call gives every sum
-rate (``rate.asr_rows``).  The Monte Carlo surface is one sweep with a
+The analytical surface runs in blocks of whole grid rows, about
+``BLOCK_SITES`` sites each: per block, the site distances form a
+(sites, M) array, the closed-form moments are scaled for all its rows at
+once (``channel.order_stat_moment_rows``) and one kernel call gives every
+pair rate, so a surface holds one block's intermediates and its totals,
+whatever the grid's size.  The Monte Carlo surface is one sweep with a
 point per site (``montecarlo.simulate_sweep``).  The NOMA and OMA surfaces
 differ only in the prefactor of each pair rate, so ``sweep_surfaces``
 evaluates every scheme of a surface in one pass: the schemes share the
-site distances and the closed-form moments (one kernel call per scheme),
-or one Monte Carlo sweep whose schemes share the draws and kernel calls
-and differ only in a scaled reduction.  Both engines use the one
-path-loss formula 1 + d^nu, computed per entry, and a row-local kernel, so
-each site gets the same bits as a one-site evaluation.  A failure, a path
-loss that overflows included, names the first failing site in row-major
-order (y outer, x inner).
+site distances, the closed-form moments and the kernel's pair rates, each
+rescaling the same rates to its own totals, or one Monte Carlo sweep
+whose schemes share the draws and kernel calls and differ only in a
+scaled reduction.  Both engines use the one path-loss formula 1 + d^nu,
+computed per entry, and a row-local kernel, so each site gets the same
+bits as a one-site evaluation, in any block.  A failure, a path loss that
+overflows included, names the first failing site in row-major order
+(y outer, x inner).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .baseline import scheme_prefactor
 from .channel import FadingParams, order_stat_moment_rows
 from .errors import ConfigurationError, NumericError, SweepPointError
 from .montecarlo import SweepPoint, TrialConfig, simulate_sweep
-from .rate import asr_rows
+from .rate import _finish_rows, _pair_rates
 from .signal import ImpairmentProfile, NetworkConfig
 
 __all__ = [
@@ -47,6 +50,11 @@ __all__ = [
     "sweep_grid",
     "sweep_surfaces",
 ]
+
+# sites per block of an analytical surface, rounded down to whole grid rows
+# (at least one): a block's distances, moments and pair rates are all the
+# surface holds at a time besides its totals
+BLOCK_SITES = 1024
 
 
 @dataclass(frozen=True)
@@ -87,8 +95,19 @@ class GridSpec:
     def __post_init__(self):
         if not (self.step > 0 and math.isfinite(self.step)):
             raise ConfigurationError(f"grid step must be > 0, got {self.step}")
+        for name in ("x_min", "x_max", "y_min", "y_max"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"grid bounds must be finite, got {name}={value}")
         if self.x_max < self.x_min or self.y_max < self.y_min:
             raise ConfigurationError("grid bounds must be ordered")
+        for axis, lo, hi in (("x", self.x_min, self.x_max), ("y", self.y_min, self.y_max)):
+            # the site count of an axis; a span beyond the float range has none
+            if not math.isfinite((hi - lo) / self.step):
+                raise ConfigurationError(
+                    f"grid {axis} axis length ({axis}_max - {axis}_min) / step "
+                    f"overflows: ({hi!r} - {lo!r}) / {self.step!r}"
+                )
 
     def axis(self, lo: float, hi: float) -> np.ndarray:
         n = int(math.floor((hi - lo) / self.step + 1e-9)) + 1
@@ -176,10 +195,13 @@ def sweep_surfaces(
     The template's relay position and distances are replaced by each
     site's; ``imp`` defaults to the distortion-free profile.  The schemes
     differ only in the prefactor, so they share the site distances and
-    either the closed-form moments (analytical engine, one batch per
-    scheme) or the draws and kernel calls (Monte Carlo engine, one sweep
+    either the closed-form moments and pair rates (analytical engine, in
+    blocks of whole grid rows, each scheme's totals written into its
+    surface) or the draws and kernel calls (Monte Carlo engine, one sweep
     with a point per scheme and site, scheme-major).  A failure names the
-    first failing site in row-major order, of the first scheme that fails.
+    first failing site in row-major order, of the first scheme that fails;
+    in the closed form a rate fault is the same for every scheme, which
+    only rescales the rates by a finite positive factor.
     """
     if engine not in ("analytical", "monte-carlo"):
         raise ValueError(f"engine must be 'analytical' or 'monte-carlo', got {engine!r}")
@@ -193,25 +215,31 @@ def sweep_surfaces(
             f"geometry has {geom_template.n_users} users, config expects {cfg.n_users}"
         )
     xs, ys = grid.xs, grid.ys
-    dist = _site_distances(geom_template, xs, ys)
 
     def site(row: int) -> str:
         return f"grid point (x={xs[row % xs.size]:g}, y={ys[row // xs.size]:g})"
 
     if engine == "analytical":
-        psi, _, moment_fault = order_stat_moment_rows(fading_template, dist)
         args = kernel_args(cfg, imp)
-        surfaces = []
-        for share in shares:
-            # asr_rows sees only the rows before the first moment fault, so a
-            # rate fault it reports is the earlier site
-            _, totals, rate_fault = asr_rows(psi, cfg.a, args, share)
-            fault = rate_fault if rate_fault is not None else moment_fault
-            if fault is not None:
-                row, exc = fault
-                raise type(exc)(f"{site(row)}: {exc}") from exc
-            surfaces.append(totals)
+        surfaces = [np.empty(ys.size * xs.size) for _ in shares]
+        block = max(1, BLOCK_SITES // xs.size)
+        for j in range(0, ys.size, block):
+            dist = _site_distances(geom_template, xs, ys[j : j + block])
+            psi, _, moment_fault = order_stat_moment_rows(fading_template, dist)
+            rates = _pair_rates(psi, cfg.a, args)
+            start = j * xs.size
+            for share, surface in zip(shares, surfaces):
+                # the rates cover only the rows before the first moment
+                # fault, so a rate fault is the earlier site; it is the same
+                # for every scheme, which only rescales the rates
+                _, totals, rate_fault = _finish_rows(rates, cfg.n_users, share)
+                fault = rate_fault if rate_fault is not None else moment_fault
+                if fault is not None:
+                    row, exc = fault
+                    raise type(exc)(f"{site(start + row)}: {exc}") from exc
+                surface[start : start + totals.size] = totals
     else:
+        dist = _site_distances(geom_template, xs, ys)
         site_fading = [replace(fading_template, distances=tuple(d)) for d in dist.tolist()]
         points = [SweepPoint(cfg, f, imp, share) for share in shares for f in site_fading]
         try:

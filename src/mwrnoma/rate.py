@@ -83,25 +83,45 @@ def _result_error(per_pair: np.ndarray, total: float, provenance: str) -> str | 
     return None
 
 
-def _closed_form_pairs(psi: np.ndarray, a, args, prefactor) -> np.ndarray:
-    """Per-pair matrices (rows, M, M-1) of the shared pair-rate kernel,
-    evaluated at each row of psi in one call.
+def _pair_rates(psi: np.ndarray, a, args) -> np.ndarray:
+    """Kernel step of the closed form: the 1/2-prefactored rate of every
+    pair at each row of psi, (rows, pairs) in ``pair_indices`` order.
 
-    args: ``_kernels.kernel_args``, one tuple for all rows or one per row;
-    prefactor: one for all rows or one per row.
+    args: ``_kernels.kernel_args``, one tuple for all rows or one per row.
     """
-    M = len(a)
-    if psi.shape[1] != M:
-        raise ConfigurationError(f"moments cover {psi.shape[1]} users, config expects {M}")
-    rates = _kernels.pair_rate_chunk(psi, a, *np.asarray(args, dtype=np.float64).T)
+    if psi.shape[1] != len(a):
+        raise ConfigurationError(f"moments cover {psi.shape[1]} users, config expects {len(a)}")
+    return _kernels.pair_rate_chunk(psi, a, *np.asarray(args, dtype=np.float64).T)
+
+
+def _per_pair(rates: np.ndarray, M: int, prefactor) -> np.ndarray:
+    """Per-pair matrices (rows, M, M-1) of ``_pair_rates`` output, scaled to
+    the prefactor (one for all rows or one per row); rates is left as it
+    is, so several prefactors may share it."""
     # kernel output carries the 1/2 prefactor
     scale = np.asarray(prefactor, dtype=np.float64) / 0.5
     if (scale != 1.0).any():
-        rates *= scale.reshape(-1, 1)
+        rates = rates * scale.reshape(-1, 1)
     k, n = zip(*pair_indices(M))
-    per_pair = np.zeros((psi.shape[0], M, M - 1))
+    per_pair = np.zeros((rates.shape[0], M, M - 1))
     per_pair[:, np.array(k) - 1, np.array(n) - 1] = rates
     return per_pair
+
+
+def _finish_rows(rates: np.ndarray, M: int, prefactor):
+    """Finishing step of ``asr_rows``: its ``(per_pair, totals, fault)``
+    from the shared ``_pair_rates`` output."""
+    per_pair = _per_pair(rates, M, prefactor)
+    rows = per_pair.shape[0]
+    flat = per_pair.reshape(rows, M * (M - 1))
+    totals = flat.sum(axis=1)
+    # the rows AsrResult rejects: a non-finite or negative rate or total
+    bad = ~(np.isfinite(flat).all(axis=1) & (flat >= 0).all(axis=1) & np.isfinite(totals))
+    if not bad.any():
+        return per_pair, totals, None
+    row = int(bad.argmax())
+    error = _result_error(per_pair[row], float(totals[row]), "analytical")
+    return per_pair[:row], totals[:row], (row, ConfigurationError(error))
 
 
 def asr_rows(psi: np.ndarray, a, args, prefactor=0.5):
@@ -118,17 +138,8 @@ def asr_rows(psi: np.ndarray, a, args, prefactor=0.5):
     error)`` for the first row that is not, and per_pair and totals cover
     only the rows before it.
     """
-    per_pair = _closed_form_pairs(np.asarray(psi, dtype=np.float64), a, args, prefactor)
-    rows, M, _ = per_pair.shape
-    flat = per_pair.reshape(rows, M * (M - 1))
-    totals = flat.sum(axis=1)
-    # the rows AsrResult rejects: a non-finite or negative rate or total
-    bad = ~(np.isfinite(flat).all(axis=1) & (flat >= 0).all(axis=1) & np.isfinite(totals))
-    if not bad.any():
-        return per_pair, totals, None
-    row = int(bad.argmax())
-    error = _result_error(per_pair[row], float(totals[row]), "analytical")
-    return per_pair[:row], totals[:row], (row, ConfigurationError(error))
+    rates = _pair_rates(np.asarray(psi, dtype=np.float64), a, args)
+    return _finish_rows(rates, len(a), prefactor)
 
 
 def asr(
@@ -162,7 +173,8 @@ def asr_asymptotic(
     """
     with np.errstate(divide="ignore"):
         args = (0.0, 0.0, *_kernels.distortion_terms(imp))
-        per_pair = _closed_form_pairs(moments.psi[None, :], cfg.a, args, prefactor)[0]
+        rates = _pair_rates(moments.psi[None, :], cfg.a, args)
+        per_pair = _per_pair(rates, cfg.n_users, prefactor)[0]
     notes = tuple(
         f"pair (k={k}, n={n}) has no interference ceiling: asymptote diverges"
         for k, n in pair_indices(cfg.n_users)

@@ -1,6 +1,8 @@
 """Fading model: moment closed forms against quadrature and sampling."""
 
 import math
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +21,13 @@ from mwrnoma import (
     order_stat_moments,
     sinr_terms,
 )
-from mwrnoma.channel import _pow_each, _unscaled_moment, order_stat_moment_rows
+from mwrnoma.channel import (
+    _pow_each,
+    _survival_powers,
+    _unscaled_moment,
+    _unscaled_table,
+    order_stat_moment_rows,
+)
 from mwrnoma.montecarlo import _ChunkBuffers, _sample_rho_chunk
 
 
@@ -111,6 +119,59 @@ class TestClosedFormTrivial:
         got = _pow_each(base, exponent)
         assert got.shape == base.shape
         assert got.tobytes() == expected.tobytes()
+
+
+def compositions(total, parts):
+    """All tuples of `parts` nonnegative ints summing to `total`, lexicographic."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def enumerated_moment(alpha, n_users, i, p):
+    """The unscaled moment with the survival-function power expanded over
+    every composition: the multinomial sum that the closed form collects
+    into a power series.  Exact, and slow at large alpha."""
+    M, m = n_users, i
+    prefactor = Fraction(math.factorial(M), math.factorial(m - 1) * math.factorial(M - m))
+    total = Fraction(0)
+    for n in range(m):
+        big_n = n + M - m
+        sign = -1 if n % 2 else 1
+        binom = math.comb(m - 1, n)
+        for parts in compositions(big_n, alpha):
+            coeff = Fraction(math.factorial(big_n))
+            for g, p_g in enumerate(parts):
+                coeff /= math.factorial(p_g) * math.factorial(g) ** p_g
+            g_sum = sum(g * p_g for g, p_g in enumerate(parts))
+            s = alpha - 1 + p + g_sum
+            term = coeff * math.factorial(s) / Fraction(big_n + 1) ** (s + 1)
+            total += sign * binom * term
+    return prefactor * total / math.factorial(alpha - 1)
+
+
+class TestExpansion:
+    @pytest.mark.parametrize(
+        "alpha, n_users", [(1, 1), (1, 2), (2, 4), (3, 5), (5, 4), (2, 8), (4, 6), (7, 3)]
+    )
+    def test_power_series_equals_composition_sum(self, alpha, n_users):
+        for i in range(1, n_users + 1):
+            for p in (1, 2):
+                assert _unscaled_moment(alpha, n_users, i, p) == enumerated_moment(
+                    alpha, n_users, i, p
+                )
+
+    def test_large_alpha_is_fast(self):
+        # the composition sum takes about half a minute here
+        _survival_powers.cache_clear()
+        start = time.perf_counter()
+        means, _ = _unscaled_table.__wrapped__(48, 4)
+        assert time.perf_counter() - start < 2.0
+        # order statistics sum to the sample: sum of means = M * alpha
+        assert sum(means) == 4 * 48
 
 
 class TestOracleAgreement:

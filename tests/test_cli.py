@@ -171,6 +171,20 @@ class TestSpecLoading:
              "experiment.output: expected a non-empty path string, got 5"),
             ("fig4a", {"experiment": {"output": ""}},
              "experiment.output: expected a non-empty path string, got ''"),
+            # an axis must have a finite site count, in a placement grid or a sweep
+            ("fig4a", {"experiment": {"grid": {"x_min": -1e308, "x_max": 1e308}}},
+             "experiment.grid: grid x axis length (x_max - x_min) / step overflows: "
+             "(1e+308 - -1e+308) / 1.0"),
+            ("fig4a", {"experiment": {"grid": {"x_max": math.inf}}},
+             "experiment.grid: grid bounds must be finite, got x_max=inf"),
+            ("fig4a", {"experiment": {"grid": {"y_min": math.nan}}},
+             "experiment.grid: grid bounds must be finite, got y_min=nan"),
+            ("fig2a", {"experiment": {"snr_db": {"start": 0, "stop": math.inf, "step": 5}}},
+             "experiment.snr_db: start, stop and step must be finite"),
+            ("fig2a", {"experiment": {"snr_db": {"start": math.nan, "stop": 10, "step": 5}}},
+             "experiment.snr_db: start, stop and step must be finite"),
+            ("fig2a", {"experiment": {"snr_db": {"start": -1e308, "stop": 1e308, "step": 5}}},
+             "experiment.snr_db: (stop - start) / step overflows"),
         ],
     )
     def test_config_value_named(self, tmp_path, capsys, preset, config, message):

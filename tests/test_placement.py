@@ -1,7 +1,9 @@
 """Geometry mapping and the relay-position sum-rate surface."""
 
 import math
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +27,12 @@ from mwrnoma import (
     sweep_surfaces,
 )
 from mwrnoma import placement
-from mwrnoma.cli import load_spec
+from mwrnoma._kernels import kernel_args
+from mwrnoma.baseline import scheme_prefactor
+from mwrnoma.channel import order_stat_moment_rows
+from mwrnoma.cli import load_spec, run
 from mwrnoma.errors import SweepPointError
+from mwrnoma.rate import asr_rows
 
 SQUARE = ((5.0, 5.0), (5.0, -5.0), (-5.0, 5.0), (-5.0, -5.0))
 A4 = (0.5, 0.3, 0.15, 0.05)
@@ -407,3 +413,132 @@ class TestSharedSchemes:
             sweep_surfaces(geom, grid, cfg, fading, imp, schemes=())
         with pytest.raises(ValueError):
             sweep_surfaces(geom, grid, cfg, fading, imp, schemes=("noma", "tdma"))
+
+
+class TestBlocks:
+    """The analytical surface runs in blocks of whole grid rows: the same
+    bits and the same first fault as one batch, in memory that does not
+    grow with the grid."""
+
+    SCHEMES = ("noma", "oma")
+    # the preset's square moved 20 m south: the sites farthest from the
+    # users are the last rows of a surface
+    SOUTH = [[5.0, -15.0], [5.0, -25.0], [-5.0, -15.0], [-5.0, -25.0]]
+
+    def case(self):
+        return TestSharedSchemes().case()
+
+    def fig4b(self, **overrides):
+        spec = load_spec(preset_name="fig4b", overrides=overrides)
+        return (spec.geometry, spec.grid, spec.network, spec.fading, spec.variants[0][1])
+
+    def test_fine_surface_contains_every_golden_row(self, tmp_path):
+        # every fourth site of the 0.25 m grid is a site of the 1 m one
+        experiment = {"grid": {"step": 0.25}, "output": str(tmp_path / "fine.csv")}
+        result = run(load_spec(preset_name="fig4b", overrides={"experiment": experiment}))
+        golden = Path(__file__).parent / "golden"
+        for fine, coarse in zip(result.csv_paths, ("fig4b.csv", "fig4b_oma.csv")):
+            lines = set(fine.read_bytes().splitlines())
+            assert len(lines) == 161 * 161 + 1
+            assert set((golden / coarse).read_bytes().splitlines()) <= lines
+
+    @pytest.mark.parametrize(
+        "block_sites, grid",
+        [
+            # 41 x 30 sites, blocks of 24 rows: 984 and 246 sites
+            (None, GridSpec(x_min=-3.5, x_max=16.5, y_min=-11.0, y_max=3.5, step=0.5)),
+            # 11 x 7 sites, blocks of 2 rows, the last one of 1
+            (25, GridSpec(x_min=-3.5, x_max=21.5, y_min=-11.0, y_max=4.0, step=2.5)),
+            # a block smaller than a row holds one row
+            (5, GridSpec(x_min=-3.5, x_max=21.5, y_min=-11.0, y_max=4.0, step=2.5)),
+        ],
+    )
+    def test_blocks_equal_one_batch(self, monkeypatch, block_sites, grid):
+        if block_sites is not None:
+            monkeypatch.setattr(placement, "BLOCK_SITES", block_sites)
+        sites = grid.xs.size * grid.ys.size
+        assert sites % placement.BLOCK_SITES != 0
+        assert sites > max(placement.BLOCK_SITES, grid.xs.size)
+        geom, cfg, fading, imp = self.case()
+        surfaces = sweep_surfaces(geom, grid, cfg, fading, imp, schemes=self.SCHEMES)
+        dist = placement._site_distances(geom, grid.xs, grid.ys)
+        psi, _, fault = order_stat_moment_rows(fading, dist)
+        assert fault is None
+        for surface, scheme in zip(surfaces, self.SCHEMES):
+            share = scheme_prefactor(scheme, cfg.n_users)
+            _, totals, fault = asr_rows(psi, cfg.a, kernel_args(cfg, imp), share)
+            assert fault is None
+            assert surface.asr.tobytes() == totals.tobytes()
+
+    @pytest.mark.parametrize("schemes", [("noma", "oma"), ("oma", "noma")])
+    def test_overflow_in_the_last_block_names_its_first_site(self, schemes):
+        # fig4b at 0.5 m with the users south: 81 columns, blocks of 12
+        # rows, the last from y = 16; (1 + d^nu)^2 overflows beyond d = 48.8,
+        # which only sites of that block reach (49.1 m at y = 16, 48.6 m at
+        # y = 15.5)
+        geom, grid, cfg, fading, imp = self.fig4b(
+            geometry={"users": self.SOUTH},
+            experiment={"grid": {"step": 0.5}},
+            fading={"nu": 91.3},
+        )
+        dist = placement._site_distances(geom, grid.xs, grid.ys)
+        _, _, (row, exc) = order_stat_moment_rows(fading, dist)
+        block = placement.BLOCK_SITES // grid.xs.size * grid.xs.size
+        assert row >= (dist.shape[0] - 1) // block * block
+        x, y = grid.xs[row % grid.xs.size], grid.ys[row // grid.xs.size]
+        with pytest.raises(NumericError) as info:
+            sweep_surfaces(geom, grid, cfg, fading, imp, schemes=schemes)
+        assert str(info.value) == f"grid point (x={x:g}, y={y:g}): {exc}"
+        assert "(1 + d^nu)^2 overflows" in str(info.value)
+
+    def test_rate_fault_before_a_moment_fault_names_its_site(self, monkeypatch):
+        from mwrnoma import _kernels
+
+        original = _kernels.pair_rate_chunk
+        calls = []
+
+        def nan_in_last_block(rho, a, *args):
+            rates = original(rho, a, *args)
+            calls.append(rates.shape[0])
+            if len(calls) == 7:
+                rates[100, 2] = np.nan
+            return rates
+
+        monkeypatch.setattr(_kernels, "pair_rate_chunk", nan_in_last_block)
+        # (1 + d^nu)^2 overflows beyond d = 49.7: first at (x=-20, y=17),
+        # 49.9 m from the farthest user, row 2 of the last block
+        geom, grid, cfg, fading, imp = self.fig4b(
+            geometry={"users": self.SOUTH},
+            experiment={"grid": {"step": 0.5}},
+            fading={"nu": 90.86},
+        )
+        with pytest.raises(ConfigurationError) as info:
+            sweep_surfaces(geom, grid, cfg, fading, imp, schemes=self.SCHEMES)
+        # 81 x 81 sites in blocks of 12 rows: the seventh is the last, and
+        # its rates stop at the moment fault
+        assert calls == [972] * 6 + [2 * 81]
+        # site 6 * 972 + 100: row 73, column 19
+        assert str(info.value) == (
+            "grid point (x=-10.5, y=16.5): analytical rates must be finite, got total nan"
+        )
+        monkeypatch.setattr(_kernels, "pair_rate_chunk", original)
+        with pytest.raises(NumericError) as info:
+            sweep_surfaces(geom, grid, cfg, fading, imp, schemes=self.SCHEMES)
+        assert str(info.value).startswith("grid point (x=-20, y=17): moment overflow")
+
+    def test_memory_grows_with_the_surfaces_only(self):
+        def peak(step):
+            args = self.fig4b(experiment={"grid": {"step": step}})
+            tracemalloc.start()
+            try:
+                surfaces = sweep_surfaces(*args, schemes=self.SCHEMES)
+                _, top = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return top, sum(s.asr.nbytes for s in surfaces)
+
+        peak(1.0)  # warm the moment tables
+        coarse, _ = peak(1.0)
+        fine, fine_bytes = peak(0.25)
+        assert fine_bytes == 2 * 161 * 161 * 8
+        assert fine - coarse <= 2 * fine_bytes
