@@ -3,8 +3,8 @@
 One experiment = one sweep dimension (SNR grid, distortion grid, or relay
 position grid) plus fixed network/fading/impairment sections.  SNR values
 are given in dB in configs and converted to linear once at ingestion.
-Identical spec and seed produce byte-identical CSV output at any worker
-count.
+Identical spec and seed produce byte-identical CSV output.  A Monte Carlo
+run draws its chunks one after another on one thread.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import csv
 import json
 import logging
 import math
-import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -39,7 +38,6 @@ log = logging.getLogger(__name__)
 
 KINDS = ("snr-sweep", "kappa-sweep", "placement-sweep", "moments-check")
 ENGINES = ("analytical", "mc", "both")
-WORKERS_ENV = "MWRNOMA_WORKERS"
 
 SNR_HEADER = ["snr_db", "scheme", "condition", "asr_analytical", "asr_mc", "mc_stderr"]
 KAPPA_HEADER = ["kappa", "scheme", "condition", "asr_analytical", "asr_mc", "mc_stderr"]
@@ -351,20 +349,10 @@ def _spec_from_config(config: dict) -> ExperimentSpec:
     trials = None
     if "trials" in config:
         tr = _section(config["trials"], "trials")
-        workers_env = os.environ.get(WORKERS_ENV)
-        if workers_env is not None:
-            try:
-                workers = int(workers_env)
-            except ValueError as exc:
-                raise ConfigurationError(
-                    f"{WORKERS_ENV}: must be an integer, got {workers_env!r}"
-                ) from exc
-        else:
-            workers = _as_count(tr.get("workers", 1), "trials.workers")
         count = _as_count(_need(tr, "trials", "trials"), "trials.trials")
         seed = _as_count(tr.get("seed", DEFAULT_SEED), "trials.seed")
         try:
-            trials = TrialConfig(trials=count, seed=seed, workers=workers)
+            trials = TrialConfig(trials=count, seed=seed)
         except ConfigurationError as exc:
             raise ConfigurationError(f"trials: {exc}") from exc
 

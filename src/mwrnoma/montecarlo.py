@@ -1,12 +1,11 @@
 """Seeded Monte Carlo estimator for the achievable sum rate.
 
-Reproducibility contract: results are a pure function of (seed, trials)
-regardless of worker count.  Trials are grouped into fixed-size chunks;
-chunk c draws its uniforms from a counter-based stream
-Philox(key=seed, counter=c << 128), so every trial's variates depend only
-on the seed and its own index, any partition of chunks across threads
-yields the same numbers, and partial accumulators are merged in chunk
-order.
+Reproducibility contract: results are a pure function of (seed, trials).
+Trials are grouped into fixed-size chunks; chunk c draws its uniforms
+from a counter-based stream Philox(key=seed, counter=c << 128), so every
+trial's variates depend only on the seed and its own index, and the
+chunks' partial accumulators are merged in chunk order.  Chunks run one
+after another on the calling thread.
 
 One engine, ``simulate_sweep``, serves every sweep: chunks run in the
 outer loop and sweep points in the inner loop.  Each chunk draws and
@@ -14,12 +13,12 @@ sorts its Gamma gains once; every point then applies its own path loss,
 SNR, distortion profile and prefactor to those gains (common random
 numbers) and reduces them to per-point chunk statistics.  Each point's
 statistics merge in chunk order, exactly as a one-point run merges them,
-so a point's result does not depend on which other points share the run
-or on the worker count.  The kernel sees a profile only through its three
-distortion terms (``_kernels.distortion_terms``), so points with equal
-path loss, SNR and terms share one kernel call per chunk, and those that
-also share the prefactor share their chunk statistics: transmitter-only
-and receiver-only distortion of one level cost one evaluation.
+so a point's result does not depend on which other points share the
+run.  The kernel sees a profile only through its three distortion terms
+(``_kernels.distortion_terms``), so points with equal path loss, SNR and
+terms share one kernel call per chunk, and those that also share the
+prefactor share their chunk statistics: transmitter-only and
+receiver-only distortion of one level cost one evaluation.
 Only per-point statistics outlive a chunk.  ``sample_moments`` runs the
 same chunks and reduces the sorted, path-loss-scaled gains and their
 squares instead of pair rates.
@@ -32,25 +31,23 @@ still in cache.  A trial's total adds its pair rates left to right; the
 means per pair, and the mean and M2 (sum of squared deviations) of the
 totals, are numpy's pairwise sums along the chunk's trials, so the bits
 are those of a whole-array reduction.
-Each worker thread fills the same uniforms, gains, path-loss-scaled gains,
-interference sums and kernel work columns for every chunk it runs, so a
-run allocates its chunk-sized arrays once per thread rather than once per
+The chunk loop fills the same uniforms, gains, path-loss-scaled gains,
+interference sums and kernel work columns for every full chunk, so a run
+allocates its chunk-sized arrays once, plus once more for a short last
 chunk.
 
-Importing this module loads neither ``numpy.random`` nor a thread pool,
-so a closed-form run, which draws nothing, pays for neither:
-``numpy.random`` (and the OpenSSL library it pulls in) loads at the first
-chunk's draw, and ``concurrent.futures`` only when a run folds more than
-one chunk on ``workers > 1`` threads.
+Importing this module does not load ``numpy.random``, so a closed-form
+run, which draws nothing, does not pay for it: ``numpy.random`` (and the
+OpenSSL library it pulls in) loads at the first chunk's draw.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
+from itertools import starmap
 
 import numpy as np
 
@@ -70,7 +67,7 @@ __all__ = [
 ]
 
 # trials per counter-based stream; fixed so that chunk boundaries (and
-# therefore accumulation order) never depend on the worker count
+# therefore accumulation order) depend only on the trial count
 CHUNK_TRIALS = 8192
 
 _SEED_MAX = 2**64
@@ -78,11 +75,10 @@ _SEED_MAX = 2**64
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """Monte Carlo run size, seed and parallelism hint."""
+    """Monte Carlo run size and seed."""
 
     trials: int
     seed: int
-    workers: int = 1
 
     def __post_init__(self):
         # the stderr needs the ddof=1 variance, undefined for one trial
@@ -90,8 +86,6 @@ class TrialConfig:
             raise ConfigurationError(f"trials must be an integer >= 2, got {self.trials!r}")
         if not isinstance(self.seed, int) or not 0 <= self.seed < _SEED_MAX:
             raise ConfigurationError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not isinstance(self.workers, int) or self.workers < 1:
-            raise ConfigurationError(f"workers must be an integer >= 1, got {self.workers!r}")
 
 
 def _chunk_stream(seed: int, chunk_index: int) -> np.random.Generator:
@@ -103,8 +97,8 @@ def _chunk_stream(seed: int, chunk_index: int) -> np.random.Generator:
 class _ChunkBuffers:
     """The arrays of one chunk of ``count`` trials at M users.
 
-    A worker thread keeps one set and refills it for every chunk of the
-    same size (``_thread_buffers``).  At M = 8 they hold several MB, and
+    The chunk loop (``_chunks``) keeps one set and refills it for
+    every chunk of the same size.  At M = 8 they hold several MB, and
     allocating them per chunk made the allocator hand the pages back to
     the OS at the end of each chunk and fault them in again for the next.
     The uniforms and the unsorted draws are spent once the sorted gains
@@ -125,20 +119,6 @@ class _ChunkBuffers:
         spent = self.uniforms.reshape(-1)[: count * pairs]
         fits = pairs <= n_users * alpha
         self.numerators = spent.reshape((count, pairs), order="F") if fits else None
-
-
-def _thread_buffers(n_users: int, alpha: int):
-    """``count -> _ChunkBuffers``, one set per calling thread, kept while
-    the thread asks for the same count (every chunk but a short last one)."""
-    local = threading.local()
-
-    def get(count: int) -> _ChunkBuffers:
-        buffers = getattr(local, "buffers", None)
-        if buffers is None or buffers.count != count:
-            buffers = local.buffers = _ChunkBuffers(n_users, alpha, count)
-        return buffers
-
-    return get
 
 
 def _sample_rho_chunk(
@@ -255,17 +235,16 @@ def _sweep_plan(points):
     return list(groups.values())
 
 
-def _fold_chunks(run_chunk, tc: TrialConfig, fold):
-    """``fold`` over ``run_chunk(chunk_index, count)`` of every chunk, in
-    chunk order, with the chunks run on ``tc.workers`` threads."""
-    indices = range((tc.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS)
-    counts = [min(CHUNK_TRIALS, tc.trials - c * CHUNK_TRIALS) for c in indices]
-    if tc.workers == 1 or len(indices) == 1:
-        return fold(map(run_chunk, indices, counts))
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=tc.workers) as pool:
-        return fold(pool.map(run_chunk, indices, counts))
+def _chunks(trials: int, n_users: int, alpha: int):
+    """``(chunk_index, buffers)`` of every chunk, in chunk order.  The full
+    chunks share one ``_ChunkBuffers``; a short last chunk gets its own."""
+    full, rest = divmod(trials, CHUNK_TRIALS)
+    if full:
+        buffers = _ChunkBuffers(n_users, alpha, CHUNK_TRIALS)
+        for c in range(full):
+            yield c, buffers
+    if rest:
+        yield full, _ChunkBuffers(n_users, alpha, rest)
 
 
 def _merge_parts(parts, n_points: int):
@@ -304,7 +283,7 @@ def simulate_sweep(points: Sequence[SweepPoint], tc: TrialConfig) -> list[AsrRes
     then every point scales them by its path loss, evaluates the kernel
     at its (r1, distortion profile) and prefactor, and reduces to chunk
     statistics.  Each point's statistics merge in chunk order, so every
-    result is bit-identical to a one-point run and to any worker count.
+    result is bit-identical to a one-point run.
 
     The points must share the user count, power split and fading law
     (they may differ in path loss).  A non-finite rate raises
@@ -329,12 +308,11 @@ def simulate_sweep(points: Sequence[SweepPoint], tc: TrialConfig) -> list[AsrRes
             )
     a = np.asarray(first.cfg.a, dtype=np.float64)
     plan = _sweep_plan(points)
-    chunk_buffers = _thread_buffers(M, first.fading.alpha)
 
-    def run_chunk(chunk_index: int, count: int):
+    def run_chunk(chunk_index: int, buffers: _ChunkBuffers):
         """Per-point chunk statistics, or the first bad trial of a point."""
         start = chunk_index * CHUNK_TRIALS
-        buffers = chunk_buffers(count)
+        count = buffers.count
         h = _sample_rho_chunk(first.fading, tc.seed, chunk_index, buffers)
         out: list = [None] * len(points)
         for factors, kernels in plan:
@@ -356,7 +334,8 @@ def simulate_sweep(points: Sequence[SweepPoint], tc: TrialConfig) -> list[AsrRes
                         out[i] = part
         return out
 
-    stats, bad_trial = _fold_chunks(run_chunk, tc, lambda parts: _merge_parts(parts, len(points)))
+    chunks = starmap(run_chunk, _chunks(tc.trials, M, first.fading.alpha))
+    stats, bad_trial = _merge_parts(chunks, len(points))
     for i, trial in enumerate(bad_trial):
         if trial is not None:
             raise SweepPointError(i, f"non-finite rate in trial {trial}", trial)
@@ -373,7 +352,7 @@ def simulate_asr(
     """Monte Carlo sum rate: average of per-pair prefactor * log2(1 + SINR).
 
     A one-point ``simulate_sweep``; bit-identical output for identical
-    (seed, trials) at any worker count.
+    (seed, trials).
     """
     return simulate_sweep([SweepPoint(cfg, fading, imp, prefactor)], tc)[0]
 
@@ -384,17 +363,13 @@ def sample_moments(fading: FadingParams, tc: TrialConfig) -> tuple[np.ndarray, n
     Returns ``(mean, stderr)``, each (2, M): row 0 is rho_i, row 1 is
     rho_i^2, for order positions i = 1..M.  The gains are the engine's
     chunks (same streams as ``simulate_sweep``), scaled by path loss, and
-    their statistics merge in chunk order, so the result is bit-identical
-    at any worker count.  Raises ``NumericError`` if a chunk's sums of the
-    gains or their squares are not finite.
+    their statistics merge in chunk order.  Raises ``NumericError`` if a
+    chunk's sums of the gains or their squares are not finite.
     """
     M = fading.n_users
     factors = fading.path_loss_factors()
 
-    chunk_buffers = _thread_buffers(M, fading.alpha)
-
-    def run_chunk(chunk_index: int, count: int):
-        buffers = chunk_buffers(count)
+    def run_chunk(chunk_index: int, buffers: _ChunkBuffers):
         h = _sample_rho_chunk(fading, tc.seed, chunk_index, buffers)
         col = buffers.work[:, 0]
         stats = []
@@ -408,8 +383,8 @@ def sample_moments(fading: FadingParams, tc: TrialConfig) -> tuple[np.ndarray, n
         # an overflow is reported once, as a NumericError
         if not np.isfinite(mean).all():
             raise NumericError(f"sampled gain moments are not finite in chunk {chunk_index}")
-        return count, mean, m2
+        return buffers.count, mean, m2
 
-    n, mean, m2 = _fold_chunks(run_chunk, tc, lambda parts: reduce(_merge_stats, parts))
+    n, mean, m2 = reduce(_merge_stats, starmap(run_chunk, _chunks(tc.trials, M, fading.alpha)))
     stderr = np.sqrt(m2 / (n * (n - 1)))
     return mean.reshape(2, M), stderr.reshape(2, M)

@@ -28,7 +28,7 @@ PRESETS: dict[str, dict] = {
         "network": _NETWORK_M4,
         "fading": {**_FADING_DEFAULTS, "distances": [1.0] * 4},
         "impairments": {"kappa_ut": 0.0, "kappa_ur": 0.0, "kappa_rt": 0.0, "kappa_rr": 0.0},
-        "trials": {"trials": 100_000, "seed": DEFAULT_SEED, "workers": 1},
+        "trials": {"trials": 100_000, "seed": DEFAULT_SEED},
         "experiment": {
             "kind": "snr-sweep",
             "snr_db": {"start": 0.0, "stop": 40.0, "step": 5.0},
@@ -54,7 +54,7 @@ PRESETS: dict[str, dict] = {
                 },
             }
         },
-        "trials": {"trials": 100_000, "seed": DEFAULT_SEED, "workers": 1},
+        "trials": {"trials": 100_000, "seed": DEFAULT_SEED},
         "experiment": {
             "kind": "snr-sweep",
             "snr_db": {"start": 0.0, "stop": 40.0, "step": 5.0},
@@ -67,7 +67,7 @@ PRESETS: dict[str, dict] = {
     "fig3": {
         "network": _NETWORK_M4,
         "fading": {**_FADING_DEFAULTS, "distances": [1.0] * 4},
-        "trials": {"trials": 100_000, "seed": DEFAULT_SEED, "workers": 1},
+        "trials": {"trials": 100_000, "seed": DEFAULT_SEED},
         "experiment": {
             "kind": "kappa-sweep",
             "snr_db": 30.0,

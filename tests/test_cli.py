@@ -31,7 +31,7 @@ def tiny_snr_config(tmp_path, **extra):
         "network": {"n_users": 3, "a": [0.5, 0.3, 0.2], "power_ratio_n": 1.0},
         "fading": {"alpha": 2, "beta": 3.0, "nu": 3.0, "distances": [1.0, 1.0, 1.0]},
         "impairments": {"kappa_ut": 0.0, "kappa_ur": 0.0, "kappa_rt": 0.0, "kappa_rr": 0.0},
-        "trials": {"trials": 2000, "seed": 77, "workers": 1},
+        "trials": {"trials": 2000, "seed": 77},
         "experiment": {
             "kind": "snr-sweep",
             "snr_db": [0.0, 15.0, 30.0],
@@ -95,10 +95,20 @@ class TestSpecLoading:
         with pytest.raises(ConfigurationError):
             load_spec(config_path=write_config(tmp_path, config))
 
-    def test_workers_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MWRNOMA_WORKERS", "6")
-        spec = load_spec(config_path=write_config(tmp_path, tiny_snr_config(tmp_path)))
-        assert spec.trials.workers == 6
+    def test_worker_settings_ignored(self, tmp_path, monkeypatch):
+        # runs are single-threaded; the worker count that earlier versions
+        # read from trials.workers and MWRNOMA_WORKERS is still accepted,
+        # whatever its value, and changes nothing
+        monkeypatch.delenv("MWRNOMA_WORKERS", raising=False)
+        plain = tiny_snr_config(tmp_path)
+        plain["experiment"]["output"] = str(tmp_path / "plain.csv")
+        assert main(["run", "--config", str(write_config(tmp_path, plain, "plain.json"))]) == 0
+        config = write_config(tmp_path, tiny_snr_config(tmp_path, trials={"workers": 4}))
+        for env in ("2", "abc"):
+            monkeypatch.setenv("MWRNOMA_WORKERS", env)
+            assert main(["run", "--config", str(config)]) == 0
+            assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+            (tmp_path / "sweep.csv").unlink()
 
     def test_power_ratio_maps_to_c(self, tmp_path):
         config = tiny_snr_config(tmp_path, network={"power_ratio_n": 2.0})
@@ -243,15 +253,6 @@ class TestSnrSweep:
         for row in read_rows(spec.output):
             assert row["asr_mc"] == "" and row["mc_stderr"] == ""
 
-    def test_byte_identical_across_worker_counts(self, tmp_path):
-        blobs = []
-        for workers in (1, 4, 8):
-            config = tiny_snr_config(tmp_path, trials={"workers": workers})
-            config["experiment"]["output"] = str(tmp_path / f"w{workers}.csv")
-            run(load_spec(config_path=write_config(tmp_path, config, f"c{workers}.json")))
-            blobs.append((tmp_path / f"w{workers}.csv").read_bytes())
-        assert blobs[0] == blobs[1] == blobs[2]
-
     def test_tx_and_rx_distortion_rows_equal(self, tmp_path):
         # the paper's result 2 in the shipped fig2b: transmitter-only and
         # receiver-only distortion give the same strings in every column
@@ -373,11 +374,13 @@ class TestMomentsCheck:
         monkeypatch.delenv("MWRNOMA_WORKERS", raising=False)
         reference = moments_config(tmp_path, "reference.csv")
         run(load_spec(config_path=write_config(tmp_path, reference, "reference.json")))
+        # the worker count that earlier versions read is ignored
         monkeypatch.setenv("MWRNOMA_WORKERS", str(workers))
-        spec = load_spec(config_path=write_config(tmp_path, moments_config(tmp_path)))
-        assert spec.trials.workers == workers
+        config = moments_config(tmp_path)
+        config["trials"]["workers"] = workers
+        spec = load_spec(config_path=write_config(tmp_path, config))
         run(spec)
-        # the samples are the engine's chunks, merged in chunk order
+        # the samples are the engine's seeded chunks, merged in chunk order
         assert spec.output.read_bytes() == (tmp_path / "reference.csv").read_bytes()
         rows = read_rows(spec.output)
         assert list(rows[0].keys()) == MOMENTS_HEADER
@@ -534,19 +537,21 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 @pytest.mark.parametrize(
-    "engine_args, loaded",
+    "engine_args, extra_env, loaded",
     [
-        # the closed form draws no random numbers and runs on one thread
-        ([], []),
-        # one worker draws its chunks on the calling thread, without a pool
-        (["--engine", "mc", "--trials", "2000"], ["numpy.random"]),
+        # the closed form draws no random numbers
+        ([], {}, []),
+        # one chunk, drawn on the calling thread
+        (["--engine", "mc", "--trials", "2000"], {}, ["numpy.random"]),
+        # three chunks, drawn one after another on the calling thread; the
+        # worker count that earlier versions read starts no pool
+        (["--engine", "mc", "--trials", "20000"], {"MWRNOMA_WORKERS": "2"}, ["numpy.random"]),
     ],
-    ids=["analytical", "mc-one-worker"],
+    ids=["analytical", "mc-one-chunk", "mc-three-chunks"],
 )
-def test_cli_run_loads_only_its_engine(tmp_path, engine_args, loaded):
+def test_cli_run_loads_only_its_engine(tmp_path, engine_args, extra_env, loaded):
     src = str(Path(mwrnoma.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "MWRNOMA_WORKERS"}
-    env["PYTHONPATH"] = src
+    env = {**os.environ, "PYTHONPATH": src, **extra_env}
     path = write_config(tmp_path, {"experiment": {"grid": {"step": 10.0}}})
     argv = ["run", "--preset", "fig4a", "--config", str(path),
             "--output", str(tmp_path / "out.csv"), *engine_args]

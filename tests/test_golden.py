@@ -33,7 +33,7 @@ M8_CONFIG = {
     "network": {"n_users": 8, "a": [0.35, 0.22, 0.15, 0.1, 0.07, 0.05, 0.04, 0.02]},
     "fading": {"alpha": 2, "beta": 3.0, "nu": 3.0, "distances": [1.0] * 8},
     "impairments": {"kappa_ut": 0.1, "kappa_ur": 0.1, "kappa_rt": 0.1, "kappa_rr": 0.1},
-    "trials": {"trials": 65_536, "seed": 12022, "workers": 1},
+    "trials": {"trials": 65_536, "seed": 12022},
     "experiment": {"kind": "snr-sweep", "snr_db": [20.0], "schemes": ["noma"], "engine": "both"},
 }
 

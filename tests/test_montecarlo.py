@@ -3,7 +3,6 @@
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 
@@ -39,7 +38,6 @@ from mwrnoma.montecarlo import (
     _chunk_stream,
     _merge_stats,
     _sample_rho_chunk,
-    _thread_buffers,
 )
 
 FADING3 = FadingParams(alpha=2, beta=3.0, nu=3.0, distances=(1.0,) * 3)
@@ -70,17 +68,27 @@ class TestStreams:
         # each sorted position is one contiguous column of the chunk
         assert full.shape == (100, 3) and full.flags.f_contiguous
 
-    def test_buffers_refilled_per_thread(self):
-        buffers = _thread_buffers(3, FADING3.alpha)
-        mine = buffers(100)
-        _sample_rho_chunk(FADING3, seed=4, chunk_index=1, buffers=mine)
-        refill = _sample_rho_chunk(FADING3, 4, 2, buffers(100))
-        assert buffers(100) is mine and refill is mine.gains
-        fresh = _sample_rho_chunk(FADING3, 4, 2, _ChunkBuffers(3, FADING3.alpha, 100))
-        assert np.array_equal(refill, fresh)
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            assert pool.submit(buffers, 100).result() is not mine
-        assert buffers(10).count == 10
+    @pytest.mark.parametrize(
+        "extra, sizes", [(0, [CHUNK_TRIALS]), (37, [CHUNK_TRIALS, 37])], ids=["full", "short-last"]
+    )
+    @pytest.mark.parametrize("engine", ["sweep", "moments"])
+    def test_buffers_allocated_once_per_chunk_size(self, monkeypatch, engine, extra, sizes):
+        # the full chunks share one set of buffers; a short last chunk gets
+        # the only other one
+        made = []
+
+        class Recorded(_ChunkBuffers):
+            def __init__(self, n_users, alpha, count):
+                super().__init__(n_users, alpha, count)
+                made.append(count)
+
+        monkeypatch.setattr(montecarlo, "_ChunkBuffers", Recorded)
+        tc = TrialConfig(2 * CHUNK_TRIALS + extra, seed=4)
+        if engine == "sweep":
+            simulate_sweep([SweepPoint(CFG3, FADING3, ImpairmentProfile.ideal())], tc)
+        else:
+            sample_moments(FADING3, tc)
+        assert made == sizes
 
 
 class TestDeterminism:
@@ -90,20 +98,6 @@ class TestDeterminism:
         b = simulate_asr(CFG3, FADING3, ImpairmentProfile.uniform(0.1), tc)
         assert a.total == b.total
         assert np.array_equal(a.per_pair, b.per_pair)
-
-    @pytest.mark.parametrize("workers", [4, 8])
-    def test_worker_count_invariance(self, workers):
-        # span multiple chunks so the merge path is exercised
-        trials = 3 * CHUNK_TRIALS + 57
-        base = simulate_asr(
-            CFG3, FADING3, ImpairmentProfile.ideal(), TrialConfig(trials, seed=9, workers=1)
-        )
-        other = simulate_asr(
-            CFG3, FADING3, ImpairmentProfile.ideal(), TrialConfig(trials, seed=9, workers=workers)
-        )
-        assert base.total == other.total
-        assert base.stderr == other.stderr
-        assert np.array_equal(base.per_pair, other.per_pair)
 
     def test_different_seed_different_result(self):
         tc1 = TrialConfig(trials=5_000, seed=1)
@@ -184,8 +178,6 @@ class TestInterfaces:
             TrialConfig(trials=10, seed=-1)
         with pytest.raises(ConfigurationError):
             TrialConfig(trials=10, seed=2**64)
-        with pytest.raises(ConfigurationError):
-            TrialConfig(trials=10, seed=1, workers=0)
 
     def test_mismatched_fading_rejected(self):
         fading4 = FadingParams(alpha=2, beta=3.0, nu=3.0, distances=(1.0,) * 4)
@@ -306,20 +298,26 @@ def assert_same_result(got, want):
     assert np.array_equal(got.per_pair, want.per_pair)
 
 
+# ``runs`` repeats a run in one process: each run owns its chunk buffers,
+# so a later run leaves the results of an earlier one untouched
+RUNS = pytest.mark.parametrize("runs", [1, 2])
+
+
 class TestSweepEngine:
     # not a multiple of the chunk size, so the short last chunk is covered
     TRIALS = 2 * CHUNK_TRIALS + 123
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_matches_one_point_runs(self, workers):
-        results = simulate_sweep(SWEEP, TrialConfig(self.TRIALS, seed=31, workers=workers))
-        assert len(results) == len(SWEEP)
-        for point, got in zip(SWEEP, results):
-            alone = simulate_asr(
-                point.cfg, point.fading, point.imp, TrialConfig(self.TRIALS, seed=31),
-                prefactor=point.prefactor,
-            )
-            assert_same_result(got, alone)
+    @RUNS
+    def test_matches_one_point_runs(self, runs):
+        repeats = [simulate_sweep(SWEEP, TrialConfig(self.TRIALS, seed=31)) for _ in range(runs)]
+        for results in repeats:
+            assert len(results) == len(SWEEP)
+            for point, got in zip(SWEEP, results):
+                alone = simulate_asr(
+                    point.cfg, point.fading, point.imp, TrialConfig(self.TRIALS, seed=31),
+                    prefactor=point.prefactor,
+                )
+                assert_same_result(got, alone)
 
     def test_matches_per_point_loop(self):
         tc = TrialConfig(self.TRIALS, seed=31)
@@ -330,8 +328,8 @@ class TestSweepEngine:
             assert got.stderr == math.sqrt(t_m2 / (n * (n - 1)))
             assert np.array_equal(got.per_pair[np.tril_indices(4, -1)], mean)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_duplicate_points_share_results(self, monkeypatch, workers):
+    @RUNS
+    def test_duplicate_points_share_results(self, monkeypatch, runs):
         # duplicates (same path loss, kernel arguments and prefactor) reduce
         # each chunk once and still match one-point runs bit for bit
         calls = []
@@ -343,15 +341,16 @@ class TestSweepEngine:
 
         monkeypatch.setattr(montecarlo, "_chunk_stats", counted)
         points = [SWEEP[2], SWEEP[0], SWEEP[2], SWEEP[1], SWEEP[0], SWEEP[2]]
-        tc = TrialConfig(self.TRIALS, seed=31, workers=workers)
-        results = simulate_sweep(points, tc)
-        assert len(calls) == 3 * 3  # three distinct points, three chunks
-        for point, got in zip(points, results):
-            alone = simulate_asr(
-                point.cfg, point.fading, point.imp, TrialConfig(self.TRIALS, seed=31),
-                prefactor=point.prefactor,
-            )
-            assert_same_result(got, alone)
+        tc = TrialConfig(self.TRIALS, seed=31)
+        repeats = [simulate_sweep(points, tc) for _ in range(runs)]
+        assert len(calls) == runs * 3 * 3  # three distinct points, three chunks
+        for results in repeats:
+            for point, got in zip(points, results):
+                alone = simulate_asr(
+                    point.cfg, point.fading, point.imp, TrialConfig(self.TRIALS, seed=31),
+                    prefactor=point.prefactor,
+                )
+                assert_same_result(got, alone)
 
     @pytest.mark.parametrize("n_users", range(2, 9))
     def test_column_reducer_matches_whole_array(self, n_users):
@@ -376,8 +375,8 @@ class TestSweepEngine:
                 assert stats[1:3] == want[1:3]
                 assert np.array_equal(stats[3], want[3])
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_groups_by_computed_distortion_terms(self, monkeypatch, workers):
+    @RUNS
+    def test_groups_by_computed_distortion_terms(self, monkeypatch, runs):
         # the kernel groups compare the computed floats (mac, mix, bc):
         # transmitter-only and receiver-only distortion of one level share
         # a group, a profile equal to those only in real arithmetic does not
@@ -392,12 +391,13 @@ class TestSweepEngine:
         distinct = {_kernels.distortion_terms(p.imp) for p in points}
         assert len(distinct) == 3
         calls = counted_reducer(monkeypatch)
-        results = simulate_sweep(points, TrialConfig(self.TRIALS, seed=17, workers=workers))
-        assert len(calls) == len(distinct) * 3  # three chunks
-        for point, got in zip(points, results):
-            alone = simulate_asr(point.cfg, point.fading, point.imp, TrialConfig(self.TRIALS, seed=17))
-            assert_same_result(got, alone)
-        assert_same_result(results[0], results[1])
+        repeats = [simulate_sweep(points, TrialConfig(self.TRIALS, seed=17)) for _ in range(runs)]
+        assert len(calls) == runs * len(distinct) * 3  # three chunks
+        for results in repeats:
+            for point, got in zip(points, results):
+                alone = simulate_asr(point.cfg, point.fading, point.imp, TrialConfig(self.TRIALS, seed=17))
+                assert_same_result(got, alone)
+            assert_same_result(results[0], results[1])
 
     def test_fig2b_shares_tx_and_rx_groups(self, monkeypatch, tmp_path):
         # 9 SNRs x 4 profiles, of which tx-rhi and rx-rhi have equal terms
@@ -534,13 +534,13 @@ class TestSweepErrors:
     TRIALS = 2 * CHUNK_TRIALS + 100
     POINTS = [SweepPoint(replace(CFG4, r1=r1), FADING4, IDEAL) for r1 in (10.0, 100.0, 1000.0)]
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_first_failing_point_named(self, monkeypatch, workers):
+    @RUNS
+    def test_first_failing_point_named(self, monkeypatch, runs):
         # point 0 first fails in chunk 1 (and again in chunk 2); point 2
         # already fails in chunk 0
         bad = {(1 / 10.0, 1): 7, (1 / 10.0, 2): 1, (1 / 1000.0, 0): 3}
         nan_kernel(monkeypatch, FADING4, 2, bad)
-        tc = TrialConfig(self.TRIALS, seed=2, workers=workers)
+        tc = TrialConfig(self.TRIALS, seed=2)
         expected = None
         for i, p in enumerate(self.POINTS):
             try:
@@ -549,18 +549,19 @@ class TestSweepErrors:
                 expected = (i, str(exc))
                 break
         assert expected == (0, f"non-finite rate in trial {CHUNK_TRIALS + 7}")
-        with pytest.raises(SweepPointError) as info:
-            simulate_sweep(self.POINTS, tc)
-        assert (info.value.point, str(info.value)) == expected
-        assert info.value.trial == CHUNK_TRIALS + 7
+        for _ in range(runs):
+            with pytest.raises(SweepPointError) as info:
+                simulate_sweep(self.POINTS, tc)
+            assert (info.value.point, str(info.value)) == expected
+            assert info.value.trial == CHUNK_TRIALS + 7
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_duplicated_failing_point_named(self, monkeypatch, workers):
+    @RUNS
+    def test_duplicated_failing_point_named(self, monkeypatch, runs):
         # the failing point occurs twice; its first occurrence is named
         bad = {(1 / 10.0, 1): 7, (1 / 1000.0, 1): 3}
         nan_kernel(monkeypatch, FADING4, 2, bad)
         points = [self.POINTS[1], self.POINTS[2], self.POINTS[1], self.POINTS[2], self.POINTS[0]]
-        tc = TrialConfig(self.TRIALS, seed=2, workers=workers)
+        tc = TrialConfig(self.TRIALS, seed=2)
         expected = None
         for i, p in enumerate(points):
             try:
@@ -569,21 +570,23 @@ class TestSweepErrors:
                 expected = (i, str(exc))
                 break
         assert expected == (1, f"non-finite rate in trial {CHUNK_TRIALS + 3}")
-        with pytest.raises(SweepPointError) as info:
-            simulate_sweep(points, tc)
-        assert (info.value.point, str(info.value)) == expected
-        assert info.value.trial == CHUNK_TRIALS + 3
+        for _ in range(runs):
+            with pytest.raises(SweepPointError) as info:
+                simulate_sweep(points, tc)
+            assert (info.value.point, str(info.value)) == expected
+            assert info.value.trial == CHUNK_TRIALS + 3
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_earliest_trial_named_across_pairs(self, monkeypatch, workers):
+    @RUNS
+    def test_earliest_trial_named_across_pairs(self, monkeypatch, runs):
         # in chunk 1 pair 1 fails at trial 9 and the later pair 4 already
         # at trial 2; the chunk's earliest bad trial is named
         nan_kernel(monkeypatch, FADING4, 2, {(1 / 100.0, 1): {1: 9, 4: 2}})
-        tc = TrialConfig(self.TRIALS, seed=2, workers=workers)
-        with pytest.raises(SweepPointError) as info:
-            simulate_sweep(self.POINTS, tc)
-        assert (info.value.point, info.value.trial) == (1, CHUNK_TRIALS + 2)
-        assert str(info.value) == f"non-finite rate in trial {CHUNK_TRIALS + 2}"
+        tc = TrialConfig(self.TRIALS, seed=2)
+        for _ in range(runs):
+            with pytest.raises(SweepPointError) as info:
+                simulate_sweep(self.POINTS, tc)
+            assert (info.value.point, info.value.trial) == (1, CHUNK_TRIALS + 2)
+            assert str(info.value) == f"non-finite rate in trial {CHUNK_TRIALS + 2}"
 
     def test_path_loss_overflow_names_point(self):
         # an input fault: raised for the first overflowing point, before
@@ -602,14 +605,11 @@ class TestSampleMoments:
         with pytest.raises(NumericError, match="sampled gain moments are not finite in chunk 0"):
             sample_moments(huge, TrialConfig(100, seed=1))
 
-    def test_matches_pooled_sample_at_any_worker_count(self):
+    def test_matches_pooled_sample(self):
         fading = replace(FADING4, distances=(3.0, 2.0, 1.5, 1.0))
         trials = 2 * CHUNK_TRIALS + 123
         mean, stderr = sample_moments(fading, TrialConfig(trials, seed=8))
         assert mean.shape == stderr.shape == (2, 4)
-        for workers in (2, 3):
-            got = sample_moments(fading, TrialConfig(trials, seed=8, workers=workers))
-            assert np.array_equal(got[0], mean) and np.array_equal(got[1], stderr)
         # the same trials pooled in one array, reduced by numpy directly
         # each chunk in its own buffers, kept past the next draw
         counts = [min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS) for c in range(3)]

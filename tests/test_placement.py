@@ -316,20 +316,26 @@ class TestSharedSchemes:
         # M = 5 has three slots: the schemes really differ
         assert not np.array_equal(shared[0].asr, shared[1].asr)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_monte_carlo_equals_one_sweep_per_scheme(self, workers):
+    # ``runs`` repeats the shared sweep in one process; a later run leaves
+    # the surfaces of an earlier one untouched
+    @pytest.mark.parametrize("runs", [1, 2])
+    def test_monte_carlo_equals_one_sweep_per_scheme(self, runs):
         geom, cfg, fading, imp = self.case()
         grid = GridSpec(x_min=0.0, x_max=6.0, y_min=-3.0, y_max=0.0, step=3.0)
         # two full chunks and a short one
-        tc = TrialConfig(2 * 8192 + 37, seed=9, workers=workers)
-        shared = sweep_surfaces(
-            geom, grid, cfg, fading, imp, engine="monte-carlo", schemes=self.SCHEMES, tc=tc
-        )
+        tc = TrialConfig(2 * 8192 + 37, seed=9)
+        repeats = [
+            sweep_surfaces(
+                geom, grid, cfg, fading, imp, engine="monte-carlo", schemes=self.SCHEMES, tc=tc
+            )
+            for _ in range(runs)
+        ]
         separate = [
             sweep_grid(geom, grid, cfg, fading, imp, engine="monte-carlo", scheme=s, tc=tc)
             for s in self.SCHEMES
         ]
-        self.assert_equal_surfaces(shared, separate)
+        for shared in repeats:
+            self.assert_equal_surfaces(shared, separate)
         reversed_order = sweep_surfaces(
             geom, grid, cfg, fading, imp, engine="monte-carlo", schemes=self.SCHEMES[::-1], tc=tc
         )
