@@ -23,34 +23,48 @@ copied once), so each step runs one contiguous loop over all rows.
 ``pair_rate_columns`` finishes one pair's rate column at a time in a
 caller-given buffer, so a Monte Carlo chunk reduces each column while it
 is in cache and never holds all its pair rates at once;
-``pair_rate_chunk`` collects the columns for the closed form.  The
-factor of the decoder's gain in a pair's denominator depends only on the
-decoded user, so the kernel forms it once per user, and calls on the same
-gains may share their ``pair_numerators``.
+``pair_rate_chunk`` collects the columns for the closed form.
+
+The kernel divides each pair's SINR through once more, by the decoder's
+gain rho_k: with work_n the interference, distortion and broadcast noise
+that scale with rho_k when user n is decoded, and noise_fwd the
+forwarded noise,
+
+    SINR(k, n) = a_n rho_n / (work_n + noise_fwd / rho_k).
+
+The numerator a_n rho_n and work_n depend only on the decoded user and
+noise_fwd / rho_k only on the decoder, so each is formed once per user or
+decoder, and a pair costs one add and one divide before its logarithm.
+``weighted_sums`` forms the numerators with the interference sums, so
+every kernel call on the same gains shares them.
 """
 
 import numpy as np
 
 
-def weighted_sums(rho, a, *, out=None):
+def weighted_sums(rho, a, *, out=None, terms=None):
     """Per-row terms of the pair SINR that depend only on the gains and the
     power split, so every operating point evaluated on the same rows can
     share them.
 
-    Returns ``(weighted, suffix)``: suffix[t, n] = sum_{j=n}^{M-2} a_j rho_j
-    (interference left after pair n), and weighted[t] = sum_j a_j rho_j,
-    which extends suffix[t, 0] by the strongest user's term.  out: a
-    (rows, M) column-major array to hold suffix, allocated when None.
+    Returns ``(weighted, suffix, terms)``: terms[t, n] = a_n rho_n for
+    n < M-1, the numerator of every pair that decodes user n (column M-1
+    is the kernel's scratch column); suffix[t, n] = sum_{j=n}^{M-2}
+    terms[t, j] (interference left after pair n); and weighted[t] =
+    sum_j a_j rho_j, which extends suffix[t, 0] by the strongest user's
+    term.  out, terms: (rows, M) column-major arrays to hold suffix and
+    terms, allocated when None.
     """
     rho = np.asfortranarray(rho, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
     n_rows, M = rho.shape
     suffix = np.empty((n_rows, M), order="F") if out is None else out
+    terms = np.empty((n_rows, M), order="F") if terms is None else terms
     suffix[:, M - 1] = 0.0
     for n in range(M - 2, -1, -1):
-        np.multiply(rho[:, n], a[n], out=suffix[:, n])
-        suffix[:, n] += suffix[:, n + 1]
-    return suffix[:, 0] + a[-1] * rho[:, -1], suffix
+        np.multiply(rho[:, n], a[n], out=terms[:, n])
+        np.add(terms[:, n], suffix[:, n + 1], out=suffix[:, n])
+    return suffix[:, 0] + a[-1] * rho[:, -1], suffix, terms
 
 
 def distortion_terms(imp):
@@ -73,22 +87,7 @@ def pair_indices(n_users: int) -> list[tuple[int, int]]:
     return [(k, n) for k in range(2, n_users + 1) for n in range(1, k)]
 
 
-def pair_numerators(rho, a, *, out=None):
-    """The SINR numerator rho_k rho_n a_n of each pair (k, n), a
-    column-major (rows, pairs) array in ``pair_indices`` order; out, when
-    given, is filled."""
-    rho = np.asfortranarray(rho, dtype=np.float64)
-    n_rows, M = rho.shape
-    num = np.empty((n_rows, M * (M - 1) // 2), order="F") if out is None else out
-    for p, (k, n) in enumerate(pair_indices(M)):
-        np.multiply(rho[:, k - 1], rho[:, n - 1], out=num[:, p])
-        num[:, p] *= a[n - 1]
-    return num
-
-
-def pair_rate_columns(
-    rho, a, inv_r1, inv_r2, mac, mix, bc, *, work, aggregates=None, numerators=None
-):
+def pair_rate_columns(rho, a, inv_r1, inv_r2, mac, mix, bc, *, work, aggregates=None):
     """Yield the rate 1/2 log2(1 + SINR) of each decodable pair, one
     finished column at a time, in (k, then n) pair order.
 
@@ -98,15 +97,14 @@ def pair_rate_columns(
     profile's ``distortion_terms``; each a scalar or one value per row.
     work: a (rows, M) column-major buffer; every yielded column is
     ``work[:, 0]``, valid only until the next one is drawn.  aggregates
-    (``weighted_sums(rho, a)``) and numerators (``pair_numerators(rho,
-    a)``) are computed here when the caller does not share them.  A pair
-    with an empty denominator (only at 1/r1 = 0 without distortion) is
-    +inf; callers that allow it silence the division warning.
+    (``weighted_sums(rho, a)``, whose scratch column this overwrites) are
+    computed here when the caller does not share them.  A pair with an
+    empty denominator (only at 1/r1 = 0 without distortion) is +inf;
+    callers that allow it silence the division warning.
     """
     rho = np.asfortranarray(rho, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
     M = rho.shape[1]
-    weighted, suffix = weighted_sums(rho, a) if aggregates is None else aggregates
+    weighted, suffix, terms = weighted_sums(rho, a) if aggregates is None else aggregates
 
     noise_fwd = mac * weighted * inv_r2 + inv_r1 * inv_r2
     # work[:, n]: what scales with rho_k in the denominator of user n, for
@@ -115,31 +113,28 @@ def pair_rate_columns(
     shared = mix * weighted + bc * inv_r1
     np.add(suffix[:, 1:], shared[:, None], out=work[:, 1:])
 
-    out = work[:, 0]
-    num = np.empty_like(out) if numerators is None else None
-    for p, (k, n) in enumerate(pair_indices(M)):
-        np.multiply(work[:, n], rho[:, k - 1], out=out)
-        out += noise_fwd
-        if numerators is None:
-            np.multiply(rho[:, k - 1], rho[:, n - 1], out=num)
-            num *= a[n - 1]
-        np.divide(num if numerators is None else numerators[:, p], out, out=out)
-        out += 1.0
-        np.log2(out, out=out)
-        out *= 0.5
-        yield out
+    out, spill = work[:, 0], terms[:, M - 1]
+    for k in range(2, M + 1):
+        np.divide(noise_fwd, rho[:, k - 1], out=spill)
+        for n in range(1, k):
+            np.add(work[:, n], spill, out=out)
+            np.divide(terms[:, n - 1], out, out=out)
+            out += 1.0
+            np.log2(out, out=out)
+            out *= 0.5
+            yield out
 
 
 def divergent_pair_gain(rho, a, c):
     """Per-row limit of SINR / r1 for decoder M and user M-1 without
     distortion, the one pair whose denominator vanishes at 1/r1 = 0.
 
-    With every kappa zero, that pair's denominator in
-    ``pair_rate_columns`` is rho_M / r1 + weighted / r2 + 1 / (r1 r2);
-    times r1, with r2 = c r1, it tends to rho_M + weighted / c.
+    With every kappa zero, that pair's SINR divided through by r1 r2 is
+    rho_M rho_{M-1} a_{M-1} / (rho_M / r1 + weighted / r2 + 1 / (r1 r2));
+    times r1, with r2 = c r1, the denominator tends to rho_M + weighted / c.
     """
     rho = np.asfortranarray(rho, dtype=np.float64)
-    weighted, _ = weighted_sums(rho, a)
+    weighted = weighted_sums(rho, a)[0]
     return rho[:, -1] * rho[:, -2] * a[-2] / (rho[:, -1] + weighted / c)
 
 

@@ -103,8 +103,8 @@ class _ChunkBuffers:
     the OS at the end of each chunk and fault them in again for the next.
     The uniforms and the unsorted draws are spent once the sorted gains
     are copied out, so the draws hold the kernel's work columns, and the
-    uniforms the pair numerators where they fit; otherwise the first
-    path-loss group that shares the numerators allocates them.
+    first count * M of the count * M * alpha uniforms the pair numerators
+    and scratch column of ``_kernels.weighted_sums``.
     """
 
     def __init__(self, n_users: int, alpha: int, count: int):
@@ -115,10 +115,8 @@ class _ChunkBuffers:
         self.rho = np.empty((count, n_users), order="F")
         self.suffix = np.empty((count, n_users), order="F")
         self.work = self.draws.reshape(-1).reshape((count, n_users), order="F")
-        pairs = n_users * (n_users - 1) // 2
-        spent = self.uniforms.reshape(-1)[: count * pairs]
-        fits = pairs <= n_users * alpha
-        self.numerators = spent.reshape((count, pairs), order="F") if fits else None
+        spent = self.uniforms.reshape(-1)[: count * n_users]
+        self.terms = spent.reshape((count, n_users), order="F")
 
 
 def _sample_rho_chunk(
@@ -218,9 +216,10 @@ def _sweep_plan(points):
     The kernel arguments are the computed floats (1/r1, 1/r2, mac, mix,
     bc), so points whose distortion profiles differ but whose
     ``_kernels.distortion_terms`` are bit-equal fall in one group.  Points
-    in one path-loss group share the scaled gains, their aggregates and
-    pair numerators; points in one kernel group share the kernel call;
-    points that also share the prefactor share the chunk statistics.
+    in one path-loss group share the scaled gains and their aggregates
+    (interference sums and pair numerators); points in one kernel group
+    share the kernel call; points that also share the prefactor share the
+    chunk statistics.
     """
     groups: dict = {}
     for i, p in enumerate(points):
@@ -317,14 +316,12 @@ def simulate_sweep(points: Sequence[SweepPoint], tc: TrialConfig) -> list[AsrRes
         out: list = [None] * len(points)
         for factors, kernels in plan:
             rho = np.multiply(h, factors, out=buffers.rho)
-            aggregates = _kernels.weighted_sums(rho, a, out=buffers.suffix)
-            shared = len(kernels) > 1  # the kernel groups share the pair numerators
-            if shared:
-                buffers.numerators = _kernels.pair_numerators(rho, a, out=buffers.numerators)
+            aggregates = _kernels.weighted_sums(
+                rho, a, out=buffers.suffix, terms=buffers.terms
+            )
             for args, scales in kernels.items():
                 columns = _kernels.pair_rate_columns(
-                    rho, a, *args, work=buffers.work,
-                    aggregates=aggregates, numerators=buffers.numerators if shared else None,
+                    rho, a, *args, work=buffers.work, aggregates=aggregates
                 )
                 parts = _chunk_stats(columns, count, tuple(scales))
                 if isinstance(parts, int):

@@ -13,7 +13,6 @@ from mwrnoma import (
 )
 from mwrnoma._kernels import (
     distortion_terms,
-    pair_numerators,
     pair_rate_chunk,
     pair_rate_columns,
     weighted_sums,
@@ -67,15 +66,17 @@ def test_kernel_is_row_local(n_users):
 
 def unhoisted_columns(rho, a, inv_r1, inv_r2, mac, mix, bc):
     """The pair rates with every term formed inside the pair loop, in the
-    kernel's operand order: the reference for its hoisted terms."""
-    weighted, suffix = weighted_sums(rho, a)
+    kernel's operand order: the SINR divided through by the decoder's gain,
+    a_n rho_n / (work_n + noise_fwd / rho_k).  The reference for the
+    kernel's hoisted terms."""
+    weighted, suffix, _ = weighted_sums(rho, a)
     noise_fwd = mac * weighted * inv_r2 + inv_r1 * inv_r2
     shared = mix * weighted + bc * inv_r1
     M = rho.shape[1]
     for k in range(2, M + 1):
         for n in range(1, k):
-            den = (suffix[:, n] + shared) * rho[:, k - 1] + noise_fwd
-            yield 0.5 * np.log2(rho[:, k - 1] * rho[:, n - 1] * a[n - 1] / den + 1.0)
+            den = (suffix[:, n] + shared) + noise_fwd / rho[:, k - 1]
+            yield 0.5 * np.log2(rho[:, n - 1] * a[n - 1] / den + 1.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -87,9 +88,10 @@ def unhoisted_columns(rho, a, inv_r1, inv_r2, mac, mix, bc):
     limit=st.booleans(),
 )
 def test_hoisted_terms_keep_the_bits(n_users, seed, snr_db, kappas, limit):
-    # shared numerators or none, and per-user denominator terms, give the
-    # bits of forming every term per pair; at 1/r1 = 0 without distortion
-    # the last pair is +inf
+    # shared aggregates (numerators and interference sums) or none, and
+    # per-user and per-decoder denominator terms, give the bits of forming
+    # every term per pair; at 1/r1 = 0 without distortion the last pair is
+    # +inf
     rho, a = make_inputs(n_users, n_trials=300, seed=seed)
     rho = np.asfortranarray(rho)
     a = np.asarray(a)
@@ -100,10 +102,14 @@ def test_hoisted_terms_keep_the_bits(n_users, seed, snr_db, kappas, limit):
     with np.errstate(divide="ignore"):
         want = np.column_stack(list(unhoisted_columns(rho, a, *args)))
         alone = [c.copy() for c in pair_rate_columns(rho, a, *args, work=work)]
-        numerators = pair_numerators(rho, a)
+        # a kernel call at another SNR first uses the shared aggregates
+        aggregates = weighted_sums(rho, a)
+        other = (2.0 * inv_r1, inv_r1, *args[2:])
+        for _ in pair_rate_columns(rho, a, *other, work=work, aggregates=aggregates):
+            pass
         shared = [
             c.copy()
-            for c in pair_rate_columns(rho, a, *args, work=work, numerators=numerators)
+            for c in pair_rate_columns(rho, a, *args, work=work, aggregates=aggregates)
         ]
     assert np.array_equal(np.column_stack(alone), want)
     assert np.array_equal(np.column_stack(shared), want)

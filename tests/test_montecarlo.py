@@ -416,32 +416,38 @@ class TestSweepEngine:
     PLACEMENT = {"experiment": {"engine": "mc", "grid": {"step": 10.0}}}
 
     @pytest.mark.parametrize(
-        "preset, config, pairs",
+        "preset, config, groups",
         [
-            ("fig2b", None, 6),  # 27 kernel groups at one path loss
-            (None, M8_TWO_SNRS, 28),  # two kernel groups; too many pairs for the uniforms
-            (None, M8, None),  # one point
-            ("fig4a", PLACEMENT, None),  # one kernel group per path loss
+            ("fig2b", None, 1),  # 27 kernel groups at one path loss
+            (None, M8_TWO_SNRS, 1),  # two kernel groups
+            (None, M8, 1),  # one point
+            ("fig4a", PLACEMENT, 6),  # one kernel group per path loss
         ],
         ids=["fig2b", "m8_two_points", "m8_point", "placement"],
     )
-    def test_numerators_computed_only_when_shared(self, monkeypatch, tmp_path, preset, config, pairs):
-        # a path-loss group with several kernel groups computes its pair
-        # numerators once per chunk, in the spent uniforms where they fit;
-        # otherwise none are computed and no memory is allocated for them
+    def test_numerators_computed_once_per_path_loss_group(
+        self, monkeypatch, tmp_path, preset, config, groups
+    ):
+        # each path-loss group forms its pair numerators once per chunk, in
+        # the spent uniforms, whatever its number of kernel groups; no
+        # Monte Carlo kernel call forms (or allocates) its own
         calls, made = [], []
-        original = _kernels.pair_numerators
+        original = _kernels.weighted_sums
 
         def counted(rho, a, **kwargs):
-            calls.append(rho.shape[0])
-            return original(rho, a, **kwargs)
+            aggregates = original(rho, a, **kwargs)
+            if rho.shape[0] in (CHUNK_TRIALS, 123):  # a chunk, not the closed form
+                calls.append((rho.shape[0], kwargs.get("terms") is not None))
+                uniforms = made[-1].uniforms if rho.shape[0] == 123 else made[0].uniforms
+                assert np.shares_memory(aggregates[2], uniforms)
+            return aggregates
 
         class Recorded(_ChunkBuffers):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 made.append(self)
 
-        monkeypatch.setattr(_kernels, "pair_numerators", counted)
+        monkeypatch.setattr(_kernels, "weighted_sums", counted)
         monkeypatch.setattr(montecarlo, "_ChunkBuffers", Recorded)
         argv = ["run", "--trials", str(self.TRIALS), "--output", str(tmp_path / "out.csv")]
         if preset is not None:
@@ -451,17 +457,9 @@ class TestSweepEngine:
             path.write_text(json.dumps(config))
             argv += ["--config", str(path)]
         assert main(argv) == 0
-        assert made
-        for b in made:
-            M, alpha = b.uniforms.shape[1:]
-            in_uniforms = b.numerators is not None and np.shares_memory(b.numerators, b.uniforms)
-            assert in_uniforms == (M * (M - 1) // 2 <= M * alpha)
-        if pairs is None:
-            assert calls == []
-            assert all(b.numerators is None or np.shares_memory(b.numerators, b.uniforms) for b in made)
-        else:
-            assert calls == [CHUNK_TRIALS, CHUNK_TRIALS, 123]
-            assert all(b.numerators.shape == (b.count, pairs) for b in made)
+        assert [b.count for b in made] == [CHUNK_TRIALS, 123]
+        sizes = [CHUNK_TRIALS] * 2 * groups + [123] * groups
+        assert calls == [(size, True) for size in sizes]
 
     def test_rejects_mixed_law_and_empty(self):
         tc = TrialConfig(100, seed=1)
