@@ -2,10 +2,11 @@
 
 Reproducibility contract: results are a pure function of (seed, trials).
 Trials are grouped into fixed-size chunks; chunk c draws its uniforms
-from a counter-based stream Philox(key=seed, counter=c << 128), so every
-trial's variates depend only on the seed and its own index, and the
-chunks' partial accumulators are merged in chunk order.  Chunks run one
-after another on the calling thread.
+from its own SFC64 stream, seeded by numpy's c-th spawned child of the
+seed, ``SeedSequence(seed, spawn_key=(c,))``, so every trial's variates
+depend only on the seed and its own index, and the chunks' partial
+accumulators are merged in chunk order.  Chunks run one after another on
+the calling thread.
 
 One engine, ``simulate_sweep``, serves every sweep: chunks run in the
 outer loop and sweep points in the inner loop.  Each chunk draws and
@@ -66,7 +67,7 @@ __all__ = [
     "simulate_asr",
 ]
 
-# trials per counter-based stream; fixed so that chunk boundaries (and
+# trials per chunk stream; fixed so that chunk boundaries (and
 # therefore accumulation order) depend only on the trial count
 CHUNK_TRIALS = 8192
 
@@ -84,14 +85,16 @@ class TrialConfig:
         # the stderr needs the ddof=1 variance, undefined for one trial
         if not isinstance(self.trials, int) or self.trials < 2:
             raise ConfigurationError(f"trials must be an integer >= 2, got {self.trials!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < _SEED_MAX:
+        seed = self.seed
+        if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < _SEED_MAX:
             raise ConfigurationError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 
 def _chunk_stream(seed: int, chunk_index: int) -> np.random.Generator:
-    from numpy.random import Generator, Philox
+    """SFC64 seeded by ``SeedSequence(seed).spawn(chunk_index + 1)[-1]``."""
+    from numpy.random import SFC64, Generator, SeedSequence
 
-    return Generator(Philox(key=seed, counter=chunk_index << 128))
+    return Generator(SFC64(SeedSequence(seed, spawn_key=(chunk_index,))))
 
 
 class _ChunkBuffers:

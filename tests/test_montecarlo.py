@@ -55,6 +55,25 @@ class TestStreams:
         b = _chunk_stream(99, 1).random(8)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize(
+        "seed, chunk, firsts",
+        [
+            (0, 0, [0.5484188289858579, 0.4048309538417795, 0.8894887153539768]),
+            (12022, 0, [0.7327364640949278, 0.6462490987852384, 0.08721493421596105]),
+            (12022, 121, [0.8864026814504316, 0.1240655807992811, 0.008652048100657006]),
+            (2**64 - 1, 5, [0.6995665279473646, 0.38253209072544403, 0.9911938147963514]),
+        ],
+    )
+    def test_stream_known_answers(self, seed, chunk, firsts):
+        # chunk c's stream is SFC64 seeded by numpy's c-th spawned child of
+        # the seed; the pinned draws fail here, not in the goldens, if numpy
+        # ever changes either
+        child = np.random.SeedSequence(seed).spawn(chunk + 1)[chunk]
+        want = np.random.Generator(np.random.SFC64(child)).random(1000)
+        got = _chunk_stream(seed, chunk).random(1000)
+        assert np.array_equal(got, want)
+        assert got[:3].tolist() == firsts
+
     def test_first_draw_uniformity(self):
         firsts = np.array([_chunk_stream(5, c).random() for c in range(10_000)])
         counts, _ = np.histogram(firsts, bins=20, range=(0.0, 1.0))
@@ -178,6 +197,12 @@ class TestInterfaces:
             TrialConfig(trials=10, seed=-1)
         with pytest.raises(ConfigurationError):
             TrialConfig(trials=10, seed=2**64)
+        # a bool is an int, but not a seed; trials=True is refused as 1
+        for flag in (True, False):
+            with pytest.raises(ConfigurationError, match=f"seed must be .*, got {flag}"):
+                TrialConfig(trials=10, seed=flag)
+        with pytest.raises(ConfigurationError):
+            TrialConfig(trials=True, seed=1)
 
     def test_mismatched_fading_rejected(self):
         fading4 = FadingParams(alpha=2, beta=3.0, nu=3.0, distances=(1.0,) * 4)
