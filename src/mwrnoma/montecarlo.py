@@ -363,28 +363,34 @@ def sample_moments(fading: FadingParams, tc: TrialConfig) -> tuple[np.ndarray, n
     Returns ``(mean, stderr)``, each (2, M): row 0 is rho_i, row 1 is
     rho_i^2, for order positions i = 1..M.  The gains are the engine's
     chunks (same streams as ``simulate_sweep``), scaled by path loss, and
-    their statistics merge in chunk order.  Raises ``NumericError`` if a
-    chunk's sums of the gains or their squares are not finite.
+    their statistics merge in chunk order.  Raises ``NumericError`` if the
+    mean or M2 of the gains or their squares is not finite, in a chunk or
+    after the merge.
     """
     M = fading.n_users
     factors = fading.path_loss_factors()
+
+    def finite(stats, where: str):
+        if not (np.isfinite(stats[1]).all() and np.isfinite(stats[2]).all()):
+            raise NumericError(f"sampled gain moments are not finite {where}")
+        return stats
 
     def run_chunk(chunk_index: int, buffers: _ChunkBuffers):
         h = _sample_rho_chunk(fading, tc.seed, chunk_index, buffers)
         col = buffers.work[:, 0]
         stats = []
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(2 * M):
-                np.multiply(h[:, i % M], factors[i % M], out=col)
-                if i >= M:
-                    np.square(col, out=col)
-                stats.append(_mean_m2(col))
+        for i in range(2 * M):
+            np.multiply(h[:, i % M], factors[i % M], out=col)
+            if i >= M:
+                np.square(col, out=col)
+            stats.append(_mean_m2(col))
         mean, m2 = map(np.array, zip(*stats))
-        # an overflow is reported once, as a NumericError
-        if not np.isfinite(mean).all():
-            raise NumericError(f"sampled gain moments are not finite in chunk {chunk_index}")
-        return buffers.count, mean, m2
+        return finite((buffers.count, mean, m2), f"in chunk {chunk_index}")
 
-    n, mean, m2 = reduce(_merge_stats, starmap(run_chunk, _chunks(tc.trials, M, fading.alpha)))
+    # an overflow, of a chunk's sums or of the merge, is reported once, as
+    # a NumericError
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = starmap(run_chunk, _chunks(tc.trials, M, fading.alpha))
+        n, mean, m2 = finite(reduce(_merge_stats, parts), "when the chunks merge")
     stderr = np.sqrt(m2 / (n * (n - 1)))
     return mean.reshape(2, M), stderr.reshape(2, M)

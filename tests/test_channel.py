@@ -44,7 +44,7 @@ def omega(p, n_users, i):
 
 
 def stream(seed):
-    """The Monte Carlo engine's chunk-0 stream for this seed."""
+    """A seeded Philox stream, independent of the engine's chunk streams."""
     return np.random.Generator(np.random.Philox(key=seed))
 
 
@@ -186,6 +186,21 @@ class TestOracleAgreement:
             assert omega(p, n_users, i) == pytest.approx(
                 moment_oracle(p, n_users, i, 2), rel=1e-6
             )
+
+    @pytest.mark.parametrize("beta", [1e-5, 0.01, 1e5, 1e12])
+    def test_quadrature_at_any_fading_scale(self, beta):
+        # the quadrature runs at unit scale and multiplies by beta^p; at
+        # these scales, integrated directly, it missed its tolerance
+        p = params(alpha=2, beta=beta, nu=3.0, d=1.0, n_users=4)
+        for i in range(1, 5):
+            assert psi(p, 4, i) == pytest.approx(moment_oracle(p, 4, i, 1), rel=1e-12)
+            assert omega(p, 4, i) == pytest.approx(moment_oracle(p, 4, i, 2), rel=1e-12)
+
+    def test_oracle_overflow_raises(self):
+        # beta^2 overflows a float: an error, not inf or a traceback
+        p = params(alpha=2, beta=1e200, n_users=2)
+        with pytest.raises(NumericError, match="moment overflow for alpha=2, M=2, i=2, p=2"):
+            moment_oracle(p, 2, 2, 2)
 
     def test_oracle_trivial_values(self):
         assert moment_oracle(params(n_users=2), 2, 2, 1) == pytest.approx(1.5, rel=1e-6)

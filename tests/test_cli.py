@@ -391,6 +391,32 @@ class TestMomentsCheck:
             mc, se = float(row["psi_mc"]), float(row["psi_mc_stderr"])
             assert abs(mc - closed) < 4 * se
 
+    @pytest.mark.parametrize("beta", [0.01, 1e5, 1e77])
+    def test_any_fading_scale(self, tmp_path, capsys, beta):
+        # the quadrature holds at any fading scale; where the sampled M2
+        # of the squared gains overflows, the run ends with one error line
+        # and no warning.  20000 trials are two full chunks and a short one
+        config = moments_config(tmp_path)
+        config["fading"]["beta"] = beta
+        config["trials"]["trials"] = 20_000
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--config", str(write_config(tmp_path, config))])
+        assert caught == []
+        err = capsys.readouterr().err
+        if beta > 1e76:
+            assert code == 3
+            assert err == "error: numeric: sampled gain moments are not finite in chunk 0\n"
+            assert not (tmp_path / "moments.csv").exists()
+            return
+        assert (code, err) == (0, "")
+        for row in read_rows(tmp_path / "moments.csv"):
+            for p in ("psi", "omega"):
+                closed, quad = float(row[f"{p}_closed"]), float(row[f"{p}_quadrature"])
+                assert abs(closed - quad) / quad < 1e-8
+                mc, se = float(row[f"{p}_mc"]), float(row[f"{p}_mc_stderr"])
+                assert abs(mc - closed) < 4 * se
+
     def test_sample_count_comes_from_trials(self, tmp_path, capsys):
         config = moments_config(tmp_path)
         config["experiment"]["mc_samples"] = 50_000

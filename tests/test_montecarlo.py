@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -627,6 +628,19 @@ class TestSampleMoments:
         huge = replace(FADING4, beta=1e306)  # finite gains, squares overflow
         with pytest.raises(NumericError, match="sampled gain moments are not finite in chunk 0"):
             sample_moments(huge, TrialConfig(100, seed=1))
+
+    @pytest.mark.parametrize(
+        "beta, where", [(6.2e75, "when the chunks merge"), (1e77, "in chunk 0")]
+    )
+    def test_overflowing_m2_raises(self, beta, where):
+        # at 6.2e75 each chunk's M2 of the squared gains is finite but
+        # their merge is not; at 1e77 chunk 0's already overflows.  Both
+        # are one NumericError, with no RuntimeWarning on the way
+        fading = replace(FADING4, beta=beta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=f"sampled gain moments are not finite {where}"):
+                sample_moments(fading, TrialConfig(2 * CHUNK_TRIALS, seed=1))
 
     def test_matches_pooled_sample(self):
         fading = replace(FADING4, distances=(3.0, 2.0, 1.5, 1.0))
