@@ -23,20 +23,13 @@ copied once), so each step runs one contiguous loop over all rows.
 ``pair_rate_columns`` finishes one pair's rate column at a time in a
 caller-given buffer, so a Monte Carlo chunk reduces each column while it
 is in cache and never holds all its pair rates at once;
-``pair_rate_chunk`` collects the columns for the closed form.
-
-The kernel divides each pair's SINR through once more, by the decoder's
-gain rho_k: with work_n the interference, distortion and broadcast noise
-that scale with rho_k when user n is decoded, and noise_fwd the
-forwarded noise,
-
-    SINR(k, n) = a_n rho_n / (work_n + noise_fwd / rho_k).
-
-The numerator a_n rho_n and work_n depend only on the decoded user and
-noise_fwd / rho_k only on the decoder, so each is formed once per user or
-decoder, and a pair costs one add and one divide before its logarithm.
-``weighted_sums`` forms the numerators with the interference sums, so
-every kernel call on the same gains shares them.
+``pair_rate_chunk`` collects the columns for the closed form.  The kernel
+also divides each SINR through by the decoder's gain rho_k, to
+a_n rho_n / (work_n + noise_fwd / rho_k), where work_n
+(interference, distortion and broadcast noise) depends only on the
+decoded user: the kernel forms work_n once per user and noise_fwd / rho_k
+once per decoder, and ``weighted_sums`` forms the numerators a_n rho_n,
+which every kernel call on the same gains shares.
 """
 
 import numpy as np

@@ -344,11 +344,9 @@ def moment_oracle(
     """Order-statistic moment by adaptive quadrature, independent of the
     closed-form expansion.
 
-    Integrates x^p f_(i)(x) with f_(i) built from the CDF/PDF of the
-    unit-scale Gamma(alpha, 1), then applies the fading scale and the
-    path-loss scale of the effective gain (times beta^p, divided by
-    (1 + d_i^nu)^p).  The order statistics scale exactly with beta, and at
-    unit scale the quadrature's tolerance does not depend on beta.
+    Integrates x^p f_(i)(x) with f_(i) built from the Gamma(alpha, 1)
+    CDF/PDF, where the tolerance holds at any beta, then applies the scale
+    of the effective gain (times beta^p, divided by (1 + d_i^nu)^p).
     """
     if moment_order not in (1, 2):
         raise ValueError(f"moment_order must be 1 or 2, got {moment_order}")
@@ -386,11 +384,8 @@ def moment_oracle(
             f"path loss (1 + d^nu)^{moment_order} overflows at order position i={i}"
         ) from exc
     try:
-        moment = value * params.beta**moment_order / scale
-    except OverflowError:
-        moment = math.inf
-    if math.isinf(moment):
+        return value * params.beta**moment_order / scale
+    except OverflowError as exc:
         raise NumericError(
             f"moment overflow for alpha={params.alpha}, M={n_users}, i={i}, p={moment_order}"
-        )
-    return moment
+        ) from exc

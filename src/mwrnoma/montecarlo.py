@@ -2,11 +2,10 @@
 
 Reproducibility contract: results are a pure function of (seed, trials).
 Trials are grouped into fixed-size chunks; chunk c draws its uniforms
-from its own SFC64 stream, seeded by numpy's c-th spawned child of the
-seed, ``SeedSequence(seed, spawn_key=(c,))``, so every trial's variates
-depend only on the seed and its own index, and the chunks' partial
-accumulators are merged in chunk order.  Chunks run one after another on
-the calling thread.
+from SFC64 seeded by SeedSequence(seed, spawn_key=(c,)), so every
+trial's variates depend only on the seed and its own index, and the
+chunks' partial accumulators are merged in chunk order.  Chunks run one
+after another on the calling thread.
 
 One engine, ``simulate_sweep``, serves every sweep: chunks run in the
 outer loop and sweep points in the inner loop.  Each chunk draws and
@@ -85,8 +84,7 @@ class TrialConfig:
         # the stderr needs the ddof=1 variance, undefined for one trial
         if not isinstance(self.trials, int) or self.trials < 2:
             raise ConfigurationError(f"trials must be an integer >= 2, got {self.trials!r}")
-        seed = self.seed
-        if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < _SEED_MAX:
+        if type(self.seed) is not int or not 0 <= self.seed < _SEED_MAX:  # bool is refused
             raise ConfigurationError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 
@@ -219,10 +217,9 @@ def _sweep_plan(points):
     The kernel arguments are the computed floats (1/r1, 1/r2, mac, mix,
     bc), so points whose distortion profiles differ but whose
     ``_kernels.distortion_terms`` are bit-equal fall in one group.  Points
-    in one path-loss group share the scaled gains and their aggregates
-    (interference sums and pair numerators); points in one kernel group
-    share the kernel call; points that also share the prefactor share the
-    chunk statistics.
+    in one path-loss group share the scaled gains and their aggregates,
+    pair numerators included; points in one kernel group share the kernel
+    call; points that also share the prefactor share the chunk statistics.
     """
     groups: dict = {}
     for i, p in enumerate(points):
@@ -319,9 +316,7 @@ def simulate_sweep(points: Sequence[SweepPoint], tc: TrialConfig) -> list[AsrRes
         out: list = [None] * len(points)
         for factors, kernels in plan:
             rho = np.multiply(h, factors, out=buffers.rho)
-            aggregates = _kernels.weighted_sums(
-                rho, a, out=buffers.suffix, terms=buffers.terms
-            )
+            aggregates = _kernels.weighted_sums(rho, a, out=buffers.suffix, terms=buffers.terms)
             for args, scales in kernels.items():
                 columns = _kernels.pair_rate_columns(
                     rho, a, *args, work=buffers.work, aggregates=aggregates
