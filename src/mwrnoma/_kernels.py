@@ -108,7 +108,11 @@ def pair_rate_columns(rho, a, inv_r1, inv_r2, mac, mix, bc, *, work, aggregates=
 
     out, spill = work[:, 0], terms[:, M - 1]
     for k in range(2, M + 1):
-        np.divide(noise_fwd, rho[:, k - 1], out=spill)
+        # a decoder gain that vanishes (a path-loss factor near the
+        # underflow limit) sends noise_fwd / rho_k to inf and its pairs'
+        # rates to their limit 0
+        with np.errstate(over="ignore", divide="ignore"):
+            np.divide(noise_fwd, rho[:, k - 1], out=spill)
         for n in range(1, k):
             np.add(work[:, n], spill, out=out)
             np.divide(terms[:, n - 1], out, out=out)

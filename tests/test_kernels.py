@@ -64,6 +64,23 @@ def test_kernel_is_row_local(n_users):
     assert rho.flags.c_contiguous and block.flags.f_contiguous and fortran.flags.f_contiguous
 
 
+def test_vanishing_decoder_gain():
+    # at -20 dB, noise_fwd / rho_k overflows for a decoder gain near the
+    # underflow limit (row 0) and divides by zero for a gain of 0 (row 1):
+    # the pairs it decodes get their limit 0, as in the scalar model, and
+    # no warning is raised
+    rho = np.array([[1e-309, 2e-309, 1.0], [0.0, 0.0, 1.0]])
+    a = (0.5, 0.3, 0.2)
+    cfg = NetworkConfig(n_users=3, a=a, r1=0.01, c=2.0)
+    imp = ImpairmentProfile.ideal()
+    rates = pair_rate_chunk(rho, np.asarray(a), 1.0 / cfg.r1, 1.0 / cfg.r2, *distortion_terms(imp))
+    assert (rates[:, 0] == 0.0).all() and np.isfinite(rates).all()
+    for t in range(2):
+        for p, (k, n) in enumerate(pair_indices(3)):
+            gamma = sinr_instantaneous(rho[t], cfg, imp, k, n)
+            assert rates[t, p] == pytest.approx(0.5 * np.log2(1.0 + gamma), rel=1e-12)
+
+
 def unhoisted_columns(rho, a, inv_r1, inv_r2, mac, mix, bc):
     """The pair rates with every term formed inside the pair loop, in the
     kernel's operand order: the SINR divided through by the decoder's gain,
