@@ -23,13 +23,12 @@ copied once), so each step runs one contiguous loop over all rows.
 ``pair_rate_columns`` finishes one pair's rate column at a time in a
 caller-given buffer, so a Monte Carlo chunk reduces each column while it
 is in cache and never holds all its pair rates at once;
-``pair_rate_chunk`` collects the columns for the closed form.  The kernel
-also divides each SINR through by the decoder's gain rho_k, to
-a_n rho_n / (work_n + noise_fwd / rho_k), where work_n
-(interference, distortion and broadcast noise) depends only on the
-decoded user: the kernel forms work_n once per user and noise_fwd / rho_k
-once per decoder, and ``weighted_sums`` forms the numerators a_n rho_n,
-which every kernel call on the same gains shares.
+``pair_rate_chunk`` collects the columns for the closed form.  The SINR
+is also divided through by the decoder's gain rho_k, to a_n rho_n /
+(work_n + noise_fwd / rho_k): work_n (interference, distortion, broadcast
+noise) depends only on the decoded user and is formed once per user,
+noise_fwd / rho_k once per decoder, and the numerators a_n rho_n come
+from ``weighted_sums``, shared by every kernel call on the same gains.
 """
 
 import numpy as np
@@ -42,11 +41,10 @@ def weighted_sums(rho, a, *, out=None, terms=None):
 
     Returns ``(weighted, suffix, terms)``: terms[t, n] = a_n rho_n for
     n < M-1, the numerator of every pair that decodes user n (column M-1
-    is the kernel's scratch column); suffix[t, n] = sum_{j=n}^{M-2}
-    terms[t, j] (interference left after pair n); and weighted[t] =
-    sum_j a_j rho_j, which extends suffix[t, 0] by the strongest user's
-    term.  out, terms: (rows, M) column-major arrays to hold suffix and
-    terms, allocated when None.
+    is the kernel's scratch); suffix[t, n] = sum_{j=n}^{M-2} terms[t, j]
+    (interference left after pair n); weighted[t] = sum_j a_j rho_j, which
+    extends suffix[t, 0] by the strongest user's term.  out, terms:
+    (rows, M) column-major arrays for suffix and terms, or None.
     """
     rho = np.asfortranarray(rho, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
@@ -108,9 +106,8 @@ def pair_rate_columns(rho, a, inv_r1, inv_r2, mac, mix, bc, *, work, aggregates=
 
     out, spill = work[:, 0], terms[:, M - 1]
     for k in range(2, M + 1):
-        # a decoder gain that vanishes (a path-loss factor near the
-        # underflow limit) sends noise_fwd / rho_k to inf and its pairs'
-        # rates to their limit 0
+        # a vanishing decoder gain (a path-loss factor near the underflow
+        # limit) sends noise_fwd / rho_k to inf, its pairs' rates to 0
         with np.errstate(over="ignore", divide="ignore"):
             np.divide(noise_fwd, rho[:, k - 1], out=spill)
         for n in range(1, k):

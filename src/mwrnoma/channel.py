@@ -384,8 +384,11 @@ def moment_oracle(
             f"path loss (1 + d^nu)^{moment_order} overflows at order position i={i}"
         ) from exc
     try:
-        return value * params.beta**moment_order / scale
-    except OverflowError as exc:
+        moment = value * params.beta**moment_order / scale
+    except OverflowError:  # beta^p; the product overflows to inf instead
+        moment = math.inf
+    if math.isinf(moment):
         raise NumericError(
             f"moment overflow for alpha={params.alpha}, M={n_users}, i={i}, p={moment_order}"
-        ) from exc
+        )
+    return moment

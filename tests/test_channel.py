@@ -196,9 +196,11 @@ class TestOracleAgreement:
             assert psi(p, 4, i) == pytest.approx(moment_oracle(p, 4, i, 1), rel=1e-12)
             assert omega(p, 4, i) == pytest.approx(moment_oracle(p, 4, i, 2), rel=1e-12)
 
-    def test_oracle_overflow_raises(self):
-        # beta^2 overflows a float: an error, not inf or a traceback
-        p = params(alpha=2, beta=1e200, n_users=2)
+    @pytest.mark.parametrize("beta", [1.3e154, 1e200])
+    def test_oracle_overflow_raises(self, beta):
+        # the moment (at 1.3e154) or beta^2 itself (at 1e200) overflows a
+        # float: an error, not inf or a traceback
+        p = params(alpha=2, beta=beta, n_users=2)
         with pytest.raises(NumericError, match="moment overflow for alpha=2, M=2, i=2, p=2"):
             moment_oracle(p, 2, 2, 2)
 
