@@ -13,7 +13,6 @@ from .baseline import asr_oma, simulate_asr_oma, slot_count
 from .channel import (
     FadingParams,
     OrderStatMoments,
-    gamma_variates,
     moment_oracle,
     order_stat_moments,
 )
@@ -40,13 +39,7 @@ from .rate import (
     asr_asymptotic,
     pair_indices,
 )
-from .signal import (
-    ImpairmentProfile,
-    NetworkConfig,
-    SinrTerms,
-    sinr_instantaneous,
-    sinr_terms,
-)
+from .signal import ImpairmentProfile, NetworkConfig
 
 __version__ = "0.1.0"
 
@@ -62,7 +55,6 @@ __all__ = [
     "NumericError",
     "OrderStatMoments",
     "PlacementSurface",
-    "SinrTerms",
     "SweepPoint",
     "TrialConfig",
     "UnsupportedParameterError",
@@ -71,7 +63,6 @@ __all__ = [
     "asr_asymptotic",
     "asr_oma",
     "distances",
-    "gamma_variates",
     "link_distance",
     "moment_oracle",
     "order_stat_moments",
@@ -80,8 +71,6 @@ __all__ = [
     "simulate_asr",
     "simulate_asr_oma",
     "simulate_sweep",
-    "sinr_instantaneous",
-    "sinr_terms",
     "slot_count",
     "sweep_grid",
     "sweep_surfaces",

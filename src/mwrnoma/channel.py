@@ -33,7 +33,6 @@ from .errors import ConfigurationError, NumericError, UnsupportedParameterError
 __all__ = [
     "FadingParams",
     "OrderStatMoments",
-    "gamma_variates",
     "order_stat_moments",
     "order_stat_moment_rows",
     "moment_oracle",
@@ -130,18 +129,6 @@ def _check_users(params: FadingParams, n_users: int) -> None:
         raise ConfigurationError(
             f"n_users={n_users} does not match len(distances)={params.n_users}"
         )
-
-
-def gamma_variates(alpha: int, beta: float, size, rng: np.random.Generator) -> np.ndarray:
-    """Gamma(alpha, beta) draws via the sum of alpha exponentials.
-
-    Exact for integer shape and stable across platforms (no rejection
-    sampling), which keeps seeded runs reproducible.  Consumes exactly
-    alpha uniforms per variate.
-    """
-    shape = (size,) if np.isscalar(size) else tuple(size)
-    u = rng.random(shape + (int(alpha),))
-    return gamma_from_uniforms(u, beta, np.empty(shape))
 
 
 def gamma_from_uniforms(u: np.ndarray, beta: float, out: np.ndarray) -> np.ndarray:

@@ -16,10 +16,8 @@ from mwrnoma import (
     NetworkConfig,
     NumericError,
     UnsupportedParameterError,
-    gamma_variates,
     moment_oracle,
     order_stat_moments,
-    sinr_terms,
 )
 from mwrnoma.channel import (
     _pow_each,
@@ -29,6 +27,7 @@ from mwrnoma.channel import (
     order_stat_moment_rows,
 )
 from mwrnoma.montecarlo import _ChunkBuffers, _sample_rho_chunk
+from scalar_oracle import gamma_variates, sinr_terms
 
 
 def params(alpha=1, beta=1.0, nu=2.0, d=0.0, n_users=1):

@@ -5,18 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwrnoma import (
-    ImpairmentProfile,
-    NetworkConfig,
-    pair_indices,
-    sinr_instantaneous,
-)
+from mwrnoma import ImpairmentProfile, NetworkConfig, pair_indices
 from mwrnoma._kernels import (
     distortion_terms,
     pair_rate_chunk,
     pair_rate_columns,
     weighted_sums,
 )
+from scalar_oracle import sinr_instantaneous
 
 
 def make_inputs(n_users, n_trials=256, seed=0):

@@ -5,13 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwrnoma import (
-    ConfigurationError,
-    ImpairmentProfile,
-    NetworkConfig,
-    sinr_instantaneous,
-    sinr_terms,
-)
+from mwrnoma import ConfigurationError, ImpairmentProfile, NetworkConfig
+from scalar_oracle import sinr_instantaneous, sinr_terms
 
 
 def realization(*rho):
