@@ -16,7 +16,7 @@ import logging
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import repeat
 from pathlib import Path
 
@@ -38,6 +38,39 @@ log = logging.getLogger(__name__)
 
 KINDS = ("snr-sweep", "kappa-sweep", "placement-sweep", "moments-check")
 ENGINES = ("analytical", "mc", "both")
+
+# most points a start/stop/step mapping may expand to, checked before the
+# points are built
+MAX_SWEEP_POINTS = 100_000
+
+
+def _keys(*names, **sections) -> dict:
+    """A config section's accepted keys: leaves, and subsections with keys of their own."""
+    return {**dict.fromkeys(names), **sections}
+
+
+_STEPS = _keys("start", "stop", "step")
+_LEVELS = _keys(*(f.name for f in fields(ImpairmentProfile)))
+# the keys each config section accepts; "*" stands for any label.  A
+# subsection's keys are checked where the config gives it as a mapping.
+CONFIG_KEYS = _keys(
+    network=_keys("n_users", "a", "c", "power_ratio_n", "sigma_r2", "sigma_t2"),
+    fading=_keys("alpha", "beta", "nu", "distances"),
+    impairments=_keys(*_LEVELS, variants={"*": _LEVELS}),
+    geometry=_keys("users", "height"),
+    # workers: read by earlier versions; runs are single-threaded
+    trials=_keys("trials", "seed", "workers"),
+    experiment=_keys(
+        "kind",
+        "engine",
+        "schemes",
+        "output",
+        "mc_samples",  # removed; refused with its own message
+        snr_db=_STEPS,
+        kappa=_STEPS,
+        grid=_keys(*(f.name for f in fields(GridSpec))),
+    ),
+)
 
 SNR_HEADER = ["snr_db", "scheme", "condition", "asr_analytical", "asr_mc", "mc_stderr"]
 KAPPA_HEADER = ["kappa", "scheme", "condition", "asr_analytical", "asr_mc", "mc_stderr"]
@@ -138,6 +171,21 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _check_keys(section: dict, accepted: dict, where: str = "") -> None:
+    """Refuse the first key, depth first in config order, that ``accepted``
+    does not list."""
+    for key, value in section.items():
+        path = f"{where}.{key}" if where else key
+        if "*" in accepted:
+            sub = accepted["*"]
+        elif key in accepted:
+            sub = accepted[key]
+        else:
+            raise ConfigurationError(f"{path}: unknown key")
+        if sub is not None and isinstance(value, dict):
+            _check_keys(value, sub, path)
+
+
 def _need(section: dict, key: str, where: str):
     if key not in section:
         raise ConfigurationError(f"{where}.{key}: missing required key")
@@ -196,7 +244,11 @@ def _as_grid(value, where: str) -> tuple[float, ...]:
             raise ConfigurationError(f"{where}: need step > 0 and stop >= start")
         if not math.isfinite((stop - start) / step):
             raise ConfigurationError(f"{where}: (stop - start) / step overflows")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
+        n = math.floor((stop - start) / step + 1e-9) + 1
+        if n > MAX_SWEEP_POINTS:
+            raise ConfigurationError(
+                f"{where}: {n:g} points exceed the limit of {MAX_SWEEP_POINTS}"
+            )
         return tuple(start + step * i for i in range(n))
     if isinstance(value, list) and value:
         return _as_numbers(value, where)
@@ -246,6 +298,7 @@ def _profile_from(section, where: str) -> ImpairmentProfile:
 
 
 def _spec_from_config(config: dict) -> ExperimentSpec:
+    _check_keys(config, CONFIG_KEYS)
     exp = _section(_need(config, "experiment", "config"), "experiment")
     kind = str(_need(exp, "kind", "experiment"))
     if kind not in KINDS:
@@ -283,13 +336,15 @@ def _spec_from_config(config: dict) -> ExperimentSpec:
         snr_grid = _as_grid(_need(exp, "snr_db", "experiment"), "experiment.snr_db")
         r1_grid = [_snr_linear(db) for db in snr_grid]
         r1_first = r1_grid[0]
-    elif kind == "kappa-sweep":
-        kappa_grid = _as_grid(_need(exp, "kappa", "experiment"), "experiment.kappa")
-        r1_first = _snr_linear(_as_scalar(_need(exp, "snr_db", "experiment"), "experiment.snr_db"))
-    elif kind == "placement-sweep":
-        r1_first = _snr_linear(_as_scalar(_need(exp, "snr_db", "experiment"), "experiment.snr_db"))
-    else:  # moments-check
-        r1_first = _snr_linear(_as_scalar(exp.get("snr_db", 0.0), "experiment.snr_db"))
+    else:
+        if kind == "kappa-sweep":
+            kappa_grid = _as_grid(_need(exp, "kappa", "experiment"), "experiment.kappa")
+        # one operating point; the moments check draws no rates from it
+        if kind == "moments-check":
+            snr_db = exp.get("snr_db", 0.0)
+        else:
+            snr_db = _need(exp, "snr_db", "experiment")
+        r1_first = _snr_linear(_as_scalar(snr_db, "experiment.snr_db"))
 
     try:
         network = NetworkConfig(n_users=n_users, a=a, r1=r1_first, c=c)
@@ -313,11 +368,10 @@ def _spec_from_config(config: dict) -> ExperimentSpec:
         except ConfigurationError as exc:
             raise ConfigurationError(f"geometry: {exc}") from exc
         grid_section = _section(_need(exp, "grid", "experiment"), "experiment.grid")
+        # keys not given take GridSpec's defaults
         bounds = {
-            key: _as_scalar(grid_section.get(key, default), f"experiment.grid.{key}")
-            for key, default in (
-                ("x_min", -20.0), ("x_max", 20.0), ("y_min", -20.0), ("y_max", 20.0), ("step", 1.0)
-            )
+            key: _as_scalar(value, f"experiment.grid.{key}")
+            for key, value in grid_section.items()
         }
         try:
             grid = GridSpec(**bounds)

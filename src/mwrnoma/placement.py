@@ -56,6 +56,10 @@ __all__ = [
 # surface holds at a time besides its totals
 BLOCK_SITES = 1024
 
+# most sites a grid may have; a 0.05 m step over the default 40 m square
+# has 641,601
+MAX_GRID_SITES = 10_000_000
+
 
 @dataclass(frozen=True)
 class Geometry:
@@ -108,10 +112,17 @@ class GridSpec:
                     f"grid {axis} axis length ({axis}_max - {axis}_min) / step "
                     f"overflows: ({hi!r} - {lo!r}) / {self.step!r}"
                 )
+        nx, ny = self._size(self.x_min, self.x_max), self._size(self.y_min, self.y_max)
+        if nx * ny > MAX_GRID_SITES:
+            raise ConfigurationError(
+                f"grid of {nx:g} x {ny:g} sites exceeds the limit of {MAX_GRID_SITES} sites"
+            )
+
+    def _size(self, lo: float, hi: float) -> int:
+        return math.floor((hi - lo) / self.step + 1e-9) + 1
 
     def axis(self, lo: float, hi: float) -> np.ndarray:
-        n = int(math.floor((hi - lo) / self.step + 1e-9)) + 1
-        return lo + self.step * np.arange(n)
+        return lo + self.step * np.arange(self._size(lo, hi))
 
     @property
     def xs(self) -> np.ndarray:

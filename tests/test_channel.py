@@ -20,6 +20,7 @@ from mwrnoma import (
     order_stat_moments,
 )
 from mwrnoma.channel import (
+    MAX_ALPHA,
     _pow_each,
     _survival_powers,
     _unscaled_moment,
@@ -98,6 +99,14 @@ class TestClosedFormTrivial:
         with pytest.raises(NumericError) as info:
             p.path_loss_factors()
         assert str(info.value) == "path loss 1 + d^nu overflows at i=1, d=20, nu=400"
+
+    @pytest.mark.parametrize("beta", [1.3e154, 1e200])
+    def test_moment_overflow_raises(self, beta):
+        # float(q) * beta^2 (at 1.3e154) or beta^2 itself (at 1e200)
+        # overflows: an error, not an inf moment and an overflow warning
+        p = params(alpha=2, beta=beta, n_users=2)
+        with pytest.raises(NumericError, match="^moment overflow for alpha=2, M=2, i=1, p=2$"):
+            order_stat_moments(p, 2)
 
     @pytest.mark.parametrize("exponent", [2.0, 3.0, 2.7])
     @pytest.mark.parametrize("overflow", [False, True])
@@ -306,6 +315,11 @@ class TestValidation:
     def test_non_integer_alpha_rejected(self):
         with pytest.raises(UnsupportedParameterError):
             FadingParams(alpha=2.5, beta=1.0, nu=2.0, distances=(1.0,))
+
+    def test_alpha_limit(self):
+        assert FadingParams(alpha=MAX_ALPHA, beta=1.0, nu=2.0, distances=(1.0,)).alpha == 400
+        with pytest.raises(UnsupportedParameterError, match="at most 400, got 401"):
+            FadingParams(alpha=MAX_ALPHA + 1, beta=1.0, nu=2.0, distances=(1.0,))
 
     def test_integral_float_alpha_accepted(self):
         p = FadingParams(alpha=2.0, beta=1.0, nu=2.0, distances=(1.0,))

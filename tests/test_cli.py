@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import mwrnoma
-from mwrnoma import _kernels
+from mwrnoma import _kernels, cli
 from mwrnoma.cli import (
     KAPPA_HEADER,
     MOMENTS_HEADER,
@@ -195,6 +196,27 @@ class TestSpecLoading:
              "experiment.snr_db: start, stop and step must be finite"),
             ("fig2a", {"experiment": {"snr_db": {"start": -1e308, "stop": 1e308, "step": 5}}},
              "experiment.snr_db: (stop - start) / step overflows"),
+            # a misspelled key is refused before any value is read, the
+            # first in config order, depth first
+            ("fig2a", {"impairments": {"kapa_ut": 0.3}}, "impairments.kapa_ut: unknown key"),
+            ("fig4a", {"experiment": {"shemes": ["oma"], "engin": "mc"}, "fadng": {"nu": 9}},
+             "experiment.shemes: unknown key"),
+            ("fig2a", {"network": {"n_users": 2.5}, "fadng": {}}, "fadng: unknown key"),
+            ("fig2b", {"impairments": {"variants": {"rhi": {"kappa_u": 0.2}}}},
+             "impairments.variants.rhi.kappa_u: unknown key"),
+            ("fig4a", {"experiment": {"grid": {"stp": 0.5}}}, "experiment.grid.stp: unknown key"),
+            ("fig3", {"experiment": {"kappa": {"start": 0, "stop": 0.2, "stp": 0.1}}},
+             "experiment.kappa.stp: unknown key"),
+            ("fig2a", {"trials": {"seeds": 1}}, "trials.seeds: unknown key"),
+            ("fig4a", {"geometry": {"hieght": 5}}, "geometry.hieght: unknown key"),
+            ("fig2a", {"network": {"users": 4}}, "network.users: unknown key"),
+            # sizes whose run would not finish
+            ("fig4a", {"experiment": {"grid": {"step": 1e-5}}},
+             "experiment.grid: grid of 4e+06 x 4e+06 sites exceeds the limit of 10000000 sites"),
+            ("fig4a", {"experiment": {"grid": {"x_max": 1e308}}},
+             "experiment.grid: grid of 1e+308 x 41 sites exceeds the limit of 10000000 sites"),
+            ("fig2a", {"fading": {"alpha": 401}},
+             "fading: fading shape alpha must be at most 400, got 401"),
         ],
     )
     def test_config_value_named(self, tmp_path, capsys, preset, config, message):
@@ -207,6 +229,19 @@ class TestSpecLoading:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: config: {message}\n"
         assert not out.exists()
+
+    def test_sweep_point_limit(self):
+        # counted before the points are built
+        limit = cli.MAX_SWEEP_POINTS
+        assert len(cli._as_grid({"start": 0, "stop": limit - 1, "step": 1}, "x")) == limit
+        with pytest.raises(ConfigurationError, match="^x: 100001 points exceed the limit"):
+            cli._as_grid({"start": 0, "stop": limit, "step": 1}, "x")
+
+    def test_config_key_table_follows_the_dataclasses(self):
+        experiment = cli.CONFIG_KEYS["experiment"]
+        assert list(experiment["grid"]) == ["x_min", "x_max", "y_min", "y_max", "step"]
+        levels = ["kappa_ut", "kappa_ur", "kappa_rt", "kappa_rr"]
+        assert list(cli.CONFIG_KEYS["impairments"]["variants"]["*"]) == levels
 
     def test_empty_output_flag_named(self, capsys):
         # the flag goes through the same reader as the config key
@@ -534,6 +569,18 @@ class TestMain:
         assert capsys.readouterr().err == message
         assert not out.exists()
 
+    def test_moment_overflow_exit_three(self, tmp_path, capsys):
+        # the closed-form second moment overflows; one error line, no warning
+        path = write_config(tmp_path, {"fading": {"beta": 1.3e154}})
+        out = tmp_path / "out.csv"
+        argv = ["run", "--preset", "fig2a", "--engine", "analytical",
+                "--config", str(path), "--output", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: numeric: moment overflow for alpha=2, M=4, i=2, p=2\n"
+        )
+        assert not out.exists()
+
     def test_monte_carlo_path_loss_overflow_exit_three(self, tmp_path, capsys):
         # Monte Carlo needs only 1 + d^nu; its overflow must not become a
         # factor of 0, which writes a surface of zeros with exit 0
@@ -550,6 +597,34 @@ class TestMain:
             "path loss 1 + d^nu overflows at i=1, d=36.7423, nu=400\n"
         )
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "preset, key", [("fig2a", "snr_db"), ("fig3", "kappa")]
+)
+def test_oversized_sweep_refused_under_memory_limit(tmp_path, preset, key):
+    # 2e307 points: run in a process capped at 2 GB of address space, so
+    # that building them fails with a MemoryError rather than filling memory
+    src = str(Path(mwrnoma.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    path = write_config(
+        tmp_path, {"experiment": {key: {"start": 0, "stop": 1e308, "step": 5}}}
+    )
+    limit = 2 << 30
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    argv = ["run", "--preset", preset, "--config", str(path),
+            "--output", str(tmp_path / "out.csv")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "mwrnoma.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120, preexec_fn=cap,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == (
+        f"error: config: experiment.{key}: 2e+307 points exceed the limit of 100000\n"
+    )
 
 
 def test_cli_import_leaves_scipy_unloaded():
