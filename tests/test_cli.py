@@ -237,12 +237,6 @@ class TestSpecLoading:
         with pytest.raises(ConfigurationError, match="^x: 100001 points exceed the limit"):
             cli._as_grid({"start": 0, "stop": limit, "step": 1}, "x")
 
-    def test_config_key_table_follows_the_dataclasses(self):
-        experiment = cli.CONFIG_KEYS["experiment"]
-        assert list(experiment["grid"]) == ["x_min", "x_max", "y_min", "y_max", "step"]
-        levels = ["kappa_ut", "kappa_ur", "kappa_rt", "kappa_rr"]
-        assert list(cli.CONFIG_KEYS["impairments"]["variants"]["*"]) == levels
-
     def test_empty_output_flag_named(self, capsys):
         # the flag goes through the same reader as the config key
         assert main(["run", "--preset", "fig4a", "--output", ""]) == 2

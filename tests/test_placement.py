@@ -97,9 +97,8 @@ class TestDistances:
 
     def test_grid_site_limit(self):
         # a grid is refused by its site count before any axis is built
-        limit = placement.MAX_GRID_SITES
-        grid = GridSpec(x_min=0.0, x_max=9999.0, y_min=0.0, y_max=limit / 10**4 - 1, step=1.0)
-        assert grid.xs.size * grid.ys.size == limit
+        grid = GridSpec(x_min=0.0, x_max=9999.0, y_min=0.0, y_max=999.0, step=1.0)
+        assert grid.xs.size * grid.ys.size == placement.MAX_GRID_SITES
         with pytest.raises(ConfigurationError, match="grid of 10001 x 1000 sites exceeds"):
             GridSpec(x_min=0.0, x_max=10000.0, y_min=0.0, y_max=999.0, step=1.0)
         with pytest.raises(ConfigurationError, match="grid of 4e\\+06 x 4e\\+06 sites"):
