@@ -3,7 +3,7 @@
 M ground users swap messages through a single amplify-and-forward relay
 in two phases, sharing the channel by power-domain superposition with
 successive decoding.  The package provides the ordered-fading channel
-model, the distortion-aware SINR chain, closed-form per-pair rates with
+model, the distortion-aware SINR chain, closed-form per-decoder rates with
 their high-SNR asymptotes, a seeded Monte Carlo cross-check, an
 orthogonal-scheduling baseline, relay-placement sweeps, and a CLI that
 reproduces the bundled experiments as CSV.
@@ -37,7 +37,6 @@ from .rate import (
     asr,
     asr_affine,
     asr_asymptotic,
-    pair_indices,
 )
 from .signal import ImpairmentProfile, NetworkConfig
 
@@ -66,7 +65,6 @@ __all__ = [
     "link_distance",
     "moment_oracle",
     "order_stat_moments",
-    "pair_indices",
     "sample_moments",
     "simulate_asr",
     "simulate_asr_oma",

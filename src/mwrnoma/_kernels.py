@@ -1,11 +1,22 @@
-"""The one pair-rate formula: closed form, Monte Carlo and asymptote.
+"""The one rate formula: closed form, Monte Carlo and asymptote.
 
 The SINR of ``mwrnoma.signal`` is evaluated with numerator and
 denominator divided through by r1 * r2, so the SNR enters only as 1/r1
 and 1/r2.  That keeps every finite SNR finite (no r1 * r2 product to
 overflow), and the high-SNR limit is the same formula at 1/r1 = 1/r2 = 0.
-Without distortion one pair has nothing left in that limit: its SINR
-grows as r1 times ``divergent_pair_gain``.
+
+The SINR is also divided through by the decoder's gain rho_k, to
+a_n rho_n / D_k(n) with D_k(n) = work_n + noise_fwd / rho_k: work_n
+(interference left after user n, distortion, broadcast noise) depends
+only on the decoded user, noise_fwd / rho_k only on the decoder.  Since
+D_k(n-1) = D_k(n) + a_n rho_n, a decoder's successive-decoding pair
+rates telescope (the chain rule of successive interference
+cancellation): sum_{n<k} 1/2 log2(1 + SINR(k, n)) =
+1/2 log2(1 + P_k / D_k(k-1)), with P_k = a_1 rho_1 + ... + a_{k-1}
+rho_{k-1}.  So the kernel takes one logarithm per decoder, M - 1 per
+row, not one per pair.  Without distortion decoder M has nothing left
+at the high-SNR limit: its SINR grows as r1 times
+``divergent_decoder_gain``.
 
 The four distortion levels enter the SINR only through three terms,
 which ``distortion_terms`` computes and the kernel takes as its input:
@@ -20,30 +31,30 @@ Every operation is row-local, so a row gets the same bits alone, in a
 placement batch or in a Monte Carlo chunk.  The gains may come in either
 memory order; they are held column-major (a C-ordered placement batch is
 copied once), so each step runs one contiguous loop over all rows.
-``pair_rate_columns`` finishes one pair's rate column at a time in a
-caller-given buffer, so a Monte Carlo chunk reduces each column while it
-is in cache and never holds all its pair rates at once;
-``pair_rate_chunk`` collects the columns for the closed form.  The SINR
-is also divided through by the decoder's gain rho_k, to a_n rho_n /
-(work_n + noise_fwd / rho_k): work_n (interference, distortion, broadcast
-noise) depends only on the decoded user and is formed once per user,
-noise_fwd / rho_k once per decoder, and the numerators a_n rho_n come
-from ``weighted_sums``, shared by every kernel call on the same gains.
+``decoder_rate_columns`` finishes one decoder's rate column at a time in
+a caller-given buffer, so a Monte Carlo chunk reduces each column while
+it is in cache and never holds all its rates at once;
+``pair_rate_chunk`` collects the columns for the closed form.  work_n
+is formed once per user, noise_fwd / rho_k once per decoder, and the
+terms a_n rho_n come from ``weighted_sums``, shared by every kernel call
+on the same gains.
 """
 
 import numpy as np
 
 
 def weighted_sums(rho, a, *, out=None, terms=None):
-    """Per-row terms of the pair SINR that depend only on the gains and the
+    """Per-row terms of the SINR that depend only on the gains and the
     power split, so every operating point evaluated on the same rows can
     share them.
 
     Returns ``(weighted, suffix, terms)``: terms[t, n] = a_n rho_n for
-    n < M-1, the numerator of every pair that decodes user n (column M-1
-    is the kernel's scratch); suffix[t, n] = sum_{j=n}^{M-2} terms[t, j]
-    (interference left after pair n); weighted[t] = sum_j a_j rho_j, which
-    extends suffix[t, 0] by the strongest user's term.  out, terms:
+    n < M-1, the numerator of every pair that decodes user n and the
+    increments of the decoders' numerators P_k (column M-1 is the
+    kernel's scratch); suffix[t, n] = sum_{j=n}^{M-2} terms[t, j]
+    (interference left after user n; suffix[t, 0] is P_M);
+    weighted[t] = sum_j a_j rho_j, which extends suffix[t, 0] by the
+    strongest user's term.  out, terms:
     (rows, M) column-major arrays for suffix and terms, or None.
     """
     rho = np.asfortranarray(rho, dtype=np.float64)
@@ -60,7 +71,7 @@ def weighted_sums(rho, a, *, out=None, terms=None):
 
 def distortion_terms(imp):
     """``(mac, mix, bc)`` of an impairment profile: the only way its four
-    distortion levels enter ``pair_rate_columns``."""
+    distortion levels enter ``decoder_rate_columns``."""
     kut2, kur2 = imp.kappa_ut**2, imp.kappa_ur**2
     krt2, krr2 = imp.kappa_rt**2, imp.kappa_rr**2
     mac = 1.0 + kut2 + krr2
@@ -68,30 +79,32 @@ def distortion_terms(imp):
 
 
 def kernel_args(cfg, imp):
-    """``(1/r1, 1/r2, mac, mix, bc)``: all that ``pair_rate_columns`` takes
+    """``(1/r1, 1/r2, mac, mix, bc)``: all that ``decoder_rate_columns`` takes
     of an operating point and its distortion profile."""
     return (1.0 / cfg.r1, 1.0 / cfg.r2, *distortion_terms(imp))
 
 
-def pair_indices(n_users: int) -> list[tuple[int, int]]:
-    """Decodable (k, n) pairs, 1-based, in canonical (k, then n) order."""
-    return [(k, n) for k in range(2, n_users + 1) for n in range(1, k)]
+def decoder_rate_columns(rho, a, inv_r1, inv_r2, mac, mix, bc, *, work, aggregates=None):
+    """Yield the rate of each decoder k = 2..M, the sum of its pairs'
+    1/2 log2(1 + SINR), one finished column at a time, in decoder order.
 
-
-def pair_rate_columns(rho, a, inv_r1, inv_r2, mac, mix, bc, *, work, aggregates=None):
-    """Yield the rate 1/2 log2(1 + SINR) of each decodable pair, one
-    finished column at a time, in (k, then n) pair order.
+    The pair SINRs of decoder k telescope: pair (k, n) has SINR
+    a_n rho_n / D_k(n), and D_k(n-1) = D_k(n) + a_n rho_n, so the pair
+    rates sum to 1/2 log2(1 + P_k / D_k(k-1)), with the numerator
+    P_k = a_1 rho_1 + ... + a_{k-1} rho_{k-1} and the denominator
+    D_k(k-1) = work[:, k-1] + noise_fwd / rho_k.  Where P_k / D overflows
+    (a finite P_k over a tiny D > 0), the entry is 1/2 (log2 P_k - log2 D).
 
     rho: (rows, M) sorted ascending effective gains (sampled gains, or
     order-statistic means, one row per operating point or placement site).
     inv_r1, inv_r2: reciprocal user and relay SNR.  mac, mix, bc: the
     profile's ``distortion_terms``; each a scalar or one value per row.
-    work: a (rows, M) column-major buffer; every yielded column is
-    ``work[:, 0]``, valid only until the next one is drawn.  aggregates
+    work: a (rows, M) column-major buffer; decoder k's column is
+    ``work[:, k-1]``, valid only until the next one is drawn.  aggregates
     (``weighted_sums(rho, a)``, whose scratch column this overwrites) are
-    computed here when the caller does not share them.  A pair with an
-    empty denominator (only at 1/r1 = 0 without distortion) is +inf;
-    callers that allow it silence the division warning.
+    computed here when the caller does not share them.  Decoder M's
+    column is +inf at 1/r1 = 0 without distortion, where its denominator
+    is empty; callers that allow it silence the division warning.
     """
     rho = np.asfortranarray(rho, dtype=np.float64)
     M = rho.shape[1]
@@ -104,42 +117,58 @@ def pair_rate_columns(rho, a, inv_r1, inv_r2, mac, mix, bc, *, work, aggregates=
     shared = mix * weighted + bc * inv_r1
     np.add(suffix[:, 1:], shared[:, None], out=work[:, 1:])
 
-    out, spill = work[:, 0], terms[:, M - 1]
+    den = terms[:, M - 1]
     for k in range(2, M + 1):
+        # P_k, summed upward in work[:, 0]; P_M is suffix[:, 0]
+        if k == M:
+            num = suffix[:, 0]
+        elif k == 2:
+            num = terms[:, 0]
+        else:
+            num = np.add(num, terms[:, k - 2], out=work[:, 0])
         # a vanishing decoder gain (a path-loss factor near the underflow
-        # limit) sends noise_fwd / rho_k to inf, its pairs' rates to 0
+        # limit) sends noise_fwd / rho_k to inf, the decoder's rate to 0
         with np.errstate(over="ignore", divide="ignore"):
-            np.divide(noise_fwd, rho[:, k - 1], out=spill)
-        for n in range(1, k):
-            np.add(work[:, n], spill, out=out)
-            np.divide(terms[:, n - 1], out, out=out)
-            out += 1.0
-            np.log2(out, out=out)
-            out *= 0.5
-            yield out
+            np.divide(noise_fwd, rho[:, k - 1], out=den)
+        # D = work[:, k-1] + noise_fwd / rho_k; the rate then takes the
+        # place of work[:, k-1], which no later decoder reads
+        out = work[:, k - 1]
+        np.add(out, den, out=den)
+        overflow = None
+        try:
+            with np.errstate(over="raise"):
+                np.divide(num, den, out=out)
+        except FloatingPointError:
+            overflow = np.isinf(out) & np.isfinite(num) & (den > 0)
+        out += 1.0
+        np.log2(out, out=out)
+        out *= 0.5
+        if overflow is not None:
+            out[overflow] = 0.5 * (np.log2(num[overflow]) - np.log2(den[overflow]))
+        yield out
 
 
-def divergent_pair_gain(rho, a, c):
-    """Per-row limit of SINR / r1 for decoder M and user M-1 without
-    distortion, the one pair whose denominator vanishes at 1/r1 = 0.
+def divergent_decoder_gain(rho, a, c):
+    """Per-row limit of P_M / (r1 D) for decoder M without distortion, the
+    one decoder whose denominator vanishes at 1/r1 = 0.
 
-    With every kappa zero, that pair's SINR divided through by r1 r2 is
-    rho_M rho_{M-1} a_{M-1} / (rho_M / r1 + weighted / r2 + 1 / (r1 r2));
-    times r1, with r2 = c r1, the denominator tends to rho_M + weighted / c.
+    With every kappa zero, decoder M's denominator is D = 1 / r1 +
+    (weighted / r2 + 1 / (r1 r2)) / rho_M; times r1, with r2 = c r1, it
+    tends to (rho_M + weighted / c) / rho_M, so the decoder's telescoped
+    SINR grows as r1 rho_M P_M / (rho_M + weighted / c).
     """
     rho = np.asfortranarray(rho, dtype=np.float64)
-    weighted = weighted_sums(rho, a)[0]
-    return rho[:, -1] * rho[:, -2] * a[-2] / (rho[:, -1] + weighted / c)
+    weighted, suffix, _ = weighted_sums(rho, a)
+    return rho[:, -1] * suffix[:, 0] / (rho[:, -1] + weighted / c)
 
 
 def pair_rate_chunk(rho, a, *args):
-    """Rates of every decodable pair of every row: ``pair_rate_columns``
-    collected into a (rows, M*(M-1)/2) column-major array, in (k, then n)
-    pair order, 1/2-prefactored."""
+    """Rate of every decoder of every row: ``decoder_rate_columns``
+    collected into a (rows, M-1) column-major array, decoder k in column
+    k-2, 1/2-prefactored."""
     n_rows, M = np.shape(rho)
-    rates = np.empty((n_rows, M * (M - 1) // 2), order="F")
+    rates = np.empty((n_rows, M - 1), order="F")
     work = np.empty((n_rows, M), order="F")
-    columns = pair_rate_columns(rho, a, *args, work=work)
-    for p, column in enumerate(columns):
+    for p, column in enumerate(decoder_rate_columns(rho, a, *args, work=work)):
         rates[:, p] = column
     return rates

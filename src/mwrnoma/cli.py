@@ -442,6 +442,7 @@ def load_spec(
     if config_path is None and preset_name is None:
         raise ConfigurationError("need a config file, a preset name, or both")
     merged: dict = {}
+    user: dict = {}
     if preset_name is not None:
         if preset_name not in PRESETS:
             raise ConfigurationError(
@@ -462,7 +463,21 @@ def load_spec(
         merged = _deep_merge(merged, user)
     if overrides:
         merged = _deep_merge(merged, overrides)
+    _check_shadowed_levels(user.get("impairments"), merged.get("impairments"))
     return _spec_from_config(merged)
+
+
+def _check_shadowed_levels(given, merged) -> None:
+    """Refuse a distortion level that the config file sets beside
+    ``impairments.variants``, which would drop it; a preset's single
+    profile under the file's variants is replaced, not refused."""
+    if not (isinstance(given, dict) and isinstance(merged, dict) and "variants" in merged):
+        return
+    for key in given:
+        if key in _LEVELS:
+            raise ConfigurationError(
+                f"impairments.{key}: not used when impairments.variants is set"
+            )
 
 
 def _run_grid_sweep(spec: ExperimentSpec) -> RunResult:

@@ -21,16 +21,17 @@ prefactor share their chunk statistics: transmitter-only and
 receiver-only distortion of one level cost one evaluation.
 Only per-point statistics outlive a chunk.  ``sample_moments`` runs the
 same chunks and reduces the sorted, path-loss-scaled gains and their
-squares instead of pair rates.
+squares instead of rates.
 
 A chunk's sorted gains are a column-major (trials, M) array, one
-contiguous column per position.  No (trials, pairs) array of rates
-exists: the kernel finishes one pair's rate column at a time into a
-reused (trials,) buffer, and ``_chunk_stats`` reduces it while it is
-still in cache.  A trial's total adds its pair rates left to right; the
-means per pair, and the mean and M2 (sum of squared deviations) of the
-totals, are numpy's pairwise sums along the chunk's trials, so the bits
-are those of a whole-array reduction.
+contiguous column per position.  No (trials, decoders) array of rates
+exists: the kernel finishes one decoder's rate column (its pair rates,
+telescoped to one logarithm) at a time into a reused (trials,) buffer,
+and ``_chunk_stats`` reduces it while it is still in cache, M - 1
+columns per kernel call.  A trial's total adds its decoder rates left to
+right; the means per decoder, and the mean and M2 (sum of squared
+deviations) of the totals, are numpy's pairwise sums along the chunk's
+trials, so the bits are those of a whole-array reduction.
 The chunk loop fills the same uniforms, gains, path-loss-scaled gains,
 interference sums and kernel work columns for every full chunk, so a run
 allocates its chunk-sized arrays once, plus once more for a short last
@@ -104,7 +105,7 @@ class _ChunkBuffers:
     the OS at the end of each chunk and fault them in again for the next.
     The uniforms and the unsorted draws are spent once the sorted gains
     are copied out, so the draws hold the kernel's work columns, and the
-    first count * M of the count * M * alpha uniforms the pair numerators
+    first count * M of the count * M * alpha uniforms the numerator terms
     and scratch column of ``_kernels.weighted_sums``.
     """
 
@@ -158,9 +159,10 @@ def _chunk_stats(columns, count: int, scales=(1.0,)):
     if any column holds a non-finite value, the chunk's first trial that
     does (an int).
 
-    A column's sum is non-finite exactly when one of its values is: every
-    finite rate is at most 1/2 log2(1 + DBL_MAX) < 513, so a chunk's finite
-    rates cannot overflow their sum.  Only a non-finite column is searched.
+    A column's sum is non-finite exactly when one of its values is: a
+    finite decoder rate is below 1/2 (1024 + 1074) < 1050 (log2 of the
+    largest double over the smallest), so a chunk's finite rates cannot
+    overflow their sum.  Only a non-finite column is searched.
     """
     scaled = np.empty(count) if any(scale != 1.0 for scale in scales) else None
     totals = [np.zeros(count) for _ in scales]
@@ -218,7 +220,7 @@ def _sweep_plan(points):
     bc), so points whose distortion profiles differ but whose
     ``_kernels.distortion_terms`` are bit-equal fall in one group.  Points
     in one path-loss group share the scaled gains and their aggregates,
-    pair numerators included; points in one kernel group share the kernel
+    numerator terms included; points in one kernel group share the kernel
     call; points that also share the prefactor share the chunk statistics.
     """
     groups: dict = {}
@@ -262,12 +264,10 @@ def _merge_parts(parts, n_points: int):
     return stats, bad_trial
 
 
-def _result(M: int, stats) -> AsrResult:
+def _result(stats) -> AsrResult:
     n, t_mean, t_m2, mean = stats
-    per_pair = np.zeros((M, M - 1))
-    per_pair[np.tril_indices(M, -1, M - 1)] = mean  # (k, then n) pair order
     return AsrResult(
-        per_pair=per_pair,
+        per_decoder=mean,
         total=t_mean,
         provenance="monte-carlo",
         stderr=math.sqrt(t_m2 / (n * (n - 1))),
@@ -318,7 +318,7 @@ def simulate_sweep(points: Sequence[SweepPoint], tc: TrialConfig) -> list[AsrRes
             rho = np.multiply(h, factors, out=buffers.rho)
             aggregates = _kernels.weighted_sums(rho, a, out=buffers.suffix, terms=buffers.terms)
             for args, scales in kernels.items():
-                columns = _kernels.pair_rate_columns(
+                columns = _kernels.decoder_rate_columns(
                     rho, a, *args, work=buffers.work, aggregates=aggregates
                 )
                 parts = _chunk_stats(columns, count, tuple(scales))
@@ -334,7 +334,7 @@ def simulate_sweep(points: Sequence[SweepPoint], tc: TrialConfig) -> list[AsrRes
     for i, trial in enumerate(bad_trial):
         if trial is not None:
             raise SweepPointError(i, f"non-finite rate in trial {trial}", trial)
-    return [_result(M, s) for s in stats]
+    return [_result(s) for s in stats]
 
 
 def simulate_asr(
@@ -344,7 +344,8 @@ def simulate_asr(
     tc: TrialConfig,
     prefactor: float = 0.5,
 ) -> AsrResult:
-    """Monte Carlo sum rate: average of per-pair prefactor * log2(1 + SINR).
+    """Monte Carlo sum rate: the trial average of prefactor * log2(1 + SINR)
+    summed over every decodable pair.
 
     A one-point ``simulate_sweep``; bit-identical output for identical
     (seed, trials).

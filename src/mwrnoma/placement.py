@@ -11,12 +11,12 @@ The analytical surface runs in blocks of whole grid rows, about
 ``BLOCK_SITES`` sites each: per block, the site distances form a
 (sites, M) array, the closed-form moments are scaled for all its rows at
 once (``channel.order_stat_moment_rows``) and one kernel call gives every
-pair rate, so a surface holds one block's intermediates and its totals,
+decoder rate, so a surface holds one block's intermediates and its totals,
 whatever the grid's size.  The Monte Carlo surface is one sweep with a
 point per site (``montecarlo.simulate_sweep``).  The NOMA and OMA surfaces
 differ only in the prefactor of each pair rate, so ``sweep_surfaces``
 evaluates every scheme of a surface in one pass: the schemes share the
-site distances, the closed-form moments and the kernel's pair rates, each
+site distances, the closed-form moments and the kernel's decoder rates, each
 rescaling the same rates to its own totals, or one Monte Carlo sweep
 whose schemes share the draws and kernel calls and differ only in a
 scaled reduction.  Both engines use the one path-loss formula 1 + d^nu,
@@ -38,7 +38,7 @@ from .baseline import scheme_prefactor
 from .channel import FadingParams, order_stat_moment_rows
 from .errors import ConfigurationError, NumericError, SweepPointError
 from .montecarlo import SweepPoint, TrialConfig, simulate_sweep
-from .rate import _finish_rows, _pair_rates
+from .rate import _decoder_rates, _finish_rows
 from .signal import ImpairmentProfile, NetworkConfig
 
 __all__ = [
@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 # sites per block of an analytical surface, rounded down to whole grid rows
-# (at least one): a block's distances, moments and pair rates are all the
+# (at least one): a block's distances, moments and decoder rates are all the
 # surface holds at a time besides its totals
 BLOCK_SITES = 1024
 
@@ -206,7 +206,7 @@ def sweep_surfaces(
     The template's relay position and distances are replaced by each
     site's; ``imp`` defaults to the distortion-free profile.  The schemes
     differ only in the prefactor, so they share the site distances and
-    either the closed-form moments and pair rates (analytical engine, in
+    either the closed-form moments and decoder rates (analytical engine, in
     blocks of whole grid rows, each scheme's totals written into its
     surface) or the draws and kernel calls (Monte Carlo engine, one sweep
     with a point per scheme and site, scheme-major).  A failure names the
@@ -237,13 +237,13 @@ def sweep_surfaces(
         for j in range(0, ys.size, block):
             dist = _site_distances(geom_template, xs, ys[j : j + block])
             psi, _, moment_fault = order_stat_moment_rows(fading_template, dist)
-            rates = _pair_rates(psi, cfg.a, args)
+            rates = _decoder_rates(psi, cfg.a, args)
             start = j * xs.size
             for share, surface in zip(shares, surfaces):
                 # the rates cover only the rows before the first moment
                 # fault, so a rate fault is the earlier site; it is the same
                 # for every scheme, which only rescales the rates
-                _, totals, rate_fault = _finish_rows(rates, cfg.n_users, share)
+                _, totals, rate_fault = _finish_rows(rates, share)
                 fault = rate_fault if rate_fault is not None else moment_fault
                 if fault is not None:
                     row, exc = fault

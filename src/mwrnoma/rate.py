@@ -1,15 +1,17 @@
 """Closed-form achievable-rate machinery.
 
-Per-pair rates replace the expectation of 1/2 log2(1 + SINR) by the rate
-of the moment-substituted SINR (each ordered gain replaced by its mean
-psi), which collapses the ergodic rate to an algebraic expression in the
-order-statistic moments.  That is the Monte Carlo pair-rate kernel
-evaluated on one row of psi per operating point or placement site; the
-high-SNR per-pair asymptotes are the same kernel at 1/r1 = 1/r2 = 0.
-Distortion enters only through the impairment profile: the ideal
-transceiver is the all-zero profile, which is the default.  The affine
-high-SNR expansion ASR ~ S (log2 r1 - L), in terms of the high-SNR slope
-S and the power offset L, follows in closed form from those limits."""
+The closed form replaces the expectation of 1/2 log2(1 + SINR) by the
+rate of the moment-substituted SINR (each ordered gain replaced by its
+mean psi), which collapses the ergodic rate to an algebraic expression in
+the order-statistic moments.  That is the Monte Carlo kernel evaluated on
+one row of psi per operating point or placement site; the high-SNR
+asymptotes are the same kernel at 1/r1 = 1/r2 = 0.  The kernel gives one
+rate per decoder, the sum of its successive-decoding pair rates, which
+telescope to one logarithm per decoder.  Distortion enters only through
+the impairment profile: the ideal transceiver is the all-zero profile,
+which is the default.  The affine high-SNR expansion
+ASR ~ S (log2 r1 - L), in terms of the high-SNR slope S and the power
+offset L, follows in closed form from those limits."""
 
 from __future__ import annotations
 
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._kernels import pair_indices
 from .channel import OrderStatMoments
 from .errors import ConfigurationError
 from .signal import ImpairmentProfile, NetworkConfig
@@ -30,21 +31,20 @@ __all__ = [
     "asr_rows",
     "asr_asymptotic",
     "asr_affine",
-    "pair_indices",
 ]
 
 
 @dataclass(frozen=True, eq=False)
 class AsrResult:
-    """Per-pair rate matrix and its sum.
+    """Per-decoder rates and their sum.
 
-    per_pair[k-1, n-1] holds the rate of decoder k for user n
-    (zero whenever n >= k); total is the sum over all pairs.  A Monte
-    Carlo result also carries the standard error of its total and its
-    trial count.
+    per_decoder[k-2] holds the rate of decoder k = 2..M: the sum of its
+    successive-decoding pair rates, users 1..k-1.  total is the sum over
+    all decoders.  A Monte Carlo result also carries the standard error
+    of its total and its trial count.
     """
 
-    per_pair: np.ndarray
+    per_decoder: np.ndarray
     total: float
     provenance: str
     stderr: float | None = None
@@ -52,40 +52,40 @@ class AsrResult:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
-        per_pair = np.asarray(self.per_pair, dtype=np.float64)
-        object.__setattr__(self, "per_pair", per_pair)
+        per_decoder = np.asarray(self.per_decoder, dtype=np.float64)
+        object.__setattr__(self, "per_decoder", per_decoder)
         if self.provenance not in ("analytical", "monte-carlo", "asymptotic"):
             raise ConfigurationError(f"unknown provenance {self.provenance!r}")
-        error = _result_error(per_pair, self.total, self.provenance)
+        error = _result_error(per_decoder, self.total, self.provenance)
         if error is not None:
             raise ConfigurationError(error)
 
     @property
     def n_users(self) -> int:
-        return self.per_pair.shape[0]
+        return self.per_decoder.shape[0] + 1
 
 
-def _result_error(per_pair: np.ndarray, total: float, provenance: str) -> str | None:
-    """Why a per-pair matrix and total are not a valid result, or None."""
+def _result_error(per_decoder: np.ndarray, total: float, provenance: str) -> str | None:
+    """Why per-decoder rates and a total are not a valid result, or None."""
     # NaN fails every comparison below, so reject it here; +inf only
-    # marks a divergent pair of an asymptote
-    if not (np.isfinite(per_pair).all() and math.isfinite(total)):
-        if provenance != "asymptotic" or np.isnan(per_pair).any() or math.isnan(total):
+    # marks a divergent decoder of an asymptote
+    if not (np.isfinite(per_decoder).all() and math.isfinite(total)):
+        if provenance != "asymptotic" or np.isnan(per_decoder).any() or math.isnan(total):
             return f"{provenance} rates must be finite, got total {total!r}"
-    if np.any(per_pair < 0):
-        return "per-pair rates must be >= 0"
-    s = float(per_pair.sum())
+    if np.any(per_decoder < 0):
+        return "per-decoder rates must be >= 0"
+    s = float(per_decoder.sum())
     if math.isinf(s) or math.isinf(total):
         if s != total:
-            return "total does not match per-pair sum"
+            return "total does not match per-decoder sum"
     elif abs(s - total) > 1e-9 * max(1.0, abs(s)):
-        return f"total {total!r} does not match per-pair sum {s!r}"
+        return f"total {total!r} does not match per-decoder sum {s!r}"
     return None
 
 
-def _pair_rates(psi: np.ndarray, a, args) -> np.ndarray:
+def _decoder_rates(psi: np.ndarray, a, args) -> np.ndarray:
     """Kernel step of the closed form: the 1/2-prefactored rate of every
-    pair at each row of psi, (rows, pairs) in ``pair_indices`` order.
+    decoder at each row of psi, (rows, M-1), decoder k in column k-2.
 
     args: ``_kernels.kernel_args``, one tuple for all rows or one per row.
     """
@@ -94,34 +94,33 @@ def _pair_rates(psi: np.ndarray, a, args) -> np.ndarray:
     return _kernels.pair_rate_chunk(psi, a, *np.asarray(args, dtype=np.float64).T)
 
 
-def _per_pair(rates: np.ndarray, M: int, prefactor) -> np.ndarray:
-    """Per-pair matrices (rows, M, M-1) of ``_pair_rates`` output, scaled to
-    the prefactor (one for all rows or one per row); rates is left as it
-    is, so several prefactors may share it."""
+def _scaled(rates: np.ndarray, prefactor) -> np.ndarray:
+    """``_decoder_rates`` output scaled to the prefactor (one for all rows
+    or one per row); rates is left as it is, so several prefactors may
+    share it."""
     # kernel output carries the 1/2 prefactor
     scale = np.asarray(prefactor, dtype=np.float64) / 0.5
     if (scale != 1.0).any():
-        rates = rates * scale.reshape(-1, 1)
-    k, n = zip(*pair_indices(M))
-    per_pair = np.zeros((rates.shape[0], M, M - 1))
-    per_pair[:, np.array(k) - 1, np.array(n) - 1] = rates
-    return per_pair
+        return rates * scale.reshape(-1, 1)
+    return rates
 
 
-def _finish_rows(rates: np.ndarray, M: int, prefactor):
-    """Finishing step of ``asr_rows``: its ``(per_pair, totals, fault)``
-    from the shared ``_pair_rates`` output."""
-    per_pair = _per_pair(rates, M, prefactor)
-    rows = per_pair.shape[0]
-    flat = per_pair.reshape(rows, M * (M - 1))
-    totals = flat.sum(axis=1)
+def _finish_rows(rates: np.ndarray, prefactor):
+    """Finishing step of ``asr_rows``: its ``(per_decoder, totals, fault)``
+    from the shared ``_decoder_rates`` output."""
+    per_decoder = _scaled(rates, prefactor)
+    totals = per_decoder.sum(axis=1)
     # the rows AsrResult rejects: a non-finite or negative rate or total
-    bad = ~(np.isfinite(flat).all(axis=1) & (flat >= 0).all(axis=1) & np.isfinite(totals))
+    bad = ~(
+        np.isfinite(per_decoder).all(axis=1)
+        & (per_decoder >= 0).all(axis=1)
+        & np.isfinite(totals)
+    )
     if not bad.any():
-        return per_pair, totals, None
+        return per_decoder, totals, None
     row = int(bad.argmax())
-    error = _result_error(per_pair[row], float(totals[row]), "analytical")
-    return per_pair[:row], totals[:row], (row, ConfigurationError(error))
+    error = _result_error(per_decoder[row], float(totals[row]), "analytical")
+    return per_decoder[:row], totals[:row], (row, ConfigurationError(error))
 
 
 def asr_rows(psi: np.ndarray, a, args, prefactor=0.5):
@@ -132,14 +131,14 @@ def asr_rows(psi: np.ndarray, a, args, prefactor=0.5):
     relay-placement surface (one row per site), or a (rows, 5) sequence,
     one per row, as for an SNR or distortion sweep.  prefactor is one
     scheme share for every row or one per row.  ``asr`` is the one-row
-    case.  Returns ``(per_pair, totals, fault)``: per_pair is (rows, M,
-    M-1) and each total is the sum of its matrix.  ``fault`` is None when
+    case.  Returns ``(per_decoder, totals, fault)``: per_decoder is (rows,
+    M-1) and each total is the sum of its row.  ``fault`` is None when
     every row is an acceptable ``AsrResult``.  Otherwise it is ``(row,
-    error)`` for the first row that is not, and per_pair and totals cover
-    only the rows before it.
+    error)`` for the first row that is not, and per_decoder and totals
+    cover only the rows before it.
     """
-    rates = _pair_rates(np.asarray(psi, dtype=np.float64), a, args)
-    return _finish_rows(rates, len(a), prefactor)
+    rates = _decoder_rates(np.asarray(psi, dtype=np.float64), a, args)
+    return _finish_rows(rates, prefactor)
 
 
 def asr(
@@ -148,16 +147,16 @@ def asr(
     imp: ImpairmentProfile = ImpairmentProfile(),
     prefactor: float = 0.5,
 ) -> AsrResult:
-    """Achievable sum rate: per-pair matrix plus the total.
+    """Achievable sum rate: per-decoder rates plus the total.
 
     The default profile is distortion-free; the default 1/2 prefactor
     charges the two-slot exchange.
     """
     args = _kernels.kernel_args(cfg, imp)
-    per_pair, totals, fault = asr_rows(moments.psi[None, :], cfg.a, args, prefactor)
+    per_decoder, totals, fault = asr_rows(moments.psi[None, :], cfg.a, args, prefactor)
     if fault is not None:
         raise fault[1]
-    return AsrResult(per_pair=per_pair[0], total=float(totals[0]), provenance="analytical")
+    return AsrResult(per_decoder=per_decoder[0], total=float(totals[0]), provenance="analytical")
 
 
 def asr_asymptotic(
@@ -168,21 +167,22 @@ def asr_asymptotic(
 ) -> AsrResult:
     """High-SNR limit of the sum rate (r1 -> infinity with r2 = c r1).
 
-    Pairs whose limiting denominator is empty have no ceiling: those
-    per-pair entries are +inf and the total is flagged divergent.
+    A decoder whose limiting denominator is empty (decoder M without
+    distortion) has no ceiling: its entry is +inf and the total is
+    flagged divergent.
     """
     with np.errstate(divide="ignore"):
         args = (0.0, 0.0, *_kernels.distortion_terms(imp))
-        rates = _pair_rates(moments.psi[None, :], cfg.a, args)
-        per_pair = _per_pair(rates, cfg.n_users, prefactor)[0]
+        rates = _decoder_rates(moments.psi[None, :], cfg.a, args)
+        per_decoder = _scaled(rates, prefactor)[0]
     notes = tuple(
-        f"pair (k={k}, n={n}) has no interference ceiling: asymptote diverges"
-        for k, n in pair_indices(cfg.n_users)
-        if math.isinf(per_pair[k - 1, n - 1])
+        f"decoder k={k} has no interference ceiling: asymptote diverges"
+        for k, rate in enumerate(per_decoder, start=2)
+        if math.isinf(rate)
     )
     return AsrResult(
-        per_pair=per_pair,
-        total=float(per_pair.sum()),
+        per_decoder=per_decoder,
+        total=float(per_decoder.sum()),
         provenance="asymptotic",
         notes=notes,
     )
@@ -197,15 +197,15 @@ def asr_affine(
     """High-SNR slope, power offset (3 dB units) and ceiling of the sum rate.
 
     The affine expansion ASR ~ slope * (log2 r1 - offset) as r1 -> infinity
-    with r2 = c r1.  Any distortion bounds every pair: the slope is 0, the
-    offset +inf and the ceiling is the ``asr_asymptotic`` total.  Without
-    it, only pair (k=M, n=M-1) diverges, its SINR growing as
-    r1 * ``_kernels.divergent_pair_gain``: the slope is the prefactor, the
-    offset absorbs the bounded pairs' limits and the ceiling is +inf.
+    with r2 = c r1.  Any distortion bounds every decoder: the slope is 0,
+    the offset +inf and the ceiling is the ``asr_asymptotic`` total.
+    Without it, only decoder M diverges, its telescoped SINR growing as
+    r1 * ``_kernels.divergent_decoder_gain``: the slope is the prefactor,
+    the offset absorbs the other decoders' limits and the ceiling is +inf.
     """
     limit = asr_asymptotic(moments, cfg, imp, prefactor)
     if math.isfinite(limit.total):
         return 0.0, math.inf, limit.total
-    bounded = float(limit.per_pair[np.isfinite(limit.per_pair)].sum())
-    gain = _kernels.divergent_pair_gain(moments.psi[None, :], cfg.a, cfg.c)[0]
+    bounded = float(limit.per_decoder[np.isfinite(limit.per_decoder)].sum())
+    gain = _kernels.divergent_decoder_gain(moments.psi[None, :], cfg.a, cfg.c)[0]
     return prefactor, -(bounded + prefactor * math.log2(gain)) / prefactor, math.inf

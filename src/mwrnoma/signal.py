@@ -15,7 +15,7 @@ successive cancellation chain).
 This module holds the operating point: the distortion levels
 (``ImpairmentProfile``) and the user count, power split and SNRs
 (``NetworkConfig``).  The resulting SINR has one implementation, the
-pair-rate kernel in ``mwrnoma._kernels``.
+rate kernel in ``mwrnoma._kernels``.
 """
 
 from __future__ import annotations

@@ -7,14 +7,17 @@ ascending; the five denominator aggregates are exposed for inspection via
 ``sinr_terms``.  Decoding at user k proceeds from the weakest user upward;
 while decoding user n the still-undecoded superposed users n+1..M-1 remain
 as co-channel interference (the strongest user's own contribution is
-removed by the successive cancellation chain).  ``gamma_variates`` draws
-Gamma variates from a generator through the engine's own transform.
+removed by the successive cancellation chain).  ``pair_indices`` lists
+the decodable (k, n) pairs and ``decoder_rates`` sums each decoder's
+pair rates.  ``gamma_variates`` draws Gamma variates from
+a generator through the engine's own transform.
 
 This is a helper module, not a test module: it is imported by the tests.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +54,11 @@ class SinrTerms:
     @property
     def total(self) -> float:
         return self.theta1 + self.theta2 + self.theta3 + self.theta4 + self.theta5
+
+
+def pair_indices(n_users: int) -> list[tuple[int, int]]:
+    """Decodable (k, n) pairs, 1-based, in canonical (k, then n) order."""
+    return [(k, n) for k in range(2, n_users + 1) for n in range(1, k)]
 
 
 def _check_inputs(rho, n_users: int, k: int, n: int) -> np.ndarray:
@@ -116,6 +124,16 @@ def sinr_instantaneous(
         return 0.0
     numerator = float(rho[k - 1]) * float(rho[n - 1]) * cfg.a[n - 1] * cfg.r1 * cfg.r2
     return numerator / sinr_terms(rho, cfg, imp, k, n).total
+
+
+def decoder_rates(rho, cfg: NetworkConfig, imp: ImpairmentProfile) -> list[float]:
+    """Rate of each decoder k = 2..M: the sum of its pair rates
+    1/2 log2(1 + SINR(k, n)) over n < k, each from ``sinr_instantaneous``."""
+    half_log2 = 0.5 / math.log(2.0)
+    return [
+        sum(half_log2 * math.log1p(sinr_instantaneous(rho, cfg, imp, k, n)) for n in range(1, k))
+        for k in range(2, cfg.n_users + 1)
+    ]
 
 
 def gamma_variates(alpha: int, beta: float, size, rng: np.random.Generator) -> np.ndarray:

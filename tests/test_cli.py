@@ -217,6 +217,11 @@ class TestSpecLoading:
              "experiment.grid: grid of 1e+308 x 41 sites exceeds the limit of 10000000 sites"),
             ("fig2a", {"fading": {"alpha": 401}},
              "fading: fading shape alpha must be at most 400, got 401"),
+            # a single-profile level beside variants would be dropped
+            ("fig2b", {"impairments": {"kappa_ut": 0.3}},
+             "impairments.kappa_ut: not used when impairments.variants is set"),
+            ("fig2a", {"impairments": {"kappa_rr": 0.1, "variants": {"rhi": {"kappa_ut": 0.2}}}},
+             "impairments.kappa_rr: not used when impairments.variants is set"),
         ],
     )
     def test_config_value_named(self, tmp_path, capsys, preset, config, message):
@@ -256,7 +261,34 @@ class TestSpecLoading:
         assert not out.exists()
 
 
+    def test_variants_replace_a_preset_profile(self, tmp_path):
+        # fig2a's single profile sits under the file's variants and is not
+        # used; only levels that the file itself sets are refused
+        variants = {"rhi": {"kappa_ut": 0.2}, "ideal": {}}
+        path = write_config(tmp_path, {"impairments": {"variants": variants}})
+        spec = load_spec(config_path=path, preset_name="fig2a")
+        assert [label for label, _ in spec.variants] == ["rhi", "ideal"]
+        assert spec.variants[0][1].kappa_ut == 0.2
+
+
 class TestSnrSweep:
+    def test_overflowing_sinr_stays_finite(self, tmp_path, capsys):
+        # at 3080 dB and fading scale 30 decoder M's SINR exceeds the float
+        # range; its rate is 1/2 (log2 P - log2 D), and the run warns of
+        # nothing
+        path = write_config(tmp_path, {"experiment": {"snr_db": [3080]}, "fading": {"beta": 30}})
+        out = tmp_path / "out.csv"
+        argv = ["run", "--preset", "fig2a", "--config", str(path), "--trials", "20000"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--output", str(out)]) == 0
+        assert "sum(asr_analytical) noma/ideal: 514.621322\n" in capsys.readouterr().out
+        rows = read_rows(out)
+        assert len(rows) == 2
+        for row in rows:
+            for key in ("asr_analytical", "asr_mc", "mc_stderr"):
+                assert math.isfinite(float(row[key]))
+
     def test_csv_contract(self, tmp_path):
         spec = load_spec(config_path=write_config(tmp_path, tiny_snr_config(tmp_path)))
         result = run(spec)
@@ -521,7 +553,7 @@ class TestMain:
         assert r1[0]["asr_mc"] == r3[0]["asr_mc"]
 
     def test_nonfinite_mc_rate_exit_three(self, tmp_path, capsys, monkeypatch):
-        original = _kernels.pair_rate_columns
+        original = _kernels.decoder_rate_columns
 
         def nan_at_15db(rho, a, inv_r1, *args, **kwargs):
             # a Monte Carlo chunk: many rows at one SNR (the closed form
@@ -532,7 +564,7 @@ class TestMain:
                     col[5] = np.nan
                 yield col
 
-        monkeypatch.setattr(_kernels, "pair_rate_columns", nan_at_15db)
+        monkeypatch.setattr(_kernels, "decoder_rate_columns", nan_at_15db)
         path = write_config(tmp_path, tiny_snr_config(tmp_path))
         assert main(["run", "--config", str(path)]) == 3
         err = capsys.readouterr().err

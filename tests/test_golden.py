@@ -3,8 +3,8 @@
 The files under ``tests/golden/`` pin the exact output of each preset:
 the Monte Carlo presets at 16384 trials and the default seed, the
 placement presets as shipped, a Monte Carlo placement sweep on a 5 m grid,
-an M=8 point at 65,536 trials (28 pair rates per trial total, the only
-golden with more than 8) and a 200k-sample moments check.  They depend on
+an M=8 point at 65,536 trials (28 pair rates per trial in 7 decoder
+columns, the only golden with more than 3 columns) and a 200k-sample moments check.  They depend on
 the SFC64 chunk streams (numpy's SeedSequence seeding, pinned on its own
 by ``test_montecarlo.py::TestStreams::test_stream_known_answers``) and on
 the platform's libm (log1p, log2), so a change of either can move the

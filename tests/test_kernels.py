@@ -1,18 +1,33 @@
-"""Pair-rate kernel: agreement with the scalar model."""
+"""Decoder-rate kernel: agreement with the scalar model, pair by pair."""
+
+import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwrnoma import ImpairmentProfile, NetworkConfig, pair_indices
+from mwrnoma import ImpairmentProfile, NetworkConfig
 from mwrnoma._kernels import (
+    decoder_rate_columns,
     distortion_terms,
+    kernel_args,
     pair_rate_chunk,
-    pair_rate_columns,
     weighted_sums,
 )
-from scalar_oracle import sinr_instantaneous
+from scalar_oracle import decoder_rates
+
+KAPPAS = ("kappa_ut", "kappa_ur", "kappa_rt", "kappa_rr")
+
+# the four distortion profiles of the fig2b preset
+FIG2B_PROFILES = {
+    "ideal": ImpairmentProfile(),
+    "tx-rhi": ImpairmentProfile(kappa_ut=0.2, kappa_rt=0.2),
+    "rx-rhi": ImpairmentProfile(kappa_ur=0.2, kappa_rr=0.2),
+    "transceiver-rhi": ImpairmentProfile.uniform(0.2),
+}
 
 
 def make_inputs(n_users, n_trials=256, seed=0):
@@ -23,24 +38,138 @@ def make_inputs(n_users, n_trials=256, seed=0):
     return rho, a
 
 
-@pytest.mark.parametrize("n_users", [2, 3, 5])
+def kernel_rates(rho, a, inv_r1, inv_r2, imp):
+    """``pair_rate_chunk`` at the given reciprocal SNRs, with every numpy
+    warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return pair_rate_chunk(rho, np.asarray(a), inv_r1, inv_r2, *distortion_terms(imp))
+
+
+def assert_close(got, want):
+    # 1e-12 relative, or 1e-15 absolute for the tiny rates of a low SNR
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def exact_decoder_rates(rho_row, a, inv_r1, inv_r2, imp):
+    """Each decoder's pair rates, summed pair by pair, with every SINR in
+    exact rational arithmetic on the float inputs.
+
+    The SINR is the signal model's, divided through by r1 r2 rho_k, so
+    1/r1 = 0 and SINRs beyond the float range are covered; a decoder with
+    an empty denominator is +inf.
+    """
+    rho = [Fraction(x) for x in rho_row]
+    a = [Fraction(x) for x in a]
+    kut2, kur2, krt2, krr2 = (Fraction(getattr(imp, k)) ** 2 for k in KAPPAS)
+    mac = 1 + kut2 + krr2
+    inv_r1, inv_r2 = Fraction(inv_r1), Fraction(inv_r2)
+    weighted = sum(r * w for r, w in zip(rho, a))
+    M = len(rho)
+    rates = []
+    for k in range(2, M + 1):
+        total = 0.0
+        for n in range(1, k):
+            residual = sum(rho[j] * a[j] for j in range(n, M - 1))
+            den = (
+                residual
+                + weighted * (kut2 + krr2 + (krt2 + kur2) * mac)
+                + (1 + krt2 + kur2) * inv_r1
+                + (mac * weighted * inv_r2 + inv_r1 * inv_r2) / rho[k - 1]
+            )
+            if den == 0:
+                total = math.inf
+                break
+            sinr = rho[n - 1] * a[n - 1] / den
+            if sinr < Fraction(2) ** 1000:
+                total += 0.5 * math.log1p(float(sinr)) / math.log(2.0)
+            else:
+                x = 1 + sinr
+                total += 0.5 * (math.log2(x.numerator) - math.log2(x.denominator))
+        rates.append(total)
+    return rates
+
+
+@pytest.mark.parametrize("n_users", [2, 3, 4, 5, 8])
 def test_kernel_matches_scalar_model(n_users):
-    rho, a = make_inputs(n_users)
-    cfg = NetworkConfig(n_users=n_users, a=a, r1=316.0, c=2.0)
+    # each decoder column sums that decoder's scalar pair rates
+    rho, a = make_inputs(n_users, seed=n_users)
     imp = ImpairmentProfile(kappa_ut=0.1, kappa_ur=0.2, kappa_rt=0.05, kappa_rr=0.15)
-    rates = pair_rate_chunk(
-        rho,
-        np.asarray(a),
-        1.0 / cfg.r1,
-        1.0 / cfg.r2,
-        *distortion_terms(imp),
-    )
-    pairs = pair_indices(n_users)
-    assert rates.shape == (rho.shape[0], len(pairs))
-    for t in (0, 17, 255):
-        for p, (k, n) in enumerate(pairs):
-            gamma = sinr_instantaneous(rho[t], cfg, imp, k, n)
-            assert rates[t, p] == pytest.approx(0.5 * np.log2(1.0 + gamma), rel=1e-12)
+    for snr_db in (-20.0, 25.0, 60.0):
+        cfg = NetworkConfig(n_users=n_users, a=a, r1=10.0 ** (snr_db / 10.0), c=2.0)
+        rates = kernel_rates(rho, a, 1.0 / cfg.r1, 1.0 / cfg.r2, imp)
+        assert rates.shape == (rho.shape[0], n_users - 1)
+        for t in (0, 17, 255):
+            assert_close(list(rates[t]), decoder_rates(rho[t], cfg, imp))
+
+
+@pytest.mark.parametrize("label", sorted(FIG2B_PROFILES))
+@pytest.mark.parametrize("snr_db", [0.0, 20.0, 40.0])
+def test_fig2b_profiles(label, snr_db):
+    imp = FIG2B_PROFILES[label]
+    rho, _ = make_inputs(4, n_trials=64, seed=4)
+    a = (0.5, 0.3, 0.15, 0.05)
+    cfg = NetworkConfig(n_users=4, a=a, r1=10.0 ** (snr_db / 10.0))
+    rates = kernel_rates(rho, a, *kernel_args(cfg, imp)[:2], imp)
+    for t in range(rho.shape[0]):
+        assert_close(list(rates[t]), decoder_rates(rho[t], cfg, imp))
+
+
+@pytest.mark.parametrize("n_users", [2, 3, 4, 8])
+@pytest.mark.parametrize("label", sorted(FIG2B_PROFILES))
+def test_high_snr_limit(n_users, label):
+    # at 1/r1 = 1/r2 = 0 every decoder is bounded by its interference and
+    # distortion, except decoder M without distortion, which is +inf
+    imp = FIG2B_PROFILES[label]
+    rho, a = make_inputs(n_users, n_trials=32, seed=n_users)
+    with np.errstate(divide="ignore"):
+        rates = pair_rate_chunk(rho, np.asarray(a), 0.0, 0.0, *distortion_terms(imp))
+    for t in range(rho.shape[0]):
+        assert_close(list(rates[t]), exact_decoder_rates(rho[t], a, 0.0, 0.0, imp))
+    assert np.isfinite(rates[:, :-1]).all()
+    if imp.is_ideal:
+        assert np.isposinf(rates[:, -1]).all()
+    else:
+        assert np.isfinite(rates[:, -1]).all()
+
+
+def test_vanishing_decoder_gain():
+    # at -20 dB, noise_fwd / rho_k overflows for a decoder gain near the
+    # underflow limit (a path-loss factor near 1e-308, row 0) and divides
+    # by zero for a gain of 0 (row 1): decoder 2 gets its limit 0, as in
+    # the scalar model, and no warning is raised
+    rho = np.array([[1e-309, 2e-309, 1.0], [0.0, 0.0, 1.0]])
+    a = (0.5, 0.3, 0.2)
+    cfg = NetworkConfig(n_users=3, a=a, r1=0.01, c=2.0)
+    imp = ImpairmentProfile.ideal()
+    rates = kernel_rates(rho, a, 1.0 / cfg.r1, 1.0 / cfg.r2, imp)
+    assert (rates[:, 0] == 0.0).all() and np.isfinite(rates).all()
+    for t in range(2):
+        assert_close(list(rates[t]), decoder_rates(rho[t], cfg, imp))
+
+
+@pytest.mark.parametrize("n_users", [2, 4, 8])
+def test_overflowing_sinr_falls_back_to_a_log_difference(n_users):
+    # at 3080 dB decoder M's SINR P_M / D exceeds the float range where
+    # the gains are large; the entry is 1/2 (log2 P_M - log2 D), finite
+    # and without a warning
+    rho, a = make_inputs(n_users, n_trials=64, seed=n_users)
+    rho[::2] *= 30.0
+    inv_r1 = 10.0 ** (-308.0)
+    imp = ImpairmentProfile.ideal()
+    args = (np.asarray(a), inv_r1, inv_r1 / 2.0, *distortion_terms(imp))
+    # decoder M's SINR without distortion, where 1 / (r1 r2) underflows
+    weighted, suffix, _ = weighted_sums(rho, a)
+    with np.errstate(over="ignore"):
+        plain = suffix[:, 0] / (inv_r1 + weighted * (inv_r1 / 2.0) / rho[:, -1])
+    assert np.isinf(plain).any() and np.isfinite(plain).any()
+    rates = kernel_rates(rho, a, inv_r1, inv_r1 / 2.0, imp)
+    assert np.isfinite(rates).all() and (rates < 1050.0).all()
+    for t in range(rho.shape[0]):
+        assert_close(list(rates[t]), exact_decoder_rates(rho[t], a, inv_r1, inv_r1 / 2.0, imp))
+    # rows that do not overflow keep the common path's bits
+    clean = np.isfinite(plain)
+    assert np.array_equal(pair_rate_chunk(rho[clean], *args), rates[clean])
 
 
 @pytest.mark.parametrize("n_users", [4, 8])
@@ -54,42 +183,27 @@ def test_kernel_is_row_local(n_users):
     rows = np.concatenate([pair_rate_chunk(rho[t : t + 1], *args) for t in range(rho.shape[0])])
     assert np.array_equal(block, rows)
     # nor may the memory order of the gains (rho is C-ordered); either way
-    # the rates come out column-major, one contiguous column per pair
+    # the rates come out column-major, one contiguous column per decoder
     fortran = pair_rate_chunk(np.asfortranarray(rho), *args)
     assert np.array_equal(fortran, block)
     assert rho.flags.c_contiguous and block.flags.f_contiguous and fortran.flags.f_contiguous
 
 
-def test_vanishing_decoder_gain():
-    # at -20 dB, noise_fwd / rho_k overflows for a decoder gain near the
-    # underflow limit (row 0) and divides by zero for a gain of 0 (row 1):
-    # the pairs it decodes get their limit 0, as in the scalar model, and
-    # no warning is raised
-    rho = np.array([[1e-309, 2e-309, 1.0], [0.0, 0.0, 1.0]])
-    a = (0.5, 0.3, 0.2)
-    cfg = NetworkConfig(n_users=3, a=a, r1=0.01, c=2.0)
-    imp = ImpairmentProfile.ideal()
-    rates = pair_rate_chunk(rho, np.asarray(a), 1.0 / cfg.r1, 1.0 / cfg.r2, *distortion_terms(imp))
-    assert (rates[:, 0] == 0.0).all() and np.isfinite(rates).all()
-    for t in range(2):
-        for p, (k, n) in enumerate(pair_indices(3)):
-            gamma = sinr_instantaneous(rho[t], cfg, imp, k, n)
-            assert rates[t, p] == pytest.approx(0.5 * np.log2(1.0 + gamma), rel=1e-12)
-
-
 def unhoisted_columns(rho, a, inv_r1, inv_r2, mac, mix, bc):
-    """The pair rates with every term formed inside the pair loop, in the
-    kernel's operand order: the SINR divided through by the decoder's gain,
-    a_n rho_n / (work_n + noise_fwd / rho_k).  The reference for the
-    kernel's hoisted terms."""
-    weighted, suffix, _ = weighted_sums(rho, a)
+    """The decoder rates with every term formed inside the decoder loop,
+    in the kernel's operand order: 1/2 log2(P_k / D + 1) with the
+    numerator P_k summed upward (P_M = suffix[:, 0]) and
+    D = (suffix_{k-1} + shared) + noise_fwd / rho_k.  The reference for
+    the kernel's hoisted terms."""
+    weighted, suffix, terms = weighted_sums(rho, a)
     noise_fwd = mac * weighted * inv_r2 + inv_r1 * inv_r2
     shared = mix * weighted + bc * inv_r1
     M = rho.shape[1]
+    numerators = np.cumsum(terms[:, : M - 1], axis=1)
     for k in range(2, M + 1):
-        for n in range(1, k):
-            den = (suffix[:, n] + shared) + noise_fwd / rho[:, k - 1]
-            yield 0.5 * np.log2(rho[:, n - 1] * a[n - 1] / den + 1.0)
+        num = suffix[:, 0] if k == M else numerators[:, k - 2]
+        den = (suffix[:, k - 1] + shared) + noise_fwd / rho[:, k - 1]
+        yield 0.5 * np.log2(num / den + 1.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -101,10 +215,10 @@ def unhoisted_columns(rho, a, inv_r1, inv_r2, mac, mix, bc):
     limit=st.booleans(),
 )
 def test_hoisted_terms_keep_the_bits(n_users, seed, snr_db, kappas, limit):
-    # shared aggregates (numerators and interference sums) or none, and
-    # per-user and per-decoder denominator terms, give the bits of forming
-    # every term per pair; at 1/r1 = 0 without distortion the last pair is
-    # +inf
+    # shared aggregates (numerator terms and interference sums) or none,
+    # and per-user and per-decoder denominator terms, give the bits of
+    # forming every term per decoder; at 1/r1 = 0 without distortion
+    # decoder M is +inf
     rho, a = make_inputs(n_users, n_trials=300, seed=seed)
     rho = np.asfortranarray(rho)
     a = np.asarray(a)
@@ -114,16 +228,17 @@ def test_hoisted_terms_keep_the_bits(n_users, seed, snr_db, kappas, limit):
     work = np.empty((rho.shape[0], n_users), order="F")
     with np.errstate(divide="ignore"):
         want = np.column_stack(list(unhoisted_columns(rho, a, *args)))
-        alone = [c.copy() for c in pair_rate_columns(rho, a, *args, work=work)]
+        alone = [c.copy() for c in decoder_rate_columns(rho, a, *args, work=work)]
         # a kernel call at another SNR first uses the shared aggregates
         aggregates = weighted_sums(rho, a)
         other = (2.0 * inv_r1, inv_r1, *args[2:])
-        for _ in pair_rate_columns(rho, a, *other, work=work, aggregates=aggregates):
+        for _ in decoder_rate_columns(rho, a, *other, work=work, aggregates=aggregates):
             pass
         shared = [
             c.copy()
-            for c in pair_rate_columns(rho, a, *args, work=work, aggregates=aggregates)
+            for c in decoder_rate_columns(rho, a, *args, work=work, aggregates=aggregates)
         ]
+    assert want.shape == (rho.shape[0], n_users - 1)
     assert np.array_equal(np.column_stack(alone), want)
     assert np.array_equal(np.column_stack(shared), want)
     if limit:

@@ -23,7 +23,6 @@ from mwrnoma import (
     order_stat_moments,
     NumericError,
     SweepPoint,
-    pair_indices,
     sample_moments,
     simulate_asr,
     simulate_sweep,
@@ -117,7 +116,7 @@ class TestDeterminism:
         a = simulate_asr(CFG3, FADING3, ImpairmentProfile.uniform(0.1), tc)
         b = simulate_asr(CFG3, FADING3, ImpairmentProfile.uniform(0.1), tc)
         assert a.total == b.total
-        assert np.array_equal(a.per_pair, b.per_pair)
+        assert np.array_equal(a.per_decoder, b.per_decoder)
 
     def test_different_seed_different_result(self):
         tc1 = TrialConfig(trials=5_000, seed=1)
@@ -142,14 +141,11 @@ class TestStatistics:
         sim = simulate_asr(cfg, FADING3, ImpairmentProfile.ideal(), TrialConfig(5_000, seed=3))
         assert sim.total < 1e-6
 
-    def test_undecodable_pairs_exactly_zero(self):
+    def test_one_mean_per_decoder(self):
         sim = simulate_asr(CFG3, FADING3, ImpairmentProfile.uniform(0.2), TrialConfig(2_000, seed=5))
-        M = CFG3.n_users
-        decodable = {(k, n) for k, n in pair_indices(M)}
-        for k in range(1, M + 1):
-            for n in range(1, M):
-                if (k, n) not in decodable:
-                    assert sim.per_pair[k - 1, n - 1] == 0.0
+        assert sim.per_decoder.shape == (CFG3.n_users - 1,)
+        assert (sim.per_decoder > 0).all()
+        assert sim.total == pytest.approx(sim.per_decoder.sum(), rel=1e-12)
 
     def test_stderr_scales_with_trials(self):
         imp = ImpairmentProfile.ideal()
@@ -244,7 +240,7 @@ SWEEP = [
 
 def whole_array_stats(rates):
     """The oracle of ``_chunk_stats``: the whole-array reduction of one
-    (trials, pairs) chunk of rates."""
+    (trials, decoders) chunk of rates."""
     mean = rates.mean(axis=0)
     totals = rates.sum(axis=1)
     t_mean = totals.mean()
@@ -321,7 +317,7 @@ def assert_same_result(got, want):
     assert got.total == want.total
     assert got.stderr == want.stderr
     assert got.trials == want.trials
-    assert np.array_equal(got.per_pair, want.per_pair)
+    assert np.array_equal(got.per_decoder, want.per_decoder)
 
 
 # ``runs`` repeats a run in one process: each run owns its chunk buffers,
@@ -352,7 +348,7 @@ class TestSweepEngine:
             assert n == got.trials == self.TRIALS
             assert got.total == t_mean
             assert got.stderr == math.sqrt(t_m2 / (n * (n - 1)))
-            assert np.array_equal(got.per_pair[np.tril_indices(4, -1)], mean)
+            assert np.array_equal(got.per_decoder, mean)
 
     @RUNS
     def test_duplicate_points_share_results(self, monkeypatch, runs):
@@ -391,10 +387,10 @@ class TestSweepEngine:
             buffers = _ChunkBuffers(n_users, fading.alpha, count)
             rho = _sample_rho_chunk(fading, 6, chunk, buffers) * fading.path_loss_factors()
             work = np.empty((count, n_users), order="F")
-            columns = _kernels.pair_rate_columns(rho, a, *args, work=work)
+            columns = _kernels.decoder_rate_columns(rho, a, *args, work=work)
             got = _chunk_stats(columns, count, scales)
             rates = _kernels.pair_rate_chunk(rho, a, *args)
-            assert rates.shape == (count, n_users * (n_users - 1) // 2)
+            assert rates.shape == (count, n_users - 1)
             for stats, scale in zip(got, scales):
                 want = whole_array_stats(rates * scale if scale != 1.0 else rates)
                 assert stats[0] == want[0] == count
@@ -454,7 +450,7 @@ class TestSweepEngine:
     def test_numerators_computed_once_per_path_loss_group(
         self, monkeypatch, tmp_path, preset, config, groups
     ):
-        # each path-loss group forms its pair numerators once per chunk, in
+        # each path-loss group forms its numerator terms once per chunk, in
         # the spent uniforms, whatever its number of kernel groups; no
         # Monte Carlo kernel call forms (or allocates) its own
         calls, made = [], []
@@ -534,9 +530,9 @@ class TestTxRxSymmetry:
 
 def nan_kernel(monkeypatch, fading, seed, bad_rows):
     """Kernel columns with NaN at the rows that bad_rows[(inv_r1, chunk)]
-    names: a row of the last pair, or a {pair: row} mapping.  The chunk is
-    recognised by its first sampled row."""
-    original = _kernels.pair_rate_columns
+    names: a row of the last decoder column, or a {column: row} mapping.
+    The chunk is recognised by its first sampled row."""
+    original = _kernels.decoder_rate_columns
     scale = fading.path_loss_factors()
     buffers = _ChunkBuffers(4, fading.alpha, 1)
     firsts = [_sample_rho_chunk(fading, seed, c, buffers)[0] * scale for c in range(3)]
@@ -545,13 +541,13 @@ def nan_kernel(monkeypatch, fading, seed, bad_rows):
         chunk = next((c for c, first in enumerate(firsts) if np.array_equal(rho[0], first)), None)
         cells = bad_rows.get((inv_r1, chunk), {})
         if not isinstance(cells, dict):
-            cells = {len(pair_indices(rho.shape[1])) - 1: cells}
+            cells = {rho.shape[1] - 2: cells}
         for p, col in enumerate(original(rho, a, inv_r1, *args, **kwargs)):
             if p in cells:
                 col[cells[p]] = np.nan
             yield col
 
-    monkeypatch.setattr(_kernels, "pair_rate_columns", patched)
+    monkeypatch.setattr(_kernels, "decoder_rate_columns", patched)
 
 
 class TestSweepErrors:
@@ -602,9 +598,9 @@ class TestSweepErrors:
 
     @RUNS
     def test_earliest_trial_named_across_pairs(self, monkeypatch, runs):
-        # in chunk 1 pair 1 fails at trial 9 and the later pair 4 already
-        # at trial 2; the chunk's earliest bad trial is named
-        nan_kernel(monkeypatch, FADING4, 2, {(1 / 100.0, 1): {1: 9, 4: 2}})
+        # in chunk 1 decoder 2 fails at trial 9 and the later decoder 4
+        # already at trial 2; the chunk's earliest bad trial is named
+        nan_kernel(monkeypatch, FADING4, 2, {(1 / 100.0, 1): {0: 9, 2: 2}})
         tc = TrialConfig(self.TRIALS, seed=2)
         for _ in range(runs):
             with pytest.raises(SweepPointError) as info:

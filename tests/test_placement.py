@@ -183,7 +183,7 @@ class TestSweep:
     def test_monte_carlo_error_names_grid_point(self, monkeypatch):
         from mwrnoma import NumericError, TrialConfig, _kernels
 
-        original = _kernels.pair_rate_columns
+        original = _kernels.decoder_rate_columns
 
         def nan_in_second_chunk(rho, a, *args, **kwargs):
             for p, col in enumerate(original(rho, a, *args, **kwargs)):
@@ -191,7 +191,7 @@ class TestSweep:
                     col[4] = np.nan
                 yield col
 
-        monkeypatch.setattr(_kernels, "pair_rate_columns", nan_in_second_chunk)
+        monkeypatch.setattr(_kernels, "decoder_rate_columns", nan_in_second_chunk)
         geom = Geometry(user_positions=SQUARE, uav_height=10.0)
         with pytest.raises(NumericError) as info:
             sweep_grid(

@@ -24,7 +24,8 @@ from mwrnoma import (
 )
 from mwrnoma._kernels import kernel_args
 from mwrnoma.baseline import scheme_prefactor
-from mwrnoma.rate import asr_rows, pair_indices
+from mwrnoma.rate import asr_rows
+from scalar_oracle import decoder_rates, pair_indices
 
 A3 = (0.5, 0.3, 0.2)
 A4 = (0.5, 0.3, 0.15, 0.05)
@@ -119,7 +120,7 @@ def affine_residual_bounds(moments, cfg, prefactor, r1):
     D = psi[-1] + float(psi @ np.asarray(a)) / cfg.c
     G = psi[-1] * psi[-2] * a[-2] / D
     rate = asr(moments, replace(cfg, r1=r1), prefactor=prefactor).total
-    limits = asr_asymptotic(moments, cfg, prefactor=prefactor).per_pair
+    limits = asr_asymptotic(moments, cfg, prefactor=prefactor).per_decoder
     rounding = 16.0 * np.finfo(np.float64).eps * (
         rate + limits[np.isfinite(limits)].sum()
         + prefactor * (abs(math.log2(r1)) + abs(math.log2(G)))
@@ -140,21 +141,22 @@ SLOW_APPROACH = (
 
 
 class TestPairRates:
-    def test_zero_for_undecodable_pairs(self, setup3):
+    def test_one_rate_per_decoder(self, setup3):
+        # decoder k's entry sums its pair rates at the moment-substituted gains
         _, moments, cfg = setup3
-        nonideal = asr(moments, cfg, ImpairmentProfile.uniform(0.2)).per_pair
-        ideal = asr(moments, cfg).per_pair
-        for k in range(1, 4):
-            for n in range(k, 3):
-                assert nonideal[k - 1, n - 1] == 0.0
-                assert ideal[k - 1, n - 1] == 0.0
+        for imp in (ImpairmentProfile(), ImpairmentProfile.uniform(0.2)):
+            per_decoder = asr(moments, cfg, imp).per_decoder
+            assert per_decoder.shape == (2,)
+            assert list(per_decoder) == pytest.approx(
+                decoder_rates(moments.psi, cfg, imp), rel=1e-12, abs=1e-15
+            )
 
     def test_ideal_equals_nonideal_at_zero_distortion(self, setup3):
         # the ideal transceiver is the all-zero profile, the default
         _, moments, cfg = setup3
-        ideal = asr(moments, cfg).per_pair
-        assert np.array_equal(asr(moments, cfg, ImpairmentProfile.uniform(0.0)).per_pair, ideal)
-        faint = asr(moments, cfg, ImpairmentProfile.uniform(1e-8)).per_pair
+        ideal = asr(moments, cfg).per_decoder
+        assert np.array_equal(asr(moments, cfg, ImpairmentProfile.uniform(0.0)).per_decoder, ideal)
+        faint = asr(moments, cfg, ImpairmentProfile.uniform(1e-8)).per_decoder
         assert np.allclose(faint, ideal, rtol=1e-12, atol=0.0)
 
     def test_two_user_hand_value(self):
@@ -164,8 +166,8 @@ class TestPairRates:
         num = 1.5 * 0.5 * 0.7 * 100.0
         varpi = 10.0 * (0.7 * 0.5 + 0.3 * 1.5)
         expected = 0.5 * math.log2(1.0 + num / (varpi + 1.5 * 10.0 + 1.0))
-        per_pair = asr(moments, cfg).per_pair
-        assert per_pair[1, 0] == pytest.approx(expected, rel=1e-12)
+        per_decoder = asr(moments, cfg).per_decoder
+        assert per_decoder[0] == pytest.approx(expected, rel=1e-12)
 
     def test_vanishing_snr(self, setup3):
         _, moments, cfg = setup3
@@ -202,11 +204,10 @@ class TestPairRates:
         moments = order_stat_moments(fading, 3)
         cfg = NetworkConfig(n_users=3, a=A3, r1=1000.0)
         imp = ImpairmentProfile.uniform(0.2)
+        per_decoder = asr(moments, cfg, imp).per_decoder
         for k in range(2, 4):
-            for n in range(1, k):
-                expected = float(symbolic_rate(k, n).evalf(30))
-                got = asr(moments, cfg, imp).per_pair[k - 1, n - 1]
-                assert got == pytest.approx(expected, rel=1e-12)
+            expected = float(sum(symbolic_rate(k, n) for n in range(1, k)).evalf(30))
+            assert per_decoder[k - 2] == pytest.approx(expected, rel=1e-12)
 
     def test_mismatched_moments_rejected(self, setup3):
         _, moments, _ = setup3
@@ -224,13 +225,13 @@ class TestAsr:
         varpi = 10.0 * (0.7 * 1.0 + 0.3 * 1.5)
         expected = 0.5 * math.log2(1.0 + num / (varpi + 1.5 * 10.0 + 1.0))
         assert result.total == pytest.approx(expected, rel=1e-12)
-        assert result.per_pair.shape == (2, 1)
-        assert result.per_pair[0, 0] == 0.0
+        assert result.per_decoder.shape == (1,)
+        assert result.per_decoder[0] == result.total
 
     def test_total_equals_pair_sum(self, setup3):
         _, moments, cfg = setup3
         result = asr(moments, cfg, ImpairmentProfile.uniform(0.1))
-        assert result.total == pytest.approx(float(result.per_pair.sum()), abs=1e-12)
+        assert result.total == pytest.approx(float(result.per_decoder.sum()), abs=1e-12)
 
     def test_distortion_monotonicity(self, setup3):
         _, moments, cfg = setup3
@@ -257,19 +258,19 @@ class TestAsr:
 
     def test_result_validation(self):
         with pytest.raises(Exception):
-            AsrResult(per_pair=np.array([[1.0]]), total=2.0, provenance="analytical")
+            AsrResult(per_decoder=np.array([1.0]), total=2.0, provenance="analytical")
         with pytest.raises(Exception):
-            AsrResult(per_pair=np.array([[1.0]]), total=1.0, provenance="guesswork")
+            AsrResult(per_decoder=np.array([1.0]), total=1.0, provenance="guesswork")
 
     def test_non_finite_rejected(self):
         with pytest.raises(ConfigurationError):
-            AsrResult(per_pair=[[math.nan]], total=math.nan, provenance="analytical")
+            AsrResult(per_decoder=[math.nan], total=math.nan, provenance="analytical")
         with pytest.raises(ConfigurationError):
-            AsrResult(per_pair=[[1.0]], total=math.nan, provenance="monte-carlo")
+            AsrResult(per_decoder=[1.0], total=math.nan, provenance="monte-carlo")
         with pytest.raises(ConfigurationError):
-            AsrResult(per_pair=[[math.inf]], total=math.inf, provenance="analytical")
+            AsrResult(per_decoder=[math.inf], total=math.inf, provenance="analytical")
         # +inf stays the documented marker of a divergent asymptote
-        limit = AsrResult(per_pair=[[math.inf]], total=math.inf, provenance="asymptotic")
+        limit = AsrResult(per_decoder=[math.inf], total=math.inf, provenance="asymptotic")
         assert math.isinf(limit.total)
 
 
@@ -278,17 +279,18 @@ class TestAsymptotics:
         _, moments, cfg = setup3
         ni = asr_asymptotic(moments, cfg, ImpairmentProfile.uniform(0.0))
         ideal = asr_asymptotic(moments, cfg)
-        finite = np.isfinite(ideal.per_pair)
-        assert np.allclose(ni.per_pair[finite], ideal.per_pair[finite], rtol=1e-12)
-        assert np.array_equal(np.isfinite(ni.per_pair), finite)
+        finite = np.isfinite(ideal.per_decoder)
+        assert np.allclose(ni.per_decoder[finite], ideal.per_decoder[finite], rtol=1e-12)
+        assert np.array_equal(np.isfinite(ni.per_decoder), finite)
 
     def test_empty_interference_pair_diverges(self, setup3):
         _, moments, cfg = setup3
         result = asr_asymptotic(moments, cfg)
-        assert math.isinf(result.per_pair[2, 1])  # k=3 decoding n=2: nothing left
+        # decoder k=3 decoding n=2 has nothing left; decoder 2 is bounded
+        assert math.isinf(result.per_decoder[1]) and math.isfinite(result.per_decoder[0])
         assert math.isinf(result.total)
         assert math.isfinite(asr_affine(moments, cfg)[1])
-        assert any("k=3, n=2" in note for note in result.notes)
+        assert result.notes == ("decoder k=3 has no interference ceiling: asymptote diverges",)
 
     def test_nonideal_asymptote_is_finite_and_reached(self, setup3):
         _, moments, cfg = setup3
@@ -304,7 +306,7 @@ class TestAsymptotics:
         imp = ImpairmentProfile.uniform(0.2)
         result = asr(moments, cfg_at(cfg, 1e200), imp)
         limit = asr_asymptotic(moments, cfg, imp)
-        assert np.all(np.isfinite(result.per_pair))
+        assert np.all(np.isfinite(result.per_decoder))
         assert result.total == pytest.approx(limit.total, rel=1e-9)
 
     def test_pointwise_convergence(self, setup3):
@@ -312,7 +314,7 @@ class TestAsymptotics:
         imp = ImpairmentProfile.uniform(0.15)
         limit = asr_asymptotic(moments, cfg, imp)
         curve = asr(moments, cfg_at(cfg, 1e7), imp)
-        assert np.allclose(curve.per_pair, limit.per_pair, rtol=1e-3)
+        assert np.allclose(curve.per_decoder, limit.per_decoder, rtol=1e-3)
 
 
 class TestClosedFormProperties:
@@ -322,7 +324,7 @@ class TestClosedFormProperties:
         moments, cfg, imp = case
         low = asr(moments, cfg, imp)
         high = asr(moments, cfg_at(cfg, cfg.r1 * 10.0 ** (gain_db / 10.0)), imp)
-        assert np.isfinite(low.per_pair).all() and math.isfinite(low.total)
+        assert np.isfinite(low.per_decoder).all() and math.isfinite(low.total)
         assert math.isfinite(high.total)
         assert high.total >= low.total - 1e-12 * low.total
 
@@ -377,12 +379,12 @@ class TestClosedFormProperties:
         shares = [scheme_prefactor(scheme, cfg.n_users) for _, _, scheme in points]
         psi = np.broadcast_to(moments.psi, (len(points), cfg.n_users))
         args = [kernel_args(c, imp) for c, imp in zip(cfgs, imps)]
-        per_pair, totals, fault = asr_rows(psi, cfg.a, args, shares)
+        per_decoder, totals, fault = asr_rows(psi, cfg.a, args, shares)
         assert fault is None
         for row, (c, imp, share) in enumerate(zip(cfgs, imps, shares)):
             alone = asr(moments, c, imp, share)
             assert totals[row] == alone.total
-            assert np.array_equal(per_pair[row], alone.per_pair)
+            assert np.array_equal(per_decoder[row], alone.per_decoder)
 
     def test_first_faulting_row_named(self, setup3):
         # rows 2 and 4 give NaN rates; the batch names row 2, with the
@@ -391,9 +393,9 @@ class TestClosedFormProperties:
         psi = np.tile(moments.psi, (6, 1))
         psi[[2, 4], 0] = np.nan
         args = [kernel_args(cfg_at(cfg, 10.0**db), ImpairmentProfile()) for db in range(6)]
-        per_pair, totals, fault = asr_rows(psi, cfg.a, args, [0.5, 1 / 3] * 3)
+        per_decoder, totals, fault = asr_rows(psi, cfg.a, args, [0.5, 1 / 3] * 3)
         row, error = fault
-        assert row == 2 and per_pair.shape[0] == totals.shape[0] == 2
+        assert row == 2 and per_decoder.shape[0] == totals.shape[0] == 2
         _, _, (alone_row, alone) = asr_rows(psi[2:3], cfg.a, args[2], 0.5)
         assert alone_row == 0 and isinstance(error, ConfigurationError)
         assert str(error) == str(alone) == "analytical rates must be finite, got total nan"
@@ -410,7 +412,38 @@ SLOW_AFFINE = (
 )
 
 
+# (n_users, a, c, fading alpha, beta, nu, distances, prefactor, profile
+# level) and the (slope, offset, ceiling) that summing the per-pair limits
+# and taking the gain of pair (k=M, n=M-1) gave before the decoder rates
+# telescoped; r1 does not enter
+A8 = (0.35, 0.22, 0.15, 0.1, 0.07, 0.05, 0.04, 0.02)
+AFFINE_CASES = [
+    ((4, A4, 1.0, 2, 3.0, 3.0, (1.0,) * 4, 0.5, 0.0), (0.5, -2.766863306116114, math.inf)),
+    ((8, A8, 1.0, 2, 3.0, 3.0, (1.0,) * 8, 0.5, 0.0), (0.5, -9.104723953193062, math.inf)),
+    (
+        (8, A8, 0.5, 3, 2.0, 2.5, (4.0, 3.5, 3.0, 2.5, 2.0, 1.5, 1.2, 1.0), 0.2, 0.0),
+        (0.2, -2.2201178430317667, math.inf),
+    ),
+    (
+        (5, (0.4, 0.25, 0.17, 0.11, 0.07), 2.0, 1, 0.5, 3.0, (3.0, 2.5, 2.0, 1.5, 1.0), 1 / 3, 0.0),
+        (1 / 3, 4.068654084761067, math.inf),
+    ),
+    ((3, A3, 1.8, 2, 3.0, 3.0, (1.0,) * 3, 0.5, 0.0), (0.5, -1.1701833667574975, math.inf)),
+    ((4, A4, 1.0, 2, 3.0, 3.0, (1.0,) * 4, 0.5, 0.1), (0.0, math.inf, 3.3643578120200273)),
+    ((4, A4, 1.0, 2, 3.0, 3.0, (1.0,) * 4, 1 / 3, 0.1), (0.0, math.inf, 2.2429052080133514)),
+]
+
+
 class TestAffineExpansion:
+    @pytest.mark.parametrize("case, want", AFFINE_CASES)
+    def test_matches_the_per_pair_expansion(self, case, want):
+        M, a, c, alpha, beta, nu, distances, prefactor, kappa = case
+        fading = FadingParams(alpha=alpha, beta=beta, nu=nu, distances=distances)
+        cfg = NetworkConfig(n_users=M, a=a, r1=1.0, c=c)
+        imp = ImpairmentProfile.uniform(kappa)
+        got = asr_affine(order_stat_moments(fading, M), cfg, imp, prefactor)
+        assert got == pytest.approx(want, rel=1e-12)
+
     def test_two_user_hand_value(self):
         # one pair, which diverges: offset = -log2 G
         moments = OrderStatMoments(psi=np.array([0.5, 1.5]), omega=np.array([0.5, 3.5]))
