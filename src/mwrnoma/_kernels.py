@@ -92,32 +92,35 @@ def decoder_rate_columns(rho, a, inv_r1, inv_r2, mac, mix, bc, *, work, aggregat
     a_n rho_n / D_k(n), and D_k(n-1) = D_k(n) + a_n rho_n, so the pair
     rates sum to 1/2 log2(1 + P_k / D_k(k-1)), with the numerator
     P_k = a_1 rho_1 + ... + a_{k-1} rho_{k-1} and the denominator
-    D_k(k-1) = work[:, k-1] + noise_fwd / rho_k.  Where P_k / D overflows
+    D_k(k-1) = work_{k-1} + noise_fwd / rho_k, where work_n =
+    suffix[:, n] + mix * weighted + bc / r1.  Where P_k / D overflows
     (a finite P_k over a tiny D > 0), the entry is 1/2 (log2 P_k - log2 D).
 
     rho: (rows, M) sorted ascending effective gains (sampled gains, or
     order-statistic means, one row per operating point or placement site).
     inv_r1, inv_r2: reciprocal user and relay SNR.  mac, mix, bc: the
     profile's ``distortion_terms``; each a scalar or one value per row.
-    work: a (rows, M) column-major buffer; decoder k's column is
-    ``work[:, k-1]``, valid only until the next one is drawn.  aggregates
-    (``weighted_sums(rho, a)``, whose scratch column this overwrites) are
-    computed here when the caller does not share them.  Decoder M's
-    column is +inf at 1/r1 = 0 without distortion, where its denominator
-    is empty; callers that allow it silence the division warning.
+    work: a (rows, 2) column-major buffer: column 0 holds the running
+    P_k, column 1 each decoder's work_{k-1} and then its rate, so every
+    yielded column is ``work[:, 1]``, valid only until the next one is
+    drawn.  aggregates (``weighted_sums(rho, a)``, whose scratch column
+    this overwrites) are computed here when the caller does not share
+    them.  Decoder M's column is +inf at 1/r1 = 0 without distortion,
+    where its denominator is empty; callers that allow it silence the
+    division warning.
     """
     rho = np.asfortranarray(rho, dtype=np.float64)
     M = rho.shape[1]
     weighted, suffix, terms = weighted_sums(rho, a) if aggregates is None else aggregates
 
     noise_fwd = mac * weighted * inv_r2 + inv_r1 * inv_r2
-    # work[:, n]: what scales with rho_k in the denominator of user n, for
-    # every decoder k: the interference suffix[:, n] left after n,
-    # distortion and the broadcast-hop noise
+    # work_n = suffix[:, n] + shared: what scales with rho_k in the
+    # denominator of user n, for every decoder k: the interference left
+    # after n, distortion and the broadcast-hop noise
     shared = mix * weighted + bc * inv_r1
-    np.add(suffix[:, 1:], shared[:, None], out=work[:, 1:])
 
     den = terms[:, M - 1]
+    out = work[:, 1]
     for k in range(2, M + 1):
         # P_k, summed upward in work[:, 0]; P_M is suffix[:, 0]
         if k == M:
@@ -130,9 +133,8 @@ def decoder_rate_columns(rho, a, inv_r1, inv_r2, mac, mix, bc, *, work, aggregat
         # limit) sends noise_fwd / rho_k to inf, the decoder's rate to 0
         with np.errstate(over="ignore", divide="ignore"):
             np.divide(noise_fwd, rho[:, k - 1], out=den)
-        # D = work[:, k-1] + noise_fwd / rho_k; the rate then takes the
-        # place of work[:, k-1], which no later decoder reads
-        out = work[:, k - 1]
+        # D = work_{k-1} + noise_fwd / rho_k; the rate then takes its place
+        np.add(suffix[:, k - 1], shared, out=out)
         np.add(out, den, out=den)
         overflow = None
         try:
@@ -168,7 +170,7 @@ def pair_rate_chunk(rho, a, *args):
     k-2, 1/2-prefactored."""
     n_rows, M = np.shape(rho)
     rates = np.empty((n_rows, M - 1), order="F")
-    work = np.empty((n_rows, M), order="F")
+    work = np.empty((n_rows, 2), order="F")
     for p, column in enumerate(decoder_rate_columns(rho, a, *args, work=work)):
         rates[:, p] = column
     return rates

@@ -10,10 +10,12 @@ Two independent routes to the per-position moments are provided:
 * ``order_stat_moment_rows``: exact closed forms.  The CDF power
   F^(i-1) is binomially expanded, the Erlang survival-function power is
   expanded as a polynomial in x with integer coefficients, and every term
-  reduces to a Gamma integral.  All coefficients are rational, so the
-  unscaled moments are evaluated in exact rational arithmetic once per
-  (alpha, M) and scaled by path loss for any number of distance rows at
-  once; ``order_stat_moments`` reads one row.
+  reduces to a Gamma integral that depends on the position only through
+  the survival power, so the M positions share M integrals per moment
+  order.  All coefficients are rational, so the unscaled moments are
+  evaluated in exact rational arithmetic once per (alpha, M) and scaled
+  by path loss for any number of distance rows at once;
+  ``order_stat_moments`` reads one row.
 * ``moment_oracle``: adaptive quadrature of x^p times the order-statistic
   density, sharing no code with the expansion above.
 """
@@ -40,7 +42,8 @@ __all__ = [
 
 
 # largest fading shape: the exact moments' cost grows steeply with alpha
-# (a cold analytical fig2a takes about 1 s at 400 and 7.5 s at 1000)
+# (a cold analytical fig2a takes about 0.3 s at 400; its moment table alone
+# takes about 2 s at 1000)
 MAX_ALPHA = 400
 
 
@@ -183,31 +186,45 @@ def _survival_powers(alpha: int, n_users: int) -> tuple[tuple[int, ...], ...]:
     return tuple(powers)
 
 
-def _unscaled_moment(alpha: int, n_users: int, i: int, p: int) -> Fraction:
-    """p-th moment of the i-th ascending order statistic of M i.i.d.
+def _gamma_integral(alpha: int, n_users: int, big_n: int, p: int) -> Fraction:
+    """The integral of x^p f(x) S(x)^N over x > 0, times (alpha-1)!, for
+    the Gamma(alpha, 1) density f and survival function S, as an exact
+    rational.
+
+    It depends on the order position only through N, so a table of the
+    M positions' moments of order p evaluates it M times, N = 0 .. M-1,
+    and every position reads those values.
+    """
+    coeffs = _survival_powers(alpha, n_users)[big_n]
+    # sum_k coeffs[k] (alpha-1+p+k)! / (N+1)^(alpha+p+k), the Gamma
+    # integral of each power of x, over the common denominator
+    # (N+1)^(alpha+p+K); Horner's rule supplies the (N+1)^(K-k)
+    numerator, fact = 0, math.factorial(alpha - 2 + p)
+    for k, c in enumerate(coeffs):
+        fact *= alpha - 1 + p + k
+        numerator = numerator * (big_n + 1) + c * fact
+    denominator = math.factorial(alpha - 1) ** big_n * (big_n + 1) ** (
+        alpha + p + len(coeffs) - 1
+    )
+    return Fraction(numerator, denominator)
+
+
+def _unscaled_moment(alpha: int, n_users: int, i: int, integrals) -> Fraction:
+    """Moment of the i-th ascending order statistic of M i.i.d.
     Gamma(alpha, 1) variates, as an exact rational.
 
-    The scale enters the final moment only as beta^p, so it is applied by
-    the callers; everything here is rational.
+    The binomial expansion of F^(i-1) = (1 - S)^(i-1) leaves one
+    ``_gamma_integral`` per term, at N = n + M - i; integrals holds their
+    values for N = 0 .. M-1 at the moment's order p.  The scale enters
+    the final moment only as beta^p, so it is applied by the callers;
+    everything here is rational.
     """
     M, m = n_users, i
     prefactor = Fraction(math.factorial(M), math.factorial(m - 1) * math.factorial(M - m))
     total = Fraction(0)
     for n in range(m):
-        big_n = n + M - m
-        coeffs = _survival_powers(alpha, M)[big_n]
-        # sum_k coeffs[k] (alpha-1+p+k)! / (N+1)^(alpha+p+k), the Gamma
-        # integral of each power of x, over the common denominator
-        # (N+1)^(alpha+p+K); Horner's rule supplies the (N+1)^(K-k)
-        numerator, fact = 0, math.factorial(alpha - 2 + p)
-        for k, c in enumerate(coeffs):
-            fact *= alpha - 1 + p + k
-            numerator = numerator * (big_n + 1) + c * fact
-        denominator = math.factorial(alpha - 1) ** big_n * (big_n + 1) ** (
-            alpha + p + len(coeffs) - 1
-        )
         sign = -1 if n % 2 else 1
-        total += sign * math.comb(m - 1, n) * Fraction(numerator, denominator)
+        total += sign * math.comb(m - 1, n) * integrals[n + M - m]
     return prefactor * total / math.factorial(alpha - 1)
 
 
@@ -244,14 +261,22 @@ def _path_loss_scale(distances, nu: float) -> np.ndarray:
 def _unscaled_table(alpha: int, n_users: int) -> tuple[tuple[Fraction, ...], ...]:
     """Unscaled first and second moments of all M order positions.
 
-    The self-check runs once per (alpha, M): the unscaled means of
-    ascending order statistics must ascend.
+    The positions share each moment order's M ``_gamma_integral`` values,
+    which are dropped once the table is built.  The self-check runs once
+    per (alpha, M): the unscaled means of ascending order statistics must
+    ascend.
     """
-    positions = range(1, n_users + 1)
-    means = tuple(_unscaled_moment(alpha, n_users, i, 1) for i in positions)
+
+    def moments(p):
+        integrals = [_gamma_integral(alpha, n_users, big_n, p) for big_n in range(n_users)]
+        return tuple(
+            _unscaled_moment(alpha, n_users, i, integrals) for i in range(1, n_users + 1)
+        )
+
+    means = moments(1)
     if any(b < a for a, b in zip(means, means[1:])):
         raise NumericError("order-statistic means are not ascending; expansion is broken")
-    return means, tuple(_unscaled_moment(alpha, n_users, i, 2) for i in positions)
+    return means, moments(2)
 
 
 def _first_moment_fault(psi: np.ndarray, omega: np.ndarray):

@@ -32,10 +32,13 @@ columns per kernel call.  A trial's total adds its decoder rates left to
 right; the means per decoder, and the mean and M2 (sum of squared
 deviations) of the totals, are numpy's pairwise sums along the chunk's
 trials, so the bits are those of a whole-array reduction.
-The chunk loop fills the same uniforms, gains, path-loss-scaled gains,
-interference sums and kernel work columns for every full chunk, so a run
-allocates its chunk-sized arrays once, plus once more for a short last
-chunk.
+A chunk draws, transforms and sorts its gains in blocks of at most
+``UNIFORM_BLOCK`` uniforms (or of one trial, if a trial needs more), so
+its memory does not grow with the fading shape alpha.  The chunk loop
+fills the same blocks, gains, path-loss-scaled gains, numerator terms,
+interference sums and kernel work columns for every chunk, so a run
+allocates its arrays once; a short last chunk uses the leading part of
+the same memory.
 
 Importing this module does not load ``numpy.random``, so a closed-form
 run, which draws nothing, does not pay for it: ``numpy.random`` (and the
@@ -44,6 +47,7 @@ OpenSSL library it pulls in) loads at the first chunk's draw.
 
 from __future__ import annotations
 
+import copy
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -70,6 +74,10 @@ __all__ = [
 # trials per chunk stream; fixed so that chunk boundaries (and
 # therefore accumulation order) depend only on the trial count
 CHUNK_TRIALS = 8192
+
+# uniforms drawn per block of a chunk (256 KB); a block holds the whole
+# trials that fit, and at least one
+UNIFORM_BLOCK = 2**15
 
 _SEED_MAX = 2**64
 
@@ -99,26 +107,39 @@ def _chunk_stream(seed: int, chunk_index: int) -> np.random.Generator:
 class _ChunkBuffers:
     """The arrays of one chunk of ``count`` trials at M users.
 
-    The chunk loop (``_chunks``) keeps one set and refills it for
-    every chunk of the same size.  At M = 8 they hold several MB, and
-    allocating them per chunk made the allocator hand the pages back to
-    the OS at the end of each chunk and fault them in again for the next.
-    The uniforms and the unsorted draws are spent once the sorted gains
-    are copied out, so the draws hold the kernel's work columns, and the
-    first count * M of the count * M * alpha uniforms the numerator terms
-    and scratch column of ``_kernels.weighted_sums``.
+    The chunk loop (``_chunks``) keeps one set and refills it for every
+    chunk.  At M = 8 they hold a few MB, and allocating them per chunk
+    made the allocator hand the pages back to the OS at the end of each
+    chunk and fault them in again for the next.  ``uniforms`` and
+    ``draws`` hold one block of ``block`` trials, M * alpha uniforms and
+    M unsorted gains each; ``gains``, ``rho``, ``suffix`` and ``terms``
+    are column-major (count, M) arrays, and ``work`` is the kernel's
+    (count, 2) column-major work array.
     """
 
     def __init__(self, n_users: int, alpha: int, count: int):
         self.count = count
-        self.uniforms = np.empty((count, n_users, alpha))
-        self.draws = np.empty((count, n_users))
-        self.gains = np.empty((count, n_users), order="F")
-        self.rho = np.empty((count, n_users), order="F")
-        self.suffix = np.empty((count, n_users), order="F")
-        self.work = self.draws.reshape(-1).reshape((count, n_users), order="F")
-        spent = self.uniforms.reshape(-1)[: count * n_users]
-        self.terms = spent.reshape((count, n_users), order="F")
+        self.block = max(1, min(count, UNIFORM_BLOCK // (n_users * alpha)))
+        self.uniforms = np.empty((self.block, n_users, alpha))
+        self.draws = np.empty((self.block, n_users))
+        self.gains, self.rho, self.suffix, self.terms = (
+            np.empty((count, n_users), order="F") for _ in range(4)
+        )
+        self.work = np.empty((count, 2), order="F")
+
+    def head(self, count: int) -> _ChunkBuffers:
+        """Buffers for ``count`` <= ``self.count`` trials in the leading
+        part of this set's memory, each chunk array column-major and
+        contiguous like the full set's, so the kernel copies none of
+        them."""
+        view = copy.copy(self)
+        view.count, view.block = count, min(self.block, count)
+        for name in ("gains", "rho", "suffix", "terms", "work"):
+            full = getattr(self, name)
+            columns = full.shape[1]
+            flat = full.reshape(-1, order="F")[: count * columns]
+            setattr(view, name, flat.reshape((count, columns), order="F"))
+        return view
 
 
 def _sample_rho_chunk(
@@ -129,15 +150,22 @@ def _sample_rho_chunk(
 
     Each trial consumes exactly M * alpha uniforms laid out contiguously,
     so a shorter final chunk reproduces the same per-trial variates.  The
-    gains are returned column-major, one contiguous column per position,
-    in ``buffers.gains``, which the next draw into the same buffers
+    uniforms are drawn, transformed and sorted ``buffers.block`` trials at
+    a time; the stream fills them in order, and every step is row-local,
+    so the gains do not depend on the block size.  The gains are returned
+    column-major, one contiguous column per position, in
+    ``buffers.gains``, which the next draw into the same buffers
     overwrites.
     """
-    u = _chunk_stream(seed, chunk_index).random(out=buffers.uniforms)
-    h = gamma_from_uniforms(u, fading.beta, buffers.draws)
-    h.sort(axis=1)
-    np.copyto(buffers.gains, h)
-    return buffers.gains
+    stream = _chunk_stream(seed, chunk_index)
+    gains = buffers.gains
+    for start in range(0, buffers.count, buffers.block):
+        rows = min(buffers.block, buffers.count - start)
+        u = stream.random(out=buffers.uniforms[:rows])
+        h = gamma_from_uniforms(u, fading.beta, buffers.draws[:rows])
+        h.sort(axis=1)
+        gains[start : start + rows] = h
+    return gains
 
 
 def _mean_m2(x):
@@ -237,15 +265,15 @@ def _sweep_plan(points):
 
 
 def _chunks(trials: int, n_users: int, alpha: int):
-    """``(chunk_index, buffers)`` of every chunk, in chunk order.  The full
-    chunks share one ``_ChunkBuffers``; a short last chunk gets its own."""
+    """``(chunk_index, buffers)`` of every chunk, in chunk order.  Every
+    chunk shares one ``_ChunkBuffers``; a short last chunk takes its
+    ``head``."""
     full, rest = divmod(trials, CHUNK_TRIALS)
-    if full:
-        buffers = _ChunkBuffers(n_users, alpha, CHUNK_TRIALS)
-        for c in range(full):
-            yield c, buffers
+    buffers = _ChunkBuffers(n_users, alpha, min(trials, CHUNK_TRIALS))
+    for c in range(full):
+        yield c, buffers
     if rest:
-        yield full, _ChunkBuffers(n_users, alpha, rest)
+        yield full, buffers.head(rest)
 
 
 def _merge_parts(parts, n_points: int):

@@ -19,11 +19,12 @@ from mwrnoma import (
     moment_oracle,
     order_stat_moments,
 )
+from mwrnoma import channel
 from mwrnoma.channel import (
     MAX_ALPHA,
+    _gamma_integral,
     _pow_each,
     _survival_powers,
-    _unscaled_moment,
     _unscaled_table,
     order_stat_moment_rows,
 )
@@ -78,7 +79,7 @@ class TestClosedFormTrivial:
         psi, omega, fault = order_stat_moment_rows(p, d)
         assert fault is None
         for power, table in ((1, psi), (2, omega)):
-            unscaled = [float(_unscaled_moment(2, 4, i, power)) * 3.0**power for i in range(1, 5)]
+            unscaled = [float(q) * 3.0**power for q in _unscaled_table(2, 4)[power - 1]]
             expected = [
                 [u / (1.0 + dist**3.0) ** power for u, dist in zip(unscaled, row)]
                 for row in d.tolist()
@@ -168,9 +169,26 @@ class TestExpansion:
     def test_power_series_equals_composition_sum(self, alpha, n_users):
         for i in range(1, n_users + 1):
             for p in (1, 2):
-                assert _unscaled_moment(alpha, n_users, i, p) == enumerated_moment(
+                assert _unscaled_table(alpha, n_users)[p - 1][i - 1] == enumerated_moment(
                     alpha, n_users, i, p
                 )
+
+    @pytest.mark.parametrize("alpha, n_users", [(1, 1), (2, 8), (50, 16)])
+    def test_positions_share_the_integrals(self, monkeypatch, alpha, n_users):
+        # the Gamma integral depends on the position only through N, so a
+        # table of M positions evaluates it M times per moment order, once
+        # for each N = 0 .. M-1, not once per term
+        evaluated = []
+
+        def counted(*args):
+            evaluated.append(args)
+            return _gamma_integral(*args)
+
+        monkeypatch.setattr(channel, "_gamma_integral", counted)
+        _unscaled_table.__wrapped__(alpha, n_users)
+        assert sorted(evaluated) == [
+            (alpha, n_users, big_n, p) for big_n in range(n_users) for p in (1, 2)
+        ]
 
     def test_large_alpha_is_fast(self):
         # the composition sum takes about half a minute here

@@ -225,7 +225,7 @@ def test_hoisted_terms_keep_the_bits(n_users, seed, snr_db, kappas, limit):
     imp = ImpairmentProfile(*(0.0 if limit else k for k in kappas))
     inv_r1 = 0.0 if limit else 10.0 ** (-snr_db / 10.0)
     args = (inv_r1, inv_r1 / 2.0, *distortion_terms(imp))
-    work = np.empty((rho.shape[0], n_users), order="F")
+    work = np.empty((rho.shape[0], 2), order="F")
     with np.errstate(divide="ignore"):
         want = np.column_stack(list(unhoisted_columns(rho, a, *args)))
         alone = [c.copy() for c in decoder_rate_columns(rho, a, *args, work=work)]

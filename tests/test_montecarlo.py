@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -87,13 +88,11 @@ class TestStreams:
         # each sorted position is one contiguous column of the chunk
         assert full.shape == (100, 3) and full.flags.f_contiguous
 
-    @pytest.mark.parametrize(
-        "extra, sizes", [(0, [CHUNK_TRIALS]), (37, [CHUNK_TRIALS, 37])], ids=["full", "short-last"]
-    )
+    @pytest.mark.parametrize("extra", [0, 37], ids=["full", "short-last"])
     @pytest.mark.parametrize("engine", ["sweep", "moments"])
-    def test_buffers_allocated_once_per_chunk_size(self, monkeypatch, engine, extra, sizes):
-        # the full chunks share one set of buffers; a short last chunk gets
-        # the only other one
+    def test_buffers_allocated_once_per_chunk_size(self, monkeypatch, engine, extra):
+        # every chunk shares one set of buffers; a short last chunk takes
+        # the leading part of its memory instead of a second set
         made = []
 
         class Recorded(_ChunkBuffers):
@@ -107,7 +106,7 @@ class TestStreams:
             simulate_sweep([SweepPoint(CFG3, FADING3, ImpairmentProfile.ideal())], tc)
         else:
             sample_moments(FADING3, tc)
-        assert made == sizes
+        assert made == [CHUNK_TRIALS]
 
 
 class TestDeterminism:
@@ -386,7 +385,7 @@ class TestSweepEngine:
         for chunk, count in ((0, CHUNK_TRIALS), (1, 777)):
             buffers = _ChunkBuffers(n_users, fading.alpha, count)
             rho = _sample_rho_chunk(fading, 6, chunk, buffers) * fading.path_loss_factors()
-            work = np.empty((count, n_users), order="F")
+            work = np.empty((count, 2), order="F")
             columns = _kernels.decoder_rate_columns(rho, a, *args, work=work)
             got = _chunk_stats(columns, count, scales)
             rates = _kernels.pair_rate_chunk(rho, a, *args)
@@ -451,8 +450,8 @@ class TestSweepEngine:
         self, monkeypatch, tmp_path, preset, config, groups
     ):
         # each path-loss group forms its numerator terms once per chunk, in
-        # the spent uniforms, whatever its number of kernel groups; no
-        # Monte Carlo kernel call forms (or allocates) its own
+        # the run's one set of chunk buffers, whatever its number of kernel
+        # groups; no Monte Carlo kernel call forms (or allocates) its own
         calls, made = [], []
         original = _kernels.weighted_sums
 
@@ -460,8 +459,7 @@ class TestSweepEngine:
             aggregates = original(rho, a, **kwargs)
             if rho.shape[0] in (CHUNK_TRIALS, 123):  # a chunk, not the closed form
                 calls.append((rho.shape[0], kwargs.get("terms") is not None))
-                uniforms = made[-1].uniforms if rho.shape[0] == 123 else made[0].uniforms
-                assert np.shares_memory(aggregates[2], uniforms)
+                assert np.shares_memory(aggregates[2], made[0].terms)
             return aggregates
 
         class Recorded(_ChunkBuffers):
@@ -479,7 +477,7 @@ class TestSweepEngine:
             path.write_text(json.dumps(config))
             argv += ["--config", str(path)]
         assert main(argv) == 0
-        assert [b.count for b in made] == [CHUNK_TRIALS, 123]
+        assert [b.count for b in made] == [CHUNK_TRIALS]
         sizes = [CHUNK_TRIALS] * 2 * groups + [123] * groups
         assert calls == [(size, True) for size in sizes]
 
@@ -653,3 +651,63 @@ class TestSampleMoments:
         x = np.stack([rho, rho**2])
         np.testing.assert_allclose(mean, x.mean(axis=1), rtol=1e-12)
         np.testing.assert_allclose(stderr, x.std(axis=1, ddof=1) / math.sqrt(trials), rtol=1e-10)
+
+
+class TestBlocks:
+    """A chunk draws, transforms and sorts its gains in blocks of about
+    ``UNIFORM_BLOCK`` uniforms; where the blocks end changes no bit."""
+
+    # a full chunk and a short last one
+    TRIALS = CHUNK_TRIALS + 123
+
+    @staticmethod
+    def run(points, fading):
+        tc = TrialConfig(TestBlocks.TRIALS, seed=23)
+        return simulate_sweep(points, tc), sample_moments(fading, tc)
+
+    # below 8 uniforms per gain the Gamma transform adds them in a slice
+    # loop, from 8 on numpy sums them pairwise
+    @pytest.mark.parametrize("alpha", [2, 9])
+    @pytest.mark.parametrize(
+        "block_trials",
+        [1, 3001, 2 * CHUNK_TRIALS],
+        ids=["one-trial", "non-divisor", "beyond-chunk"],
+    )
+    def test_block_size_changes_no_bit(self, monkeypatch, alpha, block_trials):
+        points = [replace(p, fading=replace(p.fading, alpha=alpha)) for p in SWEEP]
+        fading = points[0].fading
+        want_rates, want_moments = self.run(points, fading)
+        made = []
+
+        class Recorded(_ChunkBuffers):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self.block)
+
+        monkeypatch.setattr(montecarlo, "_ChunkBuffers", Recorded)
+        monkeypatch.setattr(montecarlo, "UNIFORM_BLOCK", block_trials * 4 * alpha)
+        got_rates, got_moments = self.run(points, fading)
+        assert made == [min(block_trials, CHUNK_TRIALS)] * 2
+        for got, want in zip(got_rates, want_rates):
+            assert_same_result(got, want)
+        for got, want in zip(got_moments, want_moments):
+            assert np.array_equal(got, want)
+
+    def test_memory_does_not_grow_with_the_fading_shape(self):
+        # at alpha = 400 a whole chunk's uniforms would take 105 MB; a
+        # block's take at most 8 * UNIFORM_BLOCK bytes at any shape
+        def peak(alpha):
+            fading = replace(FAR4, alpha=alpha)
+            point = SweepPoint(CFG4, fading, ImpairmentProfile.uniform(0.1))
+            tc = TrialConfig(self.TRIALS, seed=5)
+            tracemalloc.start()
+            try:
+                simulate_sweep([point], tc)
+                sample_moments(fading, tc)
+                _, top = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return top
+
+        peak(2)  # load numpy.random
+        assert peak(400) <= peak(2) + 8 * montecarlo.UNIFORM_BLOCK
