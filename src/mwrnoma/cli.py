@@ -58,7 +58,8 @@ CONFIG_KEYS = _keys(
     fading=_keys("alpha", "beta", "nu", "distances"),
     impairments=_keys(*_LEVELS, variants={"*": _LEVELS}),
     geometry=_keys("users", "height"),
-    # workers: read by earlier versions; runs are single-threaded
+    # workers: runs are single-threaded and ignore it; still accepted
+    # because the benchmark's mc_point_m8 config (perfbench/run.py) writes it
     trials=_keys("trials", "seed", "workers"),
     experiment=_keys(
         "kind",

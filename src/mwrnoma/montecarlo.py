@@ -10,15 +10,15 @@ after another on the calling thread.
 One engine, ``simulate_sweep``, serves every sweep: chunks run in the
 outer loop and sweep points in the inner loop.  Each chunk draws and
 sorts its Gamma gains once; every point then applies its own path loss,
-SNR, distortion profile and prefactor to those gains (common random
-numbers) and reduces them to per-point chunk statistics.  Each point's
-statistics merge in chunk order, exactly as a one-point run merges them,
-so a point's result does not depend on which other points share the
-run.  The kernel sees a profile only through its three distortion terms
-(``_kernels.distortion_terms``), so points with equal path loss, SNR and
-terms share one kernel call per chunk, and those that also share the
-prefactor share their chunk statistics: transmitter-only and
-receiver-only distortion of one level cost one evaluation.
+SNR and distortion profile to those gains (common random numbers) and
+reduces its two-slot rates to chunk statistics; its time share scales
+the finished result.  Each point's statistics merge in chunk order, as a
+one-point run merges them, so a point's result does not depend on which
+other points share the run.  The kernel sees a profile only through its
+three distortion terms (``_kernels.distortion_terms``), so points with
+equal path loss, SNR and terms, whatever their scheme, share one kernel
+call and their chunk statistics: transmitter-only and receiver-only
+distortion of one level cost one evaluation.
 Only per-point statistics outlive a chunk.  ``sample_moments`` runs the
 same chunks and reduces the sorted, path-loss-scaled gains and their
 squares instead of rates.
@@ -59,7 +59,7 @@ import numpy as np
 from . import _kernels
 from .channel import FadingParams, gamma_from_uniforms
 from .errors import ConfigurationError, NumericError, SweepPointError
-from .rate import AsrResult
+from .rate import AsrResult, _time_share
 from .signal import ImpairmentProfile, NetworkConfig
 
 __all__ = [
@@ -177,41 +177,34 @@ def _mean_m2(x):
     return mean, np.add.reduce(x)
 
 
-def _chunk_stats(columns, count: int, scales=(1.0,)):
+def _chunk_stats(columns, count: int):
     """Reduce a chunk's columns, each as it arrives, to chunk statistics.
 
     columns: (count,) arrays, each valid only until the next is drawn.
-    For each scale, the columns times that scale get their means, and the
-    per-trial totals (which add the columns left to right) their
-    ``_mean_m2``.  Returns one ``(n, t_mean, t_m2, means)`` per scale, or,
-    if any column holds a non-finite value, the chunk's first trial that
-    does (an int).
+    The columns get their means, and the per-trial totals (which add the
+    columns left to right) their ``_mean_m2``.  Returns ``(n, t_mean,
+    t_m2, means)``, or, if any column holds a non-finite value, the
+    chunk's earliest trial that does in any column (an int).
 
     A column's sum is non-finite exactly when one of its values is: a
     finite decoder rate is below 1/2 (1024 + 1074) < 1050 (log2 of the
     largest double over the smallest), so a chunk's finite rates cannot
     overflow their sum.  Only a non-finite column is searched.
     """
-    scaled = np.empty(count) if any(scale != 1.0 for scale in scales) else None
-    totals = [np.zeros(count) for _ in scales]
-    means: list = [[] for _ in scales]
+    totals = np.zeros(count)
+    means = []
     bad = count
     for col in columns:
-        for s, scale in enumerate(scales):
-            x = col if scale == 1.0 else np.multiply(col, scale, out=scaled)
-            mean = np.add.reduce(x) / count
-            if not math.isfinite(mean):
-                bad = min(bad, int(np.argmin(np.isfinite(x))))
-                break
-            totals[s] += x
-            means[s].append(mean)
+        mean = np.add.reduce(col) / count
+        if not math.isfinite(mean):
+            bad = min(bad, int(np.argmin(np.isfinite(col))))
+            continue
+        totals += col
+        means.append(mean)
     if bad < count:
         return bad
-    out = []
-    for t, mean in zip(totals, means):
-        t_mean, t_m2 = _mean_m2(t)
-        out.append((count, float(t_mean), float(t_m2), np.array(mean)))
-    return out
+    t_mean, t_m2 = _mean_m2(totals)
+    return count, float(t_mean), float(t_m2), np.array(means)
 
 
 def _merge_stats(left, right):
@@ -231,7 +224,8 @@ class SweepPoint:
 
     cfg: user count, power split and SNR.  fading: fading law and the
     per-position path loss.  imp: distortion profile.  prefactor: time
-    share of each pair rate (1/2 for the two-slot exchange).
+    share of each pair rate (1/2 for the two-slot exchange), applied to
+    the finished result.
     """
 
     cfg: NetworkConfig
@@ -241,15 +235,14 @@ class SweepPoint:
 
 
 def _sweep_plan(points):
-    """Group the points by path-loss vector, then by kernel arguments,
-    then by prefactor.
+    """Group the points by path-loss vector, then by kernel arguments.
 
     The kernel arguments are the computed floats (1/r1, 1/r2, mac, mix,
     bc), so points whose distortion profiles differ but whose
     ``_kernels.distortion_terms`` are bit-equal fall in one group.  Points
     in one path-loss group share the scaled gains and their aggregates,
-    numerator terms included; points in one kernel group share the kernel
-    call; points that also share the prefactor share the chunk statistics.
+    numerator terms included; points in one kernel group, whatever their
+    prefactor, share the kernel call and the chunk statistics.
     """
     groups: dict = {}
     for i, p in enumerate(points):
@@ -259,8 +252,7 @@ def _sweep_plan(points):
             raise SweepPointError(i, str(exc)) from exc
         args = _kernels.kernel_args(p.cfg, p.imp)
         kernels = groups.setdefault(factors.tobytes(), (factors, {}))[1]
-        # kernel output carries the 1/2 prefactor
-        kernels.setdefault(args, {}).setdefault(p.prefactor / 0.5, []).append(i)
+        kernels.setdefault(args, []).append(i)
     return list(groups.values())
 
 
@@ -292,13 +284,14 @@ def _merge_parts(parts, n_points: int):
     return stats, bad_trial
 
 
-def _result(stats) -> AsrResult:
+def _result(stats, prefactor: float) -> AsrResult:
     n, t_mean, t_m2, mean = stats
+    stderr = math.sqrt(t_m2 / (n * (n - 1)))
     return AsrResult(
-        per_decoder=mean,
-        total=t_mean,
+        per_decoder=_time_share(prefactor, mean),
+        total=float(_time_share(prefactor, t_mean)),
         provenance="monte-carlo",
-        stderr=math.sqrt(t_m2 / (n * (n - 1))),
+        stderr=float(_time_share(prefactor, stderr)),
         trials=n,
     )
 
@@ -308,9 +301,9 @@ def simulate_sweep(points: Sequence[SweepPoint], tc: TrialConfig) -> list[AsrRes
 
     Chunk outer, point inner: each chunk samples and sorts its gains once,
     then every point scales them by its path loss, evaluates the kernel
-    at its (r1, distortion profile) and prefactor, and reduces to chunk
-    statistics.  Each point's statistics merge in chunk order, so every
-    result is bit-identical to a one-point run.
+    at its (r1, distortion profile) and reduces to chunk statistics.  Each
+    point's statistics merge in chunk order, then take its prefactor, so
+    every result is bit-identical to a one-point run.
 
     The points must share the user count, power split and fading law
     (they may differ in path loss).  A non-finite rate raises
@@ -339,22 +332,20 @@ def simulate_sweep(points: Sequence[SweepPoint], tc: TrialConfig) -> list[AsrRes
     def run_chunk(chunk_index: int, buffers: _ChunkBuffers):
         """Per-point chunk statistics, or the first bad trial of a point."""
         start = chunk_index * CHUNK_TRIALS
-        count = buffers.count
         h = _sample_rho_chunk(first.fading, tc.seed, chunk_index, buffers)
         out: list = [None] * len(points)
         for factors, kernels in plan:
             rho = np.multiply(h, factors, out=buffers.rho)
             aggregates = _kernels.weighted_sums(rho, a, out=buffers.suffix, terms=buffers.terms)
-            for args, scales in kernels.items():
+            for args, members in kernels.items():
                 columns = _kernels.decoder_rate_columns(
                     rho, a, *args, work=buffers.work, aggregates=aggregates
                 )
-                parts = _chunk_stats(columns, count, tuple(scales))
-                if isinstance(parts, int):
-                    parts = [start + parts] * len(scales)
-                for part, members in zip(parts, scales.values()):
-                    for i in members:
-                        out[i] = part
+                part = _chunk_stats(columns, buffers.count)
+                if isinstance(part, int):
+                    part += start
+                for i in members:
+                    out[i] = part
         return out
 
     chunks = starmap(run_chunk, _chunks(tc.trials, M, first.fading.alpha))
@@ -362,7 +353,7 @@ def simulate_sweep(points: Sequence[SweepPoint], tc: TrialConfig) -> list[AsrRes
     for i, trial in enumerate(bad_trial):
         if trial is not None:
             raise SweepPointError(i, f"non-finite rate in trial {trial}", trial)
-    return [_result(s) for s in stats]
+    return [_result(s, p.prefactor) for s, p in zip(stats, points)]
 
 
 def simulate_asr(

@@ -14,12 +14,10 @@ once (``channel.order_stat_moment_rows``) and one kernel call gives every
 decoder rate, so a surface holds one block's intermediates and its totals,
 whatever the grid's size.  The Monte Carlo surface is one sweep with a
 point per site (``montecarlo.simulate_sweep``).  The NOMA and OMA surfaces
-differ only in the prefactor of each pair rate, so ``sweep_surfaces``
-evaluates every scheme of a surface in one pass: the schemes share the
-site distances, the closed-form moments and the kernel's decoder rates, each
-rescaling the same rates to its own totals, or one Monte Carlo sweep
-whose schemes share the draws and kernel calls and differ only in a
-scaled reduction.  Both engines use the one path-loss formula 1 + d^nu,
+differ only in the time share of each pair rate, so ``sweep_surfaces``
+evaluates one surface of two-slot totals, on either engine, and each
+scheme's surface is those totals at its share (``rate._time_share``).
+Both engines use the one path-loss formula 1 + d^nu,
 computed per entry, and a row-local kernel, so each site gets the same
 bits as a one-site evaluation, in any block.  A failure, a path loss that
 overflows included, names the first failing site in row-major order
@@ -38,7 +36,7 @@ from .baseline import scheme_prefactor
 from .channel import FadingParams, order_stat_moment_rows
 from .errors import ConfigurationError, NumericError, SweepPointError
 from .montecarlo import SweepPoint, TrialConfig, simulate_sweep
-from .rate import _decoder_rates, _finish_rows
+from .rate import _decoder_rates, _finish_rows, _time_share
 from .signal import ImpairmentProfile, NetworkConfig
 
 __all__ = [
@@ -205,14 +203,11 @@ def sweep_surfaces(
 
     The template's relay position and distances are replaced by each
     site's; ``imp`` defaults to the distortion-free profile.  The schemes
-    differ only in the prefactor, so they share the site distances and
-    either the closed-form moments and decoder rates (analytical engine, in
-    blocks of whole grid rows, each scheme's totals written into its
-    surface) or the draws and kernel calls (Monte Carlo engine, one sweep
-    with a point per scheme and site, scheme-major).  A failure names the
-    first failing site in row-major order, of the first scheme that fails;
-    in the closed form a rate fault is the same for every scheme, which
-    only rescales the rates by a finite positive factor.
+    differ only in the time share, so one evaluation of the two-slot
+    totals serves them all (analytical engine: in blocks of whole grid
+    rows; Monte Carlo engine: one sweep with a point per site), and each
+    scheme's surface is those totals at its share.  A failure names the
+    first failing site in row-major order.
     """
     if engine not in ("analytical", "monte-carlo"):
         raise ValueError(f"engine must be 'analytical' or 'monte-carlo', got {engine!r}")
@@ -237,28 +232,26 @@ def sweep_surfaces(
         for j in range(0, ys.size, block):
             dist = _site_distances(geom_template, xs, ys[j : j + block])
             psi, _, moment_fault = order_stat_moment_rows(fading_template, dist)
-            rates = _decoder_rates(psi, cfg.a, args)
+            _, totals, rate_fault = _finish_rows(_decoder_rates(psi, cfg.a, args))
             start = j * xs.size
+            # the rates cover only the rows before the first moment fault,
+            # so a rate fault is the earlier site
+            fault = rate_fault if rate_fault is not None else moment_fault
+            if fault is not None:
+                row, exc = fault
+                raise type(exc)(f"{site(start + row)}: {exc}") from exc
             for share, surface in zip(shares, surfaces):
-                # the rates cover only the rows before the first moment
-                # fault, so a rate fault is the earlier site; it is the same
-                # for every scheme, which only rescales the rates
-                _, totals, rate_fault = _finish_rows(rates, share)
-                fault = rate_fault if rate_fault is not None else moment_fault
-                if fault is not None:
-                    row, exc = fault
-                    raise type(exc)(f"{site(start + row)}: {exc}") from exc
-                surface[start : start + totals.size] = totals
+                surface[start : start + totals.size] = _time_share(share, totals)
     else:
         dist = _site_distances(geom_template, xs, ys)
         site_fading = [replace(fading_template, distances=tuple(d)) for d in dist.tolist()]
-        points = [SweepPoint(cfg, f, imp, share) for share in shares for f in site_fading]
+        points = [SweepPoint(cfg, f, imp) for f in site_fading]
         try:
             results = simulate_sweep(points, tc)
         except SweepPointError as exc:
-            raise NumericError(f"{site(exc.point % len(site_fading))}: {exc}") from exc
+            raise NumericError(f"{site(exc.point)}: {exc}") from exc
         totals = np.array([r.total for r in results])
-        surfaces = np.split(totals, len(shares))
+        surfaces = [_time_share(share, totals) for share in shares]
     return [_surface(xs, ys, totals.reshape(ys.size, xs.size)) for totals in surfaces]
 
 

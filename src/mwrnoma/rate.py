@@ -94,22 +94,20 @@ def _decoder_rates(psi: np.ndarray, a, args) -> np.ndarray:
     return _kernels.pair_rate_chunk(psi, a, *np.asarray(args, dtype=np.float64).T)
 
 
-def _scaled(rates: np.ndarray, prefactor) -> np.ndarray:
-    """``_decoder_rates`` output scaled to the prefactor (one for all rows
-    or one per row); rates is left as it is, so several prefactors may
-    share it."""
-    # kernel output carries the 1/2 prefactor
+def _time_share(prefactor, values):
+    """Finished two-slot numbers (rates, totals, standard errors; the
+    kernel's share is 1/2) scaled to the time share ``prefactor``, one for
+    all or one per row (the first axis of ``values``)."""
     scale = np.asarray(prefactor, dtype=np.float64) / 0.5
-    if (scale != 1.0).any():
-        return rates * scale.reshape(-1, 1)
-    return rates
+    return values * scale.reshape(scale.shape + (1,) * (np.ndim(values) - scale.ndim))
 
 
-def _finish_rows(rates: np.ndarray, prefactor):
+def _finish_rows(rates: np.ndarray, prefactor=0.5):
     """Finishing step of ``asr_rows``: its ``(per_decoder, totals, fault)``
-    from the shared ``_decoder_rates`` output."""
-    per_decoder = _scaled(rates, prefactor)
-    totals = per_decoder.sum(axis=1)
+    from the shared ``_decoder_rates`` output, each total the sum of the
+    two-slot rates at the time share ``prefactor`` (by default, two-slot)."""
+    per_decoder = _time_share(prefactor, rates)
+    totals = _time_share(prefactor, rates.sum(axis=1))
     # the rows AsrResult rejects: a non-finite or negative rate or total
     bad = ~(
         np.isfinite(per_decoder).all(axis=1)
@@ -130,9 +128,10 @@ def asr_rows(psi: np.ndarray, a, args, prefactor=0.5):
     ``_kernels.kernel_args(cfg, imp)``: one tuple for every row, as for a
     relay-placement surface (one row per site), or a (rows, 5) sequence,
     one per row, as for an SNR or distortion sweep.  prefactor is one
-    scheme share for every row or one per row.  ``asr`` is the one-row
-    case.  Returns ``(per_decoder, totals, fault)``: per_decoder is (rows,
-    M-1) and each total is the sum of its row.  ``fault`` is None when
+    scheme share for every row or one per row, applied to the finished
+    rates and totals.  ``asr`` is the one-row case.  Returns
+    ``(per_decoder, totals, fault)``: per_decoder is (rows, M-1) and each
+    total is its row's two-slot sum at the share.  ``fault`` is None when
     every row is an acceptable ``AsrResult``.  Otherwise it is ``(row,
     error)`` for the first row that is not, and per_decoder and totals
     cover only the rows before it.
@@ -174,7 +173,7 @@ def asr_asymptotic(
     with np.errstate(divide="ignore"):
         args = (0.0, 0.0, *_kernels.distortion_terms(imp))
         rates = _decoder_rates(moments.psi[None, :], cfg.a, args)
-        per_decoder = _scaled(rates, prefactor)[0]
+        per_decoder = _time_share(prefactor, rates[0])
     notes = tuple(
         f"decoder k={k} has no interference ceiling: asymptote diverges"
         for k, rate in enumerate(per_decoder, start=2)
@@ -182,7 +181,7 @@ def asr_asymptotic(
     )
     return AsrResult(
         per_decoder=per_decoder,
-        total=float(per_decoder.sum()),
+        total=float(_time_share(prefactor, rates[0].sum())),
         provenance="asymptotic",
         notes=notes,
     )

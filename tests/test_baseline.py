@@ -1,22 +1,31 @@
 """Orthogonal-scheduling baseline: slot accounting and scheme comparison."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from mwrnoma import (
     FadingParams,
+    Geometry,
+    GridSpec,
     ImpairmentProfile,
     NetworkConfig,
     TrialConfig,
     asr,
     asr_affine,
+    asr_asymptotic,
     asr_oma,
     order_stat_moments,
     simulate_asr,
     simulate_asr_oma,
     slot_count,
+    sweep_surfaces,
 )
 from mwrnoma.baseline import scheme_prefactor
+from mwrnoma.cli import _snr_linear, load_spec
+from mwrnoma.montecarlo import CHUNK_TRIALS
 
 A4 = (0.5, 0.3, 0.15, 0.05)
 A5 = (0.5, 0.2, 0.15, 0.1, 0.05)
@@ -71,7 +80,7 @@ def test_prefactor_relationship():
     imp = ImpairmentProfile.uniform(0.2)
     noma = asr(moments, cfg, imp)
     oma = asr_oma(moments, cfg, imp)
-    assert oma.total == pytest.approx(noma.total * 2.0 / slot_count(4), rel=1e-12)
+    assert oma.total == noma.total * (2 * scheme_prefactor("oma", 4))
 
 
 def test_monte_carlo_baseline_matches_scaling():
@@ -80,7 +89,7 @@ def test_monte_carlo_baseline_matches_scaling():
     tc = TrialConfig(trials=20_000, seed=6)
     noma = simulate_asr(cfg, fading, imp, tc)
     oma = simulate_asr_oma(cfg, fading, imp, tc)
-    assert oma.total == pytest.approx(noma.total * 2.0 / slot_count(4), rel=1e-12)
+    assert oma.total == noma.total * (2 * scheme_prefactor("oma", 4))
     assert oma.provenance == "monte-carlo"
 
 
@@ -103,3 +112,81 @@ def test_slope_ratio_is_slot_share(n_users):
     oma = asr_affine(moments, cfg, prefactor=scheme_prefactor("oma", n_users))
     assert oma[0] / noma[0] == pytest.approx(2.0 / slot_count(n_users), rel=1e-15)
     assert oma[1] == pytest.approx(noma[1], rel=1e-12)
+
+
+class TestOmaIsScaledNoma:
+    """The schemes share every per-exchange SINR, so an orthogonal result
+    is the superposed one times 2 * scheme_prefactor("oma", M), bit for
+    bit: the time share scales the finished numbers, once."""
+
+    FIG2A = load_spec(preset_name="fig2a")
+    SPLITS = {
+        3: (0.5, 0.3, 0.2),
+        4: FIG2A.network.a,
+        8: (0.35, 0.22, 0.15, 0.1, 0.07, 0.05, 0.04, 0.02),
+    }
+    USERS = pytest.mark.parametrize("n_users", sorted(SPLITS))
+    KAPPAS = pytest.mark.parametrize("kappa", [0.0, 0.1])
+
+    def case(self, n_users, snr_db):
+        """fig2a's network and fading at M users and one SNR."""
+        cfg = replace(
+            self.FIG2A.network, n_users=n_users, a=self.SPLITS[n_users], r1=_snr_linear(snr_db)
+        )
+        return cfg, replace(self.FIG2A.fading, distances=(1.0,) * n_users)
+
+    @staticmethod
+    def assert_scaled(oma, noma):
+        share = 2 * scheme_prefactor("oma", noma.n_users)
+        assert oma.total == noma.total * share
+        assert np.array_equal(oma.per_decoder, noma.per_decoder * share)
+        if noma.stderr is not None:
+            assert oma.stderr == noma.stderr * share
+
+    @USERS
+    @KAPPAS
+    def test_closed_form(self, n_users, kappa):
+        # fig2a's SNR grid; at M = 4 these are fig2a's rows
+        imp = ImpairmentProfile.uniform(kappa)
+        for snr_db in self.FIG2A.snr_db_grid:
+            cfg, fading = self.case(n_users, snr_db)
+            moments = order_stat_moments(fading, n_users)
+            self.assert_scaled(asr_oma(moments, cfg, imp), asr(moments, cfg, imp))
+
+    @USERS
+    @pytest.mark.parametrize("kappa", [0.0, 0.05, 0.25])
+    def test_asymptote(self, n_users, kappa):
+        # without distortion decoder M diverges: +inf scales to +inf
+        cfg, fading = self.case(n_users, 0.0)
+        moments = order_stat_moments(fading, n_users)
+        imp = ImpairmentProfile.uniform(kappa)
+        oma = asr_asymptotic(moments, cfg, imp, scheme_prefactor("oma", n_users))
+        self.assert_scaled(oma, asr_asymptotic(moments, cfg, imp))
+
+    @USERS
+    @KAPPAS
+    def test_monte_carlo(self, n_users, kappa):
+        # two full chunks and a short one
+        tc = TrialConfig(2 * CHUNK_TRIALS + 123, seed=5)
+        imp = ImpairmentProfile.uniform(kappa)
+        for snr_db in (0.0, 20.0, 40.0):
+            cfg, fading = self.case(n_users, snr_db)
+            noma = simulate_asr(cfg, fading, imp, tc)
+            self.assert_scaled(simulate_asr_oma(cfg, fading, imp, tc), noma)
+
+    @USERS
+    @pytest.mark.parametrize("engine", ["analytical", "monte-carlo"])
+    def test_placement_surfaces(self, n_users, engine):
+        users = [
+            (12.0 * math.cos(2 * math.pi * k / n_users), 9.0 * math.sin(2 * math.pi * k / n_users))
+            for k in range(n_users)
+        ]
+        cfg, fading = self.case(n_users, 20.0)
+        grid = GridSpec(x_min=-10.0, x_max=10.0, y_min=-10.0, y_max=10.0, step=5.0)
+        noma, oma = sweep_surfaces(
+            Geometry(user_positions=tuple(users), uav_height=10.0),
+            grid, cfg, fading, ImpairmentProfile.uniform(0.1), engine, ("noma", "oma"),
+            TrialConfig(1000, seed=8),
+        )
+        share = 2 * scheme_prefactor("oma", n_users)
+        assert np.array_equal(oma.asr, noma.asr * share)

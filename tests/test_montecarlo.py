@@ -226,7 +226,8 @@ OMA4 = scheme_prefactor("oma", 4)
 IDEAL = ImpairmentProfile.ideal()
 
 # mixed SNR, distortion profile, 1/slot_count prefactor and path loss; the
-# first two share a kernel call, the last three a path-loss vector
+# first two share a kernel call and chunk statistics, the last three a
+# path-loss vector
 SWEEP = [
     SweepPoint(CFG4, FADING4, IDEAL),
     SweepPoint(CFG4, FADING4, IDEAL, OMA4),
@@ -249,7 +250,8 @@ def whole_array_stats(rates):
 
 def reference_stats(point, tc):
     """The per-point loop: sample, scale, evaluate the whole chunk of rates,
-    reduce it as one array and merge chunk by chunk."""
+    reduce it as one array and merge chunk by chunk; then scale the
+    finished ``(n, total, stderr, per_decoder)`` by the time share."""
     imp, cfg = point.imp, point.cfg
     stats = None
     for c in range(0, (tc.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS):
@@ -261,21 +263,21 @@ def reference_stats(point, tc):
             rho, np.asarray(cfg.a), 1.0 / cfg.r1, 1.0 / cfg.r2,
             *_kernels.distortion_terms(imp),
         )
-        if point.prefactor != 0.5:
-            rates = rates * (point.prefactor / 0.5)
         part = whole_array_stats(rates)
         stats = part if stats is None else _merge_stats(stats, part)
-    return stats
+    n, t_mean, t_m2, mean = stats
+    share = 2 * point.prefactor
+    return n, t_mean * share, math.sqrt(t_m2 / (n * (n - 1))) * share, mean * share
 
 
 def counted_reducer(monkeypatch):
-    """Wrap ``_chunk_stats``; the returned list gets one entry per set of
-    chunk statistics the reducer returns."""
+    """Wrap ``_chunk_stats``; the returned list gets one entry per call,
+    one set of chunk statistics each."""
     calls = []
 
-    def counted(columns, count, scales=(1.0,)):
-        calls.extend([count] * len(scales))
-        return _chunk_stats(columns, count, scales)
+    def counted(columns, count):
+        calls.append(count)
+        return _chunk_stats(columns, count)
 
     monkeypatch.setattr(montecarlo, "_chunk_stats", counted)
     return calls
@@ -343,28 +345,22 @@ class TestSweepEngine:
     def test_matches_per_point_loop(self):
         tc = TrialConfig(self.TRIALS, seed=31)
         for point, got in zip(SWEEP, simulate_sweep(SWEEP, tc)):
-            n, t_mean, t_m2, mean = reference_stats(point, tc)
+            n, total, stderr, per_decoder = reference_stats(point, tc)
             assert n == got.trials == self.TRIALS
-            assert got.total == t_mean
-            assert got.stderr == math.sqrt(t_m2 / (n * (n - 1)))
-            assert np.array_equal(got.per_decoder, mean)
+            assert got.total == total
+            assert got.stderr == stderr
+            assert np.array_equal(got.per_decoder, per_decoder)
 
     @RUNS
     def test_duplicate_points_share_results(self, monkeypatch, runs):
-        # duplicates (same path loss, kernel arguments and prefactor) reduce
-        # each chunk once and still match one-point runs bit for bit
-        calls = []
-
-        def counted(columns, count, scales=(1.0,)):
-            # one entry per set of chunk statistics the reducer returns
-            calls.extend([count] * len(scales))
-            return _chunk_stats(columns, count, scales)
-
-        monkeypatch.setattr(montecarlo, "_chunk_stats", counted)
+        # duplicates (same path loss and kernel arguments, whatever the
+        # prefactor: SWEEP[0] and SWEEP[1] differ only in it) reduce each
+        # chunk once and still match one-point runs bit for bit
+        calls = counted_reducer(monkeypatch)
         points = [SWEEP[2], SWEEP[0], SWEEP[2], SWEEP[1], SWEEP[0], SWEEP[2]]
         tc = TrialConfig(self.TRIALS, seed=31)
         repeats = [simulate_sweep(points, tc) for _ in range(runs)]
-        assert len(calls) == runs * 3 * 3  # three distinct points, three chunks
+        assert len(calls) == runs * 2 * 3  # two kernel groups, three chunks
         for results in repeats:
             for point, got in zip(points, results):
                 alone = simulate_asr(
@@ -375,26 +371,24 @@ class TestSweepEngine:
 
     @pytest.mark.parametrize("n_users", range(2, 9))
     def test_column_reducer_matches_whole_array(self, n_users):
-        # both schemes in one kernel group, nonzero distortion, a full and
-        # a short chunk: the reducer's statistics are the oracle's bits
+        # nonzero distortion, a full and a short chunk: the reducer's one
+        # set of statistics is the oracle's bits
         raw = np.arange(n_users, 0, -1.0)
         a = raw / raw.sum()
         fading = FadingParams(alpha=2, beta=3.0, nu=3.0, distances=tuple(np.linspace(2, 1, n_users)))
         args = (1e-2, 1e-2, *_kernels.distortion_terms(ImpairmentProfile(0.1, 0.2, 0.05, 0.15)))
-        scales = (1.0, scheme_prefactor("oma", n_users) / 0.5)
         for chunk, count in ((0, CHUNK_TRIALS), (1, 777)):
             buffers = _ChunkBuffers(n_users, fading.alpha, count)
             rho = _sample_rho_chunk(fading, 6, chunk, buffers) * fading.path_loss_factors()
             work = np.empty((count, 2), order="F")
             columns = _kernels.decoder_rate_columns(rho, a, *args, work=work)
-            got = _chunk_stats(columns, count, scales)
+            got = _chunk_stats(columns, count)
             rates = _kernels.pair_rate_chunk(rho, a, *args)
             assert rates.shape == (count, n_users - 1)
-            for stats, scale in zip(got, scales):
-                want = whole_array_stats(rates * scale if scale != 1.0 else rates)
-                assert stats[0] == want[0] == count
-                assert stats[1:3] == want[1:3]
-                assert np.array_equal(stats[3], want[3])
+            want = whole_array_stats(rates)
+            assert got[0] == want[0] == count
+            assert got[1:3] == want[1:3]
+            assert np.array_equal(got[3], want[3])
 
     @RUNS
     def test_groups_by_computed_distortion_terms(self, monkeypatch, runs):

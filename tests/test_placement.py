@@ -296,8 +296,9 @@ class TestSweep:
 
 
 class TestSharedSchemes:
-    """Every scheme of a surface from one pass: shared distances and moments
-    (analytical) or one Monte Carlo sweep, scheme-major."""
+    """Every scheme of a surface from one pass: one evaluation of the
+    two-slot totals, in blocks (analytical) or as one Monte Carlo sweep
+    with a point per site, scaled to each scheme's time share."""
 
     SCHEMES = ("noma", "oma")
 
@@ -363,7 +364,7 @@ class TestSharedSchemes:
 
             monkeypatch.setattr(placement, name, wrapper)
 
-        for name in ("_site_distances", "order_stat_moment_rows", "simulate_sweep"):
+        for name in ("_site_distances", "order_stat_moment_rows", "_finish_rows", "simulate_sweep"):
             counted(name)
         geom, cfg, fading, imp = self.case()
         grid = GridSpec(x_min=0.0, x_max=4.0, y_min=0.0, y_max=2.0, step=2.0)
@@ -373,7 +374,7 @@ class TestSharedSchemes:
         )
         assert len(surfaces) == 2
         if engine == "analytical":
-            assert calls == {"_site_distances": 1, "order_stat_moment_rows": 1}
+            assert calls == {"_site_distances": 1, "order_stat_moment_rows": 1, "_finish_rows": 1}
         else:
             assert calls == {"_site_distances": 1, "simulate_sweep": 1}
 
@@ -403,15 +404,15 @@ class TestSharedSchemes:
             assert str(one.value) == message
 
     def test_monte_carlo_error_of_a_later_scheme_names_its_site(self, monkeypatch):
-        # the sweep's points run scheme-major; a failing point of the second
-        # scheme names its own site
+        # the sweep has one point per site, which every scheme shares; a
+        # failing point names its own site
         geom, cfg, fading, imp = self.case()
         grid = GridSpec(x_min=0.0, x_max=4.0, y_min=0.0, y_max=2.0, step=2.0)
         sites = grid.xs.size * grid.ys.size
 
         def fail_second_scheme(points, tc):
-            assert len(points) == 2 * sites
-            raise SweepPointError(sites + 4, "non-finite rate in trial 7", 7)
+            assert len(points) == sites
+            raise SweepPointError(4, "non-finite rate in trial 7", 7)
 
         monkeypatch.setattr(placement, "simulate_sweep", fail_second_scheme)
         with pytest.raises(NumericError) as info:
