@@ -5,6 +5,12 @@ position grid) plus fixed network/fading/impairment sections.  SNR values
 are given in dB in configs and converted to linear once at ingestion.
 Identical spec and seed produce byte-identical CSV output.  A Monte Carlo
 run draws its chunks one after another on one thread.
+
+The SNR and kappa sweeps and the moments check write through
+``csv.writer`` (``_csv_writer``), which quotes a cell where CSV needs it:
+an SNR sweep's condition labels are user strings.  A placement surface
+holds numbers only, and ``_write_surface`` writes it as plain text, one
+block per grid row, in the bytes ``csv.writer`` would give.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from itertools import repeat
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -89,8 +95,10 @@ MOMENTS_HEADER = [
 ]
 
 
-# decimal output with 9 significant digits; a bound method, so that
-# ``map(_fmt, ...)`` makes no Python-level call per value
+# decimal output with 9 significant digits, for the cells of both CSV
+# writers (``_csv_writer``, ``_write_surface``) and the summaries' totals;
+# a bound method, so that ``map(_fmt, ...)`` makes no Python-level call
+# per value
 _fmt = "{:.9g}".format
 
 
@@ -569,8 +577,7 @@ def _run_placement(spec: ExperimentSpec) -> RunResult:
             path = spec.output.with_name(
                 spec.output.stem + f"_{scheme}" + spec.output.suffix
             )
-        with _csv_writer(path, PLACEMENT_HEADER) as writer:
-            totals[scheme] = math.fsum(_written_rates(writer, surface))
+        totals[scheme] = _write_surface(path, surface)
         paths.append(path)
         lines.append(
             f"placement {scheme}: {surface.asr.size} points -> {path}; "
@@ -585,15 +592,30 @@ def _run_placement(spec: ExperimentSpec) -> RunResult:
     )
 
 
-def _written_rates(writer, surface: PlacementSurface):
-    """Write a surface's rows one grid row (y fixed, x inner) at a time and
-    yield each written rate, parsed back from its cell."""
-    # each axis label is formatted once, not once per site
-    xs = list(map(_fmt, surface.xs.tolist()))
-    for y, asr_row in zip(map(_fmt, surface.ys.tolist()), surface.asr):
-        rates = list(map(_fmt, asr_row.tolist()))
-        writer.writerows(zip(xs, repeat(y), rates))
-        yield from map(float, rates)
+def _write_surface(path: Path, surface: PlacementSurface) -> float:
+    """Write a surface's CSV, one text block per grid row (y fixed, x
+    inner), and return the ``math.fsum`` of its rates as written (each
+    parsed back from its cell).  Every cell is a number, which needs no
+    quoting, so the bytes are ``csv.writer``'s."""
+    n = surface.xs.size
+    # a grid row's lines as one list of pieces: "x,", "y,", rate, "\n" per
+    # site.  The x labels and line ends are set once, the rest per row, so
+    # the file is built one grid row at a time.
+    pieces = [None] * (4 * n)
+    pieces[0::4] = [x + "," for x in map(_fmt, surface.xs.tolist())]
+    pieces[3::4] = ["\n"] * n
+
+    def written_rates(fh):
+        for y, asr_row in zip(map(_fmt, surface.ys.tolist()), surface.asr):
+            rates = list(map(_fmt, asr_row.tolist()))
+            pieces[1::4] = [y + ","] * n
+            pieces[2::4] = rates
+            fh.write("".join(pieces))
+            yield map(float, rates)
+
+    with _new_file(path) as fh:
+        fh.write(",".join(PLACEMENT_HEADER) + "\n")
+        return math.fsum(chain.from_iterable(written_rates(fh)))
 
 
 def _run_moments_check(spec: ExperimentSpec) -> RunResult:
@@ -640,14 +662,22 @@ def _run_moments_check(spec: ExperimentSpec) -> RunResult:
     )
 
 
-@contextmanager
-def _csv_writer(path: Path, header: list[str]):
-    """A ``csv.writer`` on a new file at path, the header already written;
-    rows are tuples of cells in header order."""
+def _new_file(path: Path):
+    """A new text file at path, its directory made if missing."""
     path = Path(path)
     if path.parent != Path(""):
         path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    return open(path, "w", newline="")
+
+
+@contextmanager
+def _csv_writer(path: Path, header: list[str]):
+    """A ``csv.writer`` on a new file at path, the header already written;
+    rows are tuples of cells in header order.  The sweep and moments-check
+    CSVs use it, so that a cell that needs quoting, such as a user's
+    condition label, gets it; a placement surface is written by
+    ``_write_surface``."""
+    with _new_file(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         yield writer

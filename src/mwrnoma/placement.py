@@ -19,9 +19,9 @@ evaluates one surface of two-slot totals, on either engine, and each
 scheme's surface is those totals at its share (``rate._time_share``).
 Both engines use the one path-loss formula 1 + d^nu,
 computed per entry, and a row-local kernel, so each site gets the same
-bits as a one-site evaluation, in any block.  A failure, a path loss that
-overflows included, names the first failing site in row-major order
-(y outer, x inner).
+bits as a one-site evaluation, in any block.  A failure, a path loss or
+a site distance that overflows included, names the first failing site in
+row-major order (y outer, x inner).
 """
 
 from __future__ import annotations
@@ -163,9 +163,11 @@ def _site_distances(geom: Geometry, xs: np.ndarray, ys: np.ndarray) -> np.ndarra
     arithmetic is ``link_distance``'s, entry by entry.
     """
     users = np.array(geom.user_positions)
-    dx = users[:, 0] - xs[:, None]
-    dy = users[:, 1] - ys[:, None]
-    sq = (dx * dx)[None, :, :] + (dy * dy)[:, None, :] + geom.uav_height * geom.uav_height
+    # a distance too large for a float is inf, without a warning
+    with np.errstate(over="ignore"):
+        dx = users[:, 0] - xs[:, None]
+        dy = users[:, 1] - ys[:, None]
+        sq = (dx * dx)[None, :, :] + (dy * dy)[:, None, :] + geom.uav_height * geom.uav_height
     d = np.sqrt(sq).reshape(-1, geom.n_users)
     return -np.sort(-d, axis=1)
 
@@ -244,8 +246,23 @@ def sweep_surfaces(
                 surface[start : start + totals.size] = _time_share(share, totals)
     else:
         dist = _site_distances(geom_template, xs, ys)
-        site_fading = [replace(fading_template, distances=tuple(d)) for d in dist.tolist()]
-        points = [SweepPoint(cfg, f, imp) for f in site_fading]
+        # a site's largest distance is in its first column; FadingParams
+        # refuses an infinite one, so the points stop before it
+        over = np.isinf(dist[:, 0])
+        end = int(over.argmax()) if over.any() else over.size
+        points = [
+            SweepPoint(cfg, replace(fading_template, distances=tuple(d)), imp)
+            for d in dist[:end].tolist()
+        ]
+        if end < over.size:
+            # an input fault, as a path loss that overflows is: the first
+            # of either is named, before any trial is drawn
+            for i, p in enumerate(points):
+                try:
+                    p.fading.path_loss_factors()
+                except NumericError as exc:
+                    raise NumericError(f"{site(i)}: {exc}") from exc
+            raise NumericError(f"{site(end)}: user distance overflows")
         try:
             results = simulate_sweep(points, tc)
         except SweepPointError as exc:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import mwrnoma
-from mwrnoma import _kernels, cli
+from mwrnoma import _kernels, cli, placement
 from mwrnoma.cli import (
     KAPPA_HEADER,
     MOMENTS_HEADER,
@@ -349,6 +349,25 @@ class TestSnrSweep:
             by_cond.setdefault(r["condition"], []).append(float(r["asr_analytical"]))
         assert all(i > t for i, t in zip(by_cond["ideal"], by_cond["transceiver-rhi"]))
 
+    def test_condition_label_quoted(self, tmp_path):
+        # a condition is a user's string: the sweep CSVs keep csv.writer,
+        # which quotes a label holding the delimiter or the quote character
+        label = 'tx, "quoted"'
+        path = write_config(
+            tmp_path, {"impairments": {"variants": {label: {"kappa_ut": 0.2}}}}
+        )
+        out = tmp_path / "fig2b.csv"
+        argv = ["run", "--preset", "fig2b", "--engine", "analytical",
+                "--config", str(path), "--output", str(out)]
+        assert main(argv) == 0
+        assert ',"tx, ""quoted""",' in out.read_text()
+        rows = read_rows(out)
+        assert list(rows[0].keys()) == SNR_HEADER
+        quoted = [r for r in rows if r["condition"] == label]
+        assert len(quoted) == 9
+        assert all(r["scheme"] == "noma" and math.isfinite(float(r["asr_analytical"]))
+                   for r in quoted)
+
 
 class TestKappaSweep:
     def test_monotone_columns(self, tmp_path):
@@ -402,6 +421,57 @@ class TestPlacementSweep:
         assert result.reported_totals["noma"] == pytest.approx(
             math.fsum(float(r["asr"]) for r in noma_rows), abs=0.0
         )
+
+    def test_multi_block_round_trip(self, tmp_path):
+        # 41 x 41 sites at a 0.25 m step: several analytical blocks, and
+        # axis labels that are not integers
+        config = {
+            "network": {"n_users": 4, "a": [0.5, 0.3, 0.15, 0.05]},
+            "fading": {"alpha": 2, "beta": 3.0, "nu": 3.0},
+            "geometry": {"users": [[5, 5], [5, -5], [-5, 5], [-5, -5]], "height": 10.0},
+            "experiment": {
+                "kind": "placement-sweep",
+                "snr_db": 30.0,
+                "grid": {"x_min": -5.0, "x_max": 5.0, "y_min": -5.0, "y_max": 5.0,
+                         "step": 0.25},
+                "schemes": ["noma", "oma"],
+                "engine": "analytical",
+                "output": str(tmp_path / "surface.csv"),
+            },
+        }
+        spec = load_spec(config_path=write_config(tmp_path, config))
+        result = run(spec)
+        labels = [f"{-5.0 + 0.25 * i:.9g}" for i in range(41)]
+        for scheme, path in zip(spec.schemes, result.csv_paths):
+            rows = read_rows(path)
+            assert len(rows) == 41 * 41 > placement.BLOCK_SITES
+            assert [r["x_m"] for r in rows[:41]] == labels
+            assert [r["y_m"] for r in rows[::41]] == labels
+            assert result.reported_totals[scheme] == math.fsum(float(r["asr"]) for r in rows)
+
+    def test_writer_matches_csv_writer(self, tmp_path):
+        # the surface writer gives the bytes of csv.writer with every cell
+        # formatted to 9 significant digits
+        asr = np.array(
+            [[-0.0, 5e-324, 1e-300], [1 / 3, 123456789012.0, 1.7976931348623157e308]]
+        )
+        surface = placement.PlacementSurface(
+            xs=np.array([-19.75, 1e-16, 2.5]),
+            ys=np.array([-19.75, 1e-16]),
+            asr=asr,
+            argmax_xy=(1e-16, 1e-16),
+        )
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(PLACEMENT_HEADER)
+            for y, row in zip(surface.ys.tolist(), asr.tolist()):
+                for x, rate in zip(surface.xs.tolist(), row):
+                    writer.writerow([f"{x:.9g}", f"{y:.9g}", f"{rate:.9g}"])
+        written = tmp_path / "sub" / "surface.csv"
+        total = cli._write_surface(written, surface)
+        assert written.read_bytes() == reference.read_bytes()
+        assert total == math.fsum(float(r["asr"]) for r in read_rows(written))
 
     def test_both_engine_rejected(self, tmp_path):
         config = {
@@ -622,6 +692,42 @@ class TestMain:
             "error: numeric: grid point (x=-20, y=-20): "
             "path loss 1 + d^nu overflows at i=1, d=36.7423, nu=400\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "x_min, engine_args, message",
+        [
+            (
+                1e160,
+                [],
+                "grid point (x=1e+160, y=0): moment overflow for alpha=2, M=4, i=1, "
+                "p=1: path loss (1 + d^nu)^1 overflows at d=inf, nu=3",
+            ),
+            (1e160, ["--engine", "mc"], "grid point (x=1e+160, y=0): user distance overflows"),
+            # a path loss that overflows at an earlier site is named first
+            (
+                1e150,
+                ["--engine", "mc"],
+                "grid point (x=1e+150, y=0): path loss 1 + d^nu overflows at i=1, "
+                "d=1e+150, nu=3",
+            ),
+        ],
+        ids=["analytical", "mc", "mc-earlier-path-loss"],
+    )
+    def test_distance_overflow_exit_three(
+        self, tmp_path, capsys, x_min, engine_args, message
+    ):
+        # a site's distance overflows to inf: one error line, no warning
+        grid = {"x_min": x_min, "x_max": 1e160, "y_min": 0, "y_max": 0, "step": 1e159}
+        path = write_config(tmp_path, {"experiment": {"grid": grid}})
+        out = tmp_path / "out.csv"
+        argv = ["run", "--preset", "fig4a", "--trials", "1000", *engine_args,
+                "--config", str(path), "--output", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 3
+        assert caught == []
+        assert capsys.readouterr().err == f"error: numeric: {message}\n"
         assert not out.exists()
 
 
