@@ -11,12 +11,12 @@ a_n rho_n / D_k(n) with D_k(n) = work_n + noise_fwd / rho_k: work_n
 only on the decoded user, noise_fwd / rho_k only on the decoder.  Since
 D_k(n-1) = D_k(n) + a_n rho_n, a decoder's successive-decoding pair
 rates telescope (the chain rule of successive interference
-cancellation): sum_{n<k} 1/2 log2(1 + SINR(k, n)) =
-1/2 log2(1 + P_k / D_k(k-1)), with P_k = a_1 rho_1 + ... + a_{k-1}
+cancellation): sum_{n<k} log2(1 + SINR(k, n)) =
+log2(1 + P_k / D_k(k-1)), with P_k = a_1 rho_1 + ... + a_{k-1}
 rho_{k-1}.  So the kernel takes one logarithm per decoder, M - 1 per
-row, not one per pair.  Without distortion decoder M has nothing left
-at the high-SNR limit: its SINR grows as r1 times
-``divergent_decoder_gain``.
+row, not one per pair, at unit time share (``rate._time_share`` scales
+the finished results).  Without distortion decoder M has nothing left at
+the high-SNR limit: its SINR grows as r1 times ``divergent_decoder_gain``.
 
 The four distortion levels enter the SINR only through three terms,
 which ``distortion_terms`` computes and the kernel takes as its input:
@@ -85,16 +85,16 @@ def kernel_args(cfg, imp):
 
 
 def decoder_rate_columns(rho, a, inv_r1, inv_r2, mac, mix, bc, *, work, aggregates=None):
-    """Yield the rate of each decoder k = 2..M, the sum of its pairs'
-    1/2 log2(1 + SINR), one finished column at a time, in decoder order.
+    """Yield the unit-share rate of each decoder k = 2..M, the sum of its
+    pairs' log2(1 + SINR), one finished column at a time, in decoder order.
 
     The pair SINRs of decoder k telescope: pair (k, n) has SINR
     a_n rho_n / D_k(n), and D_k(n-1) = D_k(n) + a_n rho_n, so the pair
-    rates sum to 1/2 log2(1 + P_k / D_k(k-1)), with the numerator
+    rates sum to log2(1 + P_k / D_k(k-1)), with the numerator
     P_k = a_1 rho_1 + ... + a_{k-1} rho_{k-1} and the denominator
     D_k(k-1) = work_{k-1} + noise_fwd / rho_k, where work_n =
     suffix[:, n] + mix * weighted + bc / r1.  Where P_k / D overflows
-    (a finite P_k over a tiny D > 0), the entry is 1/2 (log2 P_k - log2 D).
+    (a finite P_k over a tiny D > 0), the entry is log2 P_k - log2 D.
 
     rho: (rows, M) sorted ascending effective gains (sampled gains, or
     order-statistic means, one row per operating point or placement site).
@@ -144,9 +144,8 @@ def decoder_rate_columns(rho, a, inv_r1, inv_r2, mac, mix, bc, *, work, aggregat
             overflow = np.isinf(out) & np.isfinite(num) & (den > 0)
         out += 1.0
         np.log2(out, out=out)
-        out *= 0.5
         if overflow is not None:
-            out[overflow] = 0.5 * (np.log2(num[overflow]) - np.log2(den[overflow]))
+            out[overflow] = np.log2(num[overflow]) - np.log2(den[overflow])
         yield out
 
 
@@ -167,7 +166,7 @@ def divergent_decoder_gain(rho, a, c):
 def pair_rate_chunk(rho, a, *args):
     """Rate of every decoder of every row: ``decoder_rate_columns``
     collected into a (rows, M-1) column-major array, decoder k in column
-    k-2, 1/2-prefactored."""
+    k-2, at unit time share."""
     n_rows, M = np.shape(rho)
     rates = np.empty((n_rows, M - 1), order="F")
     work = np.empty((n_rows, 2), order="F")

@@ -11,8 +11,8 @@ One engine, ``simulate_sweep``, serves every sweep: chunks run in the
 outer loop and sweep points in the inner loop.  Each chunk draws and
 sorts its Gamma gains once; every point then applies its own path loss,
 SNR and distortion profile to those gains (common random numbers) and
-reduces its two-slot rates to chunk statistics; its time share scales
-the finished result.  Each point's statistics merge in chunk order, as a
+reduces its unit-share rates to chunk statistics; its time share scales
+only the finished result.  Each point's statistics merge in chunk order, as a
 one-point run merges them, so a point's result does not depend on which
 other points share the run.  The kernel sees a profile only through its
 three distortion terms (``_kernels.distortion_terms``), so points with
@@ -187,9 +187,9 @@ def _chunk_stats(columns, count: int):
     chunk's earliest trial that does in any column (an int).
 
     A column's sum is non-finite exactly when one of its values is: a
-    finite decoder rate is below 1/2 (1024 + 1074) < 1050 (log2 of the
-    largest double over the smallest), so a chunk's finite rates cannot
-    overflow their sum.  Only a non-finite column is searched.
+    finite unit-share decoder rate is below 1024 + 1074 = 2098 (log2 of
+    the largest double over the smallest), so a chunk's finite rates
+    cannot overflow their sum.  Only a non-finite column is searched.
     """
     totals = np.zeros(count)
     means = []
@@ -224,8 +224,8 @@ class SweepPoint:
 
     cfg: user count, power split and SNR.  fading: fading law and the
     per-position path loss.  imp: distortion profile.  prefactor: time
-    share of each pair rate (1/2 for the two-slot exchange), applied to
-    the finished result.
+    share of each pair rate (1/2 for the two-slot exchange, 1.0 for the
+    kernel's unit share), applied to the finished result.
     """
 
     cfg: NetworkConfig

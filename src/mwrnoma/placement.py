@@ -15,13 +15,13 @@ decoder rate, so a surface holds one block's intermediates and its totals,
 whatever the grid's size.  The Monte Carlo surface is one sweep with a
 point per site (``montecarlo.simulate_sweep``).  The NOMA and OMA surfaces
 differ only in the time share of each pair rate, so ``sweep_surfaces``
-evaluates one surface of two-slot totals, on either engine, and each
+evaluates one surface of unit-share totals, on either engine, and each
 scheme's surface is those totals at its share (``rate._time_share``).
 Both engines use the one path-loss formula 1 + d^nu,
 computed per entry, and a row-local kernel, so each site gets the same
 bits as a one-site evaluation, in any block.  A failure, a path loss or
-a site distance that overflows included, names the first failing site in
-row-major order (y outer, x inner).
+a site distance that overflows included (whatever nu), names the first
+failing site in row-major order (y outer, x inner).
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from ._kernels import kernel_args
 from .baseline import scheme_prefactor
 from .channel import FadingParams, order_stat_moment_rows
 from .errors import ConfigurationError, NumericError, SweepPointError
-from .montecarlo import SweepPoint, TrialConfig, simulate_sweep
-from .rate import _decoder_rates, _finish_rows, _time_share
+from .montecarlo import SweepPoint, TrialConfig, _sweep_plan, simulate_sweep
+from .rate import _time_share, asr_rows
 from .signal import ImpairmentProfile, NetworkConfig
 
 __all__ = [
@@ -205,7 +205,7 @@ def sweep_surfaces(
 
     The template's relay position and distances are replaced by each
     site's; ``imp`` defaults to the distortion-free profile.  The schemes
-    differ only in the time share, so one evaluation of the two-slot
+    differ only in the time share, so one evaluation of the unit-share
     totals serves them all (analytical engine: in blocks of whole grid
     rows; Monte Carlo engine: one sweep with a point per site), and each
     scheme's surface is those totals at its share.  A failure names the
@@ -233,12 +233,16 @@ def sweep_surfaces(
         block = max(1, BLOCK_SITES // xs.size)
         for j in range(0, ys.size, block):
             dist = _site_distances(geom_template, xs, ys[j : j + block])
-            psi, _, moment_fault = order_stat_moment_rows(fading_template, dist)
-            _, totals, rate_fault = _finish_rows(_decoder_rates(psi, cfg.a, args))
+            # a site's largest distance is in its first column
+            over = np.isinf(dist[:, 0])
+            end = int(over.argmax()) if over.any() else over.size
+            psi, _, moment_fault = order_stat_moment_rows(fading_template, dist[:end])
+            _, totals, rate_fault = asr_rows(psi, cfg.a, args, 1.0)
             start = j * xs.size
-            # the rates cover only the rows before the first moment fault,
-            # so a rate fault is the earlier site
-            fault = rate_fault if rate_fault is not None else moment_fault
+            # each step covers only the rows before the previous step's
+            # fault, so the first fault found is the earliest site
+            far = (end, NumericError("user distance overflows")) if end < over.size else None
+            fault = rate_fault or moment_fault or far
             if fault is not None:
                 row, exc = fault
                 raise type(exc)(f"{site(start + row)}: {exc}") from exc
@@ -246,24 +250,19 @@ def sweep_surfaces(
                 surface[start : start + totals.size] = _time_share(share, totals)
     else:
         dist = _site_distances(geom_template, xs, ys)
-        # a site's largest distance is in its first column; FadingParams
-        # refuses an infinite one, so the points stop before it
+        # FadingParams refuses an infinite distance, so the points stop before it
         over = np.isinf(dist[:, 0])
         end = int(over.argmax()) if over.any() else over.size
         points = [
-            SweepPoint(cfg, replace(fading_template, distances=tuple(d)), imp)
+            SweepPoint(cfg, replace(fading_template, distances=tuple(d)), imp, 1.0)
             for d in dist[:end].tolist()
         ]
-        if end < over.size:
-            # an input fault, as a path loss that overflows is: the first
-            # of either is named, before any trial is drawn
-            for i, p in enumerate(points):
-                try:
-                    p.fading.path_loss_factors()
-                except NumericError as exc:
-                    raise NumericError(f"{site(i)}: {exc}") from exc
-            raise NumericError(f"{site(end)}: user distance overflows")
         try:
+            if end < over.size:
+                # an input fault, named before any trial is drawn; the plan
+                # names a path loss that overflows at an earlier site first
+                _sweep_plan(points)
+                raise NumericError(f"{site(end)}: user distance overflows")
             results = simulate_sweep(points, tc)
         except SweepPointError as exc:
             raise NumericError(f"{site(exc.point)}: {exc}") from exc

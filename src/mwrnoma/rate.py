@@ -84,7 +84,7 @@ def _result_error(per_decoder: np.ndarray, total: float, provenance: str) -> str
 
 
 def _decoder_rates(psi: np.ndarray, a, args) -> np.ndarray:
-    """Kernel step of the closed form: the 1/2-prefactored rate of every
+    """Kernel step of the closed form: the unit-share rate of every
     decoder at each row of psi, (rows, M-1), decoder k in column k-2.
 
     args: ``_kernels.kernel_args``, one tuple for all rows or one per row.
@@ -95,17 +95,17 @@ def _decoder_rates(psi: np.ndarray, a, args) -> np.ndarray:
 
 
 def _time_share(prefactor, values):
-    """Finished two-slot numbers (rates, totals, standard errors; the
-    kernel's share is 1/2) scaled to the time share ``prefactor``, one for
-    all or one per row (the first axis of ``values``)."""
-    scale = np.asarray(prefactor, dtype=np.float64) / 0.5
+    """Finished unit-share numbers (rates, totals, standard errors) scaled
+    to the time share ``prefactor``, one for all or one per row (the first
+    axis of ``values``): the one place a share enters a result."""
+    scale = np.asarray(prefactor, dtype=np.float64)
     return values * scale.reshape(scale.shape + (1,) * (np.ndim(values) - scale.ndim))
 
 
-def _finish_rows(rates: np.ndarray, prefactor=0.5):
+def _finish_rows(rates: np.ndarray, prefactor):
     """Finishing step of ``asr_rows``: its ``(per_decoder, totals, fault)``
-    from the shared ``_decoder_rates`` output, each total the sum of the
-    two-slot rates at the time share ``prefactor`` (by default, two-slot)."""
+    from the ``_decoder_rates`` output, each total the sum of the
+    unit-share rates, scaled to the time share ``prefactor``."""
     per_decoder = _time_share(prefactor, rates)
     totals = _time_share(prefactor, rates.sum(axis=1))
     # the rows AsrResult rejects: a non-finite or negative rate or total
@@ -128,13 +128,13 @@ def asr_rows(psi: np.ndarray, a, args, prefactor=0.5):
     ``_kernels.kernel_args(cfg, imp)``: one tuple for every row, as for a
     relay-placement surface (one row per site), or a (rows, 5) sequence,
     one per row, as for an SNR or distortion sweep.  prefactor is one
-    scheme share for every row or one per row, applied to the finished
-    rates and totals.  ``asr`` is the one-row case.  Returns
-    ``(per_decoder, totals, fault)``: per_decoder is (rows, M-1) and each
-    total is its row's two-slot sum at the share.  ``fault`` is None when
-    every row is an acceptable ``AsrResult``.  Otherwise it is ``(row,
-    error)`` for the first row that is not, and per_decoder and totals
-    cover only the rows before it.
+    scheme share for every row or one per row (1.0: the kernel's unit
+    share), applied to the finished rates and totals.  ``asr`` is the
+    one-row case.  Returns ``(per_decoder, totals, fault)``: per_decoder
+    is (rows, M-1) and each total is its row's unit-share sum at the
+    share.  ``fault`` is None when every row is an acceptable
+    ``AsrResult``.  Otherwise it is ``(row, error)`` for the first row
+    that is not, and per_decoder and totals cover only the rows before it.
     """
     rates = _decoder_rates(np.asarray(psi, dtype=np.float64), a, args)
     return _finish_rows(rates, prefactor)
@@ -202,9 +202,9 @@ def asr_affine(
     r1 * ``_kernels.divergent_decoder_gain``: the slope is the prefactor,
     the offset absorbs the other decoders' limits and the ceiling is +inf.
     """
-    limit = asr_asymptotic(moments, cfg, imp, prefactor)
+    limit = asr_asymptotic(moments, cfg, imp, 1.0)
     if math.isfinite(limit.total):
-        return 0.0, math.inf, limit.total
+        return 0.0, math.inf, float(_time_share(prefactor, limit.total))
     bounded = float(limit.per_decoder[np.isfinite(limit.per_decoder)].sum())
     gain = _kernels.divergent_decoder_gain(moments.psi[None, :], cfg.a, cfg.c)[0]
-    return prefactor, -(bounded + prefactor * math.log2(gain)) / prefactor, math.inf
+    return prefactor, -(bounded + math.log2(gain)), math.inf

@@ -695,31 +695,45 @@ class TestMain:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "x_min, engine_args, message",
+        "x_min, nu, engine_args, message",
         [
-            (
-                1e160,
-                [],
-                "grid point (x=1e+160, y=0): moment overflow for alpha=2, M=4, i=1, "
-                "p=1: path loss (1 + d^nu)^1 overflows at d=inf, nu=3",
-            ),
-            (1e160, ["--engine", "mc"], "grid point (x=1e+160, y=0): user distance overflows"),
+            (1e160, 3, [], "grid point (x=1e+160, y=0): user distance overflows"),
+            (1e160, 3, ["--engine", "mc"], "grid point (x=1e+160, y=0): user distance overflows"),
             # a path loss that overflows at an earlier site is named first
             (
                 1e150,
+                3,
                 ["--engine", "mc"],
                 "grid point (x=1e+150, y=0): path loss 1 + d^nu overflows at i=1, "
                 "d=1e+150, nu=3",
             ),
+            (
+                1e150,
+                3,
+                [],
+                "grid point (x=1e+150, y=0): moment overflow for alpha=2, M=4, i=1, "
+                "p=1: path loss (1 + d^nu)^1 overflows at d=1e+150, nu=3",
+            ),
+            # 1 + inf^0 = 2: a far site is refused without a path loss that
+            # overflows, after a site that is fine
+            (0, 0, [], "grid point (x=1e+159, y=0): user distance overflows"),
+            (0, 0, ["--engine", "mc"], "grid point (x=1e+159, y=0): user distance overflows"),
         ],
-        ids=["analytical", "mc", "mc-earlier-path-loss"],
+        ids=[
+            "analytical",
+            "mc",
+            "mc-earlier-path-loss",
+            "analytical-earlier-moment",
+            "analytical-nu0",
+            "mc-nu0",
+        ],
     )
     def test_distance_overflow_exit_three(
-        self, tmp_path, capsys, x_min, engine_args, message
+        self, tmp_path, capsys, x_min, nu, engine_args, message
     ):
         # a site's distance overflows to inf: one error line, no warning
         grid = {"x_min": x_min, "x_max": 1e160, "y_min": 0, "y_max": 0, "step": 1e159}
-        path = write_config(tmp_path, {"experiment": {"grid": grid}})
+        path = write_config(tmp_path, {"fading": {"nu": nu}, "experiment": {"grid": grid}})
         out = tmp_path / "out.csv"
         argv = ["run", "--preset", "fig4a", "--trials", "1000", *engine_args,
                 "--config", str(path), "--output", str(out)]

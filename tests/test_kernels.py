@@ -40,10 +40,11 @@ def make_inputs(n_users, n_trials=256, seed=0):
 
 def kernel_rates(rho, a, inv_r1, inv_r2, imp):
     """``pair_rate_chunk`` at the given reciprocal SNRs, with every numpy
-    warning raised as an error."""
+    warning raised as an error, scaled from the kernel's unit share to
+    the two-slot share 1/2 of the scalar model (exact: a power of two)."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return pair_rate_chunk(rho, np.asarray(a), inv_r1, inv_r2, *distortion_terms(imp))
+        return 0.5 * pair_rate_chunk(rho, np.asarray(a), inv_r1, inv_r2, *distortion_terms(imp))
 
 
 def assert_close(got, want):
@@ -123,7 +124,7 @@ def test_high_snr_limit(n_users, label):
     imp = FIG2B_PROFILES[label]
     rho, a = make_inputs(n_users, n_trials=32, seed=n_users)
     with np.errstate(divide="ignore"):
-        rates = pair_rate_chunk(rho, np.asarray(a), 0.0, 0.0, *distortion_terms(imp))
+        rates = 0.5 * pair_rate_chunk(rho, np.asarray(a), 0.0, 0.0, *distortion_terms(imp))
     for t in range(rho.shape[0]):
         assert_close(list(rates[t]), exact_decoder_rates(rho[t], a, 0.0, 0.0, imp))
     assert np.isfinite(rates[:, :-1]).all()
@@ -151,7 +152,7 @@ def test_vanishing_decoder_gain():
 @pytest.mark.parametrize("n_users", [2, 4, 8])
 def test_overflowing_sinr_falls_back_to_a_log_difference(n_users):
     # at 3080 dB decoder M's SINR P_M / D exceeds the float range where
-    # the gains are large; the entry is 1/2 (log2 P_M - log2 D), finite
+    # the gains are large; the kernel's entry is log2 P_M - log2 D, finite
     # and without a warning
     rho, a = make_inputs(n_users, n_trials=64, seed=n_users)
     rho[::2] *= 30.0
@@ -169,7 +170,7 @@ def test_overflowing_sinr_falls_back_to_a_log_difference(n_users):
         assert_close(list(rates[t]), exact_decoder_rates(rho[t], a, inv_r1, inv_r1 / 2.0, imp))
     # rows that do not overflow keep the common path's bits
     clean = np.isfinite(plain)
-    assert np.array_equal(pair_rate_chunk(rho[clean], *args), rates[clean])
+    assert np.array_equal(0.5 * pair_rate_chunk(rho[clean], *args), rates[clean])
 
 
 @pytest.mark.parametrize("n_users", [4, 8])
@@ -190,8 +191,8 @@ def test_kernel_is_row_local(n_users):
 
 
 def unhoisted_columns(rho, a, inv_r1, inv_r2, mac, mix, bc):
-    """The decoder rates with every term formed inside the decoder loop,
-    in the kernel's operand order: 1/2 log2(P_k / D + 1) with the
+    """The unit-share decoder rates with every term formed inside the
+    decoder loop, in the kernel's operand order: log2(P_k / D + 1) with the
     numerator P_k summed upward (P_M = suffix[:, 0]) and
     D = (suffix_{k-1} + shared) + noise_fwd / rho_k.  The reference for
     the kernel's hoisted terms."""
@@ -203,7 +204,7 @@ def unhoisted_columns(rho, a, inv_r1, inv_r2, mac, mix, bc):
     for k in range(2, M + 1):
         num = suffix[:, 0] if k == M else numerators[:, k - 2]
         den = (suffix[:, k - 1] + shared) + noise_fwd / rho[:, k - 1]
-        yield 0.5 * np.log2(num / den + 1.0)
+        yield np.log2(num / den + 1.0)
 
 
 @settings(max_examples=40, deadline=None)

@@ -40,6 +40,7 @@ from mwrnoma.montecarlo import (
     _merge_stats,
     _sample_rho_chunk,
 )
+from mwrnoma.rate import asr_rows
 
 FADING3 = FadingParams(alpha=2, beta=3.0, nu=3.0, distances=(1.0,) * 3)
 CFG3 = NetworkConfig(n_users=3, a=(0.5, 0.3, 0.2), r1=1000.0)
@@ -251,7 +252,8 @@ def whole_array_stats(rates):
 def reference_stats(point, tc):
     """The per-point loop: sample, scale, evaluate the whole chunk of rates,
     reduce it as one array and merge chunk by chunk; then scale the
-    finished ``(n, total, stderr, per_decoder)`` by the time share."""
+    finished unit-share ``(n, total, stderr, per_decoder)`` by the time
+    share."""
     imp, cfg = point.imp, point.cfg
     stats = None
     for c in range(0, (tc.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS):
@@ -266,7 +268,7 @@ def reference_stats(point, tc):
         part = whole_array_stats(rates)
         stats = part if stats is None else _merge_stats(stats, part)
     n, t_mean, t_m2, mean = stats
-    share = 2 * point.prefactor
+    share = point.prefactor
     return n, t_mean * share, math.sqrt(t_m2 / (n * (n - 1))) * share, mean * share
 
 
@@ -350,6 +352,26 @@ class TestSweepEngine:
             assert got.total == total
             assert got.stderr == stderr
             assert np.array_equal(got.per_decoder, per_decoder)
+
+    @pytest.mark.parametrize("share", [1 / 2, 1 / 3, 1 / 5])
+    def test_share_scales_unit_share_results_once(self, share):
+        # the kernel's rates are at unit share; a scheme's share multiplies
+        # the finished closed-form rates and totals, and a Monte Carlo
+        # point's total, stderr and per-decoder means, once, bit for bit
+        imp = ImpairmentProfile.uniform(0.1)
+        psi = np.array([order_stat_moments(f, 4).psi for f in (FADING4, FAR4)])
+        args = _kernels.kernel_args(CFG4, imp)
+        unit = _kernels.pair_rate_chunk(psi, np.asarray(CFG4.a), *args)
+        per_decoder, totals, fault = asr_rows(psi, CFG4.a, args, share)
+        assert fault is None
+        assert np.array_equal(per_decoder, unit * share)
+        assert np.array_equal(totals, unit.sum(axis=1) * share)
+        point = SweepPoint(CFG4, FAR4, imp, 1.0)
+        points = [point, replace(point, prefactor=share)]
+        one, scaled = simulate_sweep(points, TrialConfig(self.TRIALS, seed=31))
+        assert scaled.total == one.total * share
+        assert scaled.stderr == one.stderr * share
+        assert np.array_equal(scaled.per_decoder, one.per_decoder * share)
 
     @RUNS
     def test_duplicate_points_share_results(self, monkeypatch, runs):

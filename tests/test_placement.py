@@ -364,7 +364,7 @@ class TestSharedSchemes:
 
             monkeypatch.setattr(placement, name, wrapper)
 
-        for name in ("_site_distances", "order_stat_moment_rows", "_finish_rows", "simulate_sweep"):
+        for name in ("_site_distances", "order_stat_moment_rows", "asr_rows", "simulate_sweep"):
             counted(name)
         geom, cfg, fading, imp = self.case()
         grid = GridSpec(x_min=0.0, x_max=4.0, y_min=0.0, y_max=2.0, step=2.0)
@@ -374,7 +374,7 @@ class TestSharedSchemes:
         )
         assert len(surfaces) == 2
         if engine == "analytical":
-            assert calls == {"_site_distances": 1, "order_stat_moment_rows": 1, "_finish_rows": 1}
+            assert calls == {"_site_distances": 1, "order_stat_moment_rows": 1, "asr_rows": 1}
         else:
             assert calls == {"_site_distances": 1, "simulate_sweep": 1}
 
