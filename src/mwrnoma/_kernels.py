@@ -32,9 +32,9 @@ placement batch or in a Monte Carlo chunk.  The gains may come in either
 memory order; they are held column-major (a C-ordered placement batch is
 copied once), so each step runs one contiguous loop over all rows.
 ``decoder_rate_columns`` finishes one decoder's rate column at a time in
-a caller-given buffer, so a Monte Carlo chunk reduces each column while
-it is in cache and never holds all its rates at once;
-``pair_rate_chunk`` collects the columns for the closed form.  work_n
+a caller-given buffer, and ``decoder_totals`` adds each column into the
+rows' totals while it is in cache, for both engines; only
+``pair_rate_chunk`` collects the columns, for a one-row result.  work_n
 is formed once per user, noise_fwd / rho_k once per decoder, and the
 terms a_n rho_n come from ``weighted_sums``, shared by every kernel call
 on the same gains.
@@ -161,6 +161,24 @@ def divergent_decoder_gain(rho, a, c):
     rho = np.asfortranarray(rho, dtype=np.float64)
     weighted, suffix, _ = weighted_sums(rho, a)
     return rho[:, -1] * suffix[:, 0] / (rho[:, -1] + weighted / c)
+
+
+def decoder_totals(columns, out):
+    """Add decoder rate columns (arrays over the rows, or scalars for one
+    row) left to right into ``out``: the one sum from rates to totals.
+    Returns the first row whose total is not finite, or None.
+
+    Rates are >= 0, so a total is non-finite exactly when one of its rates
+    is, and finite unit-share rates are below 2098 (log2 of the largest
+    double over the smallest), so only a non-finite sum of totals is
+    searched.
+    """
+    out.fill(0.0)
+    for column in columns:
+        np.add(out, column, out=out)
+    if np.isfinite(np.add.reduce(out)):
+        return None
+    return int(np.argmin(np.isfinite(out)))
 
 
 def pair_rate_chunk(rho, a, *args):

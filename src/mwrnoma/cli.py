@@ -518,7 +518,7 @@ def _run_grid_sweep(spec: ExperimentSpec) -> RunResult:
     # every row's closed form in one kernel call; a fault names the first row
     psi = np.broadcast_to(moments.psi, (len(mc_points), moments.n_users))
     args = [kernel_args(p.cfg, p.imp) for p in mc_points]
-    _, totals, fault = asr_rows(psi, spec.network.a, args, [p.prefactor for p in mc_points])
+    totals, fault = asr_rows(psi, spec.network.a, args, [p.prefactor for p in mc_points])
     if fault is not None:
         raise fault[1]
     # (sweep value, scheme, condition, asr_analytical), formatted

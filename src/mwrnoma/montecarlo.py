@@ -27,10 +27,9 @@ A chunk's sorted gains are a column-major (trials, M) array, one
 contiguous column per position.  No (trials, decoders) array of rates
 exists: the kernel finishes one decoder's rate column (its pair rates,
 telescoped to one logarithm) at a time into a reused (trials,) buffer,
-and ``_chunk_stats`` reduces it while it is still in cache, M - 1
-columns per kernel call.  A trial's total adds its decoder rates left to
-right; the means per decoder, and the mean and M2 (sum of squared
-deviations) of the totals, are numpy's pairwise sums along the chunk's
+and ``_kernels.decoder_totals`` adds it, left to right, into the trials'
+totals while it is still in cache.  Only the totals' mean and M2 (sum of
+squared deviations) outlive the chunk, numpy's pairwise sums along its
 trials, so the bits are those of a whole-array reduction.
 A chunk draws, transforms and sorts its gains in blocks of at most
 ``UNIFORM_BLOCK`` uniforms (or of one trial, if a trial needs more), so
@@ -178,44 +177,25 @@ def _mean_m2(x):
 
 
 def _chunk_stats(columns, count: int):
-    """Reduce a chunk's columns, each as it arrives, to chunk statistics.
-
-    columns: (count,) arrays, each valid only until the next is drawn.
-    The columns get their means, and the per-trial totals (which add the
-    columns left to right) their ``_mean_m2``.  Returns ``(n, t_mean,
-    t_m2, means)``, or, if any column holds a non-finite value, the
-    chunk's earliest trial that does in any column (an int).
-
-    A column's sum is non-finite exactly when one of its values is: a
-    finite unit-share decoder rate is below 1024 + 1074 = 2098 (log2 of
-    the largest double over the smallest), so a chunk's finite rates
-    cannot overflow their sum.  Only a non-finite column is searched.
-    """
-    totals = np.zeros(count)
-    means = []
-    bad = count
-    for col in columns:
-        mean = np.add.reduce(col) / count
-        if not math.isfinite(mean):
-            bad = min(bad, int(np.argmin(np.isfinite(col))))
-            continue
-        totals += col
-        means.append(mean)
-    if bad < count:
+    """A chunk's decoder rate columns (each valid only until the next is
+    drawn) added into per-trial totals (``_kernels.decoder_totals``), and
+    the totals' ``(n, mean, m2)``; or, if a total is not finite, the
+    chunk's earliest such trial (an int)."""
+    totals = np.empty(count)
+    bad = _kernels.decoder_totals(columns, totals)
+    if bad is not None:
         return bad
-    t_mean, t_m2 = _mean_m2(totals)
-    return count, float(t_mean), float(t_m2), np.array(means)
+    mean, m2 = _mean_m2(totals)
+    return count, float(mean), float(m2)
 
 
 def _merge_stats(left, right):
-    """Combine the ``(n, mean, m2, *means)`` of two disjoint samples: a
-    parallel Welford merge of mean and M2, and of any further means.  Each
-    entry but n may be an array."""
-    (n1, mu1, m21, *rest1), (n2, mu2, m22, *rest2) = left, right
+    """Combine the ``(n, mean, m2)`` of two disjoint samples (a parallel
+    Welford merge); mean and m2 may be arrays."""
+    (n1, mu1, m21), (n2, mu2, m22) = left, right
     n = n1 + n2
     delta = mu2 - mu1
-    means = [a + (b - a) * (n2 / n) for a, b in zip(rest1, rest2)]
-    return n, mu1 + delta * (n2 / n), m21 + m22 + delta**2 * (n1 * n2 / n), *means
+    return n, mu1 + delta * (n2 / n), m21 + m22 + delta**2 * (n1 * n2 / n)
 
 
 @dataclass(frozen=True)
@@ -285,11 +265,11 @@ def _merge_parts(parts, n_points: int):
 
 
 def _result(stats, prefactor: float) -> AsrResult:
-    n, t_mean, t_m2, mean = stats
-    stderr = math.sqrt(t_m2 / (n * (n - 1)))
+    n, mean, m2 = stats
+    stderr = math.sqrt(m2 / (n * (n - 1)))
     return AsrResult(
-        per_decoder=_time_share(prefactor, mean),
-        total=float(_time_share(prefactor, t_mean)),
+        per_decoder=None,
+        total=float(_time_share(prefactor, mean)),
         provenance="monte-carlo",
         stderr=float(_time_share(prefactor, stderr)),
         trials=n,

@@ -10,17 +10,18 @@ the weakest user).
 The analytical surface runs in blocks of whole grid rows, about
 ``BLOCK_SITES`` sites each: per block, the site distances form a
 (sites, M) array, the closed-form moments are scaled for all its rows at
-once (``channel.order_stat_moment_rows``) and one kernel call gives every
-decoder rate, so a surface holds one block's intermediates and its totals,
-whatever the grid's size.  The Monte Carlo surface is one sweep with a
-point per site (``montecarlo.simulate_sweep``).  The NOMA and OMA surfaces
-differ only in the time share of each pair rate, so ``sweep_surfaces``
-evaluates one surface of unit-share totals, on either engine, and each
-scheme's surface is those totals at its share (``rate._time_share``).
-Both engines use the one path-loss formula 1 + d^nu,
-computed per entry, and a row-local kernel, so each site gets the same
-bits as a one-site evaluation, in any block.  A failure, a path loss or
-a site distance that overflows included (whatever nu), names the first
+once (``channel.order_stat_moment_rows``) and one kernel call adds every
+decoder rate into the sites' totals (``rate.asr_rows``), so a surface
+holds one block's intermediates and its totals, whatever the grid's size.
+The Monte Carlo surface is one sweep with a point per site
+(``montecarlo.simulate_sweep``).  The NOMA and OMA surfaces differ only in
+the time share of each pair rate, so ``sweep_surfaces`` evaluates one
+surface of unit-share totals, on either engine, and each scheme's surface
+is those totals at its share (``rate._time_share``).  Both engines use the
+one path-loss formula 1 + d^nu, computed per entry, a row-local kernel and
+one left-to-right sum of a site's decoder rates, so each site gets the same
+bits as a one-site evaluation, in any block.  A failure, a path loss or a
+site distance that overflows included (whatever nu), names the first
 failing site in row-major order (y outer, x inner).
 """
 
@@ -50,7 +51,7 @@ __all__ = [
 ]
 
 # sites per block of an analytical surface, rounded down to whole grid rows
-# (at least one): a block's distances, moments and decoder rates are all the
+# (at least one): a block's distances, moments and kernel columns are all the
 # surface holds at a time besides its totals
 BLOCK_SITES = 1024
 
@@ -237,7 +238,7 @@ def sweep_surfaces(
             over = np.isinf(dist[:, 0])
             end = int(over.argmax()) if over.any() else over.size
             psi, _, moment_fault = order_stat_moment_rows(fading_template, dist[:end])
-            _, totals, rate_fault = asr_rows(psi, cfg.a, args, 1.0)
+            totals, rate_fault = asr_rows(psi, cfg.a, args, 1.0)
             start = j * xs.size
             # each step covers only the rows before the previous step's
             # fault, so the first fault found is the earliest site

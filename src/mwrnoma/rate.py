@@ -7,7 +7,9 @@ the order-statistic moments.  That is the Monte Carlo kernel evaluated on
 one row of psi per operating point or placement site; the high-SNR
 asymptotes are the same kernel at 1/r1 = 1/r2 = 0.  The kernel gives one
 rate per decoder, the sum of its successive-decoding pair rates, which
-telescope to one logarithm per decoder.  Distortion enters only through
+telescope to one logarithm per decoder; ``_kernels.decoder_totals`` adds
+a row's rates left to right, so its total has the same bits in ``asr``
+and in any batch of ``asr_rows``.  Distortion enters only through
 the impairment profile: the ideal transceiver is the all-zero profile,
 which is the default.  The affine high-SNR expansion
 ASR ~ S (log2 r1 - L), in terms of the high-SNR slope S and the power
@@ -16,7 +18,7 @@ offset L, follows in closed form from those limits."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,11 +42,12 @@ class AsrResult:
 
     per_decoder[k-2] holds the rate of decoder k = 2..M: the sum of its
     successive-decoding pair rates, users 1..k-1.  total is the sum over
-    all decoders.  A Monte Carlo result also carries the standard error
-    of its total and its trial count.
+    all decoders.  A Monte Carlo result carries no per-decoder rates
+    (None), only its total, the total's standard error and its trial
+    count.
     """
 
-    per_decoder: np.ndarray
+    per_decoder: np.ndarray | None
     total: float
     provenance: str
     stderr: float | None = None
@@ -52,46 +55,44 @@ class AsrResult:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
-        per_decoder = np.asarray(self.per_decoder, dtype=np.float64)
-        object.__setattr__(self, "per_decoder", per_decoder)
         if self.provenance not in ("analytical", "monte-carlo", "asymptotic"):
             raise ConfigurationError(f"unknown provenance {self.provenance!r}")
-        error = _result_error(per_decoder, self.total, self.provenance)
-        if error is not None:
-            raise ConfigurationError(error)
-
-    @property
-    def n_users(self) -> int:
-        return self.per_decoder.shape[0] + 1
-
-
-def _result_error(per_decoder: np.ndarray, total: float, provenance: str) -> str | None:
-    """Why per-decoder rates and a total are not a valid result, or None."""
-    # NaN fails every comparison below, so reject it here; +inf only
-    # marks a divergent decoder of an asymptote
-    if not (np.isfinite(per_decoder).all() and math.isfinite(total)):
-        if provenance != "asymptotic" or np.isnan(per_decoder).any() or math.isnan(total):
-            return f"{provenance} rates must be finite, got total {total!r}"
-    if np.any(per_decoder < 0):
-        return "per-decoder rates must be >= 0"
-    s = float(per_decoder.sum())
-    if math.isinf(s) or math.isinf(total):
-        if s != total:
-            return "total does not match per-decoder sum"
-    elif abs(s - total) > 1e-9 * max(1.0, abs(s)):
-        return f"total {total!r} does not match per-decoder sum {s!r}"
-    return None
+        rates = () if self.per_decoder is None else np.asarray(self.per_decoder, dtype=np.float64)
+        if self.per_decoder is not None:
+            object.__setattr__(self, "per_decoder", rates)
+        total = self.total
+        # NaN fails every comparison below, so reject it here; +inf only
+        # marks a divergent decoder of an asymptote
+        if not (np.isfinite(rates).all() and math.isfinite(total)):
+            if self.provenance != "asymptotic" or np.isnan(rates).any() or math.isnan(total):
+                error = f"{self.provenance} rates must be finite, got total {total!r}"
+                raise ConfigurationError(error)
+        if self.per_decoder is None:
+            return
+        if np.any(rates < 0):
+            raise ConfigurationError("per-decoder rates must be >= 0")
+        s = _total(rates)
+        if math.isinf(s) or math.isinf(total):
+            if s != total:
+                raise ConfigurationError("total does not match per-decoder sum")
+        elif abs(s - total) > 1e-9 * max(1.0, abs(s)):
+            raise ConfigurationError(f"total {total!r} does not match per-decoder sum {s!r}")
 
 
-def _decoder_rates(psi: np.ndarray, a, args) -> np.ndarray:
-    """Kernel step of the closed form: the unit-share rate of every
-    decoder at each row of psi, (rows, M-1), decoder k in column k-2.
+def _total(rates: np.ndarray) -> float:
+    """The total of one row of decoder rates, ``_kernels.decoder_totals``'
+    sum."""
+    out = np.empty(1)
+    _kernels.decoder_totals(rates, out)
+    return float(out[0])
 
-    args: ``_kernels.kernel_args``, one tuple for all rows or one per row.
-    """
+
+def _kernel_args(psi: np.ndarray, a, args) -> np.ndarray:
+    """args (``_kernels.kernel_args``, one tuple for all rows or one per
+    row) as the kernel's five arguments, each a scalar or a column."""
     if psi.shape[1] != len(a):
         raise ConfigurationError(f"moments cover {psi.shape[1]} users, config expects {len(a)}")
-    return _kernels.pair_rate_chunk(psi, a, *np.asarray(args, dtype=np.float64).T)
+    return np.asarray(args, dtype=np.float64).T
 
 
 def _time_share(prefactor, values):
@@ -102,25 +103,6 @@ def _time_share(prefactor, values):
     return values * scale.reshape(scale.shape + (1,) * (np.ndim(values) - scale.ndim))
 
 
-def _finish_rows(rates: np.ndarray, prefactor):
-    """Finishing step of ``asr_rows``: its ``(per_decoder, totals, fault)``
-    from the ``_decoder_rates`` output, each total the sum of the
-    unit-share rates, scaled to the time share ``prefactor``."""
-    per_decoder = _time_share(prefactor, rates)
-    totals = _time_share(prefactor, rates.sum(axis=1))
-    # the rows AsrResult rejects: a non-finite or negative rate or total
-    bad = ~(
-        np.isfinite(per_decoder).all(axis=1)
-        & (per_decoder >= 0).all(axis=1)
-        & np.isfinite(totals)
-    )
-    if not bad.any():
-        return per_decoder, totals, None
-    row = int(bad.argmax())
-    error = _result_error(per_decoder[row], float(totals[row]), "analytical")
-    return per_decoder[:row], totals[:row], (row, ConfigurationError(error))
-
-
 def asr_rows(psi: np.ndarray, a, args, prefactor=0.5):
     """Closed-form sum rate at every row of order-statistic means.
 
@@ -129,15 +111,34 @@ def asr_rows(psi: np.ndarray, a, args, prefactor=0.5):
     relay-placement surface (one row per site), or a (rows, 5) sequence,
     one per row, as for an SNR or distortion sweep.  prefactor is one
     scheme share for every row or one per row (1.0: the kernel's unit
-    share), applied to the finished rates and totals.  ``asr`` is the
-    one-row case.  Returns ``(per_decoder, totals, fault)``: per_decoder
-    is (rows, M-1) and each total is its row's unit-share sum at the
-    share.  ``fault`` is None when every row is an acceptable
-    ``AsrResult``.  Otherwise it is ``(row, error)`` for the first row
-    that is not, and per_decoder and totals cover only the rows before it.
+    share).  Returns ``(totals, fault)``: each total is its row's
+    ``_kernels.decoder_totals`` sum at the share, the bits of ``asr``.
+    ``fault`` is None when every total is finite.  Otherwise it is
+    ``(row, error)`` for the first row whose total is not, and totals
+    cover only the rows before it.
     """
-    rates = _decoder_rates(np.asarray(psi, dtype=np.float64), a, args)
-    return _finish_rows(rates, prefactor)
+    psi = np.asarray(psi, dtype=np.float64)
+    work = np.empty((psi.shape[0], 2), order="F")
+    columns = _kernels.decoder_rate_columns(psi, a, *_kernel_args(psi, a, args), work=work)
+    totals = np.empty(psi.shape[0])
+    row = _kernels.decoder_totals(columns, totals)
+    totals = _time_share(prefactor, totals)
+    if row is None:
+        return totals, None
+    error = f"analytical rates must be finite, got total {float(totals[row])!r}"
+    return totals[:row], (row, ConfigurationError(error))
+
+
+def _one_row(moments: OrderStatMoments, cfg: NetworkConfig, args, prefactor, provenance):
+    """The ``AsrResult`` of one kernel evaluation at one row of means: its
+    decoder rates and their ``_total``, at the share."""
+    psi = moments.psi[None, :]
+    rates = _kernels.pair_rate_chunk(psi, cfg.a, *_kernel_args(psi, cfg.a, args))[0]
+    return AsrResult(
+        per_decoder=_time_share(prefactor, rates),
+        total=float(_time_share(prefactor, _total(rates))),
+        provenance=provenance,
+    )
 
 
 def asr(
@@ -151,11 +152,7 @@ def asr(
     The default profile is distortion-free; the default 1/2 prefactor
     charges the two-slot exchange.
     """
-    args = _kernels.kernel_args(cfg, imp)
-    per_decoder, totals, fault = asr_rows(moments.psi[None, :], cfg.a, args, prefactor)
-    if fault is not None:
-        raise fault[1]
-    return AsrResult(per_decoder=per_decoder[0], total=float(totals[0]), provenance="analytical")
+    return _one_row(moments, cfg, _kernels.kernel_args(cfg, imp), prefactor, "analytical")
 
 
 def asr_asymptotic(
@@ -170,21 +167,15 @@ def asr_asymptotic(
     distortion) has no ceiling: its entry is +inf and the total is
     flagged divergent.
     """
+    args = (0.0, 0.0, *_kernels.distortion_terms(imp))
     with np.errstate(divide="ignore"):
-        args = (0.0, 0.0, *_kernels.distortion_terms(imp))
-        rates = _decoder_rates(moments.psi[None, :], cfg.a, args)
-        per_decoder = _time_share(prefactor, rates[0])
+        limit = _one_row(moments, cfg, args, prefactor, "asymptotic")
     notes = tuple(
         f"decoder k={k} has no interference ceiling: asymptote diverges"
-        for k, rate in enumerate(per_decoder, start=2)
+        for k, rate in enumerate(limit.per_decoder, start=2)
         if math.isinf(rate)
     )
-    return AsrResult(
-        per_decoder=per_decoder,
-        total=float(_time_share(prefactor, rates[0].sum())),
-        provenance="asymptotic",
-        notes=notes,
-    )
+    return replace(limit, notes=notes)
 
 
 def asr_affine(
@@ -205,6 +196,6 @@ def asr_affine(
     limit = asr_asymptotic(moments, cfg, imp, 1.0)
     if math.isfinite(limit.total):
         return 0.0, math.inf, float(_time_share(prefactor, limit.total))
-    bounded = float(limit.per_decoder[np.isfinite(limit.per_decoder)].sum())
+    bounded = _total(limit.per_decoder[np.isfinite(limit.per_decoder)])
     gain = _kernels.divergent_decoder_gain(moments.psi[None, :], cfg.a, cfg.c)[0]
     return prefactor, -(bounded + math.log2(gain)), math.inf

@@ -116,7 +116,7 @@ class TestDeterminism:
         a = simulate_asr(CFG3, FADING3, ImpairmentProfile.uniform(0.1), tc)
         b = simulate_asr(CFG3, FADING3, ImpairmentProfile.uniform(0.1), tc)
         assert a.total == b.total
-        assert np.array_equal(a.per_decoder, b.per_decoder)
+        assert a.stderr == b.stderr
 
     def test_different_seed_different_result(self):
         tc1 = TrialConfig(trials=5_000, seed=1)
@@ -141,11 +141,11 @@ class TestStatistics:
         sim = simulate_asr(cfg, FADING3, ImpairmentProfile.ideal(), TrialConfig(5_000, seed=3))
         assert sim.total < 1e-6
 
-    def test_one_mean_per_decoder(self):
+    def test_result_carries_the_total_alone(self):
+        # no per-decoder means: a Monte Carlo result is its total's statistics
         sim = simulate_asr(CFG3, FADING3, ImpairmentProfile.uniform(0.2), TrialConfig(2_000, seed=5))
-        assert sim.per_decoder.shape == (CFG3.n_users - 1,)
-        assert (sim.per_decoder > 0).all()
-        assert sim.total == pytest.approx(sim.per_decoder.sum(), rel=1e-12)
+        assert sim.per_decoder is None
+        assert sim.total > 0 and sim.stderr > 0 and sim.trials == 2_000
 
     def test_stderr_scales_with_trials(self):
         imp = ImpairmentProfile.ideal()
@@ -241,19 +241,17 @@ SWEEP = [
 
 def whole_array_stats(rates):
     """The oracle of ``_chunk_stats``: the whole-array reduction of one
-    (trials, decoders) chunk of rates."""
-    mean = rates.mean(axis=0)
+    (trials, decoders) chunk of rates to its totals' statistics."""
     totals = rates.sum(axis=1)
     t_mean = totals.mean()
     t_m2 = float(((totals - t_mean) ** 2).sum())
-    return rates.shape[0], float(t_mean), t_m2, mean
+    return rates.shape[0], float(t_mean), t_m2
 
 
 def reference_stats(point, tc):
     """The per-point loop: sample, scale, evaluate the whole chunk of rates,
     reduce it as one array and merge chunk by chunk; then scale the
-    finished unit-share ``(n, total, stderr, per_decoder)`` by the time
-    share."""
+    finished unit-share ``(n, total, stderr)`` by the time share."""
     imp, cfg = point.imp, point.cfg
     stats = None
     for c in range(0, (tc.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS):
@@ -267,9 +265,9 @@ def reference_stats(point, tc):
         )
         part = whole_array_stats(rates)
         stats = part if stats is None else _merge_stats(stats, part)
-    n, t_mean, t_m2, mean = stats
+    n, t_mean, t_m2 = stats
     share = point.prefactor
-    return n, t_mean * share, math.sqrt(t_m2 / (n * (n - 1))) * share, mean * share
+    return n, t_mean * share, math.sqrt(t_m2 / (n * (n - 1))) * share
 
 
 def counted_reducer(monkeypatch):
@@ -320,7 +318,6 @@ def assert_same_result(got, want):
     assert got.total == want.total
     assert got.stderr == want.stderr
     assert got.trials == want.trials
-    assert np.array_equal(got.per_decoder, want.per_decoder)
 
 
 # ``runs`` repeats a run in one process: each run owns its chunk buffers,
@@ -347,31 +344,28 @@ class TestSweepEngine:
     def test_matches_per_point_loop(self):
         tc = TrialConfig(self.TRIALS, seed=31)
         for point, got in zip(SWEEP, simulate_sweep(SWEEP, tc)):
-            n, total, stderr, per_decoder = reference_stats(point, tc)
+            n, total, stderr = reference_stats(point, tc)
             assert n == got.trials == self.TRIALS
             assert got.total == total
             assert got.stderr == stderr
-            assert np.array_equal(got.per_decoder, per_decoder)
 
     @pytest.mark.parametrize("share", [1 / 2, 1 / 3, 1 / 5])
     def test_share_scales_unit_share_results_once(self, share):
         # the kernel's rates are at unit share; a scheme's share multiplies
-        # the finished closed-form rates and totals, and a Monte Carlo
-        # point's total, stderr and per-decoder means, once, bit for bit
+        # the finished closed-form totals, and a Monte Carlo point's total
+        # and stderr, once, bit for bit
         imp = ImpairmentProfile.uniform(0.1)
         psi = np.array([order_stat_moments(f, 4).psi for f in (FADING4, FAR4)])
         args = _kernels.kernel_args(CFG4, imp)
         unit = _kernels.pair_rate_chunk(psi, np.asarray(CFG4.a), *args)
-        per_decoder, totals, fault = asr_rows(psi, CFG4.a, args, share)
+        totals, fault = asr_rows(psi, CFG4.a, args, share)
         assert fault is None
-        assert np.array_equal(per_decoder, unit * share)
         assert np.array_equal(totals, unit.sum(axis=1) * share)
         point = SweepPoint(CFG4, FAR4, imp, 1.0)
         points = [point, replace(point, prefactor=share)]
         one, scaled = simulate_sweep(points, TrialConfig(self.TRIALS, seed=31))
         assert scaled.total == one.total * share
         assert scaled.stderr == one.stderr * share
-        assert np.array_equal(scaled.per_decoder, one.per_decoder * share)
 
     @RUNS
     def test_duplicate_points_share_results(self, monkeypatch, runs):
@@ -409,8 +403,7 @@ class TestSweepEngine:
             assert rates.shape == (count, n_users - 1)
             want = whole_array_stats(rates)
             assert got[0] == want[0] == count
-            assert got[1:3] == want[1:3]
-            assert np.array_equal(got[3], want[3])
+            assert got[1:] == want[1:]
 
     @RUNS
     def test_groups_by_computed_distortion_terms(self, monkeypatch, runs):

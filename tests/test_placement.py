@@ -482,7 +482,7 @@ class TestBlocks:
         assert fault is None
         for surface, scheme in zip(surfaces, self.SCHEMES):
             share = scheme_prefactor(scheme, cfg.n_users)
-            _, totals, fault = asr_rows(psi, cfg.a, kernel_args(cfg, imp), share)
+            totals, fault = asr_rows(psi, cfg.a, kernel_args(cfg, imp), share)
             assert fault is None
             assert surface.asr.tobytes() == totals.tobytes()
 
@@ -510,17 +510,17 @@ class TestBlocks:
     def test_rate_fault_before_a_moment_fault_names_its_site(self, monkeypatch):
         from mwrnoma import _kernels
 
-        original = _kernels.pair_rate_chunk
+        original = _kernels.decoder_rate_columns
         calls = []
 
-        def nan_in_last_block(rho, a, *args):
-            rates = original(rho, a, *args)
-            calls.append(rates.shape[0])
-            if len(calls) == 7:
-                rates[100, 2] = np.nan
-            return rates
+        def nan_in_last_block(rho, a, *args, **kwargs):
+            calls.append(rho.shape[0])
+            for p, column in enumerate(original(rho, a, *args, **kwargs)):
+                if len(calls) == 7 and p == 2:
+                    column[100] = np.nan
+                yield column
 
-        monkeypatch.setattr(_kernels, "pair_rate_chunk", nan_in_last_block)
+        monkeypatch.setattr(_kernels, "decoder_rate_columns", nan_in_last_block)
         # (1 + d^nu)^2 overflows beyond d = 49.7: first at (x=-20, y=17),
         # 49.9 m from the farthest user, row 2 of the last block
         geom, grid, cfg, fading, imp = self.fig4b(
@@ -537,7 +537,7 @@ class TestBlocks:
         assert str(info.value) == (
             "grid point (x=-10.5, y=16.5): analytical rates must be finite, got total nan"
         )
-        monkeypatch.setattr(_kernels, "pair_rate_chunk", original)
+        monkeypatch.setattr(_kernels, "decoder_rate_columns", original)
         with pytest.raises(NumericError) as info:
             sweep_surfaces(geom, grid, cfg, fading, imp, schemes=self.SCHEMES)
         assert str(info.value).startswith("grid point (x=-20, y=17): moment overflow")

@@ -24,6 +24,7 @@ from mwrnoma import (
 )
 from mwrnoma._kernels import kernel_args
 from mwrnoma.baseline import scheme_prefactor
+from mwrnoma.channel import order_stat_moment_rows
 from mwrnoma.rate import asr_rows
 from scalar_oracle import decoder_rates, pair_indices
 
@@ -354,7 +355,7 @@ class TestClosedFormProperties:
         moments, cfg, imp = case
         # rows of rescaled means, as a placement surface produces
         psi = np.array([moments.psi * rnd.uniform(1e-3, 1.0) for _ in range(n_rows)])
-        _, totals, fault = asr_rows(psi, cfg.a, kernel_args(cfg, imp))
+        totals, fault = asr_rows(psi, cfg.a, kernel_args(cfg, imp))
         assert fault is None
         one_row = [
             asr(OrderStatMoments(psi=row, omega=moments.omega), cfg, imp).total for row in psi
@@ -379,12 +380,29 @@ class TestClosedFormProperties:
         shares = [scheme_prefactor(scheme, cfg.n_users) for _, _, scheme in points]
         psi = np.broadcast_to(moments.psi, (len(points), cfg.n_users))
         args = [kernel_args(c, imp) for c, imp in zip(cfgs, imps)]
-        per_decoder, totals, fault = asr_rows(psi, cfg.a, args, shares)
+        totals, fault = asr_rows(psi, cfg.a, args, shares)
         assert fault is None
         for row, (c, imp, share) in enumerate(zip(cfgs, imps, shares)):
-            alone = asr(moments, c, imp, share)
-            assert totals[row] == alone.total
-            assert np.array_equal(per_decoder[row], alone.per_decoder)
+            assert totals[row] == asr(moments, c, imp, share).total
+
+    def test_row_total_does_not_depend_on_its_batch(self):
+        # at M = 12 a row has 11 decoder rates, enough for numpy's pairwise
+        # sum of one row to differ from the column-by-column sum of a
+        # batch; every total adds its rates left to right instead
+        M = 12
+        raw = np.arange(M, 0, -1.0)
+        cfg = NetworkConfig(n_users=M, a=tuple(raw / raw.sum()), r1=100.0)
+        fading = FadingParams(alpha=2, beta=3.0, nu=3.0, distances=(1.0,) * M)
+        dist = -np.sort(-np.random.default_rng(0).uniform(10.0, 30.0, (200, M)), axis=1)
+        psi, omega, fault = order_stat_moment_rows(fading, dist)
+        assert fault is None
+        imp = ImpairmentProfile.uniform(0.1)
+        args = kernel_args(cfg, imp)
+        totals, fault = asr_rows(psi, cfg.a, args)
+        assert fault is None
+        for row, (p, w) in enumerate(zip(psi, omega)):
+            assert asr_rows(p[None, :], cfg.a, args)[0][0] == totals[row]
+            assert asr(OrderStatMoments(psi=p, omega=w), cfg, imp).total == totals[row]
 
     def test_first_faulting_row_named(self, setup3):
         # rows 2 and 4 give NaN rates; the batch names row 2, with the
@@ -393,10 +411,10 @@ class TestClosedFormProperties:
         psi = np.tile(moments.psi, (6, 1))
         psi[[2, 4], 0] = np.nan
         args = [kernel_args(cfg_at(cfg, 10.0**db), ImpairmentProfile()) for db in range(6)]
-        per_decoder, totals, fault = asr_rows(psi, cfg.a, args, [0.5, 1 / 3] * 3)
+        totals, fault = asr_rows(psi, cfg.a, args, [0.5, 1 / 3] * 3)
         row, error = fault
-        assert row == 2 and per_decoder.shape[0] == totals.shape[0] == 2
-        _, _, (alone_row, alone) = asr_rows(psi[2:3], cfg.a, args[2], 0.5)
+        assert row == 2 and totals.shape[0] == 2
+        _, (alone_row, alone) = asr_rows(psi[2:3], cfg.a, args[2], 0.5)
         assert alone_row == 0 and isinstance(error, ConfigurationError)
         assert str(error) == str(alone) == "analytical rates must be finite, got total nan"
 
