@@ -4,6 +4,8 @@ The SINR of ``mwrnoma.signal`` is evaluated with numerator and
 denominator divided through by r1 * r2, so the SNR enters only as 1/r1
 and 1/r2.  That keeps every finite SNR finite (no r1 * r2 product to
 overflow), and the high-SNR limit is the same formula at 1/r1 = 1/r2 = 0.
+At a vanishing SNR the noise terms overflow to +inf instead, which gives
+every rate its limit 0.
 
 The SINR is also divided through by the decoder's gain rho_k, to
 a_n rho_n / D_k(n) with D_k(n) = work_n + noise_fwd / rho_k: work_n
@@ -113,11 +115,15 @@ def decoder_rate_columns(rho, a, inv_r1, inv_r2, mac, mix, bc, *, work, aggregat
     M = rho.shape[1]
     weighted, suffix, terms = weighted_sums(rho, a) if aggregates is None else aggregates
 
-    noise_fwd = mac * weighted * inv_r2 + inv_r1 * inv_r2
-    # work_n = suffix[:, n] + shared: what scales with rho_k in the
-    # denominator of user n, for every decoder k: the interference left
-    # after n, distortion and the broadcast-hop noise
-    shared = mix * weighted + bc * inv_r1
+    # at a vanishing SNR the noise terms overflow (1/(r1 r2) below about
+    # -1541 dB at c = 1; 1/r2 times the gains, and 1/r1 times the broadcast
+    # distortion, near -3082 dB): they are +inf and every rate 0, its limit
+    with np.errstate(over="ignore"):
+        noise_fwd = mac * weighted * inv_r2 + inv_r1 * inv_r2
+        # work_n = suffix[:, n] + shared: what scales with rho_k in the
+        # denominator of user n, for every decoder k: the interference left
+        # after n, distortion and the broadcast-hop noise
+        shared = mix * weighted + bc * inv_r1
 
     den = terms[:, M - 1]
     out = work[:, 1]

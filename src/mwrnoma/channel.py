@@ -14,8 +14,10 @@ Two independent routes to the per-position moments are provided:
   the survival power, so the M positions share M integrals per moment
   order.  All coefficients are rational, so the unscaled moments are
   evaluated in exact rational arithmetic once per (alpha, M) and scaled
-  by path loss for any number of distance rows at once;
-  ``order_stat_moments`` reads one row.
+  by path loss for any number of distance rows at once: the first
+  moments divided by 1 + d^nu (libm's pow, as for the Monte Carlo gains),
+  the second by its correctly rounded square.  ``order_stat_moments``
+  reads one row.
 * ``moment_oracle``: adaptive quadrature of x^p times the order-statistic
   density, sharing no code with the expansion above.
 """
@@ -45,6 +47,12 @@ __all__ = [
 # (a cold analytical fig2a takes about 0.3 s at 400; its moment table alone
 # takes about 2 s at 1000)
 MAX_ALPHA = 400
+
+# largest alpha * M^2 whose moment table a run builds: the build time grows
+# about as alpha^2 M^4, and the slowest accepted pairs, alpha = 400 with
+# M = 8 and alpha = 316 with M = 9, build in about 1.5 and 1.1 s (alpha = 2
+# allows M = 113, 0.5 s; M = 256 took 27 s)
+MAX_MOMENT_TABLE = 25_600
 
 
 @dataclass(frozen=True)
@@ -233,10 +241,11 @@ def _pow_each(base: np.ndarray, exponent: float) -> np.ndarray:
     overflows.
 
     That is libm's pow; numpy's vectorised pow rounds the last bit
-    differently on some inputs (``x * x`` too, against ``pow(x, 2.0)``),
-    and the placement CSVs pin these bits.  ``math.pow`` is the same libm
+    differently on some inputs, and the placement CSVs and the Monte Carlo
+    path-loss factors pin the bits of d^nu.  ``math.pow`` is the same libm
     call, mapped over the entries without a Python-level loop; only when
-    an entry overflows are they redone one at a time.
+    an entry overflows are they redone one at a time.  Squares do not come
+    here: ``order_stat_moment_rows`` squares 1 + d^nu with one multiply.
     """
     values = base.ravel().tolist()
     try:
@@ -316,7 +325,8 @@ def order_stat_moment_rows(params: FadingParams, distances):
     ``params`` supplies the fading law and path-loss exponent; ``distances``
     is (rows, M), one row per relay position (``order_stat_moments`` is the
     one-row case).  The exact rationals are converted and multiplied by
-    beta^p once, then divided by (1 + d^nu)^p for all rows together.
+    beta^p once, then divided by (1 + d^nu)^p for all rows together, the
+    square as one multiply.
 
     Returns ``(psi, omega, fault)``.  ``fault`` is None when every row is
     valid.  Otherwise it is ``(row, error)`` for the first row whose moments
@@ -330,7 +340,10 @@ def order_stat_moment_rows(params: FadingParams, distances):
     except NumericError as exc:
         return np.empty((0, M)), np.empty((0, M)), (0, exc)
     scale = _path_loss_scale(d, params.nu)
-    scale2 = _pow_each(scale, 2.0)
+    # the correctly rounded square (one IEEE multiply, the same bits on
+    # every CPU); inf where it overflows, which the check below reports
+    with np.errstate(over="ignore"):
+        scale2 = scale * scale
     fault = None
     overflow = np.isinf(scale2).any(axis=1)
     if overflow.any():

@@ -30,7 +30,7 @@ import numpy as np
 
 from ._kernels import kernel_args
 from .baseline import scheme_prefactor
-from .channel import FadingParams, moment_oracle, order_stat_moments
+from .channel import MAX_MOMENT_TABLE, FadingParams, moment_oracle, order_stat_moments
 from .errors import ConfigurationError, NumericError, SweepPointError
 from .montecarlo import SweepPoint, TrialConfig, sample_moments, simulate_sweep
 from .placement import Geometry, GridSpec, PlacementSurface, distances, sweep_surfaces
@@ -98,7 +98,8 @@ MOMENTS_HEADER = [
 # decimal output with 9 significant digits, for the cells of both CSV
 # writers (``_csv_writer``, ``_write_surface``) and the summaries' totals;
 # a bound method, so that ``map(_fmt, ...)`` makes no Python-level call
-# per value
+# per value.  ``_write_surface`` formats a grid row's rates with "%.9g",
+# which gives the same text, in one call per row.
 _fmt = "{:.9g}".format
 
 
@@ -402,6 +403,12 @@ def _spec_from_config(config: dict) -> ExperimentSpec:
         raise ConfigurationError(
             f"fading.distances: length {fading.n_users} != network.n_users {network.n_users}"
         )
+    if fading.alpha * network.n_users**2 > MAX_MOMENT_TABLE:
+        raise ConfigurationError(
+            f"network.n_users: at most {math.isqrt(MAX_MOMENT_TABLE // fading.alpha)} "
+            f"at fading.alpha {fading.alpha} (alpha * n_users^2 <= {MAX_MOMENT_TABLE}), "
+            f"got {network.n_users}"
+        )
 
     variants = _parse_impairments(config.get("impairments"))
     if kind == "kappa-sweep" and len(variants) > 1:
@@ -604,10 +611,13 @@ def _write_surface(path: Path, surface: PlacementSurface) -> float:
     pieces = [None] * (4 * n)
     pieces[0::4] = [x + "," for x in map(_fmt, surface.xs.tolist())]
     pieces[3::4] = ["\n"] * n
+    # the split leaves an empty cell after the last comma
+    row_format = "%.9g," * n
 
     def written_rates(fh):
         for y, asr_row in zip(map(_fmt, surface.ys.tolist()), surface.asr):
-            rates = list(map(_fmt, asr_row.tolist()))
+            rates = (row_format % tuple(asr_row.tolist())).split(",")
+            del rates[n]
             pieces[1::4] = [y + ","] * n
             pieces[2::4] = rates
             fh.write("".join(pieces))

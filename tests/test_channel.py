@@ -2,6 +2,7 @@
 
 import math
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -71,20 +72,45 @@ class TestClosedFormTrivial:
         assert omega(p, 3, 3) == pytest.approx(4069 / 324 * 9 / 4, rel=1e-12)
 
     def test_rows_equal_scalar_formula(self):
-        # float(q) beta^p / (1 + d^nu)^p with Python's float pow, per entry:
-        # numpy's vectorised pow and x * x differ from it in the last bit
-        # on a share of these distances
+        # float(q) beta^p / s^p per entry, with s = 1 + d^nu from Python's
+        # float pow (numpy's vectorised pow differs from it in the last bit
+        # on a share of these distances) and s^2 the correctly rounded
+        # s * s, which libm's pow(s, 2.0) is not on a few scales
         p = params(alpha=2, beta=3.0, nu=3.0, n_users=4)
         d = -np.sort(-np.random.default_rng(5).uniform(10.0, 40.0, size=(5000, 4)), axis=1)
         psi, omega, fault = order_stat_moment_rows(p, d)
         assert fault is None
+        scales = [[1.0 + x**3.0 for x in row] for row in d.tolist()]
         for power, table in ((1, psi), (2, omega)):
             unscaled = [float(q) * 3.0**power for q in _unscaled_table(2, 4)[power - 1]]
             expected = [
-                [u / (1.0 + dist**3.0) ** power for u, dist in zip(unscaled, row)]
-                for row in d.tolist()
+                [u / (s if power == 1 else s * s) for u, s in zip(unscaled, row)]
+                for row in scales
             ]
             assert np.array_equal(table, expected)
+
+    @pytest.mark.parametrize(
+        "scale, fault", [(1.3407807929942596e154, False), (1.3407807929942597e154, True)]
+    )
+    def test_square_overflow_boundary(self, scale, fault):
+        # (1 + d^nu)^2 overflows exactly where the square of a double does:
+        # the largest scale whose square is finite gives moments, the next
+        # double the p = 2 fault, neither a warning
+        assert math.nextafter(1.3407807929942596e154, math.inf) == 1.3407807929942597e154
+        p = params(alpha=1, beta=1e10, nu=1.0, n_users=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            psi, omega, got = order_stat_moment_rows(p, [[scale - 1.0]])
+        if not fault:
+            assert got is None
+            assert omega[0, 0] > 0 and np.isfinite(omega).all()
+            return
+        assert got[0] == 0 and psi.shape == omega.shape == (0, 1)
+        assert isinstance(got[1], NumericError)
+        assert str(got[1]) == (
+            "moment overflow for alpha=1, M=1, i=1, p=2: "
+            f"path loss (1 + d^nu)^2 overflows at d={scale:g}, nu=1"
+        )
 
     @pytest.mark.parametrize("nu", [2.7, 3.0, 4.1])
     def test_factors_share_the_moment_path_loss(self, nu):
@@ -198,6 +224,17 @@ class TestExpansion:
         assert time.perf_counter() - start < 2.0
         # order statistics sum to the sample: sum of means = M * alpha
         assert sum(means) == 4 * 48
+
+    def test_largest_accepted_table_builds(self):
+        # alpha = 400 with M = 8 is the slowest pair within MAX_MOMENT_TABLE
+        # (about 1.5 s); a pair just outside it, M = 9, takes about 2.5 s
+        assert 400 * 8**2 <= channel.MAX_MOMENT_TABLE < 400 * 9**2
+        _survival_powers.cache_clear()
+        start = time.perf_counter()
+        means, second = _unscaled_table.__wrapped__(400, 8)
+        assert time.perf_counter() - start < 10.0
+        # the order statistics sum to the sample: M alpha and M alpha (alpha + 1)
+        assert sum(means) == 8 * 400 and sum(second) == 8 * 400 * 401
 
 
 class TestOracleAgreement:

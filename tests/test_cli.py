@@ -235,6 +235,28 @@ class TestSpecLoading:
         assert capsys.readouterr().err == f"error: config: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("alpha, limit", [(1, 160), (2, 113), (316, 9), (400, 8)])
+    def test_users_bounded_by_fading_shape(self, tmp_path, capsys, alpha, limit):
+        # alpha * n_users^2 <= MAX_MOMENT_TABLE: the largest such M loads,
+        # one more user is refused before any moment is built
+        def users(n):
+            a = [2 * w / (n * (n + 1)) for w in range(n, 0, -1)]
+            config = {"network": {"n_users": n, "a": a},
+                      "fading": {"alpha": alpha, "distances": [1.0] * n}}
+            return write_config(tmp_path, config, name=f"users{n}.json")
+
+        spec = load_spec(config_path=users(limit), preset_name="fig2a")
+        assert spec.network.n_users == limit and spec.fading.alpha == alpha
+        out = tmp_path / "out.csv"
+        argv = ["run", "--preset", "fig2a", "--config", str(users(limit + 1)),
+                "--output", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: config: network.n_users: at most {limit} at fading.alpha {alpha} "
+            f"(alpha * n_users^2 <= 25600), got {limit + 1}\n"
+        )
+        assert not out.exists()
+
     def test_sweep_point_limit(self):
         # counted before the points are built
         limit = cli.MAX_SWEEP_POINTS
@@ -288,6 +310,23 @@ class TestSnrSweep:
         for row in rows:
             for key in ("asr_analytical", "asr_mc", "mc_stderr"):
                 assert math.isfinite(float(row[key]))
+
+    @pytest.mark.parametrize("engine", ["analytical", "mc"])
+    def test_vanishing_snr_rates_are_zero(self, tmp_path, engine):
+        # at -2000 dB the noise term overflows to +inf: every rate is its
+        # limit 0, and the run warns of nothing
+        path = write_config(tmp_path, {"experiment": {"snr_db": [-2000]}})
+        out = tmp_path / "out.csv"
+        argv = ["run", "--preset", "fig2b", "--engine", engine, "--trials", "2000",
+                "--config", str(path), "--output", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        rows = read_rows(out)
+        assert len(rows) == 4
+        for row in rows:
+            assert row["asr_analytical"] == "0"
+            assert row["asr_mc"] == ("0" if engine == "mc" else "")
 
     def test_csv_contract(self, tmp_path):
         spec = load_spec(config_path=write_config(tmp_path, tiny_snr_config(tmp_path)))
@@ -648,6 +687,13 @@ class TestMain:
                 {"nu": 400.0},
                 "error: numeric: grid point (x=-20, y=-20): moment overflow for alpha=2, "
                 "M=4, i=1, p=1: path loss (1 + d^nu)^1 overflows at d=36.7423, nu=400\n",
+            ),
+            # 1 + d^nu is finite at every site, its square overflows
+            (
+                "fig4a",
+                {"nu": 180.0},
+                "error: numeric: grid point (x=-20, y=-20): moment overflow for alpha=2, "
+                "M=4, i=1, p=2: path loss (1 + d^nu)^2 overflows at d=36.7423, nu=180\n",
             ),
             (
                 "fig2a",

@@ -149,6 +149,23 @@ def test_vanishing_decoder_gain():
         assert_close(list(rates[t]), decoder_rates(rho[t], cfg, imp))
 
 
+@pytest.mark.parametrize("snr_db", [-2000.0, -3082.0, -3082.5])
+def test_vanishing_snr(snr_db):
+    # 1 / (r1 r2) overflows below about -1541 dB at c = 1; near -3082 dB
+    # 1/r2 times the gains does too, and at -3082.5 dB 1/r1 times a
+    # broadcast distortion above 1: the noise terms are +inf and every rate
+    # 0, its limit, without a warning.  A sweep passes one SNR per row,
+    # as arrays, whose products warn where Python floats would not.
+    rho, a = make_inputs(4, n_trials=64, seed=4)
+    cfg = NetworkConfig(n_users=4, a=a, r1=10.0 ** (snr_db / 10.0), c=1.0)
+    inv_r1, inv_r2 = 1.0 / cfg.r1, 1.0 / cfg.r2
+    rows = np.full(rho.shape[0], inv_r1), np.full(rho.shape[0], inv_r2)
+    for imp in FIG2B_PROFILES.values():
+        rates = kernel_rates(rho, a, *rows, imp)
+        assert (rates == 0.0).all()
+        assert_close(list(rates[0]), exact_decoder_rates(rho[0], a, inv_r1, inv_r2, imp))
+
+
 @pytest.mark.parametrize("n_users", [2, 4, 8])
 def test_overflowing_sinr_falls_back_to_a_log_difference(n_users):
     # at 3080 dB decoder M's SINR P_M / D exceeds the float range where
