@@ -688,18 +688,18 @@ class TestMain:
                 "error: numeric: grid point (x=-20, y=-20): moment overflow for alpha=2, "
                 "M=4, i=1, p=1: path loss (1 + d^nu)^1 overflows at d=36.7423, nu=400\n",
             ),
+            (
+                "fig2a",
+                {"nu": 400.0, "distances": [1, 1, 1, 20]},
+                "error: numeric: moment overflow for alpha=2, M=4, i=4, p=1: "
+                "path loss (1 + d^nu)^1 overflows at d=20, nu=400\n",
+            ),
             # 1 + d^nu is finite at every site, its square overflows
             (
                 "fig4a",
                 {"nu": 180.0},
                 "error: numeric: grid point (x=-20, y=-20): moment overflow for alpha=2, "
                 "M=4, i=1, p=2: path loss (1 + d^nu)^2 overflows at d=36.7423, nu=180\n",
-            ),
-            (
-                "fig2a",
-                {"nu": 400.0, "distances": [1, 1, 1, 20]},
-                "error: numeric: moment overflow for alpha=2, M=4, i=4, p=1: "
-                "path loss (1 + d^nu)^1 overflows at d=20, nu=400\n",
             ),
         ],
     )
