@@ -33,14 +33,28 @@ Every operation is row-local, so a row gets the same bits alone, in a
 placement batch or in a Monte Carlo chunk.  The gains may come in either
 memory order; they are held column-major (a C-ordered placement batch is
 copied once), so each step runs one contiguous loop over all rows.
-``decoder_rate_columns`` finishes one decoder's rate column at a time in
-a caller-given buffer, and ``decoder_totals`` adds each column into the
-rows' totals while it is in cache, for both engines; only
-``pair_rate_chunk`` collects the columns, for a one-row result.  work_n
-is formed once per user, noise_fwd / rho_k once per decoder, and the
-terms a_n rho_n come from ``weighted_sums``, shared by every kernel call
-on the same gains.
+``decoder_totals`` is the kernel of both engines: it turns rows of gains
+straight into the rows' totals, each decoder's rate added left to right
+while it is in cache, and writes no rate array.  ``pair_rate_chunk`` keeps
+the rates, for a one-row result, through the same per-decoder step
+(``_decoder_rate``).  The numerators P_k and the interference sums come
+from ``weighted_sums``, shared by every kernel call on the same gains;
+work_n is formed once per user and noise_fwd / rho_k once per decoder.  At
+M = 4 one call makes 25 ufunc passes over the rows: 5 for the point's
+noise terms, 6 for each decoder (5 for decoder M, whose interference sum
+is 0), 2 to add decoders 3 and 4 into the totals, which decoder 2 writes
+directly, and one for the totals' sum.
+
+``decoder_totals`` runs under the caller's
+``np.errstate(over="ignore", divide="ignore")``, which the Monte Carlo
+engine enters once per chunk and ``rate.asr_rows`` once per call
+(``pair_rate_chunk`` enters its own): an overflow (noise terms at a vanishing SNR
+or decoder gain, or P_k / D beyond the float range) gives inf, and a total
+that is not finite is repaired or reported, never silently kept.
 """
+
+import math
+from functools import reduce
 
 import numpy as np
 
@@ -50,14 +64,14 @@ def weighted_sums(rho, a, *, out=None, terms=None):
     power split, so every operating point evaluated on the same rows can
     share them.
 
-    Returns ``(weighted, suffix, terms)``: terms[t, n] = a_n rho_n for
-    n < M-1, the numerator of every pair that decodes user n and the
-    increments of the decoders' numerators P_k (column M-1 is the
-    kernel's scratch); suffix[t, n] = sum_{j=n}^{M-2} terms[t, j]
-    (interference left after user n; suffix[t, 0] is P_M);
+    Returns ``(weighted, suffix, numerators)``: suffix[t, n] =
+    sum_{j=n}^{M-2} a_j rho_j (interference left after user n;
+    suffix[t, 0] is P_M, suffix[t, M-1] is 0); numerators[t, k-2] = P_k =
+    a_1 rho_1 + ... + a_{k-1} rho_{k-1} for the decoders k = 2..M-1,
+    summed upward (columns M-2 and M-1 are the kernel's scratch);
     weighted[t] = sum_j a_j rho_j, which extends suffix[t, 0] by the
-    strongest user's term.  out, terms:
-    (rows, M) column-major arrays for suffix and terms, or None.
+    strongest user's term.  out, terms: (rows, M) column-major arrays for
+    suffix and numerators, or None.
     """
     rho = np.asfortranarray(rho, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
@@ -65,15 +79,19 @@ def weighted_sums(rho, a, *, out=None, terms=None):
     suffix = np.empty((n_rows, M), order="F") if out is None else out
     terms = np.empty((n_rows, M), order="F") if terms is None else terms
     suffix[:, M - 1] = 0.0
-    for n in range(M - 2, -1, -1):
+    np.multiply(rho[:, M - 2], a[M - 2], out=suffix[:, M - 2])
+    for n in range(M - 3, -1, -1):
         np.multiply(rho[:, n], a[n], out=terms[:, n])
         np.add(terms[:, n], suffix[:, n + 1], out=suffix[:, n])
+    # the terms a_n rho_n become the numerators P_{n+2} in place
+    for n in range(1, M - 2):
+        np.add(terms[:, n - 1], terms[:, n], out=terms[:, n])
     return suffix[:, 0] + a[-1] * rho[:, -1], suffix, terms
 
 
 def distortion_terms(imp):
     """``(mac, mix, bc)`` of an impairment profile: the only way its four
-    distortion levels enter ``decoder_rate_columns``."""
+    distortion levels enter the kernel."""
     kut2, kur2 = imp.kappa_ut**2, imp.kappa_ur**2
     krt2, krr2 = imp.kappa_rt**2, imp.kappa_rr**2
     mac = 1.0 + kut2 + krr2
@@ -81,78 +99,101 @@ def distortion_terms(imp):
 
 
 def kernel_args(cfg, imp):
-    """``(1/r1, 1/r2, mac, mix, bc)``: all that ``decoder_rate_columns`` takes
-    of an operating point and its distortion profile."""
+    """``(1/r1, 1/r2, mac, mix, bc)``: all that the kernel takes of an
+    operating point and its distortion profile."""
     return (1.0 / cfg.r1, 1.0 / cfg.r2, *distortion_terms(imp))
 
 
-def decoder_rate_columns(rho, a, inv_r1, inv_r2, mac, mix, bc, *, work, aggregates=None):
-    """Yield the unit-share rate of each decoder k = 2..M, the sum of its
-    pairs' log2(1 + SINR), one finished column at a time, in decoder order.
+def _noise_terms(weighted, inv_r1, inv_r2, mac, mix, bc, work):
+    """``(noise_fwd, shared)`` of one operating point, in the two columns
+    of ``work``: noise_fwd = mac * weighted / r2 + 1 / (r1 r2), the
+    forwarded noise that ``_decoder_rate`` divides by rho_k, and shared =
+    mix * weighted + bc / r1, the part of work_n common to every user n
+    (distortion and broadcast-hop noise).  At a vanishing SNR they
+    overflow to +inf (1/(r1 r2) below about -1541 dB at c = 1; 1/r2 times
+    the gains, and 1/r1 times the broadcast distortion, near -3082 dB) and
+    every rate is 0, its limit."""
+    noise_fwd = np.multiply(mac, weighted, out=work[:, 0])
+    np.multiply(noise_fwd, inv_r2, out=noise_fwd)
+    np.add(noise_fwd, inv_r1 * inv_r2, out=noise_fwd)
+    shared = np.multiply(mix, weighted, out=work[:, 1])
+    np.add(shared, bc * inv_r1, out=shared)
+    return noise_fwd, shared
+
+
+def _decoder_rate(k, rho, num, suffix, noise_fwd, shared, *, out, den):
+    """Unit-share rate of decoder k, log2(1 + P_k / D), into ``out``,
+    leaving D in ``den``: the one SINR formula.
 
     The pair SINRs of decoder k telescope: pair (k, n) has SINR
     a_n rho_n / D_k(n), and D_k(n-1) = D_k(n) + a_n rho_n, so the pair
-    rates sum to log2(1 + P_k / D_k(k-1)), with the numerator
-    P_k = a_1 rho_1 + ... + a_{k-1} rho_{k-1} and the denominator
-    D_k(k-1) = work_{k-1} + noise_fwd / rho_k, where work_n =
-    suffix[:, n] + mix * weighted + bc / r1.  Where P_k / D overflows
-    (a finite P_k over a tiny D > 0), the entry is log2 P_k - log2 D.
+    rates sum to log2(1 + P_k / D_k(k-1)), with the numerator ``num`` =
+    P_k and the denominator D = work_{k-1} + noise_fwd / rho_k, where
+    work_n = suffix[:, n] + shared.  Decoder M's interference sum
+    suffix[:, M-1] is 0, so its work_{M-1} is ``shared`` itself.  A
+    vanishing decoder gain (a path-loss factor near the underflow limit)
+    sends noise_fwd / rho_k to inf and the rate to 0; at 1/r1 = 0 without
+    distortion decoder M's D is 0 and its rate +inf.
+    """
+    np.divide(noise_fwd, rho[:, k - 1], out=den)
+    if k < rho.shape[1]:
+        np.add(suffix[:, k - 1], shared, out=out)
+        np.add(out, den, out=den)
+    else:
+        np.add(shared, den, out=den)
+    np.divide(num, den, out=out)
+    np.add(out, 1.0, out=out)
+    return np.log2(out, out=out)
+
+
+def _numerator(k, suffix, numerators):
+    """P_k of decoder k: a running sum of ``weighted_sums``, or, for
+    decoder M, the interference sum from user 1."""
+    return suffix[:, 0] if k == suffix.shape[1] else numerators[:, k - 2]
+
+
+def decoder_totals(rho, a, inv_r1, inv_r2, mac, mix, bc, *, out, work, aggregates=None):
+    """Each row's total of its unit-share decoder rates, k = 2..M, added
+    left to right into ``out``; returns their sum over the rows
+    (``np.add.reduce``), finite exactly when every total is.
 
     rho: (rows, M) sorted ascending effective gains (sampled gains, or
     order-statistic means, one row per operating point or placement site).
     inv_r1, inv_r2: reciprocal user and relay SNR.  mac, mix, bc: the
     profile's ``distortion_terms``; each a scalar or one value per row.
-    work: a (rows, 2) column-major buffer: column 0 holds the running
-    P_k, column 1 each decoder's work_{k-1} and then its rate, so every
-    yielded column is ``work[:, 1]``, valid only until the next one is
-    drawn.  aggregates (``weighted_sums(rho, a)``, whose scratch column
-    this overwrites) are computed here when the caller does not share
-    them.  Decoder M's column is +inf at 1/r1 = 0 without distortion,
-    where its denominator is empty; callers that allow it silence the
-    division warning.
+    out: a (rows,) array for the totals.  work: a (rows, 2) column-major
+    array for the noise terms.  aggregates (``weighted_sums(rho, a)``,
+    whose two scratch columns this overwrites) are computed here when the
+    caller does not share them.  Run it under
+    ``np.errstate(over="ignore", divide="ignore")``.
+
+    Decoder 2's rate is formed in ``out`` itself, and each later one in a
+    scratch column, then added.  Where P_k / D overflows (a finite P_k
+    over a tiny D > 0, as at 3080 dB) the rate is log2 P_k - log2 D, so a
+    total that is not finite is repaired: its row's rates are formed again
+    by ``pair_rate_chunk``, which applies that rule decoder by decoder, and
+    added left to right (``rate_sum``).  A total that stays non-finite
+    (NaN, or decoder M at 1/r1 = 0 without distortion) is the caller's
+    fault to report.
     """
     rho = np.asfortranarray(rho, dtype=np.float64)
     M = rho.shape[1]
-    weighted, suffix, terms = weighted_sums(rho, a) if aggregates is None else aggregates
-
-    # at a vanishing SNR the noise terms overflow (1/(r1 r2) below about
-    # -1541 dB at c = 1; 1/r2 times the gains, and 1/r1 times the broadcast
-    # distortion, near -3082 dB): they are +inf and every rate 0, its limit
-    with np.errstate(over="ignore"):
-        noise_fwd = mac * weighted * inv_r2 + inv_r1 * inv_r2
-        # work_n = suffix[:, n] + shared: what scales with rho_k in the
-        # denominator of user n, for every decoder k: the interference left
-        # after n, distortion and the broadcast-hop noise
-        shared = mix * weighted + bc * inv_r1
-
-    den = terms[:, M - 1]
-    out = work[:, 1]
+    weighted, suffix, numerators = weighted_sums(rho, a) if aggregates is None else aggregates
+    noise_fwd, shared = _noise_terms(weighted, inv_r1, inv_r2, mac, mix, bc, work)
+    den, rate = numerators[:, M - 1], numerators[:, M - 2]
     for k in range(2, M + 1):
-        # P_k, summed upward in work[:, 0]; P_M is suffix[:, 0]
-        if k == M:
-            num = suffix[:, 0]
-        elif k == 2:
-            num = terms[:, 0]
-        else:
-            num = np.add(num, terms[:, k - 2], out=work[:, 0])
-        # a vanishing decoder gain (a path-loss factor near the underflow
-        # limit) sends noise_fwd / rho_k to inf, the decoder's rate to 0
-        with np.errstate(over="ignore", divide="ignore"):
-            np.divide(noise_fwd, rho[:, k - 1], out=den)
-        # D = work_{k-1} + noise_fwd / rho_k; the rate then takes its place
-        np.add(suffix[:, k - 1], shared, out=out)
-        np.add(out, den, out=den)
-        overflow = None
-        try:
-            with np.errstate(over="raise"):
-                np.divide(num, den, out=out)
-        except FloatingPointError:
-            overflow = np.isinf(out) & np.isfinite(num) & (den > 0)
-        out += 1.0
-        np.log2(out, out=out)
-        if overflow is not None:
-            out[overflow] = np.log2(num[overflow]) - np.log2(den[overflow])
-        yield out
+        num = _numerator(k, suffix, numerators)
+        column = out if k == 2 else rate
+        _decoder_rate(k, rho, num, suffix, noise_fwd, shared, out=column, den=den)
+        if k > 2:
+            np.add(out, rate, out=out)
+    total = np.add.reduce(out)
+    if math.isfinite(total):
+        return total
+    rows = np.flatnonzero(~np.isfinite(out))
+    args = (x[rows] if np.ndim(x) else x for x in (inv_r1, inv_r2, mac, mix, bc))
+    out[rows] = rate_sum(pair_rate_chunk(rho[rows], a, *args))
+    return np.add.reduce(out)
 
 
 def divergent_decoder_gain(rho, a, c):
@@ -169,31 +210,34 @@ def divergent_decoder_gain(rho, a, c):
     return rho[:, -1] * suffix[:, 0] / (rho[:, -1] + weighted / c)
 
 
-def decoder_totals(columns, out):
-    """Add decoder rate columns (arrays over the rows, or scalars for one
-    row) left to right into ``out``: the one sum from rates to totals.
-    Returns the first row whose total is not finite, or None.
+def rate_sum(rates):
+    """Decoder rates added left to right along the last axis, one row's
+    rates or a (rows, M-1) array: the order of ``decoder_totals``, so a
+    row's total has the same bits from its own rates."""
+    return reduce(np.add, np.moveaxis(rates, -1, 0), 0.0)
 
-    Rates are >= 0, so a total is non-finite exactly when one of its rates
-    is, and finite unit-share rates are below 2098 (log2 of the largest
-    double over the smallest), so only a non-finite sum of totals is
-    searched.
+
+def pair_rate_chunk(rho, a, inv_r1, inv_r2, mac, mix, bc):
+    """Rate of every decoder of every row, in a (rows, M-1) column-major
+    array, decoder k in column k-2, at unit time share.
+
+    The kernel of ``decoder_totals``, decoder by decoder (``_decoder_rate``),
+    except that where P_k / D overflows (a finite P_k over a tiny D > 0)
+    the entry is log2 P_k - log2 D.  Decoder M's entry is +inf at
+    1/r1 = 0 without distortion, where its denominator is empty.
     """
-    out.fill(0.0)
-    for column in columns:
-        np.add(out, column, out=out)
-    if np.isfinite(np.add.reduce(out)):
-        return None
-    return int(np.argmin(np.isfinite(out)))
-
-
-def pair_rate_chunk(rho, a, *args):
-    """Rate of every decoder of every row: ``decoder_rate_columns``
-    collected into a (rows, M-1) column-major array, decoder k in column
-    k-2, at unit time share."""
-    n_rows, M = np.shape(rho)
+    rho = np.asfortranarray(rho, dtype=np.float64)
+    n_rows, M = rho.shape
     rates = np.empty((n_rows, M - 1), order="F")
     work = np.empty((n_rows, 2), order="F")
-    for p, column in enumerate(decoder_rate_columns(rho, a, *args, work=work)):
-        rates[:, p] = column
+    with np.errstate(over="ignore", divide="ignore"):
+        weighted, suffix, numerators = weighted_sums(rho, a)
+        noise_fwd, shared = _noise_terms(weighted, inv_r1, inv_r2, mac, mix, bc, work)
+        den = numerators[:, M - 1]
+        for k in range(2, M + 1):
+            num = _numerator(k, suffix, numerators)
+            rate = rates[:, k - 2]
+            _decoder_rate(k, rho, num, suffix, noise_fwd, shared, out=rate, den=den)
+            over = np.isinf(rate) & np.isfinite(num) & (den > 0)
+            rate[over] = np.log2(num[over]) - np.log2(den[over])
     return rates

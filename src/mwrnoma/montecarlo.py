@@ -25,19 +25,24 @@ squares instead of rates.
 
 A chunk's sorted gains are a column-major (trials, M) array, one
 contiguous column per position.  No (trials, decoders) array of rates
-exists: the kernel finishes one decoder's rate column (its pair rates,
-telescoped to one logarithm) at a time into a reused (trials,) buffer,
-and ``_kernels.decoder_totals`` adds it, left to right, into the trials'
-totals while it is still in cache.  Only the totals' mean and M2 (sum of
+exists: per kernel group, ``_kernels.decoder_totals`` turns the gains
+straight into the trials' totals, adding each decoder's rate (its pair
+rates, telescoped to one logarithm) left to right while it is in cache,
+and returns the totals' sum, which serves both as the check that every
+total is finite and as the mean.  Only the totals' mean and M2 (sum of
 squared deviations) outlive the chunk, numpy's pairwise sums along its
-trials, so the bits are those of a whole-array reduction.
+trials, so the bits are those of a whole-array reduction.  At M = 4 a
+kernel group takes 28 ufunc passes over the chunk's trials, 3 of them for
+M2, and a chunk enters one ``np.errstate``, however many groups it has.
 A chunk draws, transforms and sorts its gains in blocks of at most
 ``UNIFORM_BLOCK`` uniforms (or of one trial, if a trial needs more), so
 its memory does not grow with the fading shape alpha.  The chunk loop
-fills the same blocks, gains, path-loss-scaled gains, numerator terms,
+fills the same blocks, gains, path-loss-scaled gains, numerators,
 interference sums and kernel work columns for every chunk, so a run
 allocates its arrays once; a short last chunk uses the leading part of
-the same memory.
+the same memory.  The kernel's scratch is memory the chunk already has:
+its two work columns, the numerator array's two scratch columns, and the
+spent uniforms block for the totals.
 
 Importing this module does not load ``numpy.random``, so a closed-form
 run, which draws nothing, does not pay for it: ``numpy.random`` (and the
@@ -112,14 +117,23 @@ class _ChunkBuffers:
     chunk and fault them in again for the next.  ``uniforms`` and
     ``draws`` hold one block of ``block`` trials, M * alpha uniforms and
     M unsorted gains each; ``gains``, ``rho``, ``suffix`` and ``terms``
-    are column-major (count, M) arrays, and ``work`` is the kernel's
-    (count, 2) column-major work array.
+    (the numerators of ``_kernels.weighted_sums``) are column-major
+    (count, M) arrays, and ``work`` is the kernel's (count, 2)
+    column-major work array.  ``totals``, one kernel group's per-trial
+    totals, shares the uniforms' memory: a block of UNIFORM_BLOCK / 2 or
+    more uniforms (whole trials, at least one) holds a chunk's totals
+    already, and only a smaller block is allocated longer.
     """
 
     def __init__(self, n_users: int, alpha: int, count: int):
         self.count = count
         self.block = max(1, min(count, UNIFORM_BLOCK // (n_users * alpha)))
-        self.uniforms = np.empty((self.block, n_users, alpha))
+        # one kernel group's totals take the memory of the uniforms, spent
+        # once the chunk's gains are sorted
+        size = self.block * n_users * alpha
+        spent = np.empty(max(size, count))
+        self.uniforms = spent[:size].reshape(self.block, n_users, alpha)
+        self.totals = spent[:count]
         self.draws = np.empty((self.block, n_users))
         self.gains, self.rho, self.suffix, self.terms = (
             np.empty((count, n_users), order="F") for _ in range(4)
@@ -133,6 +147,7 @@ class _ChunkBuffers:
         them."""
         view = copy.copy(self)
         view.count, view.block = count, min(self.block, count)
+        view.totals = self.totals[:count]
         for name in ("gains", "rho", "suffix", "terms", "work"):
             full = getattr(self, name)
             columns = full.shape[1]
@@ -167,26 +182,29 @@ def _sample_rho_chunk(
     return gains
 
 
-def _mean_m2(x):
+def _mean_m2(x, total=None):
     """Two-pass mean and M2 (sum of squared deviations) of x, which is
-    overwritten."""
-    mean = np.add.reduce(x) / x.size
+    overwritten; total is ``np.add.reduce(x)`` if the caller has it."""
+    mean = (np.add.reduce(x) if total is None else total) / x.size
     np.subtract(x, mean, out=x)
     np.square(x, out=x)
     return mean, np.add.reduce(x)
 
 
-def _chunk_stats(columns, count: int):
-    """A chunk's decoder rate columns (each valid only until the next is
-    drawn) added into per-trial totals (``_kernels.decoder_totals``), and
-    the totals' ``(n, mean, m2)``; or, if a total is not finite, the
-    chunk's earliest such trial (an int)."""
-    totals = np.empty(count)
-    bad = _kernels.decoder_totals(columns, totals)
-    if bad is not None:
-        return bad
-    mean, m2 = _mean_m2(totals)
-    return count, float(mean), float(m2)
+def _chunk_stats(buffers: _ChunkBuffers, a, args, aggregates):
+    """One kernel group's chunk statistics: the per-trial totals of its
+    decoder rates (``_kernels.decoder_totals`` at the kernel arguments
+    ``args``, on ``buffers.rho`` and its shared ``aggregates``) and their
+    ``(n, mean, m2)``; or, if a total is not finite, the chunk's earliest
+    such trial (an int)."""
+    totals = buffers.totals
+    total = _kernels.decoder_totals(
+        buffers.rho, a, *args, out=totals, work=buffers.work, aggregates=aggregates
+    )
+    if not math.isfinite(total):
+        return int(np.argmin(np.isfinite(totals)))
+    mean, m2 = _mean_m2(totals, total)
+    return buffers.count, float(mean), float(m2)
 
 
 def _merge_stats(left, right):
@@ -314,18 +332,20 @@ def simulate_sweep(points: Sequence[SweepPoint], tc: TrialConfig) -> list[AsrRes
         start = chunk_index * CHUNK_TRIALS
         h = _sample_rho_chunk(first.fading, tc.seed, chunk_index, buffers)
         out: list = [None] * len(points)
-        for factors, kernels in plan:
-            rho = np.multiply(h, factors, out=buffers.rho)
-            aggregates = _kernels.weighted_sums(rho, a, out=buffers.suffix, terms=buffers.terms)
-            for args, members in kernels.items():
-                columns = _kernels.decoder_rate_columns(
-                    rho, a, *args, work=buffers.work, aggregates=aggregates
+        # the kernel's overflows are inf, repaired or reported (one entry
+        # per chunk, not per kernel group)
+        with np.errstate(over="ignore", divide="ignore"):
+            for factors, kernels in plan:
+                rho = np.multiply(h, factors, out=buffers.rho)
+                aggregates = _kernels.weighted_sums(
+                    rho, a, out=buffers.suffix, terms=buffers.terms
                 )
-                part = _chunk_stats(columns, buffers.count)
-                if isinstance(part, int):
-                    part += start
-                for i in members:
-                    out[i] = part
+                for args, members in kernels.items():
+                    part = _chunk_stats(buffers, a, args, aggregates)
+                    if isinstance(part, int):
+                        part += start
+                    for i in members:
+                        out[i] = part
         return out
 
     chunks = starmap(run_chunk, _chunks(tc.trials, M, first.fading.alpha))

@@ -8,10 +8,10 @@ one row of psi per operating point or placement site; the high-SNR
 asymptotes are the same kernel at 1/r1 = 1/r2 = 0.  The kernel gives one
 rate per decoder, the sum of its successive-decoding pair rates, which
 telescope to one logarithm per decoder; ``_kernels.decoder_totals`` adds
-a row's rates left to right, so its total has the same bits in ``asr``
-and in any batch of ``asr_rows``.  Distortion enters only through
-the impairment profile: the ideal transceiver is the all-zero profile,
-which is the default.  The affine high-SNR expansion
+a row's rates left to right, as ``_total`` adds the rates of one row, so
+its total has the same bits in ``asr`` and in any batch of ``asr_rows``.
+Distortion enters only through the impairment profile: the ideal
+transceiver is the all-zero profile, which is the default.  The affine high-SNR expansion
 ASR ~ S (log2 r1 - L), in terms of the high-SNR slope S and the power
 offset L, follows in closed form from those limits."""
 
@@ -80,11 +80,9 @@ class AsrResult:
 
 
 def _total(rates: np.ndarray) -> float:
-    """The total of one row of decoder rates, ``_kernels.decoder_totals``'
-    sum."""
-    out = np.empty(1)
-    _kernels.decoder_totals(rates, out)
-    return float(out[0])
+    """The total of one row of decoder rates, added left to right as
+    ``_kernels.decoder_totals`` adds them."""
+    return float(_kernels.rate_sum(rates))
 
 
 def _kernel_args(psi: np.ndarray, a, args) -> np.ndarray:
@@ -112,19 +110,22 @@ def asr_rows(psi: np.ndarray, a, args, prefactor=0.5):
     one per row, as for an SNR or distortion sweep.  prefactor is one
     scheme share for every row or one per row (1.0: the kernel's unit
     share).  Returns ``(totals, fault)``: each total is its row's
-    ``_kernels.decoder_totals`` sum at the share, the bits of ``asr``.
+    ``_kernels.decoder_totals`` total at the share, the bits of ``asr``.
     ``fault`` is None when every total is finite.  Otherwise it is
     ``(row, error)`` for the first row whose total is not, and totals
     cover only the rows before it.
     """
     psi = np.asarray(psi, dtype=np.float64)
-    work = np.empty((psi.shape[0], 2), order="F")
-    columns = _kernels.decoder_rate_columns(psi, a, *_kernel_args(psi, a, args), work=work)
     totals = np.empty(psi.shape[0])
-    row = _kernels.decoder_totals(columns, totals)
+    work = np.empty((psi.shape[0], 2), order="F")
+    with np.errstate(over="ignore", divide="ignore"):
+        total = _kernels.decoder_totals(
+            psi, a, *_kernel_args(psi, a, args), out=totals, work=work
+        )
     totals = _time_share(prefactor, totals)
-    if row is None:
+    if math.isfinite(total):
         return totals, None
+    row = int(np.argmin(np.isfinite(totals)))
     error = f"analytical rates must be finite, got total {float(totals[row])!r}"
     return totals[:row], (row, ConfigurationError(error))
 
@@ -168,8 +169,7 @@ def asr_asymptotic(
     flagged divergent.
     """
     args = (0.0, 0.0, *_kernels.distortion_terms(imp))
-    with np.errstate(divide="ignore"):
-        limit = _one_row(moments, cfg, args, prefactor, "asymptotic")
+    limit = _one_row(moments, cfg, args, prefactor, "asymptotic")
     notes = tuple(
         f"decoder k={k} has no interference ceiling: asymptote diverges"
         for k, rate in enumerate(limit.per_decoder, start=2)

@@ -662,18 +662,19 @@ class TestMain:
         assert r1[0]["asr_mc"] == r3[0]["asr_mc"]
 
     def test_nonfinite_mc_rate_exit_three(self, tmp_path, capsys, monkeypatch):
-        original = _kernels.decoder_rate_columns
+        original = _kernels.decoder_totals
 
-        def nan_at_15db(rho, a, inv_r1, *args, **kwargs):
+        def nan_at_15db(rho, a, inv_r1, *args, out, **kwargs):
             # a Monte Carlo chunk: many rows at one SNR (the closed form
             # passes one SNR per row)
+            total = original(rho, a, inv_r1, *args, out=out, **kwargs)
             monte_carlo = rho.shape[0] > 1 and np.ndim(inv_r1) == 0
-            for p, col in enumerate(original(rho, a, inv_r1, *args, **kwargs)):
-                if p == 0 and monte_carlo and 0.01 < inv_r1 < 0.1:
-                    col[5] = np.nan
-                yield col
+            if not (monte_carlo and 0.01 < inv_r1 < 0.1):
+                return total
+            out[5] = np.nan
+            return np.add.reduce(out)
 
-        monkeypatch.setattr(_kernels, "decoder_rate_columns", nan_at_15db)
+        monkeypatch.setattr(_kernels, "decoder_totals", nan_at_15db)
         path = write_config(tmp_path, tiny_snr_config(tmp_path))
         assert main(["run", "--config", str(path)]) == 3
         err = capsys.readouterr().err

@@ -3,20 +3,22 @@
 import math
 import warnings
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwrnoma import ImpairmentProfile, NetworkConfig
+from mwrnoma import FadingParams, ImpairmentProfile, NetworkConfig
 from mwrnoma._kernels import (
-    decoder_rate_columns,
+    decoder_totals,
     distortion_terms,
     kernel_args,
     pair_rate_chunk,
     weighted_sums,
 )
+from mwrnoma.montecarlo import CHUNK_TRIALS, _ChunkBuffers, _sample_rho_chunk
 from scalar_oracle import decoder_rates
 
 KAPPAS = ("kappa_ut", "kappa_ur", "kappa_rt", "kappa_rr")
@@ -207,21 +209,35 @@ def test_kernel_is_row_local(n_users):
     assert rho.flags.c_contiguous and block.flags.f_contiguous and fortran.flags.f_contiguous
 
 
-def unhoisted_columns(rho, a, inv_r1, inv_r2, mac, mix, bc):
-    """The unit-share decoder rates with every term formed inside the
-    decoder loop, in the kernel's operand order: log2(P_k / D + 1) with the
-    numerator P_k summed upward (P_M = suffix[:, 0]) and
-    D = (suffix_{k-1} + shared) + noise_fwd / rho_k.  The reference for
-    the kernel's hoisted terms."""
-    weighted, suffix, terms = weighted_sums(rho, a)
+def unhoisted_terms(rho, a, inv_r1, inv_r2, mac, mix, bc):
+    """Each decoder's numerator and denominator with every term formed
+    inside the decoder loop, in the kernel's operand order: the numerator
+    P_k summed upward (P_M = suffix[:, 0]) and
+    D = (suffix_{k-1} + shared) + noise_fwd / rho_k."""
+    weighted, suffix, _ = weighted_sums(rho, a)
     noise_fwd = mac * weighted * inv_r2 + inv_r1 * inv_r2
     shared = mix * weighted + bc * inv_r1
     M = rho.shape[1]
-    numerators = np.cumsum(terms[:, : M - 1], axis=1)
+    numerators = np.cumsum(rho[:, : M - 1] * a[: M - 1], axis=1)
     for k in range(2, M + 1):
         num = suffix[:, 0] if k == M else numerators[:, k - 2]
-        den = (suffix[:, k - 1] + shared) + noise_fwd / rho[:, k - 1]
+        yield num, (suffix[:, k - 1] + shared) + noise_fwd / rho[:, k - 1]
+
+
+def unhoisted_columns(rho, a, *args):
+    """The unit-share decoder rates log2(P_k / D + 1) of
+    ``unhoisted_terms``: the reference for the kernel's hoisted terms."""
+    for num, den in unhoisted_terms(rho, a, *args):
         yield np.log2(num / den + 1.0)
+
+
+def fused_totals(rho, a, *args, aggregates=None):
+    """``decoder_totals`` into fresh arrays: the totals and their sum."""
+    out = np.empty(rho.shape[0])
+    work = np.empty((rho.shape[0], 2), order="F")
+    with np.errstate(over="ignore", divide="ignore"):
+        total = decoder_totals(rho, a, *args, out=out, work=work, aggregates=aggregates)
+    return out, total
 
 
 @settings(max_examples=40, deadline=None)
@@ -233,33 +249,62 @@ def unhoisted_columns(rho, a, inv_r1, inv_r2, mac, mix, bc):
     limit=st.booleans(),
 )
 def test_hoisted_terms_keep_the_bits(n_users, seed, snr_db, kappas, limit):
-    # shared aggregates (numerator terms and interference sums) or none,
-    # and per-user and per-decoder denominator terms, give the bits of
-    # forming every term per decoder; at 1/r1 = 0 without distortion
-    # decoder M is +inf
+    # the fused totals, with shared aggregates (numerators and interference
+    # sums) or none, are the left-to-right sums of the rates formed with
+    # every term per decoder, and pair_rate_chunk keeps those rates; at
+    # M = 2 decoder 2 is both the first and the last decoder, and at
+    # 1/r1 = 0 without distortion decoder M is +inf
     rho, a = make_inputs(n_users, n_trials=300, seed=seed)
     rho = np.asfortranarray(rho)
     a = np.asarray(a)
     imp = ImpairmentProfile(*(0.0 if limit else k for k in kappas))
     inv_r1 = 0.0 if limit else 10.0 ** (-snr_db / 10.0)
     args = (inv_r1, inv_r1 / 2.0, *distortion_terms(imp))
-    work = np.empty((rho.shape[0], 2), order="F")
     with np.errstate(divide="ignore"):
-        want = np.column_stack(list(unhoisted_columns(rho, a, *args)))
-        alone = [c.copy() for c in decoder_rate_columns(rho, a, *args, work=work)]
-        # a kernel call at another SNR first uses the shared aggregates
-        aggregates = weighted_sums(rho, a)
-        other = (2.0 * inv_r1, inv_r1, *args[2:])
-        for _ in decoder_rate_columns(rho, a, *other, work=work, aggregates=aggregates):
-            pass
-        shared = [
-            c.copy()
-            for c in decoder_rate_columns(rho, a, *args, work=work, aggregates=aggregates)
-        ]
-    assert want.shape == (rho.shape[0], n_users - 1)
-    assert np.array_equal(np.column_stack(alone), want)
-    assert np.array_equal(np.column_stack(shared), want)
+        columns = list(unhoisted_columns(rho, a, *args))
+    want = reduce(np.add, columns)
+    alone, total = fused_totals(rho, a, *args)
+    # a kernel call at another SNR first uses the shared aggregates and
+    # their scratch columns
+    aggregates = weighted_sums(rho, a)
+    fused_totals(rho, a, 2.0 * inv_r1, inv_r1, *args[2:], aggregates=aggregates)
+    shared, _ = fused_totals(rho, a, *args, aggregates=aggregates)
+    assert np.array_equal(alone, want)
+    assert np.array_equal(shared, want)
+    assert total == np.add.reduce(want)
+    assert np.array_equal(pair_rate_chunk(rho, a, *args), np.column_stack(columns))
     if limit:
-        assert np.isposinf(want[:, -1]).all() and np.isfinite(want[:, :-1]).all()
+        assert np.isposinf(columns[-1]).all() and np.isfinite(columns[:-1]).all()
     else:
         assert np.isfinite(want).all()
+
+
+@pytest.mark.parametrize("chunk", [0, 2])
+def test_repaired_totals_take_the_log_difference(chunk):
+    # fig2a at 3080 dB with fading scale 30, as CI's huge_snr run: on all
+    # but a few trials of an engine chunk (2 of chunk 0, 3 of chunk 2)
+    # decoder M's P_M / D exceeds the float range.  Those totals are
+    # repaired to the left-to-right sum of the per-decoder rates with
+    # log2 P - log2 D in place of the overflowed one; every other total
+    # keeps the common path's bits
+    fading = FadingParams(alpha=2, beta=30.0, nu=3.0, distances=(1.0,) * 4)
+    cfg = NetworkConfig(n_users=4, a=(0.5, 0.3, 0.15, 0.05), r1=10.0**308.0)
+    buffers = _ChunkBuffers(4, fading.alpha, CHUNK_TRIALS)
+    rho = _sample_rho_chunk(fading, 12022, chunk, buffers) * fading.path_loss_factors()
+    a, args = np.asarray(cfg.a), kernel_args(cfg, ImpairmentProfile())
+    plain, want = [], []
+    with np.errstate(over="ignore"):
+        for num, den in unhoisted_terms(rho, a, *args):
+            rate = np.log2(num / den + 1.0)
+            plain.append(rate.copy())
+            over = np.isinf(rate)
+            rate[over] = np.log2(num[over]) - np.log2(den[over])
+            want.append(rate)
+    repaired = ~np.isfinite(reduce(np.add, plain))
+    assert repaired.any() and not repaired.all()
+    assert np.isfinite(plain[:-1]).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        totals, total = fused_totals(rho, a, *args)
+    assert np.array_equal(totals, reduce(np.add, want))
+    assert np.isfinite(totals).all() and total == np.add.reduce(totals)

@@ -275,9 +275,9 @@ def counted_reducer(monkeypatch):
     one set of chunk statistics each."""
     calls = []
 
-    def counted(columns, count):
-        calls.append(count)
-        return _chunk_stats(columns, count)
+    def counted(buffers, *args):
+        calls.append(buffers.count)
+        return _chunk_stats(buffers, *args)
 
     monkeypatch.setattr(montecarlo, "_chunk_stats", counted)
     return calls
@@ -395,10 +395,10 @@ class TestSweepEngine:
         args = (1e-2, 1e-2, *_kernels.distortion_terms(ImpairmentProfile(0.1, 0.2, 0.05, 0.15)))
         for chunk, count in ((0, CHUNK_TRIALS), (1, 777)):
             buffers = _ChunkBuffers(n_users, fading.alpha, count)
-            rho = _sample_rho_chunk(fading, 6, chunk, buffers) * fading.path_loss_factors()
-            work = np.empty((count, 2), order="F")
-            columns = _kernels.decoder_rate_columns(rho, a, *args, work=work)
-            got = _chunk_stats(columns, count)
+            h = _sample_rho_chunk(fading, 6, chunk, buffers)
+            rho = np.multiply(h, fading.path_loss_factors(), out=buffers.rho)
+            aggregates = _kernels.weighted_sums(rho, a, out=buffers.suffix, terms=buffers.terms)
+            got = _chunk_stats(buffers, a, args, aggregates)
             rates = _kernels.pair_rate_chunk(rho, a, *args)
             assert rates.shape == (count, n_users - 1)
             want = whole_array_stats(rates)
@@ -428,6 +428,26 @@ class TestSweepEngine:
                 alone = simulate_asr(point.cfg, point.fading, point.imp, TrialConfig(self.TRIALS, seed=17))
                 assert_same_result(got, alone)
             assert_same_result(results[0], results[1])
+
+    @pytest.mark.parametrize("order_seed", [0, 1])
+    def test_shuffled_groups_equal_one_point_runs(self, order_seed):
+        # kernel groups that share mac and mix (tx-rhi and rx-rhi share
+        # both, uplink distortion alone only mac = 1.04) across three SNRs
+        # and two path losses, in shuffled order: each result is its
+        # one-point run's
+        tx = ImpairmentProfile(kappa_ut=0.2, kappa_rt=0.2)
+        rx = ImpairmentProfile(kappa_ur=0.2, kappa_rr=0.2)
+        profiles = (IDEAL, tx, rx, ImpairmentProfile.uniform(0.2), ImpairmentProfile(kappa_ut=0.2))
+        points = [
+            SweepPoint(replace(CFG4, r1=r1), fading, imp)
+            for r1 in (10.0, 100.0, 1000.0)
+            for fading in (FADING4, FAR4)
+            for imp in profiles
+        ]
+        np.random.default_rng(order_seed).shuffle(points)
+        tc = TrialConfig(self.TRIALS, seed=41)
+        for point, got in zip(points, simulate_sweep(points, tc)):
+            assert_same_result(got, simulate_asr(point.cfg, point.fading, point.imp, tc))
 
     def test_fig2b_shares_tx_and_rx_groups(self, monkeypatch, tmp_path):
         # 9 SNRs x 4 profiles, of which tx-rhi and rx-rhi have equal terms
@@ -536,25 +556,26 @@ class TestTxRxSymmetry:
 
 
 def nan_kernel(monkeypatch, fading, seed, bad_rows):
-    """Kernel columns with NaN at the rows that bad_rows[(inv_r1, chunk)]
-    names: a row of the last decoder column, or a {column: row} mapping.
-    The chunk is recognised by its first sampled row."""
-    original = _kernels.decoder_rate_columns
+    """Kernel totals with NaN at the rows that bad_rows[(inv_r1, chunk)]
+    names, as a NaN rate of one of the row's decoders leaves them: a row
+    of the last decoder, or a {decoder column: row} mapping.  The chunk is
+    recognised by its first sampled row."""
+    original = _kernels.decoder_totals
     scale = fading.path_loss_factors()
     buffers = _ChunkBuffers(4, fading.alpha, 1)
     firsts = [_sample_rho_chunk(fading, seed, c, buffers)[0] * scale for c in range(3)]
 
-    def patched(rho, a, inv_r1, *args, **kwargs):
+    def patched(rho, a, inv_r1, *args, out, **kwargs):
+        original(rho, a, inv_r1, *args, out=out, **kwargs)
         chunk = next((c for c, first in enumerate(firsts) if np.array_equal(rho[0], first)), None)
         cells = bad_rows.get((inv_r1, chunk), {})
         if not isinstance(cells, dict):
             cells = {rho.shape[1] - 2: cells}
-        for p, col in enumerate(original(rho, a, inv_r1, *args, **kwargs)):
-            if p in cells:
-                col[cells[p]] = np.nan
-            yield col
+        for row in cells.values():
+            out[row] = np.nan
+        return np.add.reduce(out)
 
-    monkeypatch.setattr(_kernels, "decoder_rate_columns", patched)
+    monkeypatch.setattr(_kernels, "decoder_totals", patched)
 
 
 class TestSweepErrors:
@@ -614,6 +635,31 @@ class TestSweepErrors:
                 simulate_sweep(self.POINTS, tc)
             assert (info.value.point, info.value.trial) == (1, CHUNK_TRIALS + 2)
             assert str(info.value) == f"non-finite rate in trial {CHUNK_TRIALS + 2}"
+
+    def test_nan_rate_of_one_decoder_survives_the_repair(self, monkeypatch):
+        # a NaN in decoder 3's rate of one trial of point 1 (FAR4's gains)
+        # makes that total non-finite; the repair forms the trial's rates
+        # again, gets the NaN again and the sweep names the point and trial
+        original = _kernels._decoder_rate
+        buffers = _ChunkBuffers(4, FAR4.alpha, CHUNK_TRIALS)
+        bad = _sample_rho_chunk(FAR4, 2, 1, buffers)[57] * FAR4.path_loss_factors()
+        repairs = []
+
+        def nan_for_one_trial(k, rho, *args, out, den):
+            rate = original(k, rho, *args, out=out, den=den)
+            rows = (rho == bad).all(axis=1)
+            if k == 3 and rows.any():
+                rate[rows] = np.nan
+                repairs.append(rho.shape[0])
+            return rate
+
+        monkeypatch.setattr(_kernels, "_decoder_rate", nan_for_one_trial)
+        points = [SweepPoint(CFG4, FADING4, IDEAL), SweepPoint(CFG4, FAR4, IDEAL)]
+        with pytest.raises(SweepPointError) as info:
+            simulate_sweep(points, TrialConfig(self.TRIALS, seed=2))
+        assert (info.value.point, info.value.trial) == (1, CHUNK_TRIALS + 57)
+        assert str(info.value) == f"non-finite rate in trial {CHUNK_TRIALS + 57}"
+        assert repairs == [CHUNK_TRIALS, 1]
 
     def test_path_loss_overflow_names_point(self):
         # an input fault: raised for the first overflowing point, before

@@ -183,15 +183,16 @@ class TestSweep:
     def test_monte_carlo_error_names_grid_point(self, monkeypatch):
         from mwrnoma import NumericError, TrialConfig, _kernels
 
-        original = _kernels.decoder_rate_columns
+        original = _kernels.decoder_totals
 
-        def nan_in_second_chunk(rho, a, *args, **kwargs):
-            for p, col in enumerate(original(rho, a, *args, **kwargs)):
-                if p == 0 and rho.shape[0] == 10:
-                    col[4] = np.nan
-                yield col
+        def nan_in_second_chunk(rho, a, *args, out, **kwargs):
+            total = original(rho, a, *args, out=out, **kwargs)
+            if rho.shape[0] != 10:
+                return total
+            out[4] = np.nan
+            return np.add.reduce(out)
 
-        monkeypatch.setattr(_kernels, "decoder_rate_columns", nan_in_second_chunk)
+        monkeypatch.setattr(_kernels, "decoder_totals", nan_in_second_chunk)
         geom = Geometry(user_positions=SQUARE, uav_height=10.0)
         with pytest.raises(NumericError) as info:
             sweep_grid(
@@ -510,17 +511,18 @@ class TestBlocks:
     def test_rate_fault_before_a_moment_fault_names_its_site(self, monkeypatch):
         from mwrnoma import _kernels
 
-        original = _kernels.decoder_rate_columns
+        original = _kernels.decoder_totals
         calls = []
 
-        def nan_in_last_block(rho, a, *args, **kwargs):
+        def nan_in_last_block(rho, a, *args, out, **kwargs):
             calls.append(rho.shape[0])
-            for p, column in enumerate(original(rho, a, *args, **kwargs)):
-                if len(calls) == 7 and p == 2:
-                    column[100] = np.nan
-                yield column
+            total = original(rho, a, *args, out=out, **kwargs)
+            if len(calls) != 7:
+                return total
+            out[100] = np.nan
+            return np.add.reduce(out)
 
-        monkeypatch.setattr(_kernels, "decoder_rate_columns", nan_in_last_block)
+        monkeypatch.setattr(_kernels, "decoder_totals", nan_in_last_block)
         # (1 + d^nu)^2 overflows beyond d = 49.7: first at (x=-20, y=17),
         # 49.9 m from the farthest user, row 2 of the last block
         geom, grid, cfg, fading, imp = self.fig4b(
@@ -537,7 +539,7 @@ class TestBlocks:
         assert str(info.value) == (
             "grid point (x=-10.5, y=16.5): analytical rates must be finite, got total nan"
         )
-        monkeypatch.setattr(_kernels, "decoder_rate_columns", original)
+        monkeypatch.setattr(_kernels, "decoder_totals", original)
         with pytest.raises(NumericError) as info:
             sweep_surfaces(geom, grid, cfg, fading, imp, schemes=self.SCHEMES)
         assert str(info.value).startswith("grid point (x=-20, y=17): moment overflow")
