@@ -16,9 +16,10 @@ rates telescope (the chain rule of successive interference
 cancellation): sum_{n<k} log2(1 + SINR(k, n)) =
 log2(1 + P_k / D_k(k-1)), with P_k = a_1 rho_1 + ... + a_{k-1}
 rho_{k-1}.  So the kernel takes one logarithm per decoder, M - 1 per
-row, not one per pair, at unit time share (``rate._time_share`` scales
-the finished results).  Without distortion decoder M has nothing left at
-the high-SNR limit: its SINR grows as r1 times ``divergent_decoder_gain``.
+row, not one per pair, at unit time share (the engines return unit-share
+numbers; a scheme's share scales only finished results).  Without
+distortion decoder M has nothing left at the high-SNR limit: its SINR
+grows as r1 times ``divergent_decoder_gain``.
 
 The four distortion levels enter the SINR only through three terms,
 which ``distortion_terms`` computes and the kernel takes as its input:

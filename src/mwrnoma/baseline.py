@@ -6,9 +6,10 @@ phase plus ceil((M - 1) / 2) pairwise broadcast rounds, i.e.
 ceil((M - 1) / 2) + 1 slots in total versus the 2-slot superposed scheme.
 Per-exchange SINRs are unchanged (orthogonalizing the broadcast rounds
 does not remove the shared access-phase superposition), so each pair rate
-carries a 1/slots time share instead of 1/2: an orthogonal result is the
-superposed one times 2/slots (``rate._time_share``).  For M <= 3 the
-slot counts coincide and the schemes are identical; the result is flagged.
+carries a 1/slots time share instead of 1/2: the engines return unit-share
+numbers, which ``scheme_prefactor`` scales once they are finished.  For
+M <= 3 the slot counts coincide and the schemes are identical; the result
+is flagged.
 """
 
 from __future__ import annotations

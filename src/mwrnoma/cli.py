@@ -23,7 +23,7 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from itertools import chain
+from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +72,6 @@ CONFIG_KEYS = _keys(
         "engine",
         "schemes",
         "output",
-        "mc_samples",  # removed; refused with its own message
         snr_db=_STEPS,
         kappa=_STEPS,
         grid=_keys(*(f.name for f in fields(GridSpec))),
@@ -314,11 +313,6 @@ def _spec_from_config(config: dict) -> ExperimentSpec:
     if kind not in KINDS:
         raise ConfigurationError(f"experiment.kind: unknown kind {kind!r}")
 
-    if "mc_samples" in exp:
-        raise ConfigurationError(
-            "experiment.mc_samples: removed; the moments check draws trials.trials samples"
-        )
-
     net = _section(_need(config, "network", "config"), "network")
     n_users = _as_count(_need(net, "n_users", "network"), "network.n_users")
     a = _as_numbers(_need(net, "a", "network"), "network.a")
@@ -343,9 +337,7 @@ def _spec_from_config(config: dict) -> ExperimentSpec:
     geometry = None
 
     if kind == "snr-sweep":
-        snr_grid = _as_grid(_need(exp, "snr_db", "experiment"), "experiment.snr_db")
-        r1_grid = [_snr_linear(db) for db in snr_grid]
-        r1_first = r1_grid[0]
+        snr_dbs = snr_grid = _as_grid(_need(exp, "snr_db", "experiment"), "experiment.snr_db")
     else:
         if kind == "kappa-sweep":
             kappa_grid = _as_grid(_need(exp, "kappa", "experiment"), "experiment.kappa")
@@ -354,12 +346,19 @@ def _spec_from_config(config: dict) -> ExperimentSpec:
             snr_db = exp.get("snr_db", 0.0)
         else:
             snr_db = _need(exp, "snr_db", "experiment")
-        r1_first = _snr_linear(_as_scalar(snr_db, "experiment.snr_db"))
+        snr_dbs = (_as_scalar(snr_db, "experiment.snr_db"),)
+    r1_grid = [_snr_linear(db) for db in snr_dbs]
 
     try:
-        network = NetworkConfig(n_users=n_users, a=a, r1=r1_first, c=c)
+        network = NetworkConfig(n_users=n_users, a=a, r1=r1_grid[0], c=c)
     except ConfigurationError as exc:
         raise ConfigurationError(f"network: {exc}") from exc
+    # the rates take 1 / r2: a relay SNR that overflows has its limit, 0 has none
+    for db, r1 in zip(snr_dbs, r1_grid):
+        if c * r1 == 0.0:
+            raise ConfigurationError(
+                f"experiment.snr_db: relay SNR c * r1 underflows to 0 at {db!r} dB, c={c!r}"
+            )
 
     fad = _section(_need(config, "fading", "config"), "fading")
     if kind == "placement-sweep":
@@ -497,58 +496,66 @@ def _check_shadowed_levels(given, merged) -> None:
 
 
 def _run_grid_sweep(spec: ExperimentSpec) -> RunResult:
-    """Shared body of the snr- and kappa-sweeps (one scalar sweep column)."""
+    """Shared body of the snr- and kappa-sweeps (one scalar sweep column).
+
+    Each (sweep value, condition) is one point, evaluated once by each
+    engine at unit share; each scheme's rows are those numbers times its
+    share."""
     if spec.kind == "snr-sweep":
         header, key = SNR_HEADER, "snr_db"
-        points = [(v, _snr_linear(v), None) for v in spec.snr_db_grid]
+        values = [(v, _snr_linear(v), None) for v in spec.snr_db_grid]
     else:
         header, key = KAPPA_HEADER, "kappa"
-        points = [(v, spec.network.r1, ImpairmentProfile.uniform(v)) for v in spec.kappa_grid]
+        values = [(v, spec.network.r1, ImpairmentProfile.uniform(v)) for v in spec.kappa_grid]
 
-    moments = order_stat_moments(spec.fading, spec.network.n_users)
-    # (sweep value, scheme, condition), formatted, and the point of each row
-    labels: list[tuple[str, str, str]] = []
-    mc_points: list[SweepPoint] = []
-    for value, r1, sweep_profile in points:
+    # (sweep value, condition), formatted, and the point of each
+    labels: list[tuple[str, str]] = []
+    points: list[SweepPoint] = []
+    for value, r1, sweep_profile in values:
         cfg = replace(spec.network, r1=r1)
-        for scheme in spec.schemes:
-            share = scheme_prefactor(scheme, cfg.n_users)
-            for label, base_profile in spec.variants:
-                profile = sweep_profile if sweep_profile is not None else base_profile
-                if sweep_profile is None:
-                    condition = label
-                else:
-                    condition = "ideal" if profile.is_ideal else "nonideal"
-                labels.append((_fmt(value), scheme, condition))
-                mc_points.append(SweepPoint(cfg, spec.fading, profile, share))
+        for label, base_profile in spec.variants:
+            profile = sweep_profile or base_profile
+            if sweep_profile is not None:
+                label = "ideal" if profile.is_ideal else "nonideal"
+            labels.append((_fmt(value), label))
+            points.append(SweepPoint(cfg, spec.fading, profile))
 
-    # every row's closed form in one kernel call; a fault names the first row
-    psi = np.broadcast_to(moments.psi, (len(mc_points), moments.n_users))
-    args = [kernel_args(p.cfg, p.imp) for p in mc_points]
-    totals, fault = asr_rows(psi, spec.network.a, args, [p.prefactor for p in mc_points])
+    # every point's closed form in one kernel call; a fault names the first
+    moments = order_stat_moments(spec.fading, spec.network.n_users)
+    psi = np.broadcast_to(moments.psi, (len(points), moments.n_users))
+    args = [kernel_args(p.cfg, p.imp) for p in points]
+    totals, fault = asr_rows(psi, spec.network.a, args)
     if fault is not None:
         raise fault[1]
-    # (sweep value, scheme, condition, asr_analytical), formatted
-    rows = [(*label, _fmt(float(total))) for label, total in zip(labels, totals)]
-
-    mc_cells = [("", "")] * len(rows)
+    results = None
     if spec.engine != "analytical":
         try:
-            results = simulate_sweep(mc_points, spec.trials)
+            results = simulate_sweep(points, spec.trials)
         except SweepPointError as exc:
-            value, scheme, condition, _ = rows[exc.point]
-            raise NumericError(f"{key}={value} {scheme}/{condition}: {exc}") from exc
-        mc_cells = [(_fmt(result.total), _fmt(result.stderr)) for result in results]
-        for (value, scheme, condition, analytic), result in zip(rows, results):
+            value, condition = labels[exc.point]
+            raise NumericError(f"{key}={value} {spec.schemes[0]}/{condition}: {exc}") from exc
+
+    # (sweep value, scheme, condition, asr_analytical, asr_mc, mc_stderr),
+    # formatted: each scheme's rows of a sweep value at its share
+    rows = []
+    n = len(spec.variants)
+    for first, scheme, k in product(range(0, len(points), n), spec.schemes, range(n)):
+        i, share = first + k, scheme_prefactor(scheme, spec.network.n_users)
+        value, condition = labels[i]
+        row = [value, scheme, condition, _fmt(float(totals[i]) * share), "", ""]
+        if results is not None:
+            mc, stderr = results[i].total * share, results[i].stderr * share
+            row[4:] = _fmt(mc), _fmt(stderr)
             log.info(
                 "%s=%s %s/%s: analytic-vs-mc gap %.3g",
-                key, value, scheme, condition, abs(float(analytic) - result.total),
+                key, value, scheme, condition, abs(float(row[3]) - mc),
             )
+        rows.append(row)
 
     with _csv_writer(spec.output, header) as writer:
-        writer.writerows(row + cells for row, cells in zip(rows, mc_cells))
+        writer.writerows(rows)
     totals: dict[str, float] = {}
-    for _, scheme, condition, analytic in rows:
+    for _, scheme, condition, analytic, *_ in rows:
         group = f"{scheme}/{condition}"
         totals[group] = totals.get(group, 0.0) + float(analytic)
     lines = [f"{spec.kind}: {len(rows)} rows -> {spec.output}"]

@@ -11,14 +11,15 @@ One engine, ``simulate_sweep``, serves every sweep: chunks run in the
 outer loop and sweep points in the inner loop.  Each chunk draws and
 sorts its Gamma gains once; every point then applies its own path loss,
 SNR and distortion profile to those gains (common random numbers) and
-reduces its unit-share rates to chunk statistics; its time share scales
-only the finished result.  Each point's statistics merge in chunk order, as a
-one-point run merges them, so a point's result does not depend on which
-other points share the run.  The kernel sees a profile only through its
+reduces its rates to chunk statistics.  Each point's statistics merge in
+chunk order, as a one-point run merges them, so a point's result does not
+depend on which other points share the run.  Results are at unit time
+share: a point knows no scheme, and only ``simulate_asr`` multiplies its
+finished result by a prefactor.  The kernel sees a profile only through its
 three distortion terms (``_kernels.distortion_terms``), so points with
-equal path loss, SNR and terms, whatever their scheme, share one kernel
-call and their chunk statistics: transmitter-only and receiver-only
-distortion of one level cost one evaluation.
+equal path loss, SNR and terms share one kernel call and their chunk
+statistics: transmitter-only and receiver-only distortion of one level
+cost one evaluation.
 Only per-point statistics outlive a chunk.  ``sample_moments`` runs the
 same chunks and reduces the sorted, path-loss-scaled gains and their
 squares instead of rates.
@@ -54,7 +55,7 @@ from __future__ import annotations
 import copy
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import starmap
 
@@ -63,7 +64,7 @@ import numpy as np
 from . import _kernels
 from .channel import FadingParams, gamma_from_uniforms
 from .errors import ConfigurationError, NumericError, SweepPointError
-from .rate import AsrResult, _time_share
+from .rate import AsrResult
 from .signal import ImpairmentProfile, NetworkConfig
 
 __all__ = [
@@ -221,15 +222,12 @@ class SweepPoint:
     """One operating point of a Monte Carlo sweep.
 
     cfg: user count, power split and SNR.  fading: fading law and the
-    per-position path loss.  imp: distortion profile.  prefactor: time
-    share of each pair rate (1/2 for the two-slot exchange, 1.0 for the
-    kernel's unit share), applied to the finished result.
+    per-position path loss.  imp: distortion profile.
     """
 
     cfg: NetworkConfig
     fading: FadingParams
     imp: ImpairmentProfile
-    prefactor: float = 0.5
 
 
 def _sweep_plan(points):
@@ -239,8 +237,8 @@ def _sweep_plan(points):
     bc), so points whose distortion profiles differ but whose
     ``_kernels.distortion_terms`` are bit-equal fall in one group.  Points
     in one path-loss group share the scaled gains and their aggregates,
-    numerator terms included; points in one kernel group, whatever their
-    prefactor, share the kernel call and the chunk statistics.
+    numerator terms included; points in one kernel group share the kernel
+    call and the chunk statistics.
     """
     groups: dict = {}
     for i, p in enumerate(points):
@@ -282,26 +280,25 @@ def _merge_parts(parts, n_points: int):
     return stats, bad_trial
 
 
-def _result(stats, prefactor: float) -> AsrResult:
+def _result(stats) -> AsrResult:
     n, mean, m2 = stats
-    stderr = math.sqrt(m2 / (n * (n - 1)))
     return AsrResult(
         per_decoder=None,
-        total=float(_time_share(prefactor, mean)),
+        total=float(mean),
         provenance="monte-carlo",
-        stderr=float(_time_share(prefactor, stderr)),
+        stderr=math.sqrt(m2 / (n * (n - 1))),
         trials=n,
     )
 
 
 def simulate_sweep(points: Sequence[SweepPoint], tc: TrialConfig) -> list[AsrResult]:
-    """Monte Carlo sum rate at every point, all from one draw of the gains.
+    """Unit-share Monte Carlo sum rate at every point, from one draw of the gains.
 
     Chunk outer, point inner: each chunk samples and sorts its gains once,
     then every point scales them by its path loss, evaluates the kernel
     at its (r1, distortion profile) and reduces to chunk statistics.  Each
-    point's statistics merge in chunk order, then take its prefactor, so
-    every result is bit-identical to a one-point run.
+    point's statistics merge in chunk order, so every result is
+    bit-identical to a one-point run at prefactor 1.0.
 
     The points must share the user count, power split and fading law
     (they may differ in path loss).  A non-finite rate raises
@@ -353,7 +350,7 @@ def simulate_sweep(points: Sequence[SweepPoint], tc: TrialConfig) -> list[AsrRes
     for i, trial in enumerate(bad_trial):
         if trial is not None:
             raise SweepPointError(i, f"non-finite rate in trial {trial}", trial)
-    return [_result(s, p.prefactor) for s, p in zip(stats, points)]
+    return [_result(s) for s in stats]
 
 
 def simulate_asr(
@@ -366,10 +363,11 @@ def simulate_asr(
     """Monte Carlo sum rate: the trial average of prefactor * log2(1 + SINR)
     summed over every decodable pair.
 
-    A one-point ``simulate_sweep``; bit-identical output for identical
-    (seed, trials).
+    A one-point ``simulate_sweep``, its total and stderr times prefactor;
+    bit-identical output for identical (seed, trials).
     """
-    return simulate_sweep([SweepPoint(cfg, fading, imp, prefactor)], tc)[0]
+    unit = simulate_sweep([SweepPoint(cfg, fading, imp)], tc)[0]
+    return replace(unit, total=unit.total * prefactor, stderr=unit.stderr * prefactor)
 
 
 def sample_moments(fading: FadingParams, tc: TrialConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -16,8 +16,8 @@ holds one block's intermediates and its totals, whatever the grid's size.
 The Monte Carlo surface is one sweep with a point per site
 (``montecarlo.simulate_sweep``).  The NOMA and OMA surfaces differ only in
 the time share of each pair rate, so ``sweep_surfaces`` evaluates one
-surface of unit-share totals, on either engine, and each scheme's surface
-is those totals at its share (``rate._time_share``).  Both engines use the
+surface of unit-share totals, which both engines return, and each
+scheme's surface is those totals times its share.  Both engines use the
 one path-loss formula 1 + d^nu, computed per entry, a row-local kernel and
 one left-to-right sum of a site's decoder rates, so each site gets the same
 bits as a one-site evaluation, in any block.  A failure, a path loss or a
@@ -37,7 +37,7 @@ from .baseline import scheme_prefactor
 from .channel import FadingParams, order_stat_moment_rows
 from .errors import ConfigurationError, NumericError, SweepPointError
 from .montecarlo import SweepPoint, TrialConfig, _sweep_plan, simulate_sweep
-from .rate import _time_share, asr_rows
+from .rate import asr_rows
 from .signal import ImpairmentProfile, NetworkConfig
 
 __all__ = [
@@ -238,7 +238,7 @@ def sweep_surfaces(
             over = np.isinf(dist[:, 0])
             end = int(over.argmax()) if over.any() else over.size
             psi, _, moment_fault = order_stat_moment_rows(fading_template, dist[:end])
-            totals, rate_fault = asr_rows(psi, cfg.a, args, 1.0)
+            totals, rate_fault = asr_rows(psi, cfg.a, args)
             start = j * xs.size
             # each step covers only the rows before the previous step's
             # fault, so the first fault found is the earliest site
@@ -248,14 +248,14 @@ def sweep_surfaces(
                 row, exc = fault
                 raise type(exc)(f"{site(start + row)}: {exc}") from exc
             for share, surface in zip(shares, surfaces):
-                surface[start : start + totals.size] = _time_share(share, totals)
+                surface[start : start + totals.size] = share * totals
     else:
         dist = _site_distances(geom_template, xs, ys)
         # FadingParams refuses an infinite distance, so the points stop before it
         over = np.isinf(dist[:, 0])
         end = int(over.argmax()) if over.any() else over.size
         points = [
-            SweepPoint(cfg, replace(fading_template, distances=tuple(d)), imp, 1.0)
+            SweepPoint(cfg, replace(fading_template, distances=tuple(d)), imp)
             for d in dist[:end].tolist()
         ]
         try:
@@ -268,7 +268,7 @@ def sweep_surfaces(
         except SweepPointError as exc:
             raise NumericError(f"{site(exc.point)}: {exc}") from exc
         totals = np.array([r.total for r in results])
-        surfaces = [_time_share(share, totals) for share in shares]
+        surfaces = [share * totals for share in shares]
     return [_surface(xs, ys, totals.reshape(ys.size, xs.size)) for totals in surfaces]
 
 

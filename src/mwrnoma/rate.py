@@ -10,10 +10,12 @@ rate per decoder, the sum of its successive-decoding pair rates, which
 telescope to one logarithm per decoder; ``_kernels.decoder_totals`` adds
 a row's rates left to right, as ``_total`` adds the rates of one row, so
 its total has the same bits in ``asr`` and in any batch of ``asr_rows``.
-Distortion enters only through the impairment profile: the ideal
-transceiver is the all-zero profile, which is the default.  The affine high-SNR expansion
-ASR ~ S (log2 r1 - L), in terms of the high-SNR slope S and the power
-offset L, follows in closed form from those limits."""
+``asr_rows`` gives unit-share totals, which the two sweep drivers scale
+once per scheme; the one-point functions multiply their own result by
+their prefactor.  Distortion enters only through the impairment profile:
+the ideal transceiver is the all-zero profile, which is the default.  The
+affine high-SNR expansion ASR ~ S (log2 r1 - L), in terms of the high-SNR
+slope S and the power offset L, follows in closed form from those limits."""
 
 from __future__ import annotations
 
@@ -93,27 +95,18 @@ def _kernel_args(psi: np.ndarray, a, args) -> np.ndarray:
     return np.asarray(args, dtype=np.float64).T
 
 
-def _time_share(prefactor, values):
-    """Finished unit-share numbers (rates, totals, standard errors) scaled
-    to the time share ``prefactor``, one for all or one per row (the first
-    axis of ``values``): the one place a share enters a result."""
-    scale = np.asarray(prefactor, dtype=np.float64)
-    return values * scale.reshape(scale.shape + (1,) * (np.ndim(values) - scale.ndim))
-
-
-def asr_rows(psi: np.ndarray, a, args, prefactor=0.5):
-    """Closed-form sum rate at every row of order-statistic means.
+def asr_rows(psi: np.ndarray, a, args):
+    """Closed-form unit-share sum rate at every row of order-statistic means.
 
     psi is (rows, M) and a the power split.  args is
     ``_kernels.kernel_args(cfg, imp)``: one tuple for every row, as for a
     relay-placement surface (one row per site), or a (rows, 5) sequence,
-    one per row, as for an SNR or distortion sweep.  prefactor is one
-    scheme share for every row or one per row (1.0: the kernel's unit
-    share).  Returns ``(totals, fault)``: each total is its row's
-    ``_kernels.decoder_totals`` total at the share, the bits of ``asr``.
-    ``fault`` is None when every total is finite.  Otherwise it is
-    ``(row, error)`` for the first row whose total is not, and totals
-    cover only the rows before it.
+    one per row, as for an SNR or distortion sweep.  Returns
+    ``(totals, fault)``: each total is its row's ``_kernels.decoder_totals``
+    total, the bits of ``asr`` at prefactor 1.0; a scheme's total is it
+    times the scheme's share.  ``fault`` is None when every total is
+    finite.  Otherwise it is ``(row, error)`` for the first row whose
+    total is not, and totals cover only the rows before it.
     """
     psi = np.asarray(psi, dtype=np.float64)
     totals = np.empty(psi.shape[0])
@@ -122,7 +115,6 @@ def asr_rows(psi: np.ndarray, a, args, prefactor=0.5):
         total = _kernels.decoder_totals(
             psi, a, *_kernel_args(psi, a, args), out=totals, work=work
         )
-    totals = _time_share(prefactor, totals)
     if math.isfinite(total):
         return totals, None
     row = int(np.argmin(np.isfinite(totals)))
@@ -132,12 +124,12 @@ def asr_rows(psi: np.ndarray, a, args, prefactor=0.5):
 
 def _one_row(moments: OrderStatMoments, cfg: NetworkConfig, args, prefactor, provenance):
     """The ``AsrResult`` of one kernel evaluation at one row of means: its
-    decoder rates and their ``_total``, at the share."""
+    unit-share decoder rates and their ``_total``, each times prefactor."""
     psi = moments.psi[None, :]
     rates = _kernels.pair_rate_chunk(psi, cfg.a, *_kernel_args(psi, cfg.a, args))[0]
     return AsrResult(
-        per_decoder=_time_share(prefactor, rates),
-        total=float(_time_share(prefactor, _total(rates))),
+        per_decoder=rates * prefactor,
+        total=_total(rates) * prefactor,
         provenance=provenance,
     )
 
@@ -195,7 +187,7 @@ def asr_affine(
     """
     limit = asr_asymptotic(moments, cfg, imp, 1.0)
     if math.isfinite(limit.total):
-        return 0.0, math.inf, float(_time_share(prefactor, limit.total))
+        return 0.0, math.inf, limit.total * prefactor
     bounded = _total(limit.per_decoder[np.isfinite(limit.per_decoder)])
     gain = _kernels.divergent_decoder_gain(moments.psi[None, :], cfg.a, cfg.c)[0]
     return prefactor, -(bounded + math.log2(gain)), math.inf

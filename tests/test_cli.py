@@ -222,6 +222,14 @@ class TestSpecLoading:
              "impairments.kappa_ut: not used when impairments.variants is set"),
             ("fig2a", {"impairments": {"kappa_rr": 0.1, "variants": {"rhi": {"kappa_ut": 0.2}}}},
              "impairments.kappa_rr: not used when impairments.variants is set"),
+            # the rates take 1 / r2: a relay SNR c * r1 that underflows to 0
+            # is refused, at any sweep point, whatever the run kind
+            ("fig2a", {"network": {"c": 1e-300}, "experiment": {"snr_db": [0, -3000]}},
+             "experiment.snr_db: relay SNR c * r1 underflows to 0 at -3000.0 dB, c=1e-300"),
+            ("fig3", {"network": {"c": 1e-300}, "experiment": {"snr_db": -3000}},
+             "experiment.snr_db: relay SNR c * r1 underflows to 0 at -3000.0 dB, c=1e-300"),
+            ("fig4a", {"network": {"c": 1e-300}, "experiment": {"snr_db": -3000}},
+             "experiment.snr_db: relay SNR c * r1 underflows to 0 at -3000.0 dB, c=1e-300"),
         ],
     )
     def test_config_value_named(self, tmp_path, capsys, preset, config, message):
@@ -345,6 +353,29 @@ class TestSnrSweep:
             totals[key] = totals.get(key, 0.0) + float(row["asr_analytical"])
         assert totals == result.reported_totals
 
+    @pytest.mark.parametrize("engine", ["analytical", "mc"])
+    def test_relay_snr_underflow_refused(self, tmp_path, capsys, engine):
+        # 1 / r2 would divide by zero; a relay SNR that overflows to inf
+        # has its limit 1 / r2 = 0 and runs
+        path = write_config(
+            tmp_path, {"network": {"c": 1e-300}, "experiment": {"snr_db": [0, -3000]}}
+        )
+        out = tmp_path / "out.csv"
+        argv = ["run", "--preset", "fig2a", "--engine", engine, "--trials", "2000",
+                "--output", str(out)]
+        assert main(argv + ["--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: config: experiment.snr_db: relay SNR c * r1 underflows to 0 "
+            "at -3000.0 dB, c=1e-300\n"
+        )
+        assert not out.exists()
+        path = write_config(tmp_path, {"network": {"c": 1e300}, "experiment": {"snr_db": [100]}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--config", str(path)]) == 0
+        for row in read_rows(out):
+            assert math.isfinite(float(row["asr_analytical"]))
+
     def test_analytical_engine_leaves_mc_blank(self, tmp_path):
         config = tiny_snr_config(tmp_path)
         config["experiment"]["engine"] = "analytical"
@@ -406,6 +437,31 @@ class TestSnrSweep:
         assert len(quoted) == 9
         assert all(r["scheme"] == "noma" and math.isfinite(float(r["asr_analytical"]))
                    for r in quoted)
+
+
+@pytest.mark.parametrize("preset, points, rows", [("fig2a", 9, 18), ("fig3", 7, 14)])
+def test_schemes_share_one_evaluation_per_point(tmp_path, monkeypatch, preset, points, rows):
+    # the schemes differ only in their time share: each (sweep value,
+    # condition) is one Monte Carlo point and one closed-form row, which
+    # every scheme's row scales
+    seen = {}
+
+    def spy(name):
+        original = getattr(cli, name)
+
+        def counted(rows_or_points, *args, **kwargs):
+            seen[name] = len(rows_or_points)
+            return original(rows_or_points, *args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+
+    spy("simulate_sweep")
+    spy("asr_rows")
+    out = tmp_path / "out.csv"
+    argv = ["run", "--preset", preset, "--engine", "both", "--trials", "2000"]
+    assert main(argv + ["--output", str(out)]) == 0
+    assert seen == {"simulate_sweep": points, "asr_rows": points}
+    assert len(read_rows(out)) == rows
 
 
 class TestKappaSweep:
@@ -591,10 +647,7 @@ class TestMomentsCheck:
         config = moments_config(tmp_path)
         config["experiment"]["mc_samples"] = 50_000
         assert main(["run", "--config", str(write_config(tmp_path, config))]) == 2
-        assert capsys.readouterr().err == (
-            "error: config: experiment.mc_samples: removed; "
-            "the moments check draws trials.trials samples\n"
-        )
+        assert capsys.readouterr().err == "error: config: experiment.mc_samples: unknown key\n"
         del config["experiment"]["mc_samples"], config["trials"]
         assert main(["run", "--config", str(write_config(tmp_path, config))]) == 2
         assert capsys.readouterr().err == (

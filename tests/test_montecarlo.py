@@ -226,17 +226,19 @@ FAR4 = replace(FADING4, distances=(3.0, 2.0, 1.5, 1.0))
 OMA4 = scheme_prefactor("oma", 4)
 IDEAL = ImpairmentProfile.ideal()
 
-# mixed SNR, distortion profile, 1/slot_count prefactor and path loss; the
-# first two share a kernel call and chunk statistics, the last three a
-# path-loss vector
+# mixed SNR, distortion profile and path loss; SHARES holds the time share
+# (1/2 or 1/slot_count) that a sweep driver scales each point's unit-share
+# result by.  The first two share a kernel call and chunk statistics and
+# differ only in their share, the last three share a path-loss vector
 SWEEP = [
     SweepPoint(CFG4, FADING4, IDEAL),
-    SweepPoint(CFG4, FADING4, IDEAL, OMA4),
+    SweepPoint(CFG4, FADING4, IDEAL),
     SweepPoint(replace(CFG4, r1=1000.0), FADING4, ImpairmentProfile.uniform(0.1)),
     SweepPoint(replace(CFG4, r1=1000.0), FAR4, ImpairmentProfile(0.2, 0.0, 0.2, 0.0)),
-    SweepPoint(CFG4, FAR4, IDEAL, OMA4),
+    SweepPoint(CFG4, FAR4, IDEAL),
     SweepPoint(replace(CFG4, r1=10.0), FAR4, ImpairmentProfile(0.0, 0.2, 0.0, 0.2)),
 ]
+SHARES = [0.5, OMA4, 0.5, 0.5, OMA4, 0.5]
 
 
 def whole_array_stats(rates):
@@ -248,7 +250,7 @@ def whole_array_stats(rates):
     return rates.shape[0], float(t_mean), t_m2
 
 
-def reference_stats(point, tc):
+def reference_stats(point, share, tc):
     """The per-point loop: sample, scale, evaluate the whole chunk of rates,
     reduce it as one array and merge chunk by chunk; then scale the
     finished unit-share ``(n, total, stderr)`` by the time share."""
@@ -266,7 +268,6 @@ def reference_stats(point, tc):
         part = whole_array_stats(rates)
         stats = part if stats is None else _merge_stats(stats, part)
     n, t_mean, t_m2 = stats
-    share = point.prefactor
     return n, t_mean * share, math.sqrt(t_m2 / (n * (n - 1))) * share
 
 
@@ -314,6 +315,12 @@ def near_miss_profiles():
             return tx, near
 
 
+def at_share(unit, share):
+    """A unit-share Monte Carlo result scaled as a sweep driver scales it:
+    its finished total and stderr times the share."""
+    return replace(unit, total=unit.total * share, stderr=unit.stderr * share)
+
+
 def assert_same_result(got, want):
     assert got.total == want.total
     assert got.stderr == want.stderr
@@ -334,44 +341,48 @@ class TestSweepEngine:
         repeats = [simulate_sweep(SWEEP, TrialConfig(self.TRIALS, seed=31)) for _ in range(runs)]
         for results in repeats:
             assert len(results) == len(SWEEP)
-            for point, got in zip(SWEEP, results):
+            for point, share, got in zip(SWEEP, SHARES, results):
                 alone = simulate_asr(
                     point.cfg, point.fading, point.imp, TrialConfig(self.TRIALS, seed=31),
-                    prefactor=point.prefactor,
+                    prefactor=share,
                 )
-                assert_same_result(got, alone)
+                assert_same_result(at_share(got, share), alone)
 
     def test_matches_per_point_loop(self):
         tc = TrialConfig(self.TRIALS, seed=31)
-        for point, got in zip(SWEEP, simulate_sweep(SWEEP, tc)):
-            n, total, stderr = reference_stats(point, tc)
+        for point, share, got in zip(SWEEP, SHARES, simulate_sweep(SWEEP, tc)):
+            n, total, stderr = reference_stats(point, share, tc)
             assert n == got.trials == self.TRIALS
-            assert got.total == total
-            assert got.stderr == stderr
+            assert got.total * share == total
+            assert got.stderr * share == stderr
 
     @pytest.mark.parametrize("share", [1 / 2, 1 / 3, 1 / 5])
     def test_share_scales_unit_share_results_once(self, share):
-        # the kernel's rates are at unit share; a scheme's share multiplies
-        # the finished closed-form totals, and a Monte Carlo point's total
-        # and stderr, once, bit for bit
+        # both engines return unit-share numbers; a scheme's share
+        # multiplies the finished closed-form totals, and a Monte Carlo
+        # point's total and stderr, once, to the bits of the one-point
+        # functions at that prefactor
         imp = ImpairmentProfile.uniform(0.1)
-        psi = np.array([order_stat_moments(f, 4).psi for f in (FADING4, FAR4)])
+        moments = [order_stat_moments(f, 4) for f in (FADING4, FAR4)]
+        psi = np.array([m.psi for m in moments])
         args = _kernels.kernel_args(CFG4, imp)
         unit = _kernels.pair_rate_chunk(psi, np.asarray(CFG4.a), *args)
-        totals, fault = asr_rows(psi, CFG4.a, args, share)
+        totals, fault = asr_rows(psi, CFG4.a, args)
         assert fault is None
-        assert np.array_equal(totals, unit.sum(axis=1) * share)
-        point = SweepPoint(CFG4, FAR4, imp, 1.0)
-        points = [point, replace(point, prefactor=share)]
-        one, scaled = simulate_sweep(points, TrialConfig(self.TRIALS, seed=31))
+        assert np.array_equal(totals, unit.sum(axis=1))
+        for total, m in zip(totals, moments):
+            assert total * share == asr(m, CFG4, imp, share).total
+        tc = TrialConfig(self.TRIALS, seed=31)
+        (one,) = simulate_sweep([SweepPoint(CFG4, FAR4, imp)], tc)
+        scaled = simulate_asr(CFG4, FAR4, imp, tc, prefactor=share)
         assert scaled.total == one.total * share
         assert scaled.stderr == one.stderr * share
 
     @RUNS
     def test_duplicate_points_share_results(self, monkeypatch, runs):
-        # duplicates (same path loss and kernel arguments, whatever the
-        # prefactor: SWEEP[0] and SWEEP[1] differ only in it) reduce each
-        # chunk once and still match one-point runs bit for bit
+        # duplicates (same path loss and kernel arguments: SWEEP[0] and
+        # SWEEP[1] differ only in the share a driver gives them) reduce
+        # each chunk once and still match one-point runs bit for bit
         calls = counted_reducer(monkeypatch)
         points = [SWEEP[2], SWEEP[0], SWEEP[2], SWEEP[1], SWEEP[0], SWEEP[2]]
         tc = TrialConfig(self.TRIALS, seed=31)
@@ -381,7 +392,7 @@ class TestSweepEngine:
             for point, got in zip(points, results):
                 alone = simulate_asr(
                     point.cfg, point.fading, point.imp, TrialConfig(self.TRIALS, seed=31),
-                    prefactor=point.prefactor,
+                    prefactor=1.0,
                 )
                 assert_same_result(got, alone)
 
@@ -425,7 +436,8 @@ class TestSweepEngine:
         assert len(calls) == runs * len(distinct) * 3  # three chunks
         for results in repeats:
             for point, got in zip(points, results):
-                alone = simulate_asr(point.cfg, point.fading, point.imp, TrialConfig(self.TRIALS, seed=17))
+                tc = TrialConfig(self.TRIALS, seed=17)
+                alone = simulate_asr(point.cfg, point.fading, point.imp, tc, 1.0)
                 assert_same_result(got, alone)
             assert_same_result(results[0], results[1])
 
@@ -447,7 +459,7 @@ class TestSweepEngine:
         np.random.default_rng(order_seed).shuffle(points)
         tc = TrialConfig(self.TRIALS, seed=41)
         for point, got in zip(points, simulate_sweep(points, tc)):
-            assert_same_result(got, simulate_asr(point.cfg, point.fading, point.imp, tc))
+            assert_same_result(got, simulate_asr(point.cfg, point.fading, point.imp, tc, 1.0))
 
     def test_fig2b_shares_tx_and_rx_groups(self, monkeypatch, tmp_path):
         # 9 SNRs x 4 profiles, of which tx-rhi and rx-rhi have equal terms
@@ -548,11 +560,12 @@ class TestTxRxSymmetry:
         moments = order_stat_moments(fading, n_users)
         assert asr(moments, cfg, tx, share).total == asr(moments, cfg, rx, share).total
         tc = TrialConfig(TestSweepEngine.TRIALS, seed=23)
-        points = [SweepPoint(cfg, fading, imp, share) for imp in (tx, rx)]
+        points = [SweepPoint(cfg, fading, imp) for imp in (tx, rx)]
         results = simulate_sweep(points, tc)
         assert_same_result(results[0], results[1])
         for point, got in zip(points, results):
-            assert_same_result(got, simulate_asr(cfg, fading, point.imp, tc, prefactor=share))
+            alone = simulate_asr(cfg, fading, point.imp, tc, prefactor=share)
+            assert_same_result(at_share(got, share), alone)
 
 
 def nan_kernel(monkeypatch, fading, seed, bad_rows):

@@ -481,11 +481,11 @@ class TestBlocks:
         dist = placement._site_distances(geom, grid.xs, grid.ys)
         psi, _, fault = order_stat_moment_rows(fading, dist)
         assert fault is None
+        totals, fault = asr_rows(psi, cfg.a, kernel_args(cfg, imp))
+        assert fault is None
         for surface, scheme in zip(surfaces, self.SCHEMES):
             share = scheme_prefactor(scheme, cfg.n_users)
-            totals, fault = asr_rows(psi, cfg.a, kernel_args(cfg, imp), share)
-            assert fault is None
-            assert surface.asr.tobytes() == totals.tobytes()
+            assert surface.asr.tobytes() == (share * totals).tobytes()
 
     @pytest.mark.parametrize("schemes", [("noma", "oma"), ("oma", "noma")])
     def test_overflow_in_the_last_block_names_its_first_site(self, schemes):

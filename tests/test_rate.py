@@ -358,7 +358,8 @@ class TestClosedFormProperties:
         totals, fault = asr_rows(psi, cfg.a, kernel_args(cfg, imp))
         assert fault is None
         one_row = [
-            asr(OrderStatMoments(psi=row, omega=moments.omega), cfg, imp).total for row in psi
+            asr(OrderStatMoments(psi=row, omega=moments.omega), cfg, imp, 1.0).total
+            for row in psi
         ]
         assert np.array_equal(totals, one_row)
 
@@ -380,10 +381,10 @@ class TestClosedFormProperties:
         shares = [scheme_prefactor(scheme, cfg.n_users) for _, _, scheme in points]
         psi = np.broadcast_to(moments.psi, (len(points), cfg.n_users))
         args = [kernel_args(c, imp) for c, imp in zip(cfgs, imps)]
-        totals, fault = asr_rows(psi, cfg.a, args, shares)
+        totals, fault = asr_rows(psi, cfg.a, args)
         assert fault is None
         for row, (c, imp, share) in enumerate(zip(cfgs, imps, shares)):
-            assert totals[row] == asr(moments, c, imp, share).total
+            assert totals[row] * share == asr(moments, c, imp, share).total
 
     def test_row_total_does_not_depend_on_its_batch(self):
         # at M = 12 a row has 11 decoder rates, enough for numpy's pairwise
@@ -402,7 +403,7 @@ class TestClosedFormProperties:
         assert fault is None
         for row, (p, w) in enumerate(zip(psi, omega)):
             assert asr_rows(p[None, :], cfg.a, args)[0][0] == totals[row]
-            assert asr(OrderStatMoments(psi=p, omega=w), cfg, imp).total == totals[row]
+            assert asr(OrderStatMoments(psi=p, omega=w), cfg, imp, 1.0).total == totals[row]
 
     def test_first_faulting_row_named(self, setup3):
         # rows 2 and 4 give NaN rates; the batch names row 2, with the
@@ -411,10 +412,10 @@ class TestClosedFormProperties:
         psi = np.tile(moments.psi, (6, 1))
         psi[[2, 4], 0] = np.nan
         args = [kernel_args(cfg_at(cfg, 10.0**db), ImpairmentProfile()) for db in range(6)]
-        totals, fault = asr_rows(psi, cfg.a, args, [0.5, 1 / 3] * 3)
+        totals, fault = asr_rows(psi, cfg.a, args)
         row, error = fault
         assert row == 2 and totals.shape[0] == 2
-        _, (alone_row, alone) = asr_rows(psi[2:3], cfg.a, args[2], 0.5)
+        _, (alone_row, alone) = asr_rows(psi[2:3], cfg.a, args[2])
         assert alone_row == 0 and isinstance(error, ConfigurationError)
         assert str(error) == str(alone) == "analytical rates must be finite, got total nan"
 
