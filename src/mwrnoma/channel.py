@@ -48,10 +48,10 @@ __all__ = [
 # takes about 2 s at 1000)
 MAX_ALPHA = 400
 
-# largest alpha * M^2 whose moment table a run builds: the build time grows
-# about as alpha^2 M^4, and the slowest accepted pairs, alpha = 400 with
-# M = 8 and alpha = 316 with M = 9, build in about 1.5 and 1.1 s (alpha = 2
-# allows M = 113, 0.5 s; M = 256 took 27 s)
+# largest alpha * M^2 that ``FadingParams`` accepts, which bounds the
+# moment table's build time: it grows about as alpha^2 M^4, and the slowest
+# accepted pairs, alpha = 400 with M = 8 and alpha = 316 with M = 9, build
+# in about 1.5 and 1.1 s (alpha = 2 allows M = 113, 0.5 s; M = 256 took 27 s)
 MAX_MOMENT_TABLE = 25_600
 
 
@@ -60,7 +60,8 @@ class FadingParams:
     """Per-network fading and path-loss parameters.
 
     alpha: Gamma shape, integer in 1..MAX_ALPHA (integer shape is required
-        by the closed-form moment expansion; other shapes are rejected).
+        by the closed-form moment expansion; other shapes are rejected),
+        with alpha * M^2 at most MAX_MOMENT_TABLE for M distances.
     beta: Gamma scale, > 0.
     nu: path-loss exponent, >= 0.
     distances: per-user link distances, indexed by sorted order position
@@ -74,11 +75,7 @@ class FadingParams:
 
     def __post_init__(self):
         a = self.alpha
-        if isinstance(a, float):
-            if not a.is_integer():
-                raise UnsupportedParameterError(
-                    f"fading shape alpha must be a positive integer, got {a}"
-                )
+        if isinstance(a, float) and a.is_integer():
             a = int(a)
         if not isinstance(a, int) or isinstance(a, bool) or a < 1:
             raise UnsupportedParameterError(
@@ -98,6 +95,12 @@ class FadingParams:
             raise ConfigurationError("distances must be non-empty")
         if any(not (x >= 0 and math.isfinite(x)) for x in d):
             raise ConfigurationError(f"distances must be finite and >= 0, got {d}")
+        if a * len(d) ** 2 > MAX_MOMENT_TABLE:
+            raise ConfigurationError(
+                f"at most {math.isqrt(MAX_MOMENT_TABLE // a)} at fading.alpha {a} "
+                f"(alpha * n_users^2 <= {MAX_MOMENT_TABLE}), got {len(d)}",
+                field="n_users",
+            )
         object.__setattr__(self, "distances", d)
 
     @property

@@ -22,7 +22,8 @@ import logging
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
+from functools import reduce
 from itertools import chain, product
 from pathlib import Path
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from ._kernels import kernel_args
 from .baseline import scheme_prefactor
-from .channel import MAX_MOMENT_TABLE, FadingParams, moment_oracle, order_stat_moments
+from .channel import FadingParams, moment_oracle, order_stat_moments
 from .errors import ConfigurationError, NumericError, SweepPointError
 from .montecarlo import SweepPoint, TrialConfig, sample_moments, simulate_sweep
 from .placement import Geometry, GridSpec, PlacementSurface, distances, sweep_surfaces
@@ -48,35 +49,6 @@ ENGINES = ("analytical", "mc", "both")
 # most points a start/stop/step mapping may expand to, checked before the
 # points are built
 MAX_SWEEP_POINTS = 100_000
-
-
-def _keys(*names, **sections) -> dict:
-    """A config section's accepted keys: leaves, and subsections with keys of their own."""
-    return {**dict.fromkeys(names), **sections}
-
-
-_STEPS = _keys("start", "stop", "step")
-_LEVELS = _keys(*(f.name for f in fields(ImpairmentProfile)))
-# the keys each config section accepts; "*" stands for any label.  A
-# subsection's keys are checked where the config gives it as a mapping.
-CONFIG_KEYS = _keys(
-    network=_keys("n_users", "a", "c", "power_ratio_n", "sigma_r2", "sigma_t2"),
-    fading=_keys("alpha", "beta", "nu", "distances"),
-    impairments=_keys(*_LEVELS, variants={"*": _LEVELS}),
-    geometry=_keys("users", "height"),
-    # workers: runs are single-threaded and ignore it; still accepted
-    # because the benchmark's mc_point_m8 config (perfbench/run.py) writes it
-    trials=_keys("trials", "seed", "workers"),
-    experiment=_keys(
-        "kind",
-        "engine",
-        "schemes",
-        "output",
-        snr_db=_STEPS,
-        kappa=_STEPS,
-        grid=_keys(*(f.name for f in fields(GridSpec))),
-    ),
-)
 
 SNR_HEADER = ["snr_db", "scheme", "condition", "asr_analytical", "asr_mc", "mc_stderr"]
 KAPPA_HEADER = ["kappa", "scheme", "condition", "asr_analytical", "asr_mc", "mc_stderr"]
@@ -104,7 +76,12 @@ _fmt = "{:.9g}".format
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Validated, fully-resolved experiment description."""
+    """Validated, fully-resolved experiment description.
+
+    ``sweep`` holds each sweep value's network (each SNR converted once)
+    and its conditions: the labelled profiles ``variants``, or in a kappa
+    sweep the value's own.
+    """
 
     kind: str
     network: NetworkConfig
@@ -118,46 +95,31 @@ class ExperimentSpec:
     kappa_grid: tuple[float, ...] | None = None
     geometry: Geometry | None = None
     grid: GridSpec | None = None
+    sweep: tuple[tuple[NetworkConfig, tuple], ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigurationError(f"experiment.kind: unknown kind {self.kind!r}")
         if self.engine not in ENGINES:
-            raise ConfigurationError(f"experiment.engine: must be one of {ENGINES}")
+            raise ConfigurationError(f"must be one of {ENGINES}", field="engine")
         if any(s not in ("noma", "oma") for s in self.schemes):
-            raise ConfigurationError("experiment.schemes: entries must be 'noma' or 'oma'")
+            raise ConfigurationError("entries must be 'noma' or 'oma'", field="schemes")
         # every scheme names one CSV (placement) or one set of rows (sweeps)
         if not self.schemes:
-            raise ConfigurationError("experiment.schemes: need at least one scheme")
+            raise ConfigurationError("need at least one scheme", field="schemes")
         if len(set(self.schemes)) != len(self.schemes):
             raise ConfigurationError(
-                f"experiment.schemes: each scheme may appear once, got {list(self.schemes)!r}"
+                f"each scheme may appear once, got {list(self.schemes)!r}", field="schemes"
             )
-        sweeps = sum(
-            x is not None for x in (self.snr_db_grid, self.kappa_grid, self.grid)
-        )
-        if self.kind == "moments-check":
-            if sweeps:
-                raise ConfigurationError("moments-check takes no sweep dimension")
-        elif sweeps != 1:
-            raise ConfigurationError(
-                f"exactly one sweep dimension per experiment, got {sweeps}"
-            )
-        if self.kind == "snr-sweep" and self.snr_db_grid is None:
-            raise ConfigurationError("experiment.snr_db: snr-sweep needs an SNR grid")
-        if self.kind == "kappa-sweep" and self.kappa_grid is None:
-            raise ConfigurationError("experiment.kappa: kappa-sweep needs a kappa grid")
-        if self.kind == "placement-sweep":
-            if self.grid is None or self.geometry is None:
-                raise ConfigurationError(
-                    "placement-sweep needs geometry and experiment.grid"
-                )
-            if self.engine == "both":
-                raise ConfigurationError(
-                    "experiment.engine: placement-sweep uses a single engine"
-                )
+        # each sweep kind has its own sweep dimension and no other
+        dims = {"snr-sweep": self.snr_db_grid, "kappa-sweep": self.kappa_grid}
+        dims["placement-sweep"] = self.geometry and self.grid
+        if [k for k, v in dims.items() if v is not None] != [k for k in dims if k == self.kind]:
+            raise ConfigurationError(f"{self.kind} needs its own sweep dimension and no other")
+        if self.kind == "placement-sweep" and self.engine == "both":
+            raise ConfigurationError("placement-sweep uses a single engine", field="engine")
         if (self.engine != "analytical" or self.kind == "moments-check") and self.trials is None:
-            raise ConfigurationError("trials: required by the mc engine and by moments-check")
+            raise ConfigurationError(
+                "required by the mc engine and by moments-check", field="trials"
+            )
 
 
 @dataclass(frozen=True)
@@ -180,31 +142,8 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
-def _check_keys(section: dict, accepted: dict, where: str = "") -> None:
-    """Refuse the first key, depth first in config order, that ``accepted``
-    does not list."""
-    for key, value in section.items():
-        path = f"{where}.{key}" if where else key
-        if "*" in accepted:
-            sub = accepted["*"]
-        elif key in accepted:
-            sub = accepted[key]
-        else:
-            raise ConfigurationError(f"{path}: unknown key")
-        if sub is not None and isinstance(value, dict):
-            _check_keys(value, sub, path)
-
-
-def _need(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigurationError(f"{where}.{key}: missing required key")
-    return section[key]
-
-
-def _section(value, where: str) -> dict:
-    if isinstance(value, dict):
-        return value
-    raise ConfigurationError(f"{where}: expected a mapping, got {value!r}")
+# Readers: each returns a config value in the form a type takes, or refuses
+# it naming its dotted key; the type checks the value's bounds.
 
 
 def _is_number(value) -> bool:
@@ -218,6 +157,14 @@ def _as_scalar(value, where: str) -> float:
         except OverflowError:
             pass
     raise ConfigurationError(f"{where}: expected a single number, got {value!r}")
+
+
+def _as_positive(value, where: str) -> float:
+    """A finite number > 0: a noise variance or power ratio, which only fix c."""
+    x = _as_scalar(value, where)
+    if not (x > 0 and math.isfinite(x)):
+        raise ConfigurationError(f"{where}: must be finite and > 0, got {x}")
+    return x
 
 
 def _as_count(value, where: str) -> int:
@@ -235,18 +182,30 @@ def _as_numbers(value, where: str) -> tuple[float, ...]:
     raise ConfigurationError(f"{where}: expected a list of numbers, got {value!r}")
 
 
+def _as_points(value, where: str) -> tuple[tuple[float, ...], ...]:
+    if isinstance(value, list) and all(isinstance(p, list) and len(p) == 2 for p in value):
+        return tuple(_as_numbers(p, where) for p in value)
+    raise ConfigurationError(f"{where}: expected a list of [x, y] pairs, got {value!r}")
+
+
+def _as_names(value, where: str) -> tuple[str, ...]:
+    if isinstance(value, list) and all(isinstance(s, str) for s in value):
+        return tuple(value)
+    raise ConfigurationError(f"{where}: expected a list of scheme names, got {value!r}")
+
+
 def _as_path(value, where: str) -> Path:
-    if isinstance(value, str) and value:
-        return Path(value)
-    raise ConfigurationError(f"{where}: expected a non-empty path string, got {value!r}")
+    if not (isinstance(value, str) and value):
+        raise ConfigurationError(f"{where}: expected a non-empty path string, got {value!r}")
+    if "\0" in value:
+        raise ConfigurationError(f"{where}: a path may not contain a NUL byte, got {value!r}")
+    return Path(value)
 
 
 def _as_grid(value, where: str) -> tuple[float, ...]:
     if isinstance(value, dict):
-        start, stop, step = (
-            _as_scalar(_need(value, key, where), f"{where}.{key}")
-            for key in ("start", "stop", "step")
-        )
+        steps = _Section(value, _STEPS, where)
+        start, stop, step = (steps[key] for key in _STEPS)
         if not all(map(math.isfinite, (start, stop, step))):
             raise ConfigurationError(f"{where}: start, stop and step must be finite")
         if step <= 0 or stop < start:
@@ -264,187 +223,228 @@ def _as_grid(value, where: str) -> tuple[float, ...]:
     raise ConfigurationError(f"{where}: expected a list or start/stop/step mapping")
 
 
-def _snr_linear(db: float) -> float:
-    """Linear SNR of a dB value; one that overflows or underflows is a config error."""
+_REQUIRED = object()
+_STEPS = dict.fromkeys(("start", "stop", "step"), (_as_scalar, _REQUIRED))
+_LEVELS = tuple(f.name for f in fields(ImpairmentProfile))
+
+# Every config leaf by its dotted key ("*" stands for any label), as
+# (reader, default): ``reader(value, key)`` reads a given value (None: as
+# given); a leaf without a default is _REQUIRED, and a default of None is
+# supplied by ``_spec_from_config``.  An ``_as_grid`` leaf may be a mapping
+# of the leaves ``_STEPS``.  A key that is not here is refused before any
+# value is read; a leaf is read only by the run kinds that use it.
+CONFIG_SCHEMA = {
+    "network.n_users": (_as_count, _REQUIRED),
+    "network.a": (_as_numbers, _REQUIRED),
+    "network.c": (_as_scalar, None),
+    "network.power_ratio_n": (_as_positive, 1.0),
+    "network.sigma_r2": (_as_positive, 1.0),
+    "network.sigma_t2": (_as_positive, 1.0),
+    # FadingParams refuses a shape that is not a positive integer
+    "fading.alpha": (None, _REQUIRED),
+    "fading.beta": (_as_scalar, _REQUIRED),
+    "fading.nu": (_as_scalar, _REQUIRED),
+    "fading.distances": (_as_numbers, _REQUIRED),
+    **{f"impairments.{key}": (_as_scalar, 0.0) for key in _LEVELS},
+    **{f"impairments.variants.*.{key}": (_as_scalar, 0.0) for key in _LEVELS},
+    "geometry.users": (_as_points, _REQUIRED),
+    "geometry.height": (_as_scalar, 10.0),
+    "trials.trials": (_as_count, _REQUIRED),
+    "trials.seed": (_as_count, DEFAULT_SEED),
+    # runs are single-threaded and never read it; still accepted because
+    # the benchmark's mc_point_m8 config (perfbench/run.py) writes it
+    "trials.workers": (None, None),
+    # _spec_from_config refuses an unknown kind, ExperimentSpec an unknown
+    # engine or scheme
+    "experiment.kind": (None, _REQUIRED),
+    "experiment.engine": (None, "analytical"),
+    "experiment.schemes": (_as_names, ("noma",)),
+    "experiment.output": (_as_path, None),
+    # a sweep's values; a kind that runs at one SNR reads snr_db as one number
+    "experiment.snr_db": (_as_grid, _REQUIRED),
+    "experiment.kappa": (_as_grid, _REQUIRED),
+    **{f"experiment.grid.{f.name}": (_as_scalar, f.default) for f in fields(GridSpec)},
+}
+
+
+def _schema_tree(leaves: dict) -> dict:
+    """The schema as nested mappings, one per section."""
+    tree: dict = {}
+    for path, leaf in leaves.items():
+        *sections, key = path.split(".")
+        reduce(lambda node, name: node.setdefault(name, {}), sections, tree)[key] = leaf
+    return tree
+
+
+_SCHEMA = _schema_tree(CONFIG_SCHEMA)
+
+
+class _Section:
+    """A config mapping at the dotted key ``where``, read through its part
+    of the schema: ``section[key]`` is a subsection, or a leaf's value by
+    its reader, or its default where the mapping omits it."""
+
+    def __init__(self, values: dict, schema: dict, where: str = ""):
+        self.values, self.schema, self.where = values, schema, where
+
+    def path(self, key: str) -> str:
+        return f"{self.where}.{key}" if self.where else key
+
+    def check(self) -> _Section:
+        """Refuse the first key, depth first in config order, that the
+        schema does not list; returns the section."""
+        for key, value in self.values.items():
+            entry = self.schema.get(key, self.schema.get("*"))
+            if entry is None:
+                raise ConfigurationError(f"{self.path(key)}: unknown key")
+            if isinstance(entry, tuple):
+                entry = _STEPS if entry[0] is _as_grid else None
+            if entry is not None and isinstance(value, dict):
+                _Section(value, entry, self.path(key)).check()
+        return self
+
+    def __getitem__(self, key: str):
+        entry = self.schema.get(key, self.schema.get("*"))
+        if not isinstance(entry, dict):
+            return self.read(key, *entry)
+        value = self.read(key, None, _REQUIRED)
+        # a mapping of labels needs one label at least
+        need = "a non-empty mapping" if "*" in entry else "a mapping"
+        if not isinstance(value, dict) or ("*" in entry and not value):
+            raise ConfigurationError(f"{self.path(key)}: expected {need}, got {value!r}")
+        return _Section(value, entry, self.path(key))
+
+    def read(self, key: str, reader, default):
+        """A leaf by ``reader`` and ``default``, not its schema entry's."""
+        if key not in self.values:
+            if default is _REQUIRED:
+                raise ConfigurationError(f"{self.where or 'config'}.{key}: missing required key")
+            return default
+        value = self.values[key]
+        return value if reader is None else reader(value, self.path(key))
+
+
+def _build(key: str, make, /, *args, keys: dict | None = None, **kwargs):
+    """``make(*args, **kwargs)``, the value of the config key ``key``: a
+    refusal gets that key in front, or the key that ``keys`` gives the
+    argument it is about (``ConfigurationError.field``)."""
     try:
-        r1 = 10.0 ** (db / 10.0)
-    except OverflowError:
-        r1 = math.inf
-    if not (0.0 < r1 < math.inf):
-        raise ConfigurationError(
-            f"experiment.snr_db: {db!r} dB has no finite positive linear SNR"
-        )
-    return r1
-
-
-def _parse_impairments(raw: dict | None) -> tuple[tuple[str, ImpairmentProfile], ...]:
-    if raw is None:
-        return (("ideal", ImpairmentProfile.ideal()),)
-    if isinstance(raw, dict) and "variants" in raw:
-        variants = raw["variants"]
-        if not isinstance(variants, dict) or not variants:
-            raise ConfigurationError(
-                f"impairments.variants: expected a non-empty mapping, got {variants!r}"
-            )
-        return tuple(
-            (str(label), _profile_from(section, f"impairments.variants.{label}"))
-            for label, section in variants.items()
-        )
-    profile = _profile_from(raw, "impairments")
-    return ((("ideal" if profile.is_ideal else "nonideal"), profile),)
-
-
-def _profile_from(section, where: str) -> ImpairmentProfile:
-    section = _section(section, where)
-    levels = {
-        key: _as_scalar(section.get(key, 0.0), f"{where}.{key}")
-        for key in ("kappa_ut", "kappa_ur", "kappa_rt", "kappa_rr")
-    }
-    try:
-        return ImpairmentProfile(**levels)
+        return make(*args, **kwargs)
     except ConfigurationError as exc:
-        raise ConfigurationError(f"{where}: {exc}") from exc
+        raise ConfigurationError(f"{(keys or {}).get(exc.field, key)}: {exc}") from exc
+
+
+def _snr_linear(db: float) -> float:
+    """Linear SNR of a dB value, inf where it overflows (NetworkConfig
+    refuses an SNR that is not finite and > 0)."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
+def _variants(imp: _Section) -> tuple[tuple[str, ImpairmentProfile], ...]:
+    """The labelled distortion profiles of an ``impairments`` section: its
+    ``variants``, beside which a level would be dropped, or its levels."""
+    if "variants" not in imp.values:
+        return (_labelled(_profile(imp)),)
+    shadowed = [key for key in imp.values if key in _LEVELS]
+    if shadowed:
+        raise ConfigurationError(
+            f"{imp.path(shadowed[0])}: not used when {imp.path('variants')} is set"
+        )
+    variants = imp["variants"]
+    return tuple((str(label), _profile(variants[label])) for label in variants.values)
+
+
+def _profile(section: _Section) -> ImpairmentProfile:
+    return _build(section.where, ImpairmentProfile, **{key: section[key] for key in _LEVELS})
+
+
+def _labelled(profile: ImpairmentProfile) -> tuple[str, ImpairmentProfile]:
+    """An unlabelled profile with its condition label in the sweep CSVs."""
+    return ("ideal" if profile.is_ideal else "nonideal"), profile
 
 
 def _spec_from_config(config: dict) -> ExperimentSpec:
-    _check_keys(config, CONFIG_KEYS)
-    exp = _section(_need(config, "experiment", "config"), "experiment")
-    kind = str(_need(exp, "kind", "experiment"))
+    """Read a merged config through the schema, wiring each run kind's
+    leaves into the types that check them."""
+    root = _Section(config, _SCHEMA).check()
+    exp = root["experiment"]
+    kind = exp["kind"]
     if kind not in KINDS:
-        raise ConfigurationError(f"experiment.kind: unknown kind {kind!r}")
+        raise ConfigurationError(f"{exp.path('kind')}: unknown kind {kind!r}")
 
-    net = _section(_need(config, "network", "config"), "network")
-    n_users = _as_count(_need(net, "n_users", "network"), "network.n_users")
-    a = _as_numbers(_need(net, "a", "network"), "network.a")
-    # noise variances at the relay and at the users; they only fix c
-    sigma_r2 = _as_scalar(net.get("sigma_r2", 1.0), "network.sigma_r2")
-    sigma_t2 = _as_scalar(net.get("sigma_t2", 1.0), "network.sigma_t2")
-    for key, value in (("sigma_r2", sigma_r2), ("sigma_t2", sigma_t2)):
-        if not (value > 0 and math.isfinite(value)):
-            raise ConfigurationError(f"network.{key}: must be finite and > 0, got {value}")
-    if "c" in net:
-        c = _as_scalar(net["c"], "network.c")
-    else:
-        # equal-power default: user power = n * relay power
-        ratio_n = _as_scalar(net.get("power_ratio_n", 1.0), "network.power_ratio_n")
-        if ratio_n <= 0:
-            raise ConfigurationError(f"network.power_ratio_n: must be > 0, got {ratio_n}")
-        c = sigma_r2 / (ratio_n * sigma_t2)
+    net = root["network"]
+    n_users, a, c = net["n_users"], net["a"], net["c"]
+    if c is None:
+        # equal-power default: user power = n * relay power.  A denominator
+        # that underflows to 0 gives c = inf, which NetworkConfig refuses.
+        scale = net["power_ratio_n"] * net["sigma_t2"]
+        c = net["sigma_r2"] / scale if scale else math.inf
 
-    snr_grid = None
-    kappa_grid = None
-    grid = None
-    geometry = None
-
+    imp = root["impairments"] if "impairments" in config else _Section({}, _SCHEMA["impairments"])
+    variants = _variants(imp)
+    snr_grid = kappa_grid = geometry = grid = None
     if kind == "snr-sweep":
-        snr_dbs = snr_grid = _as_grid(_need(exp, "snr_db", "experiment"), "experiment.snr_db")
+        snr_dbs = snr_grid = exp["snr_db"]
     else:
-        if kind == "kappa-sweep":
-            kappa_grid = _as_grid(_need(exp, "kappa", "experiment"), "experiment.kappa")
         # one operating point; the moments check draws no rates from it
-        if kind == "moments-check":
-            snr_db = exp.get("snr_db", 0.0)
-        else:
-            snr_db = _need(exp, "snr_db", "experiment")
-        snr_dbs = (_as_scalar(snr_db, "experiment.snr_db"),)
-    r1_grid = [_snr_linear(db) for db in snr_dbs]
-
-    try:
-        network = NetworkConfig(n_users=n_users, a=a, r1=r1_grid[0], c=c)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"network: {exc}") from exc
-    # the rates take 1 / r2: a relay SNR that overflows has its limit, 0 has none
-    for db, r1 in zip(snr_dbs, r1_grid):
-        if c * r1 == 0.0:
+        default = 0.0 if kind == "moments-check" else _REQUIRED
+        snr_dbs = (exp.read("snr_db", _as_scalar, default),)
+    sweep = [
+        (_build(net.where, NetworkConfig, n_users=n_users, a=a, c=c, r1=_snr_linear(db),
+                keys={"r1": exp.path("snr_db")}), variants)
+        for db in snr_dbs
+    ]
+    if kind == "kappa-sweep":
+        if len(variants) > 1:
             raise ConfigurationError(
-                f"experiment.snr_db: relay SNR c * r1 underflows to 0 at {db!r} dB, c={c!r}"
+                f"{imp.path('variants')}: not allowed in a kappa-sweep (one sweep dimension)"
             )
+        kappa_grid = exp["kappa"]
+        sweep = [
+            (sweep[0][0], (_labelled(_build(exp.path("kappa"), ImpairmentProfile.uniform, v)),))
+            for v in kappa_grid
+        ]
 
-    fad = _section(_need(config, "fading", "config"), "fading")
+    fad = root["fading"]
     if kind == "placement-sweep":
-        geo = _section(_need(config, "geometry", "config"), "geometry")
-        users = _need(geo, "users", "geometry")
-        if not isinstance(users, list) or not all(
-            isinstance(p, list) and len(p) == 2 for p in users
-        ):
-            raise ConfigurationError(
-                f"geometry.users: expected a list of [x, y] pairs, got {users!r}"
-            )
-        users = tuple(_as_numbers(p, "geometry.users") for p in users)
-        height = _as_scalar(geo.get("height", 10.0), "geometry.height")
-        try:
-            geometry = Geometry(user_positions=users, uav_xy=(0.0, 0.0), uav_height=height)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"geometry: {exc}") from exc
-        grid_section = _section(_need(exp, "grid", "experiment"), "experiment.grid")
-        # keys not given take GridSpec's defaults
-        bounds = {
-            key: _as_scalar(value, f"experiment.grid.{key}")
-            for key, value in grid_section.items()
-        }
-        try:
-            grid = GridSpec(**bounds)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"experiment.grid: {exc}") from exc
+        geo = root["geometry"]
+        geometry = _build(
+            geo.where, Geometry, user_positions=geo["users"], uav_height=geo["height"]
+        )
+        bounds = exp["grid"]
+        grid = _build(bounds.where, GridSpec, **{key: bounds[key] for key in bounds.schema})
         dist = tuple(sorted(distances(geometry).tolist(), reverse=True))
     else:
-        dist = _as_numbers(_need(fad, "distances", "fading"), "fading.distances")
-
-    beta = _as_scalar(_need(fad, "beta", "fading"), "fading.beta")
-    nu = _as_scalar(_need(fad, "nu", "fading"), "fading.nu")
-    try:
-        fading = FadingParams(
-            alpha=_need(fad, "alpha", "fading"), beta=beta, nu=nu, distances=dist
-        )
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"fading: {exc}") from exc
-    if fading.n_users != network.n_users:
+        dist = fad["distances"]
+    if len(dist) != n_users:
         raise ConfigurationError(
-            f"fading.distances: length {fading.n_users} != network.n_users {network.n_users}"
+            f"{fad.path('distances')}: length {len(dist)} != {net.path('n_users')} {n_users}"
         )
-    if fading.alpha * network.n_users**2 > MAX_MOMENT_TABLE:
-        raise ConfigurationError(
-            f"network.n_users: at most {math.isqrt(MAX_MOMENT_TABLE // fading.alpha)} "
-            f"at fading.alpha {fading.alpha} (alpha * n_users^2 <= {MAX_MOMENT_TABLE}), "
-            f"got {network.n_users}"
-        )
+    fading = _build(
+        fad.where, FadingParams, alpha=fad["alpha"], beta=fad["beta"], nu=fad["nu"],
+        distances=dist, keys={"n_users": net.path("n_users")},
+    )
 
-    variants = _parse_impairments(config.get("impairments"))
-    if kind == "kappa-sweep" and len(variants) > 1:
-        raise ConfigurationError(
-            "impairments.variants: not allowed in a kappa-sweep (one sweep dimension)"
-        )
-
-    trials = None
-    if "trials" in config:
-        tr = _section(config["trials"], "trials")
-        count = _as_count(_need(tr, "trials", "trials"), "trials.trials")
-        seed = _as_count(tr.get("seed", DEFAULT_SEED), "trials.seed")
-        try:
-            trials = TrialConfig(trials=count, seed=seed)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"trials: {exc}") from exc
-
-    engine = str(exp.get("engine", "analytical"))
-    schemes = exp.get("schemes", ["noma"])
-    if not (isinstance(schemes, list) and all(isinstance(s, str) for s in schemes)):
-        raise ConfigurationError(
-            f"experiment.schemes: expected a list of scheme names, got {schemes!r}"
-        )
-    output = _as_path(exp.get("output", f"{kind}.csv"), "experiment.output")
-    return ExperimentSpec(
+    tr = root["trials"] if "trials" in config else None
+    return _build(
+        exp.where, ExperimentSpec,
         kind=kind,
-        network=network,
+        network=sweep[0][0],
         fading=fading,
         variants=variants,
-        schemes=tuple(schemes),
-        engine=engine,
-        output=output,
-        trials=trials,
+        schemes=exp["schemes"],
+        engine=exp["engine"],
+        output=exp["output"] or Path(f"{kind}.csv"),
+        trials=tr and _build(tr.where, TrialConfig, trials=tr["trials"], seed=tr["seed"]),
         snr_db_grid=snr_grid,
         kappa_grid=kappa_grid,
         geometry=geometry,
         grid=grid,
+        sweep=tuple(sweep),
+        keys={"engine": exp.path("engine"), "schemes": exp.path("schemes"), "trials": "trials"},
     )
 
 
@@ -457,7 +457,6 @@ def load_spec(
     if config_path is None and preset_name is None:
         raise ConfigurationError("need a config file, a preset name, or both")
     merged: dict = {}
-    user: dict = {}
     if preset_name is not None:
         if preset_name not in PRESETS:
             raise ConfigurationError(
@@ -466,33 +465,20 @@ def load_spec(
         merged = preset(preset_name)
     if config_path is not None:
         try:
-            text = Path(config_path).read_text()
-        except OSError as exc:
+            user = json.loads(Path(config_path).read_text())
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"cannot read config {config_path}: {exc}") from exc
-        try:
-            user = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep to decode
             raise ConfigurationError(f"config {config_path} is not valid JSON: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigurationError("config root must be a JSON object")
+        if isinstance(user.get("impairments"), dict) and "variants" in user["impairments"]:
+            # the file's variants replace a preset's single profile
+            merged["impairments"] = {"variants": merged.get("impairments", {}).get("variants", {})}
         merged = _deep_merge(merged, user)
     if overrides:
         merged = _deep_merge(merged, overrides)
-    _check_shadowed_levels(user.get("impairments"), merged.get("impairments"))
     return _spec_from_config(merged)
-
-
-def _check_shadowed_levels(given, merged) -> None:
-    """Refuse a distortion level that the config file sets beside
-    ``impairments.variants``, which would drop it; a preset's single
-    profile under the file's variants is replaced, not refused."""
-    if not (isinstance(given, dict) and isinstance(merged, dict) and "variants" in merged):
-        return
-    for key in given:
-        if key in _LEVELS:
-            raise ConfigurationError(
-                f"impairments.{key}: not used when impairments.variants is set"
-            )
 
 
 def _run_grid_sweep(spec: ExperimentSpec) -> RunResult:
@@ -502,21 +488,15 @@ def _run_grid_sweep(spec: ExperimentSpec) -> RunResult:
     engine at unit share; each scheme's rows are those numbers times its
     share."""
     if spec.kind == "snr-sweep":
-        header, key = SNR_HEADER, "snr_db"
-        values = [(v, _snr_linear(v), None) for v in spec.snr_db_grid]
+        header, key, values = SNR_HEADER, "snr_db", spec.snr_db_grid
     else:
-        header, key = KAPPA_HEADER, "kappa"
-        values = [(v, spec.network.r1, ImpairmentProfile.uniform(v)) for v in spec.kappa_grid]
+        header, key, values = KAPPA_HEADER, "kappa", spec.kappa_grid
 
     # (sweep value, condition), formatted, and the point of each
     labels: list[tuple[str, str]] = []
     points: list[SweepPoint] = []
-    for value, r1, sweep_profile in values:
-        cfg = replace(spec.network, r1=r1)
-        for label, base_profile in spec.variants:
-            profile = sweep_profile or base_profile
-            if sweep_profile is not None:
-                label = "ideal" if profile.is_ideal else "nonideal"
+    for value, (cfg, conditions) in zip(values, spec.sweep):
+        for label, profile in conditions:
             labels.append((_fmt(value), label))
             points.append(SweepPoint(cfg, spec.fading, profile))
 

@@ -6,7 +6,12 @@ class MwrnomaError(Exception):
 
 
 class ConfigurationError(MwrnomaError, ValueError):
-    """Invalid configuration value or violated invariant."""
+    """Invalid configuration value or violated invariant; ``field`` names
+    the argument a refusal is about where callers must tell it apart."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class UnsupportedParameterError(ConfigurationError):

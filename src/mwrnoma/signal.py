@@ -40,7 +40,7 @@ class ImpairmentProfile:
     def __post_init__(self):
         for name in ("kappa_ut", "kappa_ur", "kappa_rt", "kappa_rr"):
             v = getattr(self, name)
-            if not (0.0 <= v < 1.0) or not math.isfinite(v):
+            if not 0.0 <= v < 1.0:
                 raise ConfigurationError(f"{name} must be in [0, 1), got {v}")
 
     @classmethod
@@ -80,8 +80,11 @@ class NetworkConfig:
             raise ConfigurationError(
                 f"power allocation length {len(a)} != n_users {self.n_users}"
             )
-        if abs(sum(a) - 1.0) > 1e-9:
-            raise ConfigurationError(f"power allocation must sum to 1, got {sum(a)!r}")
+        # a NaN or infinite entry leaves a sum that fails this test too
+        if not abs(sum(a) - 1.0) <= 1e-9:
+            raise ConfigurationError(
+                f"power allocation must be finite and sum to 1, got sum {sum(a)!r}"
+            )
         if any(x <= 0 for x in a) or any(x <= y for x, y in zip(a, a[1:])):
             raise ConfigurationError(
                 "power allocation must be strictly decreasing and positive "
@@ -90,7 +93,14 @@ class NetworkConfig:
         for name in ("r1", "c"):
             v = getattr(self, name)
             if not (v > 0 and math.isfinite(v)):
-                raise ConfigurationError(f"{name} must be finite and > 0, got {v}")
+                raise ConfigurationError(f"{name} must be finite and > 0, got {v}", field=name)
+        # the rates take 1 / r2: a relay SNR that overflows has its limit, 0 has none
+        if self.r2 == 0.0:
+            # rounded, as 10 * log10 of an SNR given in dB can miss its last digit
+            db = round(10 * math.log10(self.r1), 6)
+            raise ConfigurationError(
+                f"relay SNR c * r1 underflows to 0 at {db!r} dB, c={self.c!r}", field="r1"
+            )
 
     @property
     def r2(self) -> float:

@@ -376,6 +376,18 @@ class TestValidation:
         with pytest.raises(UnsupportedParameterError, match="at most 400, got 401"):
             FadingParams(alpha=MAX_ALPHA + 1, beta=1.0, nu=2.0, distances=(1.0,))
 
+    def test_moment_table_bound(self):
+        # alpha * M^2 <= MAX_MOMENT_TABLE: (400, 8) is accepted, and (400, 12),
+        # which builds for several seconds, is refused before anything is built
+        shape = dict(alpha=400, beta=1.0, nu=2.0)
+        assert FadingParams(**shape, distances=(1.0,) * 8).n_users == 8
+        _unscaled_table.cache_clear()
+        start = time.perf_counter()
+        with pytest.raises(ConfigurationError, match=r"^at most 8 at fading.alpha 400 .* got 12$"):
+            order_stat_moments(FadingParams(**shape, distances=(1.0,) * 12), 12)
+        assert time.perf_counter() - start < 0.5
+        assert _unscaled_table.cache_info().currsize == 0
+
     def test_integral_float_alpha_accepted(self):
         p = FadingParams(alpha=2.0, beta=1.0, nu=2.0, distances=(1.0,))
         assert p.alpha == 2 and isinstance(p.alpha, int)

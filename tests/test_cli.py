@@ -1,6 +1,8 @@
 """CLI: config ingestion, CSV contracts, determinism, exit codes."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -12,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mwrnoma
 from mwrnoma import _kernels, cli, placement
@@ -25,6 +29,7 @@ from mwrnoma.cli import (
     run,
 )
 from mwrnoma.errors import ConfigurationError
+from mwrnoma.presets import PRESETS, preset
 
 
 def tiny_snr_config(tmp_path, **extra):
@@ -230,6 +235,27 @@ class TestSpecLoading:
              "experiment.snr_db: relay SNR c * r1 underflows to 0 at -3000.0 dB, c=1e-300"),
             ("fig4a", {"network": {"c": 1e-300}, "experiment": {"snr_db": -3000}},
              "experiment.snr_db: relay SNR c * r1 underflows to 0 at -3000.0 dB, c=1e-300"),
+            # NaN passes the sum, sign and order checks of a power split; it
+            # is refused at load on either engine
+            ("fig2a", {"network": {"a": [math.nan] * 4}},
+             "network: power allocation must be finite and sum to 1, got sum nan"),
+            ("fig4a", {"network": {"a": [math.nan] * 4}, "trials": {"trials": 2048},
+                       "experiment": {"engine": "mc"}},
+             "network: power allocation must be finite and sum to 1, got sum nan"),
+            # each level of a distortion sweep is checked at load
+            ("fig3", {"experiment": {"kappa": [1.5]}},
+             "experiment.kappa: kappa_ut must be in [0, 1), got 1.5"),
+            ("fig3", {"experiment": {"kappa": {"start": 0.5, "stop": 1.0, "step": 0.25}}},
+             "experiment.kappa: kappa_ut must be in [0, 1), got 1.0"),
+            ("fig2a", {"experiment": {"output": "o\u0000.csv"}},
+             "experiment.output: a path may not contain a NUL byte, got 'o\\x00.csv'"),
+            # the kind picks the leaves that are read, so it is checked first
+            ("fig2a", {"experiment": {"kind": "bogus"}}, "experiment.kind: unknown kind 'bogus'"),
+            ("fig4a", {"experiment": {"kind": ["snr-sweep"]}},
+             "experiment.kind: unknown kind ['snr-sweep']"),
+            # the SNR in dB as given, though the type sees only the linear SNR
+            ("fig2a", {"network": {"c": 1e-300}, "experiment": {"snr_db": [0, -2987.6]}},
+             "experiment.snr_db: relay SNR c * r1 underflows to 0 at -2987.6 dB, c=1e-300"),
         ],
     )
     def test_config_value_named(self, tmp_path, capsys, preset, config, message):
@@ -271,6 +297,23 @@ class TestSpecLoading:
         assert len(cli._as_grid({"start": 0, "stop": limit - 1, "step": 1}, "x")) == limit
         with pytest.raises(ConfigurationError, match="^x: 100001 points exceed the limit"):
             cli._as_grid({"start": 0, "stop": limit, "step": 1}, "x")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # the JSON decoder recurses once per nesting level
+            ('{"network": {"a": ' + "[" * 100_000 + "]" * 100_000 + "}}",
+             "is not valid JSON: maximum recursion depth exceeded"),
+            (b"\xff\xfe{}", "cannot read config"),
+        ],
+        ids=["deep", "not-utf8"],
+    )
+    def test_unreadable_config_named(self, tmp_path, capsys, text, message):
+        path = tmp_path / "c.json"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        assert main(["run", "--preset", "fig2a", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: ") and message in err and err.count("\n") == 1
 
     def test_empty_output_flag_named(self, capsys):
         # the flag goes through the same reader as the config key
@@ -915,3 +958,76 @@ def test_cli_run_loads_only_its_engine(tmp_path, engine_args, extra_env, loaded)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == loaded
     assert (tmp_path / "out.csv").exists()
+
+
+def test_readme_config_loads(tmp_path):
+    # the README's "Config file shape" block is a config the CLI accepts
+    readme = (Path(mwrnoma.__file__).resolve().parents[2] / "README.md").read_text()
+    block = readme.split("Config file shape (JSON):\n\n```json\n", 1)[1].split("```", 1)[0]
+    spec = load_spec(config_path=write_config(tmp_path, json.loads(block)))
+    assert (spec.kind, spec.engine, spec.schemes) == ("snr-sweep", "both", ("noma", "oma"))
+    assert spec.network.n_users == spec.fading.n_users == 3
+    assert len(spec.snr_db_grid) == len(spec.sweep) == 9
+    assert [label for label, _ in spec.variants] == ["nonideal"]
+
+
+# every leaf of the schema that names no label
+SCHEMA_LEAVES = [tuple(key.split(".")) for key in cli.CONFIG_SCHEMA if "*" not in key]
+MUTATIONS = ("wrong type", "list-scalar", "empty", "huge", "-huge", "bool", "nan", "misspelled")
+MISSING = object()
+
+
+def preset_leaves(config, path=()):
+    """The key paths of a config's leaves: each value that is not a
+    mapping, and each mapping that the schema reads as one leaf."""
+    for key, value in config.items():
+        here = path + (key,)
+        if isinstance(value, dict):
+            yield from preset_leaves(value, here)
+        if not isinstance(value, dict) or ".".join(here) in cli.CONFIG_SCHEMA:
+            yield here
+
+
+def mutated(value, mutation):
+    if mutation == "wrong type":
+        return 5 if isinstance(value, str) else "x"
+    if mutation == "list-scalar":
+        if isinstance(value, list):
+            return value[0] if value else 1.0
+        return [None if value is MISSING else value]
+    if mutation == "empty":
+        return {list: [], dict: {}}.get(type(value), "")
+    return {"huge": 1e308, "-huge": -1e308, "bool": True, "nan": math.nan}[mutation]
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(name=st.sampled_from(sorted(PRESETS)), data=st.data())
+def test_any_one_leaf_mutation_exits_cleanly(tmp_path_factory, name, data):
+    # one leaf of a preset, present or not, gets a malformed or extreme
+    # value or a misspelled key; every such run ends with a documented
+    # exit code, and a refused one with exactly one error line
+    config = preset(name)
+    leaves = sorted(set(preset_leaves(config)) | set(SCHEMA_LEAVES))
+    *parents, key = data.draw(st.sampled_from(leaves), label="leaf")
+    mutation = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+    section = config
+    for parent in parents:
+        section = section.setdefault(parent, {})
+    value = section.pop(key, MISSING)
+    if mutation == "misspelled":
+        section[key + "_"] = 1.0 if value is MISSING else value
+    else:
+        section[key] = mutated(value, mutation)
+    work = tmp_path_factory.mktemp("mutation")
+    path = write_config(work, config)
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(work)  # the preset's CSV name is relative
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", "--config", str(path), "--trials", "2048"])
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: ")

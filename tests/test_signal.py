@@ -103,6 +103,23 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             NetworkConfig(n_users=1, a=(1.0,), r1=10.0)
 
+    def test_relay_snr_underflow_refused(self):
+        # the rates take 1 / r2; this pair used to crash the kernels with a
+        # ZeroDivisionError
+        with pytest.raises(ConfigurationError, match="relay SNR c \\* r1 underflows to 0"):
+            config(3, (0.5, 0.3, 0.2), r1=1e-300, c=1e-300)
+        # a relay SNR that overflows has its limit and is accepted
+        assert config(3, (0.5, 0.3, 0.2), r1=1e300, c=1e300).r2 == float("inf")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_allocation_must_be_finite(self, bad):
+        # NaN used to pass the sum, sign and order checks
+        refused = "must be finite and sum to 1, got sum (nan|inf)"
+        with pytest.raises(ConfigurationError, match=refused):
+            config(4, (bad,) * 4, r1=10.0)
+        with pytest.raises(ConfigurationError, match=refused):
+            config(3, (0.5, bad, 0.2), r1=10.0)
+
     def test_kappa_range(self):
         with pytest.raises(ConfigurationError):
             ImpairmentProfile(kappa_ut=1.0)
