@@ -438,7 +438,10 @@ def _spec_from_config(config: dict) -> ExperimentSpec:
         schemes=exp["schemes"],
         engine=exp["engine"],
         output=exp["output"] or Path(f"{kind}.csv"),
-        trials=tr and _build(tr.where, TrialConfig, trials=tr["trials"], seed=tr["seed"]),
+        trials=tr and _build(
+            tr.where, TrialConfig, trials=tr["trials"], seed=tr["seed"],
+            keys={"trials": tr.path("trials")},
+        ),
         snr_db_grid=snr_grid,
         kappa_grid=kappa_grid,
         geometry=geometry,

@@ -86,6 +86,10 @@ UNIFORM_BLOCK = 2**15
 
 _SEED_MAX = 2**64
 
+# most trials a run may ask for: at about 0.2 s per 1M trials at M = 8
+# (more at more users), 10^9 trials run for about 200 s
+MAX_TRIALS = 10**9
+
 
 @dataclass(frozen=True)
 class TrialConfig:
@@ -98,6 +102,10 @@ class TrialConfig:
         # the stderr needs the ddof=1 variance, undefined for one trial
         if not isinstance(self.trials, int) or self.trials < 2:
             raise ConfigurationError(f"trials must be an integer >= 2, got {self.trials!r}")
+        if self.trials > MAX_TRIALS:
+            raise ConfigurationError(
+                f"at most {MAX_TRIALS} trials, got {self.trials}", field="trials"
+            )
         if type(self.seed) is not int or not 0 <= self.seed < _SEED_MAX:  # bool is refused
             raise ConfigurationError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 

@@ -288,6 +288,47 @@ class TestOracleAgreement:
         assert abs(mean - target) < 3 * se
 
 
+class TestFixedRuleOracle:
+    @pytest.mark.parametrize("alpha, n_users, i, p", [(1, 2, 1, 1), (2, 4, 3, 2), (3, 5, 5, 1)])
+    def test_matches_adaptive_quadrature(self, alpha, n_users, i, p):
+        # scipy is a test-only third reference: its adaptive quadrature of
+        # the same density, built from scipy's Gamma CDF, survival and PDF
+        from scipy import integrate, stats
+
+        rv = stats.gamma(alpha)
+        count = n_users * math.comb(n_users - 1, i - 1)
+
+        def integrand(x):
+            return x**p * count * rv.cdf(x) ** (i - 1) * rv.sf(x) ** (n_users - i) * rv.pdf(x)
+
+        reference, abserr = integrate.quad(
+            integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=200
+        )
+        assert abserr < 1e-11 * reference
+        got = moment_oracle(params(alpha=alpha, n_users=n_users), n_users, i, p)
+        assert got == pytest.approx(reference, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("alpha, n_users", [(1, 160), (2, 113), (316, 9), (400, 8)])
+    def test_domain_corners(self, alpha, n_users):
+        # the corners of alpha * M^2 <= MAX_MOMENT_TABLE: the residual
+        # reaches 1e-12 (a tighter rel_tol refuses a larger one), and the
+        # value is the exact rational's to 1e-12
+        fading = params(alpha=alpha, n_users=n_users)
+        table = _unscaled_table(alpha, n_users)
+        for i in sorted({1, math.ceil(n_users / 2), n_users}):
+            for p in (1, 2):
+                got = moment_oracle(fading, n_users, i, p, rel_tol=1e-12)
+                assert got == pytest.approx(float(table[p - 1][i - 1]), rel=1e-12, abs=0)
+
+    def test_missed_tolerance_names_the_moment(self):
+        with pytest.raises(
+            NumericError,
+            match=r"^quadrature did not reach rel tol 1e-30 for alpha=3, M=5, i=2, p=1 "
+            r"\(value=\S+, residual=\S+\)$",
+        ):
+            moment_oracle(params(alpha=3, n_users=5), 5, 2, 1, rel_tol=1e-30)
+
+
 class TestInvariants:
     @given(
         alpha=st.integers(1, 4),

@@ -256,6 +256,9 @@ class TestSpecLoading:
             # the SNR in dB as given, though the type sees only the linear SNR
             ("fig2a", {"network": {"c": 1e-300}, "experiment": {"snr_db": [0, -2987.6]}},
              "experiment.snr_db: relay SNR c * r1 underflows to 0 at -2987.6 dB, c=1e-300"),
+            # a run size that would not finish in any useful time
+            ("fig2a", {"trials": {"trials": 10**18}, "experiment": {"engine": "mc"}},
+             "trials.trials: at most 1000000000 trials, got 1000000000000000000"),
         ],
     )
     def test_config_value_named(self, tmp_path, capsys, preset, config, message):
@@ -686,6 +689,28 @@ class TestMomentsCheck:
                 mc, se = float(row[f"{p}_mc"]), float(row[f"{p}_mc_stderr"])
                 assert abs(mc - closed) < 4 * se
 
+    def test_largest_fading_shape(self, tmp_path, capsys):
+        # alpha = 400 with M = 8, the largest accepted shape at the most
+        # users it allows: the density's mass sits near x = 400, in a
+        # narrow peak far from 0, and the oracle must still find it
+        a = [0.35, 0.22, 0.15, 0.1, 0.07, 0.05, 0.04, 0.02]
+        config = moments_config(tmp_path)
+        config["network"] = {"n_users": 8, "a": a}
+        config["fading"].update(alpha=400, distances=[1.0] * 8)
+        config["trials"]["trials"] = 2000
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--config", str(write_config(tmp_path, config))])
+        assert caught == []
+        assert (code, capsys.readouterr().err) == (0, "")
+        rows = read_rows(tmp_path / "moments.csv")
+        assert len(rows) == 8
+        for row in rows:
+            assert all(math.isfinite(float(v)) for v in row.values())
+            for p in ("psi", "omega"):
+                closed, quad = float(row[f"{p}_closed"]), float(row[f"{p}_quadrature"])
+                assert abs(closed - quad) / quad < 1e-8
+
     def test_sample_count_comes_from_trials(self, tmp_path, capsys):
         config = moments_config(tmp_path)
         config["experiment"]["mc_samples"] = 50_000
@@ -917,8 +942,8 @@ def test_oversized_sweep_refused_under_memory_limit(tmp_path, preset, key):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy serves only the quadrature oracle; importing it costs most of
-    # the CLI start-up time
+    # scipy is a test-only reference; importing it would cost most of the
+    # CLI start-up time
     src = str(Path(mwrnoma.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     code = "import sys, mwrnoma.cli; sys.exit(int('scipy' in sys.modules))"
@@ -926,38 +951,79 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.returncode == 0
 
 
+COARSE_FIG4A = ["--preset", "fig4a", "--config", "coarse.json"]
+
+
 @pytest.mark.parametrize(
-    "engine_args, extra_env, loaded",
+    "run_args, extra_env, loaded",
     [
         # the closed form draws no random numbers
-        ([], {}, []),
+        (COARSE_FIG4A, {}, []),
         # one chunk, drawn on the calling thread
-        (["--engine", "mc", "--trials", "2000"], {}, ["numpy.random"]),
+        ([*COARSE_FIG4A, "--engine", "mc", "--trials", "2000"], {}, ["numpy.random"]),
         # three chunks, drawn one after another on the calling thread; the
         # worker count that earlier versions read starts no pool
-        (["--engine", "mc", "--trials", "20000"], {"MWRNOMA_WORKERS": "2"}, ["numpy.random"]),
+        ([*COARSE_FIG4A, "--engine", "mc", "--trials", "20000"], {"MWRNOMA_WORKERS": "2"},
+         ["numpy.random"]),
+        # the quadrature oracle needs numpy's Gauss-Legendre nodes, not scipy
+        (["--config", "moments.json", "--trials", "2000"], {},
+         ["numpy.random", "numpy.polynomial"]),
+        # nor does a closed-form sweep need the oracle's nodes
+        (["--preset", "fig2a", "--engine", "analytical"], {}, []),
     ],
-    ids=["analytical", "mc-one-chunk", "mc-three-chunks"],
+    ids=["analytical", "mc-one-chunk", "mc-three-chunks", "moments-check", "sweep"],
 )
-def test_cli_run_loads_only_its_engine(tmp_path, engine_args, extra_env, loaded):
+def test_cli_run_loads_only_its_engine(tmp_path, run_args, extra_env, loaded):
     src = str(Path(mwrnoma.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src, **extra_env}
-    path = write_config(tmp_path, {"experiment": {"grid": {"step": 10.0}}})
-    argv = ["run", "--preset", "fig4a", "--config", str(path),
-            "--output", str(tmp_path / "out.csv"), *engine_args]
+    write_config(tmp_path, {"experiment": {"grid": {"step": 10.0}}}, "coarse.json")
+    write_config(tmp_path, moments_config(tmp_path), "moments.json")
+    argv = ["run", *run_args, "--output", str(tmp_path / "out.csv")]
     code = (
         "import json, sys, mwrnoma.cli\n"
         "rc = mwrnoma.cli.main(sys.argv[1:])\n"
-        "names = ('numpy.random', 'concurrent.futures', 'scipy')\n"
+        "names = ('numpy.random', 'concurrent.futures', 'scipy', 'numpy.polynomial')\n"
         "print(json.dumps([m for m in names if m in sys.modules]))\n"
         "sys.exit(rc)\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
+        timeout=120, cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == loaded
     assert (tmp_path / "out.csv").exists()
+
+
+def test_runs_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: with scipy unimportable, the
+    # sweep on both engines, a Monte Carlo surface and the moments check
+    # with its quadrature oracle all run
+    src = str(Path(mwrnoma.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    write_config(tmp_path, {"experiment": {"grid": {"step": 10.0}}}, "coarse.json")
+    write_config(tmp_path, moments_config(tmp_path), "moments.json")
+    runs = [
+        ["--preset", "fig2a", "--engine", "both", "--trials", "2000"],
+        ["--preset", "fig4a", "--config", "coarse.json", "--engine", "mc", "--trials", "2000"],
+        ["--config", "moments.json", "--trials", "2000"],
+    ]
+    code = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import mwrnoma.cli\n"
+        "runs = json.loads(sys.argv[1])\n"
+        "rcs = [mwrnoma.cli.main(['run', *argv, '--output', f'out{n}.csv'])\n"
+        "       for n, argv in enumerate(runs)]\n"
+        "print(json.dumps(rcs))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(runs)], env=env, capture_output=True,
+        text=True, timeout=120, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0, 0], proc.stderr
+    assert all((tmp_path / f"out{n}.csv").exists() for n in range(3))
 
 
 def test_readme_config_loads(tmp_path):
@@ -1025,7 +1091,9 @@ def test_any_one_leaf_mutation_exits_cleanly(tmp_path_factory, name, data):
     os.chdir(work)  # the preset's CSV name is relative
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["run", "--config", str(path), "--trials", "2048"])
+            # a small run, unless the mutated leaf is the run size itself
+            size = [] if (*parents, key) == ("trials", "trials") else ["--trials", "2048"]
+            code = main(["run", "--config", str(path), *size])
     finally:
         os.chdir(cwd)
     assert code in (0, 2, 3, 4)
