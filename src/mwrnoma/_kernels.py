@@ -15,11 +15,12 @@ D_k(n-1) = D_k(n) + a_n rho_n, a decoder's successive-decoding pair
 rates telescope (the chain rule of successive interference
 cancellation): sum_{n<k} log2(1 + SINR(k, n)) =
 log2(1 + P_k / D_k(k-1)), with P_k = a_1 rho_1 + ... + a_{k-1}
-rho_{k-1}.  So the kernel takes one logarithm per decoder, M - 1 per
-row, not one per pair, at unit time share (the engines return unit-share
-numbers; a scheme's share scales only finished results).  Without
-distortion decoder M has nothing left at the high-SNR limit: its SINR
-grows as r1 times ``divergent_decoder_gain``.
+rho_{k-1}.  The same step joins the decoders: a row's total is
+log2 prod_k (1 + P_k / D_k(k-1)).  So the kernel takes one logarithm per
+row, not one per pair or per decoder, at unit time share (the engines
+return unit-share numbers; a scheme's share scales only finished
+results).  Without distortion decoder M has nothing left at the high-SNR
+limit: its SINR grows as r1 times ``divergent_decoder_gain``.
 
 The four distortion levels enter the SINR only through three terms,
 which ``distortion_terms`` computes and the kernel takes as its input:
@@ -35,23 +36,26 @@ placement batch or in a Monte Carlo chunk.  The gains may come in either
 memory order; they are held column-major (a C-ordered placement batch is
 copied once), so each step runs one contiguous loop over all rows.
 ``decoder_totals`` is the kernel of both engines: it turns rows of gains
-straight into the rows' totals, each decoder's rate added left to right
-while it is in cache, and writes no rate array.  ``pair_rate_chunk`` keeps
-the rates, for a one-row result, through the same per-decoder step
-(``_decoder_rate``).  The numerators P_k and the interference sums come
-from ``weighted_sums``, shared by every kernel call on the same gains;
-work_n is formed once per user and noise_fwd / rho_k once per decoder.  At
-M = 4 one call makes 25 ufunc passes over the rows: 5 for the point's
-noise terms, 6 for each decoder (5 for decoder M, whose interference sum
-is 0), 2 to add decoders 3 and 4 into the totals, which decoder 2 writes
-directly, and one for the totals' sum.
+straight into the rows' totals, each decoder's factor 1 + P_k / D
+multiplied in left to right while it is in cache, then one log2 per row,
+and writes no rate array.  ``pair_rate_chunk`` keeps the rates, the log2
+of each factor, for a one-row result and for the repair, through the
+same per-decoder step (``_decoder_factor``).  The numerators P_k and the
+interference sums come from ``weighted_sums``, shared by every kernel
+call on the same gains; work_n is formed once per user and
+noise_fwd / rho_k once per decoder.  At M = 4 one call makes 23 ufunc
+passes over the rows: 5 for the point's noise terms, 5 for each
+decoder's factor (4 for decoder M, whose interference sum is 0), 2 to
+multiply decoders 3 and 4 into the product, which decoder 2 writes
+directly, one log2 and one for the totals' sum.
 
 ``decoder_totals`` runs under the caller's
 ``np.errstate(over="ignore", divide="ignore")``, which the Monte Carlo
 engine enters once per chunk and ``rate.asr_rows`` once per call
 (``pair_rate_chunk`` enters its own): an overflow (noise terms at a vanishing SNR
-or decoder gain, or P_k / D beyond the float range) gives inf, and a total
-that is not finite is repaired or reported, never silently kept.
+or decoder gain, or P_k / D or a product beyond the float range) gives inf,
+and a total that is not finite is repaired or reported, never silently
+kept.
 """
 
 import math
@@ -108,7 +112,7 @@ def kernel_args(cfg, imp):
 def _noise_terms(weighted, inv_r1, inv_r2, mac, mix, bc, work):
     """``(noise_fwd, shared)`` of one operating point, in the two columns
     of ``work``: noise_fwd = mac * weighted / r2 + 1 / (r1 r2), the
-    forwarded noise that ``_decoder_rate`` divides by rho_k, and shared =
+    forwarded noise that ``_decoder_factor`` divides by rho_k, and shared =
     mix * weighted + bc / r1, the part of work_n common to every user n
     (distortion and broadcast-hop noise).  At a vanishing SNR they
     overflow to +inf (1/(r1 r2) below about -1541 dB at c = 1; 1/r2 times
@@ -122,9 +126,9 @@ def _noise_terms(weighted, inv_r1, inv_r2, mac, mix, bc, work):
     return noise_fwd, shared
 
 
-def _decoder_rate(k, rho, num, suffix, noise_fwd, shared, *, out, den):
-    """Unit-share rate of decoder k, log2(1 + P_k / D), into ``out``,
-    leaving D in ``den``: the one SINR formula.
+def _decoder_factor(k, rho, num, suffix, noise_fwd, shared, *, out, den):
+    """Decoder k's factor 1 + P_k / D into ``out``, leaving D in ``den``:
+    the one SINR formula, whose log2 is the decoder's unit-share rate.
 
     The pair SINRs of decoder k telescope: pair (k, n) has SINR
     a_n rho_n / D_k(n), and D_k(n-1) = D_k(n) + a_n rho_n, so the pair
@@ -133,8 +137,8 @@ def _decoder_rate(k, rho, num, suffix, noise_fwd, shared, *, out, den):
     work_n = suffix[:, n] + shared.  Decoder M's interference sum
     suffix[:, M-1] is 0, so its work_{M-1} is ``shared`` itself.  A
     vanishing decoder gain (a path-loss factor near the underflow limit)
-    sends noise_fwd / rho_k to inf and the rate to 0; at 1/r1 = 0 without
-    distortion decoder M's D is 0 and its rate +inf.
+    sends noise_fwd / rho_k to inf and the factor to 1; at 1/r1 = 0
+    without distortion decoder M's D is 0 and its factor +inf.
     """
     np.divide(noise_fwd, rho[:, k - 1], out=den)
     if k < rho.shape[1]:
@@ -143,8 +147,7 @@ def _decoder_rate(k, rho, num, suffix, noise_fwd, shared, *, out, den):
     else:
         np.add(shared, den, out=den)
     np.divide(num, den, out=out)
-    np.add(out, 1.0, out=out)
-    return np.log2(out, out=out)
+    return np.add(out, 1.0, out=out)
 
 
 def _numerator(k, suffix, numerators):
@@ -154,9 +157,9 @@ def _numerator(k, suffix, numerators):
 
 
 def decoder_totals(rho, a, inv_r1, inv_r2, mac, mix, bc, *, out, work, aggregates=None):
-    """Each row's total of its unit-share decoder rates, k = 2..M, added
-    left to right into ``out``; returns their sum over the rows
-    (``np.add.reduce``), finite exactly when every total is.
+    """Each row's total of its unit-share decoder rates, k = 2..M, as the
+    log2 of their factors' product, into ``out``; returns their sum over
+    the rows (``np.add.reduce``), finite exactly when every total is.
 
     rho: (rows, M) sorted ascending effective gains (sampled gains, or
     order-statistic means, one row per operating point or placement site).
@@ -168,26 +171,30 @@ def decoder_totals(rho, a, inv_r1, inv_r2, mac, mix, bc, *, out, work, aggregate
     caller does not share them.  Run it under
     ``np.errstate(over="ignore", divide="ignore")``.
 
-    Decoder 2's rate is formed in ``out`` itself, and each later one in a
-    scratch column, then added.  Where P_k / D overflows (a finite P_k
-    over a tiny D > 0, as at 3080 dB) the rate is log2 P_k - log2 D, so a
-    total that is not finite is repaired: its row's rates are formed again
-    by ``pair_rate_chunk``, which applies that rule decoder by decoder, and
-    added left to right (``rate_sum``).  A total that stays non-finite
-    (NaN, or decoder M at 1/r1 = 0 without distortion) is the caller's
-    fault to report.
+    The rates log2 f_k add up to log2(f_2 f_3 ... f_M): decoder 2's
+    factor is formed in ``out`` itself and each later one in a scratch
+    column, then multiplied in, left to right, and one log2 per row ends
+    the pass.  Every factor is at least 1, so the product cannot
+    underflow.  Where it overflows (P_k / D beyond the float range, a
+    finite P_k over a tiny D > 0, as at 3080 dB, or a product of finite
+    factors beyond it) the total is +inf and is repaired: its row's rates
+    are formed by ``pair_rate_chunk``, which takes log2 P_k - log2 D for an
+    overflowed factor, and added left to right (``rate_sum``).  A total
+    that stays non-finite (NaN, or decoder M at 1/r1 = 0 without
+    distortion) is the caller's fault to report.
     """
     rho = np.asfortranarray(rho, dtype=np.float64)
     M = rho.shape[1]
     weighted, suffix, numerators = weighted_sums(rho, a) if aggregates is None else aggregates
     noise_fwd, shared = _noise_terms(weighted, inv_r1, inv_r2, mac, mix, bc, work)
-    den, rate = numerators[:, M - 1], numerators[:, M - 2]
+    den, factor = numerators[:, M - 1], numerators[:, M - 2]
     for k in range(2, M + 1):
         num = _numerator(k, suffix, numerators)
-        column = out if k == 2 else rate
-        _decoder_rate(k, rho, num, suffix, noise_fwd, shared, out=column, den=den)
+        column = out if k == 2 else factor
+        _decoder_factor(k, rho, num, suffix, noise_fwd, shared, out=column, den=den)
         if k > 2:
-            np.add(out, rate, out=out)
+            np.multiply(out, factor, out=out)
+    np.log2(out, out=out)
     total = np.add.reduce(out)
     if math.isfinite(total):
         return total
@@ -213,8 +220,8 @@ def divergent_decoder_gain(rho, a, c):
 
 def rate_sum(rates):
     """Decoder rates added left to right along the last axis, one row's
-    rates or a (rows, M-1) array: the order of ``decoder_totals``, so a
-    row's total has the same bits from its own rates."""
+    rates or a (rows, M-1) array: the order of ``decoder_totals``'s
+    repair, whose totals are sums of rates rather than logs of products."""
     return reduce(np.add, np.moveaxis(rates, -1, 0), 0.0)
 
 
@@ -222,10 +229,10 @@ def pair_rate_chunk(rho, a, inv_r1, inv_r2, mac, mix, bc):
     """Rate of every decoder of every row, in a (rows, M-1) column-major
     array, decoder k in column k-2, at unit time share.
 
-    The kernel of ``decoder_totals``, decoder by decoder (``_decoder_rate``),
-    except that where P_k / D overflows (a finite P_k over a tiny D > 0)
-    the entry is log2 P_k - log2 D.  Decoder M's entry is +inf at
-    1/r1 = 0 without distortion, where its denominator is empty.
+    Each entry is log2 of the factor of ``decoder_totals``
+    (``_decoder_factor``), except that where P_k / D overflows (a finite
+    P_k over a tiny D > 0) it is log2 P_k - log2 D.  Decoder M's entry is
+    +inf at 1/r1 = 0 without distortion, where its denominator is empty.
     """
     rho = np.asfortranarray(rho, dtype=np.float64)
     n_rows, M = rho.shape
@@ -238,7 +245,8 @@ def pair_rate_chunk(rho, a, inv_r1, inv_r2, mac, mix, bc):
         for k in range(2, M + 1):
             num = _numerator(k, suffix, numerators)
             rate = rates[:, k - 2]
-            _decoder_rate(k, rho, num, suffix, noise_fwd, shared, out=rate, den=den)
+            _decoder_factor(k, rho, num, suffix, noise_fwd, shared, out=rate, den=den)
+            np.log2(rate, out=rate)
             over = np.isinf(rate) & np.isfinite(num) & (den > 0)
             rate[over] = np.log2(num[over]) - np.log2(den[over])
     return rates

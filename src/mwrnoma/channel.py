@@ -64,6 +64,11 @@ MAX_MOMENT_TABLE = 25_600
 ORACLE_NODES = 20
 ORACLE_PANELS = (48, 72)
 
+# most factors 1 - u in one product of the Gamma sampler: each is at least
+# 2^-53 (SFC64's doubles are multiples of 2^-53), so a product is at least
+# 2^-848, still a normal double
+PRODUCT_FACTORS = 16
+
 
 @dataclass(frozen=True)
 class FadingParams:
@@ -165,20 +170,39 @@ def _check_users(params: FadingParams, n_users: int) -> None:
 
 
 def gamma_from_uniforms(u: np.ndarray, beta: float, out: np.ndarray) -> np.ndarray:
-    """Gamma(alpha, beta) variates -beta * sum_j log(1 - u_j) from the
+    """Gamma(alpha, beta) variates -beta * log prod_j (1 - u_j) from the
     uniforms u (..., alpha), written to out (...) and returned; u is
-    overwritten."""
-    np.negative(u, out=u)
-    np.log1p(u, out=u)
-    if u.shape[-1] >= 8:
-        # numpy sums 8 or more items pairwise; below that it adds left to
-        # right, which the slice loop repeats with one long loop per slice
-        u.sum(axis=-1, out=out)
-    else:
-        np.copyto(out, u[..., 0])
-        for j in range(1, u.shape[-1]):
-            out += u[..., j]
+    overwritten.
+
+    The Erlang generator (Devroye, *Non-Uniform Random Variate
+    Generation*, 1986, the gamma chapter): one log per group of at most
+    ``PRODUCT_FACTORS`` factors, not one per uniform.  Each factor 1 - u_j
+    is exact for uniforms on the 2^-53 grid, and multiplies into its
+    group's product left to right; the group logs add left to right.
+    Each step is one whole-array loop over factor j of every trial's
+    groups, so the call count grows with the group size, not with alpha.
+    """
+    alpha = u.shape[-1]
+    np.subtract(1.0, u, out=u)
+    # factors[j::PRODUCT_FACTORS] is factor j of each group that has one;
+    # only the last group can be short
+    factors = u.transpose(u.ndim - 1, *range(u.ndim - 1))
+    first, second = factors[::PRODUCT_FACTORS], factors[1::PRODUCT_FACTORS]
+    prod = out[None] if len(first) == 1 else np.empty((len(first), *out.shape))
+    np.multiply(first[: len(second)], second, out=prod[: len(second)])
+    # a last group of one factor is that factor
+    np.copyto(prod[len(second) :], first[len(second) :])
+    for j in range(2, min(alpha, PRODUCT_FACTORS)):
+        later = factors[j::PRODUCT_FACTORS]
+        part = prod[: len(later)]
+        np.multiply(part, later, out=part)
+    np.log(prod, out=prod)
+    if len(prod) > 1:
+        # over the leading axis numpy adds the groups left to right
+        np.add.reduce(prod, axis=0, out=out)
     out *= -beta
+    # log 1 = +0 where every uniform is 0; keep that gain +0, not -0
+    out += 0.0
     return out
 
 

@@ -27,23 +27,26 @@ squares instead of rates.
 A chunk's sorted gains are a column-major (trials, M) array, one
 contiguous column per position.  No (trials, decoders) array of rates
 exists: per kernel group, ``_kernels.decoder_totals`` turns the gains
-straight into the trials' totals, adding each decoder's rate (its pair
-rates, telescoped to one logarithm) left to right while it is in cache,
-and returns the totals' sum, which serves both as the check that every
-total is finite and as the mean.  Only the totals' mean and M2 (sum of
-squared deviations) outlive the chunk, numpy's pairwise sums along its
-trials, so the bits are those of a whole-array reduction.  At M = 4 a
-kernel group takes 28 ufunc passes over the chunk's trials, 3 of them for
-M2, and a chunk enters one ``np.errstate``, however many groups it has.
+straight into the trials' totals, multiplying each decoder's factor
+(1 + its telescoped SINR) into the trial's product left to right while it
+is in cache, then taking one log2 per trial, and returns the totals' sum,
+which serves both as the check that every total is finite and as the
+mean.  Only the totals' mean and M2 (sum of squared deviations) outlive
+the chunk, numpy's pairwise sums along its trials, so the bits are those
+of a whole-array reduction.  At M = 4 a kernel group takes 26 ufunc
+passes over the chunk's trials, 3 of them for M2, and a chunk enters one
+``np.errstate``, however many groups it has.
 A chunk draws, transforms and sorts its gains in blocks of at most
 ``UNIFORM_BLOCK`` uniforms (or of one trial, if a trial needs more), so
-its memory does not grow with the fading shape alpha.  The chunk loop
-fills the same blocks, gains, path-loss-scaled gains, numerators,
-interference sums and kernel work columns for every chunk, so a run
-allocates its arrays once; a short last chunk uses the leading part of
-the same memory.  The kernel's scratch is memory the chunk already has:
-its two work columns, the numerator array's two scratch columns, and the
-spent uniforms block for the totals.
+its memory does not grow with the fading shape alpha.  The transform
+(``channel.gamma_from_uniforms``) takes one log per gain, of the product
+of its alpha factors 1 - u (one per group of 16 at a larger alpha).  The
+chunk loop fills the same blocks, gains, path-loss-scaled gains,
+numerators, interference sums and kernel work columns for every chunk, so
+a run allocates its arrays once; a short last chunk uses the leading part
+of the same memory.  The kernel's scratch is memory the chunk already
+has: its two work columns, the numerator array's two scratch columns, and
+the spent uniforms block for the totals.
 
 Importing this module does not load ``numpy.random``, so a closed-form
 run, which draws nothing, does not pay for it: ``numpy.random`` (and the

@@ -7,9 +7,10 @@ the order-statistic moments.  That is the Monte Carlo kernel evaluated on
 one row of psi per operating point or placement site; the high-SNR
 asymptotes are the same kernel at 1/r1 = 1/r2 = 0.  The kernel gives one
 rate per decoder, the sum of its successive-decoding pair rates, which
-telescope to one logarithm per decoder; ``_kernels.decoder_totals`` adds
-a row's rates left to right, as ``_total`` adds the rates of one row, so
-its total has the same bits in ``asr`` and in any batch of ``asr_rows``.
+telescope to one logarithm per decoder; ``_kernels.decoder_totals`` takes
+a row's total as one logarithm of the decoders' product, and ``asr``
+takes its total from the same call on its one row, so the total has the
+same bits in ``asr`` and in any batch of ``asr_rows``.
 ``asr_rows`` gives unit-share totals, which the two sweep drivers scale
 once per scheme; the one-point functions multiply their own result by
 their prefactor.  Distortion enters only through the impairment profile:
@@ -82,8 +83,8 @@ class AsrResult:
 
 
 def _total(rates: np.ndarray) -> float:
-    """The total of one row of decoder rates, added left to right as
-    ``_kernels.decoder_totals`` adds them."""
+    """The total of one row of decoder rates, added left to right
+    (``_kernels.rate_sum``)."""
     return float(_kernels.rate_sum(rates))
 
 
@@ -124,12 +125,19 @@ def asr_rows(psi: np.ndarray, a, args):
 
 def _one_row(moments: OrderStatMoments, cfg: NetworkConfig, args, prefactor, provenance):
     """The ``AsrResult`` of one kernel evaluation at one row of means: its
-    unit-share decoder rates and their ``_total``, each times prefactor."""
+    unit-share decoder rates and the row's ``_kernels.decoder_totals``
+    total, the bits of its ``asr_rows`` row, each times prefactor."""
     psi = moments.psi[None, :]
-    rates = _kernels.pair_rate_chunk(psi, cfg.a, *_kernel_args(psi, cfg.a, args))[0]
+    kernel_args = _kernel_args(psi, cfg.a, args)
+    rates = _kernels.pair_rate_chunk(psi, cfg.a, *kernel_args)[0]
+    total = np.empty(1)
+    with np.errstate(over="ignore", divide="ignore"):
+        _kernels.decoder_totals(
+            psi, cfg.a, *kernel_args, out=total, work=np.empty((1, 2), order="F")
+        )
     return AsrResult(
         per_decoder=rates * prefactor,
-        total=_total(rates) * prefactor,
+        total=float(total[0]) * prefactor,
         provenance=provenance,
     )
 

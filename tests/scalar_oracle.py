@@ -10,7 +10,12 @@ as co-channel interference (the strongest user's own contribution is
 removed by the successive cancellation chain).  ``pair_indices`` lists
 the decodable (k, n) pairs and ``decoder_rates`` sums each decoder's
 pair rates.  ``gamma_variates`` draws Gamma variates from
-a generator through the engine's own transform.
+a generator through the engine's own transform.  ``unhoisted_terms`` and
+``unhoisted_factors`` form each decoder's telescoped numerator,
+denominator and factor over rows of gains with every term inside the
+decoder loop, and ``product_totals`` takes a row's total as log2 of the
+left-to-right product of its factors: the references for the kernel's
+hoisted terms and fused totals.
 
 This is a helper module, not a test module: it is imported by the tests.
 """
@@ -19,9 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
+from mwrnoma._kernels import weighted_sums
 from mwrnoma.channel import gamma_from_uniforms
 from mwrnoma.errors import ConfigurationError
 from mwrnoma.signal import ImpairmentProfile, NetworkConfig
@@ -137,7 +144,7 @@ def decoder_rates(rho, cfg: NetworkConfig, imp: ImpairmentProfile) -> list[float
 
 
 def gamma_variates(alpha: int, beta: float, size, rng: np.random.Generator) -> np.ndarray:
-    """Gamma(alpha, beta) draws via the sum of alpha exponentials.
+    """Gamma(alpha, beta) draws via the Erlang product of alpha uniforms.
 
     Exact for integer shape and stable across platforms (no rejection
     sampling), which keeps seeded runs reproducible.  Consumes exactly
@@ -146,3 +153,31 @@ def gamma_variates(alpha: int, beta: float, size, rng: np.random.Generator) -> n
     shape = (size,) if np.isscalar(size) else tuple(size)
     u = rng.random(shape + (int(alpha),))
     return gamma_from_uniforms(u, beta, np.empty(shape))
+
+
+def unhoisted_terms(rho, a, inv_r1, inv_r2, mac, mix, bc):
+    """Each decoder's numerator and denominator with every term formed
+    inside the decoder loop, in the kernel's operand order: the numerator
+    P_k summed upward (P_M = suffix[:, 0]) and
+    D = (suffix_{k-1} + shared) + noise_fwd / rho_k."""
+    weighted, suffix, _ = weighted_sums(rho, a)
+    noise_fwd = mac * weighted * inv_r2 + inv_r1 * inv_r2
+    shared = mix * weighted + bc * inv_r1
+    M = rho.shape[1]
+    numerators = np.cumsum(rho[:, : M - 1] * a[: M - 1], axis=1)
+    for k in range(2, M + 1):
+        num = suffix[:, 0] if k == M else numerators[:, k - 2]
+        yield num, (suffix[:, k - 1] + shared) + noise_fwd / rho[:, k - 1]
+
+
+def unhoisted_factors(rho, a, *args):
+    """The decoder factors P_k / D + 1 of ``unhoisted_terms``: the
+    reference for the kernel's hoisted terms."""
+    for num, den in unhoisted_terms(rho, a, *args):
+        yield num / den + 1.0
+
+
+def product_totals(rho, a, *args):
+    """Each row's unit-share total: log2 of the left-to-right product of
+    its ``unhoisted_factors``."""
+    return np.log2(reduce(np.multiply, unhoisted_factors(rho, a, *args)))

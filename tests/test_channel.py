@@ -4,6 +4,7 @@ import math
 import time
 import warnings
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from mwrnoma import (
 from mwrnoma import channel
 from mwrnoma.channel import (
     MAX_ALPHA,
+    PRODUCT_FACTORS,
     _gamma_integral,
     _pow_each,
     _survival_powers,
@@ -48,6 +50,20 @@ def omega(p, n_users, i):
 def stream(seed):
     """A seeded Philox stream, independent of the engine's chunk streams."""
     return np.random.Generator(np.random.Philox(key=seed))
+
+
+def grouped_log_product(u):
+    """log prod_j (1 - u_j) over the last axis as the sampler forms it: a
+    left-to-right product per group of PRODUCT_FACTORS, one log each,
+    the group logs added left to right."""
+    alpha = u.shape[-1]
+    logs = []
+    for start in range(0, alpha, PRODUCT_FACTORS):
+        product = 1.0 - u[..., start]
+        for j in range(start + 1, min(start + PRODUCT_FACTORS, alpha)):
+            product = product * (1.0 - u[..., j])
+        logs.append(np.log(product))
+    return reduce(np.add, logs)
 
 
 class TestClosedFormTrivial:
@@ -367,14 +383,37 @@ class TestSampling:
         se = rho1.std(ddof=1) / math.sqrt(rho1.size)
         assert abs(rho1.mean() - target) < 3 * se
 
-    @pytest.mark.parametrize("alpha", range(1, 11))
+    @pytest.mark.parametrize("alpha", [*range(1, 11), 16, 17, 31, 33, 400])
     def test_variates_keep_the_summation_bits(self, alpha):
-        # the sum of alpha log-uniforms must add in numpy's own order: left
-        # to right below 8 terms, pairwise from 8 on
+        # the factors 1 - u multiply left to right, one log per group of
+        # PRODUCT_FACTORS, and the group logs add left to right; from 17 on
+        # there are several groups, the last one full or short (one factor
+        # at 17 and 33)
         shape = (1000, 5)
         h = gamma_variates(alpha, 3.0, shape, np.random.Generator(np.random.Philox(key=alpha)))
         u = np.random.Generator(np.random.Philox(key=alpha)).random(shape + (alpha,))
-        assert np.array_equal(h, -3.0 * np.log1p(-u).sum(axis=-1))
+        assert np.array_equal(h, -3.0 * grouped_log_product(u))
+
+    @pytest.mark.parametrize(
+        "alpha, beta", [(1, 3.0), (2, 3.0), (2, 1e-3), (16, 1.0), (17, 1.0), (400, 2.0)]
+    )
+    def test_variates_match_the_log1p_sum(self, alpha, beta):
+        # against -beta times the correctly rounded sum of log1p(-u_j): the
+        # products' rounding costs at most about alpha * 2^-53 in the log,
+        # also on rows of the extreme uniforms 0, 2^-53 and 1 - 2^-53
+        u = stream(7).random((2000, alpha))
+        u[:3] = [[0.0], [2.0**-53], [1.0 - 2.0**-53]]
+        u[3, ::2] = 1.0 - 2.0**-53
+        u[4, ::2] = 2.0**-53
+        h = channel.gamma_from_uniforms(u.copy(), beta, np.empty(u.shape[0]))
+        want = np.array([-beta * math.fsum(map(math.log1p, -row)) for row in u])
+        bound = 4 * (alpha * beta * 2.0**-53 + np.spacing(want))
+        assert (np.abs(h - want) <= bound).all()
+
+    def test_zero_uniforms_give_a_positive_zero(self):
+        # every factor 1: log 1 = +0, and the gain is +0, not -0
+        h = channel.gamma_from_uniforms(np.zeros((3, 2, 4)), 3.0, np.empty((3, 2)))
+        assert (h == 0.0).all() and not np.signbit(h).any()
 
     def test_sorted_and_scaled(self):
         # the engine's gains: sorted per trial before the path loss scales

@@ -16,10 +16,11 @@ from mwrnoma._kernels import (
     distortion_terms,
     kernel_args,
     pair_rate_chunk,
+    rate_sum,
     weighted_sums,
 )
 from mwrnoma.montecarlo import CHUNK_TRIALS, _ChunkBuffers, _sample_rho_chunk
-from scalar_oracle import decoder_rates
+from scalar_oracle import decoder_rates, unhoisted_factors, unhoisted_terms
 
 KAPPAS = ("kappa_ut", "kappa_ur", "kappa_rt", "kappa_rr")
 
@@ -209,28 +210,6 @@ def test_kernel_is_row_local(n_users):
     assert rho.flags.c_contiguous and block.flags.f_contiguous and fortran.flags.f_contiguous
 
 
-def unhoisted_terms(rho, a, inv_r1, inv_r2, mac, mix, bc):
-    """Each decoder's numerator and denominator with every term formed
-    inside the decoder loop, in the kernel's operand order: the numerator
-    P_k summed upward (P_M = suffix[:, 0]) and
-    D = (suffix_{k-1} + shared) + noise_fwd / rho_k."""
-    weighted, suffix, _ = weighted_sums(rho, a)
-    noise_fwd = mac * weighted * inv_r2 + inv_r1 * inv_r2
-    shared = mix * weighted + bc * inv_r1
-    M = rho.shape[1]
-    numerators = np.cumsum(rho[:, : M - 1] * a[: M - 1], axis=1)
-    for k in range(2, M + 1):
-        num = suffix[:, 0] if k == M else numerators[:, k - 2]
-        yield num, (suffix[:, k - 1] + shared) + noise_fwd / rho[:, k - 1]
-
-
-def unhoisted_columns(rho, a, *args):
-    """The unit-share decoder rates log2(P_k / D + 1) of
-    ``unhoisted_terms``: the reference for the kernel's hoisted terms."""
-    for num, den in unhoisted_terms(rho, a, *args):
-        yield np.log2(num / den + 1.0)
-
-
 def fused_totals(rho, a, *args, aggregates=None):
     """``decoder_totals`` into fresh arrays: the totals and their sum."""
     out = np.empty(rho.shape[0])
@@ -250,10 +229,10 @@ def fused_totals(rho, a, *args, aggregates=None):
 )
 def test_hoisted_terms_keep_the_bits(n_users, seed, snr_db, kappas, limit):
     # the fused totals, with shared aggregates (numerators and interference
-    # sums) or none, are the left-to-right sums of the rates formed with
-    # every term per decoder, and pair_rate_chunk keeps those rates; at
-    # M = 2 decoder 2 is both the first and the last decoder, and at
-    # 1/r1 = 0 without distortion decoder M is +inf
+    # sums) or none, are log2 of the left-to-right products of the factors
+    # formed with every term per decoder, and pair_rate_chunk keeps the
+    # log2 of each factor; at M = 2 decoder 2 is both the first and the
+    # last decoder, and at 1/r1 = 0 without distortion decoder M is +inf
     rho, a = make_inputs(n_users, n_trials=300, seed=seed)
     rho = np.asfortranarray(rho)
     a = np.asarray(a)
@@ -261,8 +240,9 @@ def test_hoisted_terms_keep_the_bits(n_users, seed, snr_db, kappas, limit):
     inv_r1 = 0.0 if limit else 10.0 ** (-snr_db / 10.0)
     args = (inv_r1, inv_r1 / 2.0, *distortion_terms(imp))
     with np.errstate(divide="ignore"):
-        columns = list(unhoisted_columns(rho, a, *args))
-    want = reduce(np.add, columns)
+        factors = list(unhoisted_factors(rho, a, *args))
+    columns = [np.log2(f) for f in factors]
+    want = np.log2(reduce(np.multiply, factors))
     alone, total = fused_totals(rho, a, *args)
     # a kernel call at another SNR first uses the shared aggregates and
     # their scratch columns
@@ -283,28 +263,78 @@ def test_hoisted_terms_keep_the_bits(n_users, seed, snr_db, kappas, limit):
 def test_repaired_totals_take_the_log_difference(chunk):
     # fig2a at 3080 dB with fading scale 30, as CI's huge_snr run: on all
     # but a few trials of an engine chunk (2 of chunk 0, 3 of chunk 2)
-    # decoder M's P_M / D exceeds the float range.  Those totals are
-    # repaired to the left-to-right sum of the per-decoder rates with
-    # log2 P - log2 D in place of the overflowed one; every other total
-    # keeps the common path's bits
+    # decoder M's P_M / D exceeds the float range, and on those few the
+    # product of the finite factors does.  Every total is repaired to the
+    # left-to-right sum of the per-decoder rates, with log2 P - log2 D in
+    # place of an overflowed one
     fading = FadingParams(alpha=2, beta=30.0, nu=3.0, distances=(1.0,) * 4)
     cfg = NetworkConfig(n_users=4, a=(0.5, 0.3, 0.15, 0.05), r1=10.0**308.0)
     buffers = _ChunkBuffers(4, fading.alpha, CHUNK_TRIALS)
     rho = _sample_rho_chunk(fading, 12022, chunk, buffers) * fading.path_loss_factors()
     a, args = np.asarray(cfg.a), kernel_args(cfg, ImpairmentProfile())
-    plain, want = [], []
+    factors, rates = [], []
     with np.errstate(over="ignore"):
         for num, den in unhoisted_terms(rho, a, *args):
-            rate = np.log2(num / den + 1.0)
-            plain.append(rate.copy())
+            factor = num / den + 1.0
+            factors.append(factor)
+            rate = np.log2(factor)
             over = np.isinf(rate)
             rate[over] = np.log2(num[over]) - np.log2(den[over])
-            want.append(rate)
-    repaired = ~np.isfinite(reduce(np.add, plain))
-    assert repaired.any() and not repaired.all()
-    assert np.isfinite(plain[:-1]).all()
+            rates.append(rate)
+        plain = np.log2(reduce(np.multiply, factors))
+    assert not np.isfinite(plain).any()
+    assert np.isfinite(factors[:-1]).all()
+    assert 0 < np.isfinite(factors[-1]).sum() <= 3
+    want = reduce(np.add, rates)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         totals, total = fused_totals(rho, a, *args)
-    assert np.array_equal(totals, reduce(np.add, want))
+    assert np.array_equal(totals, want)
     assert np.isfinite(totals).all() and total == np.add.reduce(totals)
+
+
+def test_product_overflow_of_finite_factors_is_repaired():
+    # M = 8 without distortion at 3062 dB: every factor is finite, and on
+    # about half the rows their product of 7 is not; those totals are the
+    # left-to-right sums of the decoders' log2 rates, finite and without
+    # a warning, and every other total is log2 of the product
+    n_users = 8
+    rho, a = make_inputs(n_users, n_trials=512, seed=3)
+    rho = np.asfortranarray(rho)
+    a = np.asarray(a)
+    inv_r1 = 10.0 ** (-306.2)
+    args = (inv_r1, inv_r1, *distortion_terms(ImpairmentProfile()))
+    with np.errstate(over="ignore"):
+        factors = list(unhoisted_factors(rho, a, *args))
+        plain = np.log2(reduce(np.multiply, factors))
+    assert np.isfinite(factors).all()
+    repaired = ~np.isfinite(plain)
+    assert repaired.any() and not repaired.all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        totals, total = fused_totals(rho, a, *args)
+        rates = pair_rate_chunk(rho, a, *args)
+    assert np.isfinite(totals).all() and total == np.add.reduce(totals)
+    assert np.array_equal(totals[repaired], rate_sum(rates[repaired]))
+    assert np.array_equal(totals[~repaired], plain[~repaired])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_users=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+    snr_db=st.floats(-20.0, 160.0),
+    kappas=st.lists(st.floats(0.0, 0.5), min_size=4, max_size=4),
+)
+def test_product_total_is_close_to_the_sum_of_rates(n_users, seed, snr_db, kappas):
+    # log2 of the decoders' product against the left-to-right sum of
+    # their log2 rates: M - 2 products and one log2 in place of M - 1
+    # log2 and M - 2 sums, within (M - 1) (2^-52 + ulp(total)) per row
+    rho, a = make_inputs(n_users, n_trials=200, seed=seed)
+    inv_r1 = 10.0 ** (-snr_db / 10.0)
+    args = (inv_r1, inv_r1 / 2.0, *distortion_terms(ImpairmentProfile(*kappas)))
+    totals, _ = fused_totals(rho, np.asarray(a), *args)
+    sums = rate_sum(pair_rate_chunk(rho, np.asarray(a), *args))
+    assert np.isfinite(totals).all()
+    bound = (n_users - 1) * (2.0**-52 + np.spacing(np.abs(sums)))
+    assert (np.abs(totals - sums) <= bound).all()

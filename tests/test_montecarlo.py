@@ -41,6 +41,7 @@ from mwrnoma.montecarlo import (
     _sample_rho_chunk,
 )
 from mwrnoma.rate import asr_rows
+from scalar_oracle import product_totals
 
 FADING3 = FadingParams(alpha=2, beta=3.0, nu=3.0, distances=(1.0,) * 3)
 CFG3 = NetworkConfig(n_users=3, a=(0.5, 0.3, 0.2), r1=1000.0)
@@ -241,13 +242,14 @@ SWEEP = [
 SHARES = [0.5, OMA4, 0.5, 0.5, OMA4, 0.5]
 
 
-def whole_array_stats(rates):
-    """The oracle of ``_chunk_stats``: the whole-array reduction of one
-    (trials, decoders) chunk of rates to its totals' statistics."""
-    totals = rates.sum(axis=1)
+def whole_array_stats(rho, a, args):
+    """The oracle of ``_chunk_stats``: one chunk's per-trial totals, log2
+    of the left-to-right product of each trial's decoder factors
+    (``product_totals``), reduced as one array to their statistics."""
+    totals = product_totals(rho, np.asarray(a), *args)
     t_mean = totals.mean()
     t_m2 = float(((totals - t_mean) ** 2).sum())
-    return rates.shape[0], float(t_mean), t_m2
+    return totals.shape[0], float(t_mean), t_m2
 
 
 def reference_stats(point, share, tc):
@@ -261,11 +263,7 @@ def reference_stats(point, share, tc):
         buffers = _ChunkBuffers(4, point.fading.alpha, count)
         rho = _sample_rho_chunk(point.fading, tc.seed, c, buffers)
         rho = rho * point.fading.path_loss_factors()
-        rates = _kernels.pair_rate_chunk(
-            rho, np.asarray(cfg.a), 1.0 / cfg.r1, 1.0 / cfg.r2,
-            *_kernels.distortion_terms(imp),
-        )
-        part = whole_array_stats(rates)
+        part = whole_array_stats(rho, cfg.a, _kernels.kernel_args(cfg, imp))
         stats = part if stats is None else _merge_stats(stats, part)
     n, t_mean, t_m2 = stats
     return n, t_mean * share, math.sqrt(t_m2 / (n * (n - 1))) * share
@@ -366,10 +364,9 @@ class TestSweepEngine:
         moments = [order_stat_moments(f, 4) for f in (FADING4, FAR4)]
         psi = np.array([m.psi for m in moments])
         args = _kernels.kernel_args(CFG4, imp)
-        unit = _kernels.pair_rate_chunk(psi, np.asarray(CFG4.a), *args)
         totals, fault = asr_rows(psi, CFG4.a, args)
         assert fault is None
-        assert np.array_equal(totals, unit.sum(axis=1))
+        assert np.array_equal(totals, product_totals(psi, np.asarray(CFG4.a), *args))
         for total, m in zip(totals, moments):
             assert total * share == asr(m, CFG4, imp, share).total
         tc = TrialConfig(self.TRIALS, seed=31)
@@ -410,9 +407,7 @@ class TestSweepEngine:
             rho = np.multiply(h, fading.path_loss_factors(), out=buffers.rho)
             aggregates = _kernels.weighted_sums(rho, a, out=buffers.suffix, terms=buffers.terms)
             got = _chunk_stats(buffers, a, args, aggregates)
-            rates = _kernels.pair_rate_chunk(rho, a, *args)
-            assert rates.shape == (count, n_users - 1)
-            want = whole_array_stats(rates)
+            want = whole_array_stats(rho, a, args)
             assert got[0] == want[0] == count
             assert got[1:] == want[1:]
 
@@ -650,23 +645,24 @@ class TestSweepErrors:
             assert str(info.value) == f"non-finite rate in trial {CHUNK_TRIALS + 2}"
 
     def test_nan_rate_of_one_decoder_survives_the_repair(self, monkeypatch):
-        # a NaN in decoder 3's rate of one trial of point 1 (FAR4's gains)
-        # makes that total non-finite; the repair forms the trial's rates
-        # again, gets the NaN again and the sweep names the point and trial
-        original = _kernels._decoder_rate
+        # a NaN in decoder 3's factor of one trial of point 1 (FAR4's
+        # gains) makes that total non-finite; the repair forms the trial's
+        # rates again, gets the NaN again and the sweep names the point and
+        # trial
+        original = _kernels._decoder_factor
         buffers = _ChunkBuffers(4, FAR4.alpha, CHUNK_TRIALS)
         bad = _sample_rho_chunk(FAR4, 2, 1, buffers)[57] * FAR4.path_loss_factors()
         repairs = []
 
         def nan_for_one_trial(k, rho, *args, out, den):
-            rate = original(k, rho, *args, out=out, den=den)
+            factor = original(k, rho, *args, out=out, den=den)
             rows = (rho == bad).all(axis=1)
             if k == 3 and rows.any():
-                rate[rows] = np.nan
+                factor[rows] = np.nan
                 repairs.append(rho.shape[0])
-            return rate
+            return factor
 
-        monkeypatch.setattr(_kernels, "_decoder_rate", nan_for_one_trial)
+        monkeypatch.setattr(_kernels, "_decoder_factor", nan_for_one_trial)
         points = [SweepPoint(CFG4, FADING4, IDEAL), SweepPoint(CFG4, FAR4, IDEAL)]
         with pytest.raises(SweepPointError) as info:
             simulate_sweep(points, TrialConfig(self.TRIALS, seed=2))
